@@ -69,8 +69,8 @@ class Certificate:
     classification: str
     residual_max: dict[str, float | None]
     constant_curvature_max: float | None
-    min_margin: float
-    max_margin: float
+    min_margin: float | None                 # None when no sample succeeded
+    max_margin: float | None
     tol_pass: float
     tol_margin: float
     samples: int
@@ -352,8 +352,8 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
         values = [s.residuals[key] for s in samples if s.residuals[key] is not None]
         residual_max[key] = max(values) if values else None
     margins = [s.nondegeneracy for s in samples]
-    min_margin = min(margins) if margins else float("nan")
-    max_margin = max(margins) if margins else float("nan")
+    min_margin = min(margins) if margins else None
+    max_margin = max(margins) if margins else None
     cc_max = max(cc_values) if cc_values else None
     epsilons = {s.epsilon for s in samples}
     epsilon = samples[0].epsilon if len(epsilons) == 1 else None

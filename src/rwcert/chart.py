@@ -13,16 +13,21 @@ A chart file is a JSON object with fields
     options {"normalize_u": bool}, optional
 
 Both metric entries of a pair, when given, must parse to the same tree.
+Loading a chart parses and validates it; the expressions are compiled on the
+first evaluation (`ChartSpec.programs`) and kept with the chart.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Callable, Mapping
+
+import numpy as np
 
 from . import exprs
-from .exprs import Expr, ExprError, parse_expr
+from .exprs import Expr, ExprError, compile_exprs, parse_expr
 
 _TOP_FIELDS = {"name", "dim", "coords", "metric", "u", "params", "domain", "options"}
 _OPTION_FIELDS = {"normalize_u"}
@@ -31,6 +36,24 @@ _RESERVED = exprs.FUNCTION_NAMES | {"pi"}
 
 class ChartError(ValueError):
     """Malformed chart document (CLI exit code 2)."""
+
+
+@dataclass(frozen=True)
+class ChartPrograms:
+    """A chart's metric and u expressions, compiled together once
+    (exprs.compile_exprs), so that a subtree they share is computed once per
+    point.
+
+    Entries that do not depend on the coordinates are already values in
+    `metric_constant` and `u_constant` (zero where a program supplies the
+    entry); the others are programs, the metric's over its upper triangle.
+    The programs of one point must share one fresh environment dict.
+    """
+
+    metric_constant: np.ndarray
+    metric_varying: tuple[tuple[int, int, Callable], ...]
+    u_constant: np.ndarray
+    u_varying: tuple[tuple[int, Callable], ...]
 
 
 @dataclass(frozen=True)
@@ -46,6 +69,32 @@ class ChartSpec:
     source: str = field(default="", compare=False)
     metric_text: tuple[tuple[str, ...], ...] = field(default=(), compare=False)
     u_text: tuple[str, ...] = field(default=(), compare=False)
+
+    @cached_property
+    def programs(self) -> ChartPrograms:
+        """The compiled expressions, built on first use and kept."""
+        n = self.dim
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        nodes = [self.metric[i][j] for i, j in upper] + list(self.u_field)
+        sources = ([self.metric_text[i][j] if self.metric_text else "" for i, j in upper]
+                   + [self.u_text[k] if self.u_text else "" for k in range(n)])
+        programs = compile_exprs(nodes, self.params, sources)
+        metric_constant = np.zeros((n, n))
+        metric_varying = []
+        for (i, j), program in zip(upper, programs):
+            if isinstance(program, float):
+                metric_constant[i, j] = metric_constant[j, i] = program
+            else:
+                metric_varying.append((i, j, program))
+        u_constant = np.zeros(n)
+        u_varying = []
+        for k, program in enumerate(programs[len(upper):]):
+            if isinstance(program, float):
+                u_constant[k] = program
+            else:
+                u_varying.append((k, program))
+        return ChartPrograms(metric_constant, tuple(metric_varying),
+                             u_constant, tuple(u_varying))
 
     def contains(self, point, rtol: float = 1e-9) -> bool:
         for x, (lo, hi) in zip(point, self.domain):

@@ -32,13 +32,19 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
+# Options whose value is a comma-separated list, which may start with '-'
+# ("--tau-grid -0.1,0.1"); argparse alone would read such a value as an option.
+_LIST_OPTIONS = frozenset({"--tau-grid", "--base", "--start", "--velocity", "--x0",
+                           "--range", "--exprs"})
+
+
 class _InputError(Exception):
     """User input problem: catch-all mapped to exit code 2."""
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     if args.subcommand is None:
         parser.print_help(sys.stderr)
         return EXIT_INPUT
@@ -54,6 +60,20 @@ def main(argv=None) -> int:
     print(f"[rwcert] {args.subcommand} finished in {time.perf_counter() - started:.2f}s "
           f"(wall-clock, not part of any report)", file=sys.stderr)
     return code
+
+
+def _attach_list_values(argv) -> list[str]:
+    """Rewrite `--opt VALUE` as `--opt=VALUE` for the list options, so that the
+    token after one of them is always its value."""
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _LIST_OPTIONS:
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        out.append(token)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Metric expression language: tokenizer, parser, printer, jet evaluator.
+"""Metric expression language: tokenizer, parser, printer, jet compiler.
 
 Grammar, loosest to tightest binding:
 
@@ -16,9 +16,11 @@ jet elementary set, plus ``pi`` as a constant.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from . import jets
 from .jets import Jet3
@@ -250,90 +252,219 @@ def format_expr(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# -- evaluation ------------------------------------------------------------------
+# -- compilation and evaluation ---------------------------------------------------
+# An expression is compiled once into a tree of closures.  A subtree that does
+# not reference a coordinate folds to a float at compile time, by the same jet
+# arithmetic that would evaluate it, so folding never changes a result:
+# c1/c2 becomes c1 * (1/c2), integer powers are repeated products and the
+# elementary functions make the same numpy calls.  A domain error inside such
+# a subtree is not raised at compile time; the compiled program raises it,
+# with its span, whenever it is run.
 
-def const_value(node: Expr, params: Mapping[str, float]):
-    """Fold a coordinate-free subtree to a float, or return None."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, ParamRef):
-        return params[node.name]
+Program = Union[float, Callable[[Mapping[str, Jet3]], Jet3]]
+
+
+def compile_expr(node: Expr, params: Mapping[str, float], source: str = "") -> Program:
+    """Compile an expression with its parameter values bound.
+
+    Returns a float when the expression does not depend on the coordinates,
+    otherwise a function from a coordinate-jet environment (a Jet3 for every
+    coordinate the expression references, all of one dimension and order) to
+    the result's Jet3, of that order.  Domain failures surface as
+    EvalDomainError tagged with the failing node's source span.
+    """
+    return _Compiler(params, frozenset()).compile(node, source)
+
+
+def compile_exprs(nodes: Sequence[Expr], params: Mapping[str, float],
+                  sources: Sequence[str]) -> list[Program]:
+    """Compile expressions that are evaluated together, at the same points.
+
+    As compile_expr, except that a subtree depending on the coordinates and
+    occurring more than once among them is computed once per evaluation: the
+    first program to need it keeps its result in the environment dict, under
+    an integer key, for the others.  So each point needs a fresh environment.
+    A domain error inside a shared subtree names the source and span of its
+    first occurrence, which is where it is raised when the programs run in
+    order.
+    """
+    counts = Counter(sub for node in nodes for sub in _inner_subtrees(node))
+    compiler = _Compiler(params, frozenset(sub for sub, count in counts.items() if count > 1))
+    return [compiler.compile(node, source) for node, source in zip(nodes, sources, strict=True)]
+
+
+def _inner_subtrees(node: Expr):
+    """Every subtree that is not a leaf."""
     if isinstance(node, Neg):
-        v = const_value(node.child, params)
-        return None if v is None else -v
-    if isinstance(node, BinOp):
-        lv = const_value(node.left, params)
-        rv = const_value(node.right, params)
-        if lv is None or rv is None:
-            return None
-        if node.op == "+":
-            return lv + rv
-        if node.op == "-":
-            return lv - rv
-        if node.op == "*":
-            return lv * rv
-        if node.op == "/":
-            return None if rv == 0 else lv / rv
-        return None if (lv <= 0 and rv != round(rv)) else _safe_pow(lv, rv)
-    return None
+        children = (node.child,)
+    elif isinstance(node, Call):
+        children = (node.arg,)
+    elif isinstance(node, BinOp):
+        children = (node.left, node.right)
+    else:
+        return
+    yield node
+    for child in children:
+        yield from _inner_subtrees(child)
 
 
-def _safe_pow(base: float, exponent: float):
-    try:
-        return float(base**exponent)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return None
+class _Compiler:
+    def __init__(self, params: Mapping[str, float], repeated: frozenset):
+        self.params = params
+        self.repeated = repeated           # subtrees to compute once per environment
+        self.shared: dict[Expr, Program] = {}
+
+    def compile(self, node: Expr, source: str) -> Program:
+        if node not in self.repeated:
+            return self._compile(node, source)
+        program = self.shared.get(node)
+        if program is None:
+            program = self._compile(node, source)
+            if not isinstance(program, float):
+                program = _memoized(program, len(self.shared))
+            self.shared[node] = program
+        return program
+
+    def _compile(self, node: Expr, source: str) -> Program:
+        if isinstance(node, Num):
+            return float(node.value)
+        if isinstance(node, ParamRef):
+            return float(self.params[node.name])
+        if isinstance(node, CoordRef):
+            name = node.name
+            return lambda env: env[name]
+        if isinstance(node, Neg):
+            child = self.compile(node.child, source)
+            if isinstance(child, float):
+                return -child
+            return lambda env: -child(env)
+        if isinstance(node, Call):
+            return _compile_call(jets.ELEMENTARY[node.fn], self.compile(node.arg, source),
+                                 node.span, source)
+        if isinstance(node, BinOp):
+            left = self.compile(node.left, source)
+            right = self.compile(node.right, source)
+            if node.op == "^":
+                return _compile_pow(left, right, node.span, source)
+            return _compile_arith(node.op, left, right, node.span, source)
+        raise TypeError(f"not an expression node: {node!r}")
+
+
+def _memoized(program, key: int):
+    """Run `program` once per environment, keeping the result there under `key`."""
+    def run(env):
+        jet = env.get(key)
+        if jet is None:
+            jet = env[key] = program(env)
+        return jet
+    return run
 
 
 def eval_expr(node: Expr, env: Mapping[str, Jet3], params: Mapping[str, float],
               source: str = "") -> Jet3:
-    """Evaluate over jet arithmetic.
+    """Compile and run once over jet arithmetic (see compile_expr).
 
     `env` must hold a Jet3 for every coordinate the expression references; all
-    jets share one dimension.  Domain failures surface as EvalDomainError tagged
-    with the node's source span.
+    jets share one dimension and order, which the result has too.
     """
     if not env:
         raise ValueError("evaluation environment must contain at least one coordinate jet")
-    dim = next(iter(env.values())).dim
-    return _eval(node, env, params, dim, source)
+    program = compile_expr(node, params, source)
+    if isinstance(program, float):
+        seed = next(iter(env.values()))
+        return Jet3.constant(program, seed.dim, seed.order)
+    return program(env)
 
 
-def _eval(node: Expr, env, params, dim: int, source: str) -> Jet3:
-    if isinstance(node, Num):
-        return Jet3.constant(node.value, dim)
-    if isinstance(node, CoordRef):
-        return env[node.name]
-    if isinstance(node, ParamRef):
-        return Jet3.constant(params[node.name], dim)
-    if isinstance(node, Neg):
-        return -_eval(node.child, env, params, dim, source)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, env, params, dim, source)
+def _fold(build, *constants: float) -> Program:
+    """Apply a compiled operation to constants through order-1 jets of
+    dimension 1, whose value slot is computed exactly as at any order.  An
+    arithmetic failure is kept for run time: the unfolded program is returned
+    and raises the same error whenever it runs."""
+    program = build(*(_constant_program(c) for c in constants))
+    try:
+        return float(program(None).value)
+    except ArithmeticError:
+        return program
+
+
+def _constant_program(c: float):
+    jet = Jet3.constant(c, 1, order=1)
+    return lambda env: jet
+
+
+def _compile_call(impl, arg: Program, span, source: str) -> Program:
+    if isinstance(arg, float):
+        return _fold(lambda a: _compile_call(impl, a, span, source), arg)
+
+    def run(env):
+        value = arg(env)
         try:
-            return jets.elementary(node.fn, arg)
+            return impl(value)
         except jets.JetDomainError as err:
-            raise EvalDomainError(str(err), source, node.span) from err
-    if isinstance(node, BinOp):
-        left = _eval(node.left, env, params, dim, source)
-        if node.op == "^":
-            exponent = const_value(node.right, params)
+            raise EvalDomainError(str(err), source, span) from err
+    return run
+
+
+def _compile_pow(left: Program, right: Program, span, source: str) -> Program:
+    if isinstance(left, float) and isinstance(right, float):
+        return _fold(lambda a: _compile_pow(a, right, span, source), left)
+    if isinstance(right, float):
+        def run(env):
+            base = left(env)
             try:
-                if exponent is not None:
-                    return jets.pow_const(left, exponent)
-                right = _eval(node.right, env, params, dim, source)
-                return jets.exp(right * jets.ln(left))
+                return jets.pow_const(base, right)
             except (jets.JetDomainError, ZeroDivisionError) as err:
-                raise EvalDomainError(str(err), source, node.span) from err
-        right = _eval(node.right, env, params, dim, source)
+                raise EvalDomainError(str(err), source, span) from err
+        return run
+
+    def run_general(env):
+        # a^b = exp(b ln a); a constant base becomes a constant jet
+        base = None if isinstance(left, float) else left(env)
+        power = right(env)
+        if base is None:
+            base = Jet3.constant(left, power.dim, power.order)
         try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
+            return jets.exp(power * jets.ln(base))
+        except (jets.JetDomainError, ZeroDivisionError) as err:
+            raise EvalDomainError(str(err), source, span) from err
+    return run_general
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _compile_arith(op: str, left: Program, right: Program, span, source: str) -> Program:
+    """A jet combined with a constant operand is a scale or a shift (jets.Jet3)."""
+    if isinstance(left, float) and isinstance(right, float):
+        return _fold(lambda a, b: _compile_arith(op, a, b, span, source), left, right)
+    apply = _ARITH[op]
+
+    def fail(err):
+        return EvalDomainError(str(err), source, span)
+
+    if isinstance(right, float):
+        def run_constant_right(env):
+            a = left(env)
+            try:
+                return apply(a, right)
+            except ZeroDivisionError as err:
+                raise fail(err) from err
+        return run_constant_right
+    if isinstance(left, float):
+        def run_constant_left(env):
+            b = right(env)
+            try:
+                return apply(left, b)
+            except ZeroDivisionError as err:
+                raise fail(err) from err
+        return run_constant_left
+
+    def run(env):
+        a = left(env)
+        b = right(env)
+        try:
+            return apply(a, b)
         except ZeroDivisionError as err:
-            raise EvalDomainError(str(err), source, node.span) from err
-    raise TypeError(f"not an expression node: {node!r}")
+            raise fail(err) from err
+    return run

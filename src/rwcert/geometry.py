@@ -1,4 +1,4 @@
-"""Pointwise curvature from order-3 jet evaluation of the metric.
+"""Pointwise curvature from order-truncated jet evaluation of the metric.
 
 Conventions, fixed once for the whole library:
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from . import jets
 from .chart import ChartSpec
-from .exprs import const_value, eval_expr
 from .jets import Jet3
 
 UNIT_TOL = 1e-8          # |g(u,u)| must be within this of 1
@@ -116,10 +115,15 @@ class PointGeometry:
 def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     """Evaluate the chart's geometry at a point inside its domain.
 
-    order=3 (default) also produces the coordinate gradient of the Riemann
-    tensor; order=2 skips it and is noticeably cheaper for quadrature loops;
-    order=1 stops at the connection (enough for transport integrators).
+    The metric and u are evaluated by the chart's compiled programs
+    (ChartSpec.programs) over jets truncated at `order`.  order=3 (default)
+    also produces the coordinate gradient of the Riemann tensor; order=2 skips
+    it and is noticeably cheaper for quadrature loops; order=1 stops at the
+    connection (enough for transport integrators).  A non-finite metric or u
+    value or derivative is a DegenerateMetricError.
     """
+    if order not in (1, 2, 3):
+        raise GeometryError(f"order must be 1, 2 or 3, got {order!r}")
     n = chart.dim
     point = np.asarray(point, dtype=float)
     if point.shape != (n,):
@@ -127,46 +131,46 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     if not chart.contains(point):
         raise OutsideDomainError(f"point {point.tolist()} outside domain of chart {chart.name!r}")
 
-    env = {name: Jet3.variable(k, point[k], n) for k, name in enumerate(chart.coords)}
+    programs = chart.programs
+    env = {name: Jet3.variable(k, point[k], n, order) for k, name in enumerate(chart.coords)}
 
-    g = np.empty((n, n))
+    g = programs.metric_constant.copy()
     dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n))
+    d2g = np.zeros((n, n, n, n)) if order >= 2 else None
     d3g = np.zeros((n, n, n, n, n)) if order >= 3 else None
-    metric_jets: list[list[Jet3 | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            node = chart.metric[i][j]
-            folded = const_value(node, chart.params)
-            if folded is not None:
-                # constant entry: all derivative slots stay zero
-                g[i, j] = g[j, i] = folded
-                continue
-            jet = eval_expr(node, env, chart.params,
-                            source=chart.metric_text[i][j] if chart.metric_text else "")
-            metric_jets[i][j] = metric_jets[j][i] = jet
+    metric_jets: dict[tuple[int, int], Jet3] = {}
+    try:
+        for i, j, program in programs.metric_varying:
+            jet = program(env)
+            metric_jets[i, j] = jet
             g[i, j] = g[j, i] = jet.value
             dg[:, i, j] = dg[:, j, i] = jet.grad
-            d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
+            if order >= 2:
+                d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
             if order >= 3:
                 d3g[:, :, :, i, j] = d3g[:, :, :, j, i] = jet.cube
+    except OverflowError as err:
+        raise _overflow(point, "metric", err) from err
+    _require_finite(point, "metric", g, dg, d2g, d3g)
 
-    scale = max(float(np.abs(g).max()), 1e-300)
-    det = float(np.linalg.det(g))
-    if abs(det) / scale**n <= DET_TOL:
+    # numpy powers overflow to inf instead of raising; an overflowing
+    # determinant gives nan, which is degenerate too
+    scale = np.float64(max(float(np.abs(g).max()), 1e-300))
+    scaled_det = abs(float(np.linalg.det(g))) / scale**n
+    if not scaled_det > DET_TOL:
         raise DegenerateMetricError(
-            f"metric degenerate at {point.tolist()} (scaled |det g| = {abs(det) / scale**n:.3e})")
+            f"metric degenerate at {point.tolist()} (scaled |det g| = {scaled_det:.3e})")
 
     g_inv = np.linalg.inv(g)
     g_inv = 0.5 * (g_inv + g_inv.T)
     dg_inv = -np.einsum('ia,lab,bj->lij', g_inv, dg, g_inv)
 
-    T = np.einsum('imj->mij', dg) + np.einsum('jmi->mij', dg) - dg
+    T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg   # T[m,i,j] = g_mj,i + g_mi,j - g_ij,m
     gamma = 0.5 * np.einsum('km,mij->kij', g_inv, T)
 
     dgamma = riemann_up = riemann_low = driemann_up = driemann_low = None
     if order >= 2:
-        dT = np.einsum('limj->lmij', d2g) + np.einsum('ljmi->lmij', d2g) - d2g
+        dT = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g   # d_l T
         dgamma = 0.5 * (np.einsum('lkm,mij->lkij', dg_inv, T)
                         + np.einsum('km,lmij->lkij', g_inv, dT))
         riemann_up = (np.einsum('mrns->rsmn', dgamma) - np.einsum('nrms->rsmn', dgamma)
@@ -178,7 +182,7 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
                     + np.einsum('ia,lmab,bj->lmij', g_inv, d2g, g_inv)
                     + np.einsum('ia,lab,mbj->lmij', g_inv, dg, dg_inv))
         d2g_inv = 0.5 * (d2g_inv + d2g_inv.transpose(1, 0, 2, 3))
-        d2T = np.einsum('plimj->plmij', d3g) + np.einsum('pljmi->plmij', d3g) - d3g
+        d2T = d3g.transpose(0, 1, 3, 2, 4) + d3g.transpose(0, 1, 3, 4, 2) - d3g   # d_p d_l T
         d2gamma = 0.5 * (np.einsum('plkm,mij->plkij', d2g_inv, T)
                          + np.einsum('lkm,pmij->plkij', dg_inv, dT)
                          + np.einsum('pkm,lmij->plkij', dg_inv, dT)
@@ -191,25 +195,22 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
         driemann_low = (np.einsum('par,rsmn->pasmn', dg, riemann_up)
                         + np.einsum('ar,prsmn->pasmn', g, driemann_up))
 
-    u = np.empty(n)
+    u = programs.u_constant.copy()
     du = np.zeros((n, n))
     u_jets: list[Jet3 | None] = [None] * n
-    for k in range(n):
-        node = chart.u_field[k]
-        folded = const_value(node, chart.params)
-        if folded is not None and not chart.normalize_u:
-            u[k] = folded
-            continue
-        jet = eval_expr(node, env, chart.params,
-                        source=chart.u_text[k] if chart.u_text else "")
-        u_jets[k] = jet
-        u[k] = jet.value
-        du[:, k] = jet.grad
+    try:
+        for k, program in programs.u_varying:
+            jet = program(env)
+            u_jets[k] = jet
+            u[k] = jet.value
+            du[:, k] = jet.grad
+    except OverflowError as err:
+        raise _overflow(point, "u", err) from err
     if chart.normalize_u:
         # rescale the whole field in jet arithmetic so du matches the unit field
-        full_jets = [uj if uj is not None else Jet3.constant(u[k], n)
+        full_jets = [uj if uj is not None else Jet3.constant(u[k], n, order)
                      for k, uj in enumerate(u_jets)]
-        q_jet = _metric_square(metric_jets, full_jets, g, env, chart, n)
+        q_jet = _metric_square(metric_jets, full_jets, g, n, order)
         if abs(q_jet.value) < 1e-12:
             raise UnitVectorError(f"cannot normalize a near-null u (g(u,u) = {q_jet.value:.3e})")
         absq = q_jet if q_jet.value > 0 else -q_jet
@@ -217,6 +218,7 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
         full_jets = [uj * rescale for uj in full_jets]
         u = np.array([uj.value for uj in full_jets])
         du = np.stack([uj.grad for uj in full_jets], axis=1)
+    _require_finite(point, "u", u, du)
     u_norm2 = float(u @ g @ u)
 
     if order >= 2:
@@ -232,16 +234,30 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
                          signature=signature, u=u, du=du, u_norm2=u_norm2, order=order)
 
 
-def _metric_square(metric_jets, u_jets, g, env, chart, n: int) -> Jet3:
+def _require_finite(point: np.ndarray, what: str, *arrays) -> None:
+    """Overflowing expressions leave inf or nan, which no check downstream
+    could interpret: reject them as a degenerate point."""
+    for arr in arrays:
+        if arr is not None and not np.isfinite(arr).all():
+            raise DegenerateMetricError(
+                f"non-finite {what} value or derivative at {point.tolist()}")
+
+
+def _overflow(point: np.ndarray, what: str, err: OverflowError) -> DegenerateMetricError:
+    """Python float powers inside the jets raise where numpy would give inf."""
+    return DegenerateMetricError(f"{what} overflows at {point.tolist()}: {err}")
+
+
+def _metric_square(metric_jets, u_jets, g, n: int, order: int) -> Jet3:
     """g(u, u) as a jet (only needed on the normalize_u path)."""
     total = None
     for i in range(n):
         for j in range(i, n):
-            entry = metric_jets[i][j]
-            if entry is None:                      # constant-folded metric entry
+            entry = metric_jets.get((i, j))
+            if entry is None:                      # constant metric entry
                 if g[i, j] == 0.0:
                     continue
-                entry = Jet3.constant(g[i, j], n)
+                entry = Jet3.constant(g[i, j], n, order)
             term = entry * u_jets[i] * u_jets[j]
             if i != j:
                 term = 2.0 * term

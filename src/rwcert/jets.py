@@ -1,14 +1,23 @@
-"""Order-3 truncated multivariate Taylor arithmetic.
+"""Order-truncated multivariate Taylor arithmetic, up to third order.
 
-A ``Jet3`` carries a scalar value together with all coordinate partials up to
-third order.  Third order is the fixed maximum: second metric derivatives feed
-the curvature tensor and one extra order supplies the differentials of the
-derived scalar fields.  Storage is dense and kept exactly symmetric (``hess``
-under index swap, ``cube`` under all six permutations); at dimension <= 8
-density is cheaper than any packing.
+A ``Jet3`` carries a scalar value together with its coordinate partials up to
+its order: the gradient always, the Hessian from order 2 and the third-order
+cube at order 3.  Slots above the order are ``None`` and are never computed,
+so an order-1 caller (a transport integrator needing only the connection)
+pays for gradients alone.  Order 3 is the maximum and the default: second
+metric derivatives feed the curvature tensor and one extra order supplies the
+differentials of the derived scalar fields.  The slots a jet does carry are
+computed by the same operations at every order, so an order-1 or order-2 jet
+equals the leading slots of the order-3 jet bit for bit.
 
-Jets are value objects: operations never mutate their inputs, so instances may
-be shared freely between concurrent evaluators.
+Storage is dense and kept exactly symmetric (``hess`` under index swap,
+``cube`` under all six permutations); at dimension <= 8 density is cheaper
+than any packing.  A jet combined with a plain number is a scale or a shift,
+without a product rule over zero slots.  Combining jets of two orders gives a
+jet of the lower order.
+
+Jets are value objects: operations never mutate their inputs, so instances
+and their arrays may be shared freely between concurrent evaluators.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+MAX_ORDER = 3
 
 
 class JetDomainError(ArithmeticError):
@@ -32,73 +43,106 @@ class Jet3:
     """Truncated Taylor expansion: value, gradient, Hessian and third cube."""
 
     value: float
-    grad: np.ndarray   # shape (n,)
-    hess: np.ndarray   # shape (n, n), symmetric
-    cube: np.ndarray   # shape (n, n, n), totally symmetric
+    grad: np.ndarray                 # shape (n,)
+    hess: np.ndarray | None = None   # shape (n, n), symmetric; None below order 2
+    cube: np.ndarray | None = None   # shape (n, n, n), totally symmetric; None below order 3
 
     @property
     def dim(self) -> int:
         return self.grad.shape[0]
 
+    @property
+    def order(self) -> int:
+        return 1 if self.hess is None else 2 if self.cube is None else 3
+
     @classmethod
-    def variable(cls, index: int, x0: float, dim: int) -> "Jet3":
+    def variable(cls, index: int, x0: float, dim: int, order: int = MAX_ORDER) -> "Jet3":
         """Seed coordinate `index` at the point value `x0`."""
-        if dim < 1:
-            raise ValueError(f"jet dimension must be >= 1, got {dim}")
+        _check_shape(dim, order)
         if not 0 <= index < dim:
             raise IndexError(f"coordinate index {index} out of range for dim {dim}")
-        grad = np.zeros(dim)
-        grad[index] = 1.0
-        _, hess, cube = _zeros(dim)
-        return cls(float(x0), grad, hess, cube)
+        _, hess, cube = _zeros(dim, order)
+        return cls(float(x0), _units(dim)[index], hess, cube)
 
     @classmethod
-    def constant(cls, c: float, dim: int) -> "Jet3":
-        if dim < 1:
-            raise ValueError(f"jet dimension must be >= 1, got {dim}")
-        grad, hess, cube = _zeros(dim)
+    def constant(cls, c: float, dim: int, order: int = MAX_ORDER) -> "Jet3":
+        _check_shape(dim, order)
+        grad, hess, cube = _zeros(dim, order)
         return cls(float(c), grad, hess, cube)
 
-    def _coerce(self, other) -> "Jet3":
-        if isinstance(other, Jet3):
-            if other.dim != self.dim:
-                raise ValueError(f"jet dimension mismatch: {self.dim} vs {other.dim}")
-            return other
-        return Jet3.constant(float(other), self.dim)
+    def _coerce(self, other: "Jet3") -> "Jet3":
+        if other.dim != self.dim:
+            raise ValueError(f"jet dimension mismatch: {self.dim} vs {other.dim}")
+        return other
+
+    # -- scalar operands ------------------------------------------------------
+
+    def scale(self, c: float) -> "Jet3":
+        """c * self, slot by slot."""
+        return Jet3(self.value * c, self.grad * c,
+                    None if self.hess is None else self.hess * c,
+                    None if self.cube is None else self.cube * c)
+
+    def shift(self, c: float) -> "Jet3":
+        """self + c: only the value moves."""
+        return Jet3(self.value + c, self.grad, self.hess, self.cube)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Jet3":
+        if not isinstance(other, Jet3):
+            return self.shift(other)
         o = self._coerce(other)
-        return Jet3(self.value + o.value, self.grad + o.grad,
-                    self.hess + o.hess, self.cube + o.cube)
+        hess = cube = None
+        if self.hess is not None and o.hess is not None:
+            hess = self.hess + o.hess
+            if self.cube is not None and o.cube is not None:
+                cube = self.cube + o.cube
+        return Jet3(self.value + o.value, self.grad + o.grad, hess, cube)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet3":
-        return Jet3(-self.value, -self.grad, -self.hess, -self.cube)
+        return Jet3(-self.value, -self.grad,
+                    None if self.hess is None else -self.hess,
+                    None if self.cube is None else -self.cube)
 
     def __sub__(self, other) -> "Jet3":
+        if not isinstance(other, Jet3):
+            return self.shift(-other)
         o = self._coerce(other)
-        return Jet3(self.value - o.value, self.grad - o.grad,
-                    self.hess - o.hess, self.cube - o.cube)
+        hess = cube = None
+        if self.hess is not None and o.hess is not None:
+            hess = self.hess - o.hess
+            if self.cube is not None and o.cube is not None:
+                cube = self.cube - o.cube
+        return Jet3(self.value - o.value, self.grad - o.grad, hess, cube)
 
     def __rsub__(self, other) -> "Jet3":
-        return (-self).__add__(other)
+        return (-self).shift(other)
 
     def __mul__(self, other) -> "Jet3":
+        if not isinstance(other, Jet3):
+            return self.scale(other)
         a, b = self, self._coerce(other)
         value = a.value * b.value
         grad = a.grad * b.value + a.value * b.grad
-        gg = a.grad[:, None] * b.grad
-        hess = a.hess * b.value + a.value * b.hess + gg + gg.T
-        cube = (a.cube * b.value + a.value * b.cube
-                + _sym_outer(a.hess, b.grad) + _sym_outer(b.hess, a.grad))
+        hess = cube = None
+        if a.hess is not None and b.hess is not None:
+            gg = a.grad[:, None] * b.grad
+            hess = a.hess * b.value + a.value * b.hess + gg + gg.T
+            if a.cube is not None and b.cube is not None:
+                cube = (a.cube * b.value + a.value * b.cube
+                        + _sym_outer(a.hess, b.grad) + _sym_outer(b.hess, a.grad))
         return Jet3(value, grad, hess, cube)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet3":
+        if not isinstance(other, Jet3):
+            if other == 0.0:
+                raise ZeroDivisionError("jet division by zero value")
+            return self.scale(1.0 / other)
         o = self._coerce(other)
         if o.value == 0.0:
             raise ZeroDivisionError("jet division by zero value")
@@ -113,18 +157,39 @@ class Jet3:
         return pow_const(self, exponent)
 
 
+def _check_shape(dim: int, order: int) -> None:
+    if dim < 1:
+        raise ValueError(f"jet dimension must be >= 1, got {dim}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"jet order must be 1..{MAX_ORDER}, got {order}")
+
+
 _ZERO_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _zeros(dim: int):
-    """Shared read-only zero slots; jet operations never mutate operands."""
+def _zeros(dim: int, order: int = MAX_ORDER):
+    """Shared read-only zero slots up to `order`; jet operations never mutate
+    operands."""
     cached = _ZERO_CACHE.get(dim)
     if cached is None:
         cached = (np.zeros(dim), np.zeros((dim, dim)), np.zeros((dim, dim, dim)))
         for arr in cached:
             arr.flags.writeable = False
         _ZERO_CACHE[dim] = cached
-    return cached
+    grad, hess, cube = cached
+    return grad, hess if order >= 2 else None, cube if order >= 3 else None
+
+
+_UNIT_CACHE: dict[int, np.ndarray] = {}
+
+
+def _units(dim: int) -> np.ndarray:
+    """Shared read-only identity matrix: its rows are the seed gradients."""
+    units = _UNIT_CACHE.get(dim)
+    if units is None:
+        units = _UNIT_CACHE[dim] = np.eye(dim)
+        units.flags.writeable = False
+    return units
 
 
 def _sym_outer(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -134,10 +199,15 @@ def _sym_outer(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def compose(a: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
-    """Chain rule through a univariate map with derivatives f0..f3 at a.value."""
+    """Chain rule through a univariate map with derivatives f0..f3 at a.value;
+    derivatives above the order of `a` are ignored."""
     g, H = a.grad, a.hess
+    if H is None:
+        return Jet3(f0, f1 * g)
     gg = g[:, None] * g
     hess = f1 * H + f2 * gg
+    if a.cube is None:
+        return Jet3(f0, f1 * g, hess)
     cube = f1 * a.cube + f2 * _sym_outer(H, g) + f3 * (g[:, None, None] * gg)
     return Jet3(f0, f1 * g, hess, cube)
 
@@ -229,19 +299,17 @@ def pow_const(a: Jet3, r: float) -> Jet3:
     if r == round(r) and abs(r) <= 64:
         n = int(round(r))
         if n == 0:
-            return Jet3.constant(1.0, a.dim)
+            return Jet3.constant(1.0, a.dim, a.order)
         if n < 0:
-            return _int_pow(_reciprocal(a), -n) if a.value != 0.0 else _raise_pow(a, r)
+            if a.value == 0.0:
+                raise JetDomainError(f"pow({r})", a.value)
+            return _int_pow(_reciprocal(a), -n)
         return _int_pow(a, n)
     v = a.value
     if v <= 0.0:
         raise JetDomainError(f"pow({r})", v)
     f0 = v**r
     return compose(a, f0, r * f0 / v, r * (r - 1.0) * f0 / v**2, r * (r - 1.0) * (r - 2.0) * f0 / v**3)
-
-
-def _raise_pow(a: Jet3, r: float) -> Jet3:
-    raise JetDomainError(f"pow({r})", a.value)
 
 
 def _int_pow(a: Jet3, n: int) -> Jet3:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart import ChartSpec
-from .exprs import Expr, ExprError, parse_expr, eval_expr
+from .exprs import Expr, ExprError, compile_exprs, parse_expr
 from .geometry import PointGeometry, UNIT_TOL, geometry_at
 from .jets import Jet3
 
@@ -122,16 +122,21 @@ class _ExplicitCurve:
         self.chart = chart
         self.curve = curve
         self.table = None   # (sigma grid, tau grid) once resampled
+        self.programs = compile_exprs(curve.exprs, {},
+                                      curve.expr_texts or [""] * len(curve.exprs))
         self._validate()
 
     def _raw(self, tau: float):
-        env = {self.curve.param: Jet3.variable(0, tau, 1)}
+        """Position, velocity and acceleration from order-2 jets in tau."""
+        env = {self.curve.param: Jet3.variable(0, tau, 1, order=2)}
         x = np.empty(self.chart.dim)
-        xdot = np.empty(self.chart.dim)
-        xddot = np.empty(self.chart.dim)
-        for k, node in enumerate(self.curve.exprs):
-            jet = eval_expr(node, env, {}, source=self.curve.expr_texts[k]
-                            if self.curve.expr_texts else "")
+        xdot = np.zeros(self.chart.dim)
+        xddot = np.zeros(self.chart.dim)
+        for k, program in enumerate(self.programs):
+            if isinstance(program, float):
+                x[k] = program
+                continue
+            jet = program(env)
             x[k] = jet.value
             xdot[k] = jet.grad[0]
             xddot[k] = jet.hess[0, 0]
@@ -290,8 +295,14 @@ class _Driver:
         return np.concatenate([U, dv, dX])
 
     def observe(self, tau: float, state: np.ndarray):
-        x, U, _, _ = self._context(tau, state)
-        Xs = state[self.head:].reshape(self.rows, self.chart.dim)
+        n = self.chart.dim
+        if self.curve.kind == "geodesic":
+            # position and velocity are the state itself: no geometry needed
+            x, U = state[:n], state[n:2 * n]
+            _check_inside(self.chart, x)
+        else:
+            x, U, _, _ = self._context(tau, state)
+        Xs = state[self.head:].reshape(self.rows, n)
         return x, U, Xs
 
     def integrate(self, X0_rows: np.ndarray, steps: int):

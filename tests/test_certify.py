@@ -217,3 +217,18 @@ def test_certify_margin_straddle_is_degenerate():
     assert cert.min_margin < 0.05 < cert.max_margin
     assert cert.classification == "Degenerate"
     assert any("margin" in note for note in cert.notes)
+
+
+def test_certify_all_points_degenerate_has_no_margins():
+    """Every point fails the unit-u precondition: no margin was measured."""
+    doc = {
+        "name": "nonunit", "dim": 4, "coords": ["t", "x", "y", "z"],
+        "metric": [["-1", None, None, None], [None, "1", None, None],
+                   [None, None, "1", None], [None, None, None, "1"]],
+        "u": ["2", "0", "0", "0"], "params": {},
+        "domain": [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]], "options": {},
+    }
+    cert = certify(chart_from_dict(doc), CertifyConfig(samples=6, seed=0))
+    assert cert.classification == "Degenerate"
+    assert cert.min_margin is None and cert.max_margin is None
+    assert len(cert.degenerate_points) == 6

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rwcert import catalog
 from rwcert.cli import main
 
@@ -185,3 +187,71 @@ def test_stdout_report_is_pure_json(capsys):
     assert code == 0
     json.loads(out)   # no stray text around the document
     assert out.endswith("}\n")
+
+
+def test_slice_list_values_may_start_with_minus(capsys):
+    code, out, _ = run_cli(["slice", "einstein_static", "--base", "-1,1,1.2,1.5",
+                            "--tau-grid", "-0.1,0.1", "--points", "8"], capsys)
+    assert code == 0
+    command = json.loads(out)["command"]
+    assert command["base"] == [-1.0, 1.0, 1.2, 1.5]
+    assert command["tau_grid"] == [-0.1, 0.1]
+
+
+@pytest.mark.parametrize("option, value, curve_args", [
+    ("--x0", "-0.5,1,0,0", ["--curve", "geodesic", "--start", "0,0,0,0",
+                            "--velocity", "1,0,0,0"]),
+    ("--start", "-1,0,0,0", ["--curve", "geodesic", "--velocity", "1,0,0,0"]),
+    ("--velocity", "-1,0,0,0", ["--curve", "geodesic", "--start", "0,0,0,0"]),
+    ("--range", "-0.5,0.5", ["--curve", "geodesic", "--start", "0,0,0,0",
+                             "--velocity", "1,0,0,0"]),
+    ("--exprs", "-sinh(s),cosh(s),0,0", ["--curve", "explicit"]),
+])
+def test_transport_list_values_may_start_with_minus(capsys, option, value, curve_args):
+    argv = ["transport", "minkowski", *curve_args, option, value, "--steps", "16"]
+    if option != "--x0":
+        argv += ["--x0", "0,1,0,0"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    recorded = {"--x0": doc["command"]["x0"]}
+    curve = doc["transport"]["curve"]
+    recorded.update({"--start": curve.get("start"), "--velocity": curve.get("velocity"),
+                     "--range": curve.get("range"), "--exprs": curve.get("exprs")})
+    expected = (value.split(",") if option == "--exprs"
+                else [float(v) for v in value.split(",")])
+    assert recorded[option] == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_chart_reports_degenerate(tmp_path, capsys):
+    """exp(exp(t)) overflows on part of the domain: a Degenerate report, not a crash."""
+    path = tmp_path / "overflow.chart.json"
+    path.write_text(json.dumps({
+        "name": "overflow", "dim": 4, "coords": ["t", "x", "y", "z"],
+        "metric": [["-1", None, None, None], [None, "exp(exp(t))", None, None],
+                   [None, None, "1", None], [None, None, None, "1"]],
+        "u": ["1", "0", "0", "0"],
+        "domain": [[6, 8], [-1, 1], [-1, 1], [-1, 1]]}))
+    code, out, err = run_cli(["check", str(path), "--points", "8"], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out)["certificate"]["classification"] == "Degenerate"
+
+
+def test_all_points_degenerate_reports_null_margins(tmp_path, capsys):
+    path = tmp_path / "nonunit.chart.json"
+    path.write_text(json.dumps({
+        "name": "nonunit", "dim": 4, "coords": ["t", "x", "y", "z"],
+        "metric": [["-1", None, None, None], [None, "1", None, None],
+                   [None, None, "1", None], [None, None, None, "1"]],
+        "u": ["2", "0", "0", "0"],
+        "domain": [[-1, 1], [-1, 1], [-1, 1], [-1, 1]]}))
+    code, out, err = run_cli(["check", str(path), "--points", "4"], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    certificate = json.loads(out)["certificate"]
+    assert certificate["classification"] == "Degenerate"
+    assert certificate["margin"] == {"min": None, "max": None}
+    assert '"min": null' in out

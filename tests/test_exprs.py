@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rwcert.exprs import (BinOp, Call, EvalDomainError, ExprError, Neg, Num,
-                          ParamRef, UnknownIdentifierError, eval_expr,
-                          format_expr, parse_expr)
+                          ParamRef, UnknownIdentifierError, compile_expr,
+                          compile_exprs, eval_expr, format_expr, parse_expr)
+from rwcert import jets
 from rwcert.jets import Jet3
 
 from conftest import draw_expr_case, eval_real
@@ -136,3 +137,70 @@ def test_order_zero_jets_match_real_evaluation(seed):
         jet = eval_expr(node, env, {})
         ref = eval_real(node, point, {})
         assert jet.value == pytest.approx(ref, rel=1e-12, abs=1e-12), text
+
+
+def test_constant_expression_compiles_to_a_float():
+    node = parse_expr("2*M/3 + sin(M)^2", ["t"], {"M"})
+    program = compile_expr(node, {"M": 1.5})
+    assert isinstance(program, float)
+    # folding follows the jet arithmetic: c1/c2 is c1 * (1/c2), powers multiply
+    assert program == (2 * 1.5) * (1.0 / 3.0) + np.sin(1.5) * np.sin(1.5)
+
+
+def test_compiled_program_is_reusable_and_matches_eval_expr():
+    node = parse_expr("t^2 / (1 + x) - 3*exp(-t)", ["t", "x"], ())
+    program = compile_expr(node, {})
+    for t, x in ((0.3, 0.1), (1.2, -0.4)):
+        env = {"t": Jet3.variable(0, t, 2), "x": Jet3.variable(1, x, 2)}
+        once = eval_expr(node, env, {})
+        again = program(env)
+        assert again.value == once.value
+        assert np.array_equal(again.cube, once.cube)
+
+
+def test_constant_domain_error_raised_at_evaluation_with_span():
+    text = "t + ln(-1)"
+    node = parse_expr(text, ["t"], ())
+    program = compile_expr(node, {}, source=text)     # compiling does not raise
+    for _ in range(2):
+        with pytest.raises(EvalDomainError) as err:
+            program({"t": Jet3.variable(0, 0.5, 1)})
+        assert err.value.span == (4, 10)
+    with pytest.raises(EvalDomainError):
+        eval_expr(parse_expr("1/(2 - 2)", ["t"], ()), {"t": Jet3.variable(0, 0.5, 1)}, {})
+
+
+def test_eval_expr_constant_takes_the_environment_order():
+    node = parse_expr("pi", ["t"], ())
+    jet = eval_expr(node, {"t": Jet3.variable(0, 0.5, 2, order=1)}, {})
+    assert jet.value == math.pi and jet.hess is None and jet.dim == 2
+
+
+def test_compile_exprs_computes_a_shared_subtree_once(monkeypatch):
+    calls = []
+    real_sin = jets.ELEMENTARY["sin"]
+
+    def counting_sin(arg):
+        calls.append(arg.value)
+        return real_sin(arg)
+
+    monkeypatch.setitem(jets.ELEMENTARY, "sin", counting_sin)
+    texts = ["(1 + sin(t))^2", "(1 + sin(t))^2 * x", "x + sin(t)"]
+    nodes = [parse_expr(text, ["t", "x"], ()) for text in texts]
+    programs = compile_exprs(nodes, {}, texts)
+    env = {"t": Jet3.variable(0, 0.4, 2), "x": Jet3.variable(1, -0.3, 2)}
+    shared = [program(env) for program in programs]
+    assert len(calls) == 1
+    for text, node, jet in zip(texts, nodes, shared):
+        alone = compile_expr(node, {})({"t": env["t"], "x": env["x"]})
+        assert jet.value == alone.value and np.array_equal(jet.cube, alone.cube), text
+
+
+def test_compile_exprs_shared_domain_error_names_first_occurrence():
+    texts = ["x * ln(t)", "ln(t) + 1"]
+    nodes = [parse_expr(text, ["t", "x"], ()) for text in texts]
+    programs = compile_exprs(nodes, {}, texts)
+    env = {"t": Jet3.variable(0, -1.0, 2), "x": Jet3.variable(1, 0.5, 2)}
+    with pytest.raises(EvalDomainError) as err:
+        programs[0](env)
+    assert err.value.span == (4, 9) and "ln(t)" in str(err.value)

@@ -5,7 +5,7 @@ import pytest
 
 from rwcert import catalog
 from rwcert.chart import chart_from_dict
-from rwcert.exprs import eval_expr
+from rwcert.exprs import EvalDomainError, eval_expr
 from rwcert.geometry import (DegenerateMetricError, DegeneratePlaneError,
                              OutsideDomainError, UnitVectorError, adapted_frame,
                              covariant_derivative_u, geometry_at,
@@ -198,3 +198,79 @@ def test_order_one_skips_curvature(charts):
     assert geom.gamma is not None
     geom2 = geometry_at(charts["flrw_flat_linear"], [2.0, 0.0, 0.0, 0.0], order=2)
     assert geom2.driemann_low is None and geom2.riemann_low is not None
+
+
+@pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG))
+def test_truncated_orders_equal_order_three(charts, chart_id):
+    """Order 1 and 2 return exactly the arrays order 3 does, as far as they go."""
+    chart = charts[chart_id]
+    for point in domain_points(chart, 4, seed=17):
+        full = geometry_at(chart, point, order=3)
+        for order in (1, 2):
+            geom = geometry_at(chart, point, order=order)
+            for name in ("g", "dg", "g_inv", "dg_inv", "gamma", "u", "du"):
+                assert np.array_equal(getattr(geom, name), getattr(full, name)), (order, name)
+            assert geom.u_norm2 == full.u_norm2
+            if order == 2:
+                assert np.array_equal(geom.dgamma, full.dgamma)
+                assert np.array_equal(geom.riemann_low, full.riemann_low)
+                assert geom.signature == full.signature
+            else:
+                assert geom.dgamma is None and geom.riemann_low is None
+
+
+OVERFLOW_DOC = {
+    "name": "overflow", "dim": 4, "coords": ["t", "x", "y", "z"],
+    "metric": [["-1", None, None, None], [None, "exp(exp(t))", None, None],
+               [None, None, "1", None], [None, None, None, "1"]],
+    "u": ["1", "0", "0", "0"], "params": {},
+    "domain": [[6.0, 8.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]], "options": {},
+}
+
+
+@pytest.mark.parametrize("t", [6.2, 7.0])
+@pytest.mark.parametrize("order", [1, 3])
+def test_overflowing_metric_is_degenerate(t, order):
+    """exp(exp(t)) is a huge finite value at t = 6.2 and inf at t = 7."""
+    chart = chart_from_dict(OVERFLOW_DOC)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateMetricError):
+            geometry_at(chart, [t, 0.0, 0.0, 0.0], order=order)
+
+
+def test_overflow_inside_a_jet_is_degenerate():
+    """1/t at t ~ 1e-110: the third derivative overflows a Python float power."""
+    doc = dict(OVERFLOW_DOC, metric=[["-1", None, None, None], [None, "1 + 1/t", None, None],
+                                     [None, None, "1", None], [None, None, None, "1"]],
+               domain=[[1e-110, 2e-110], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(DegenerateMetricError, match="overflows"):
+        geometry_at(chart_from_dict(doc), [1.5e-110, 0.0, 0.0, 0.0], order=3)
+
+
+def test_non_finite_u_is_degenerate():
+    doc = dict(OVERFLOW_DOC, metric=[["-1", None, None, None], [None, "1", None, None],
+                                     [None, None, "1", None], [None, None, None, "1"]],
+               u=["exp(exp(t))", "0", "0", "0"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateMetricError, match="non-finite u"):
+            geometry_at(chart_from_dict(doc), [7.0, 0.0, 0.0, 0.0], order=1)
+
+
+def test_programs_compiled_lazily_once():
+    chart = chart_from_dict(catalog.get_entry("flrw_open").document)
+    assert "programs" not in vars(chart)          # loading compiles nothing
+    geometry_at(chart, [1.0, 1.0, 1.5, 1.5], order=1)
+    programs = chart.programs
+    geometry_at(chart, [1.2, 1.0, 1.5, 1.5], order=3)
+    assert chart.programs is programs
+    assert programs.metric_constant[0, 0] == -1.0
+    assert [(i, j) for i, j, _ in programs.metric_varying] == [(1, 1), (2, 2), (3, 3)]
+
+
+def test_domain_error_in_constant_entry_is_raised_per_point():
+    doc = dict(OVERFLOW_DOC, metric=[["-1", None, None, None], [None, "1 + ln(-1)", None, None],
+                                     [None, None, "1", None], [None, None, None, "1"]])
+    chart = chart_from_dict(doc)                     # not a ChartError
+    with pytest.raises(EvalDomainError) as err:
+        geometry_at(chart, [7.0, 0.0, 0.0, 0.0])
+    assert err.value.span == (4, 10)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rwcert import jets
-from rwcert.exprs import parse_expr, eval_expr
+from rwcert.exprs import compile_expr, parse_expr, eval_expr
 from rwcert.jets import Jet3, JetDomainError
 
 from conftest import FD_STEPS, draw_expr_case, eval_real, fd_partial
@@ -181,3 +181,51 @@ def test_integer_power_exact_and_negative():
     assert inv2.grad[0] == pytest.approx(-2 / 27)
     with pytest.raises(JetDomainError):
         jets.pow_const(Jet3.constant(-1.0, 1), 0.5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_truncated_orders_equal_leading_slots_of_order_three(seed):
+    """Order-1 and order-2 jets are the order-3 computation cut short: every
+    slot they carry equals the order-3 slot bit for bit, the rest are None."""
+    rng = np.random.default_rng(4000 + seed)
+    for _ in range(20):
+        text, node, names, point = draw_expr_case(rng)
+        program = compile_expr(node, {})
+        if isinstance(program, float):
+            continue
+        by_order = {order: program({name: Jet3.variable(k, point[name], len(names), order)
+                                    for k, name in enumerate(names)})
+                    for order in (1, 2, 3)}
+        full = by_order[3]
+        assert full.order == 3 and full.cube is not None
+        for order in (1, 2):
+            jet = by_order[order]
+            assert jet.order == order, text
+            assert jet.value == full.value, text
+            assert np.array_equal(jet.grad, full.grad), text
+            assert jet.cube is None, text
+            if order == 1:
+                assert jet.hess is None, text
+            else:
+                assert np.array_equal(jet.hess, full.hess), text
+
+
+def test_constant_seed_orders():
+    assert Jet3.constant(2.0, 3, order=1).hess is None
+    two = Jet3.constant(2.0, 3, order=2)
+    assert two.order == 2 and two.cube is None and not two.hess.any()
+    assert Jet3.variable(1, 0.5, 3).order == 3
+    with pytest.raises(ValueError):
+        Jet3.variable(0, 0.5, 3, order=4)
+
+
+def test_scalar_operands_scale_and_shift():
+    x = Jet3.variable(0, 3.0, 2)
+    assert (x * 2.0).value == 6.0 and np.array_equal((2.0 * x).grad, [2.0, 0.0])
+    assert (x + 1.5).grad is x.grad and (x - 1.5).value == 1.5
+    assert (1.0 - x).value == -2.0 and np.array_equal((1.0 - x).grad, [-1.0, 0.0])
+    half = x / 2.0
+    assert half.value == 1.5 and half.hess[0, 0] == 0.0
+    assert (6.0 / x).grad[0] == pytest.approx(-6.0 / 9.0)
+    with pytest.raises(ZeroDivisionError):
+        x / 0.0

@@ -219,3 +219,25 @@ def test_geodesic_fermi_equals_parallel(charts):
         k4 = rhs(state + h * k3)
         state = state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     assert np.abs(result.vectors[-1] - state[2 * n:]).max() < 1e-8
+
+
+def test_geodesic_observe_needs_no_geometry(charts, monkeypatch):
+    """A geodesic's position and velocity are its state: one evaluation for
+    the start data, then four per RK4 step and none per observed row."""
+    from rwcert import transport as transport_module
+
+    calls = []
+    real = transport_module.geometry_at
+
+    def counting(chart, point, order=3):
+        calls.append(order)
+        return real(chart, point, order)
+
+    monkeypatch.setattr(transport_module, "geometry_at", counting)
+    curve = CurveSpec.geodesic([3.0, 1.0, 1.5, 1.5], [1.0, 0.0, 0.0, 0.0], t1=0.05)
+    steps = 10
+    result = transport(charts["flrw_closed_osc"], curve, [0.0, 0.2, 0.1, -0.05],
+                       steps=steps, max_halvings=0)
+    assert len(calls) == 1 + 4 * steps
+    assert set(calls) == {1}
+    assert np.allclose(result.points[:, 0], 3.0 + result.taus, atol=1e-12)   # comoving time
