@@ -11,13 +11,18 @@ derivative identities for f and h, symmetry of g(nabla_. u, .), the pure-trace
 shear law, closedness of (h - eps f) u-flat, and the geodesy diagnostic
 |nabla_u u|.  All residuals are relative to 1 + max |R_{rsmn}| at the point.
 
+The algebraic residuals are measured in adapted-frame components: the model
+term is folded into the curvature once per point, and a few matmuls contract
+it with a pool of seeded spatial directions (see isotropy_residuals).  Each
+sample draws from its own child of the seed, and samples are evaluated one
+after another; a thread pool over them was slower than serial.
+
 Classification is sampled evidence, never proof: the certificate records the
 sample count and seed it was computed from.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -49,7 +54,7 @@ class CertifyConfig:
     seed: int = 0
     tol_pass: float = DEFAULT_TOL_PASS
     tol_margin: float = DEFAULT_TOL_MARGIN
-    threads: int = 1
+    threads: int = 1        # accepted for compatibility; samples run serially
 
 
 @dataclass
@@ -110,56 +115,97 @@ class UnitFieldError(GeometryError):
                          "(set options.normalize_u to rescale pointwise)")
 
 
+def _candidates(geom: PointGeometry, frame: Frame, rng,
+                count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`count` seeded combinations of the spatial frame vectors, drawn as one
+    block: the raw combinations, their unit versions, and which are accepted.
+
+    rng.normal(size=(count, m)) yields the same numbers as `count` calls with
+    size=m.  A candidate is rejected when its coordinate norm is below 1e-12 or
+    its coordinate-unit version w has |g(w,w)| < PIVOT_TOL (near-null); the
+    unit version is rescaled to |g(v,v)| = 1.
+    """
+    raw = rng.normal(size=(count, frame.dim - 1)) @ frame.spatial
+    return (raw, *_unit_rows(raw, geom.g))
+
+
+def _unit_rows(v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The acceptance rule of _candidates, applied to the rows of v."""
+    norm = np.linalg.norm(v, axis=1)
+    long = norm >= 1e-12
+    w = v / np.where(long, norm, 1.0)[:, None]
+    q = np.abs(((w @ g) * w).sum(axis=1))
+    ok = long & (q >= PIVOT_TOL)
+    return w / np.sqrt(np.where(ok, q, 1.0))[:, None], ok
+
+
 def _random_unit_spatial(geom: PointGeometry, frame: Frame, rng, count: int) -> np.ndarray:
     """Seeded unit-norm combinations of the spatial frame vectors.
 
     When the complement of u is indefinite these mix causal characters freely;
-    near-null draws (|g(v,v)| < PIVOT_TOL) are rejected and redrawn.
+    near-null draws are rejected and redrawn, at most 64 * count draws in all.
+    Each block holds only the draws still certain to be needed, so the rng
+    ends where drawing one candidate at a time would leave it.
     """
     out = []
-    attempts = 0
-    while len(out) < count and attempts < 64 * count:
-        attempts += 1
-        coeff = rng.normal(size=frame.dim - 1)
-        v = coeff @ frame.spatial
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            continue
-        v = v / norm
-        q = geom.ip(v, v)
-        if abs(q) < PIVOT_TOL:
-            continue
-        out.append(v / np.sqrt(abs(q)))
-    if len(out) < count:
+    found = attempts = 0
+    while found < count and attempts < 64 * count:
+        block = min(count - found, 64 * count - attempts)
+        _, unit, ok = _candidates(geom, frame, rng, block)
+        out.append(unit[ok])
+        found += int(ok.sum())
+        attempts += block
+    if found < count:
         raise FrameError("could not draw enough non-null unit combinations")
-    return np.array(out)
+    return np.vstack(out)
+
+
+def _candidate_stream(geom: PointGeometry, frame: Frame, rng, first: int):
+    """Candidates one at a time: a block of `first`, then single draws."""
+    size = first
+    while True:
+        yield from zip(*_candidates(geom, frame, rng, size))
+        size = 1
 
 
 def _orthonormal_pairs(geom: PointGeometry, frame: Frame, rng,
                        count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frame pairs (e_i, e_j), i < j, plus `count` random orthonormal pairs
-    spanning planes orthogonal to u."""
-    xs = [frame.vectors[i] for i in range(1, frame.dim) for j in range(i + 1, frame.dim)]
-    ys = [frame.vectors[j] for i in range(1, frame.dim) for j in range(i + 1, frame.dim)]
-    drawn = 0
-    attempts = 0
+    """Frame pairs (e_i, e_j), i < j, plus up to `count` random orthonormal
+    pairs spanning planes orthogonal to u.
+
+    An attempt draws a unit x (redrawn while near-null, at most 64 times) and
+    then a raw y, which is made orthogonal to x and unit, or rejected; at most
+    64 * count attempts.  A round of attempts that are all certain to happen
+    starts with one block of two draws per attempt; a rejected x moves on to
+    single draws, so the rng is never drawn past where the one-at-a-time loop
+    would stop.
+    """
+    k = frame.dim - 1
+    xs = [frame.spatial[[i for i in range(k) for j in range(i + 1, k)]]]
+    ys = [frame.spatial[[j for i in range(k) for j in range(i + 1, k)]]]
+    drawn = attempts = 0
     while drawn < count and attempts < 64 * count:
-        attempts += 1
-        x = _random_unit_spatial(geom, frame, rng, 1)[0]
-        raw = rng.normal(size=frame.dim - 1) @ frame.spatial
-        eta_x = 1.0 if geom.ip(x, x) > 0 else -1.0
-        y = raw - eta_x * geom.ip(raw, x) * x
-        norm = np.linalg.norm(y)
-        if norm < 1e-12:
-            continue
-        y = y / norm
-        q = geom.ip(y, y)
-        if abs(q) < PIVOT_TOL:
-            continue
-        xs.append(x)
-        ys.append(y / np.sqrt(abs(q)))
-        drawn += 1
-    return np.array(xs), np.array(ys)
+        certain = min(count - drawn, 64 * count - attempts)
+        stream = _candidate_stream(geom, frame, rng, 2 * certain)
+        picked = []
+        for _ in range(certain):
+            for _ in range(64):
+                _, x, ok = next(stream)
+                if ok:
+                    break
+            else:
+                raise FrameError("could not draw enough non-null unit combinations")
+            raw, _, _ = next(stream)
+            picked.append((x, raw))
+        attempts += certain
+        x, raw = np.array(picked).transpose(1, 0, 2)
+        eta_x = np.where(((x @ geom.g) * x).sum(axis=1) > 0, 1.0, -1.0)
+        y, ok = _unit_rows(raw - (eta_x * ((raw @ geom.g) * x).sum(axis=1))[:, None] * x,
+                           geom.g)
+        xs.append(x[ok])
+        ys.append(y[ok])
+        drawn += int(ok.sum())
+    return np.vstack(xs), np.vstack(ys)
 
 
 def isotropy_residuals(geom: PointGeometry, frame: Frame, f: float, h: float,
@@ -167,54 +213,61 @@ def isotropy_residuals(geom: PointGeometry, frame: Frame, f: float, h: float,
     """The five algebraic residuals, maximized over frame vectors and random
     unit combinations orthogonal to u.
 
-    The four-index contractions are factored into stepwise tensordots: the
-    pool has up to n-1+16 vectors and naive einsum over all indices at once is
-    the certifier's hot spot.
+    Every residual vector w is measured by the frame norm |M w| with
+    M = diag(etas) V g (V the frame rows), so each check is a tensor in frame
+    components contracted with the pool.  The model term of the split form is
+    folded into the curvature once,
+
+        D[a,s,m,n] = (M R)[a,s,m,n] - h (g_ns M_am - g_ms M_an),
+
+    and D, (M R) with u, and f M are stacked with the x slot leading, so three
+    matmuls contract the pool into x, then y, then z (eq14 only).  Each
+    maximum is taken over sums of squares, with one square root at the end.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    u = geom.u
-    eps = geom.epsilon
-    scale = geom.residual_scale
+    n = geom.dim
+    u, g = geom.u, geom.g
     pool = np.vstack([frame.spatial,
                       _random_unit_spatial(geom, frame, rng, RANDOM_COMBINATIONS)])
-    R = geom.riemann_up
-    gram = pool @ geom.g @ pool.T
+    size = len(pool)
+    M = frame.etas[:, None] * (frame.vectors @ g)
+    MR = (M @ geom.riemann_up.reshape(n, -1)).reshape(n, n, n, n)     # [a,s,m,n]
+    D = MR - h * (g[None, :, None, :] * M[:, None, :, None]
+                  - g[None, :, :, None] * M[:, None, None, :])
+    MR_u = MR @ u                                                        # [a,s,m]
+    u_MR = (u @ MR.reshape(n, n, -1)).reshape(n, n, n)                  # [a,m,n]
+    Mu = M @ u
 
-    # R(x,u)u - f x
-    r_uu = np.einsum('rsmn,s,n->rm', R, u, u)
-    eq13 = float(frame.batch_norms(pool @ r_uu.T - f * pool).max())
-
-    # R(x,y)z - h (g(y,z) x - g(x,z) y)
-    step_z = np.tensordot(pool, R, axes=(1, 1))           # [c,r,m,n]
-    step_zx = np.tensordot(pool, step_z, axes=(1, 2))      # [a,c,r,n]
-    rxyz = np.tensordot(pool, step_zx, axes=(1, 3))        # [b,a,c,r]
-    rxyz = rxyz.transpose(1, 0, 2, 3)                      # [a,b,c,r]
-    expected = h * (gram[None, :, :, None] * pool[:, None, None, :]
-                    - gram[:, None, :, None] * pool[None, :, None, :])
-    eq14 = float(frame.batch_norms(rxyz - expected).max())
-
-    # R(x,y)u
-    r_u = np.tensordot(R, u, axes=(1, 0))                  # [r,m,n]
-    step_x = np.tensordot(pool, r_u, axes=(1, 1))          # [a,r,n]
-    rxy_u = np.tensordot(pool, step_x, axes=(1, 2)).transpose(1, 0, 2)   # [a,b,r]
-    a43 = float(frame.batch_norms(rxy_u).max())
-
-    # R(x,u)y + eps f g(x,y) u over arbitrary pairs
-    r_n = np.tensordot(R, u, axes=(3, 0))                  # [r,s,m]
-    step_y = np.tensordot(pool, r_n, axes=(1, 1))          # [b,r,m]
-    rxuy = np.tensordot(pool, step_y, axes=(1, 2))         # [a,b,r]
-    a44 = float(frame.batch_norms(
-        rxuy + eps * f * gram[:, :, None] * u).max())
+    # x slot (m) leading; the y slot is last in each of the first three blocks
+    stacked = np.concatenate([
+        D.transpose(2, 1, 0, 3).reshape(n, -1),                          # eq14 [m,s,a,n]
+        u_MR.transpose(1, 0, 2).reshape(n, -1),                          # a43  [m,a,n]
+        (MR_u + geom.epsilon * f * Mu[:, None, None] * g).transpose(2, 0, 1)
+        .reshape(n, -1),                                                 # a44  [m,a,s]
+        (u_MR @ u - f * M).T,                                            # eq13 [m,a]
+    ], axis=1)
+    with_x = pool @ stacked                                              # [x, ...]
+    eq13 = _squares(with_x[:, -n:], 'xa')
+    with_xy = (with_x[:, :-n].reshape(-1, n) @ pool.T).reshape(size, -1, size)
+    a43 = _squares(with_xy[:, n * n:n * n + n], 'xay')
+    a44 = _squares(with_xy[:, n * n + n:], 'xay')
+    eq14_xy = with_xy[:, :n * n].reshape(size, n, n, size).transpose(1, 0, 2, 3)   # [s,x,a,y]
+    eq14 = _squares((pool @ eq14_xy.reshape(n, -1)).reshape(size, size, n, size), 'zxay')
 
     # R(x,u)y + R(y,u)x vanishes only for orthogonal unit pairs (its symmetric
     # part carries the -eps f g(x,y) u term), so pair up orthonormally.
     xs, ys = _orthonormal_pairs(geom, frame, rng, RANDOM_COMBINATIONS)
-    wxy = np.einsum('as,am,rsm->ar', ys, xs, r_n)
-    wyx = np.einsum('as,am,rsm->ar', xs, ys, r_n)
-    skew = float(frame.batch_norms(wxy + wyx).max())
+    sym = (MR_u + MR_u.transpose(0, 2, 1)).reshape(n, -1)
+    skew = _squares((ys[:, :, None] * xs[:, None, :]).reshape(len(xs), -1) @ sym.T, 'pa')
 
-    return {"eq13": eq13 / scale, "eq14": eq14 / scale, "a43": a43 / scale,
-            "a44": a44 / scale, "skewA1": skew / scale}
+    scale = geom.residual_scale
+    return {key: float(np.sqrt(value)) / scale for key, value in
+            (("eq13", eq13), ("eq14", eq14), ("a43", a43), ("a44", a44), ("skewA1", skew))}
+
+
+def _squares(comps: np.ndarray, axes: str) -> float:
+    """Largest sum of squares over the frame-component axis 'a'."""
+    return float(np.einsum(f"{axes},{axes}->{axes.replace('a', '')}", comps, comps).max())
 
 
 def structure_residuals(chart: ChartSpec, point,
@@ -304,8 +357,9 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
 
     Draws config.samples points uniformly (seeded).  Points where the
     preconditions fail (degenerate metric, non-unit u, expression domain
-    errors) make the verdict Degenerate.  Aggregation is an ordered reduction
-    over sample index, so reports are identical for any thread count.
+    errors) make the verdict Degenerate.  Each sample draws from its own
+    child of the seed, and aggregation is an ordered reduction over sample
+    index; config.threads is ignored.
     """
     config = config or CertifyConfig()
     if chart.dim < 4:
@@ -321,30 +375,15 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
     points = point_rng.uniform(lows, highs, size=(config.samples, chart.dim))
     children = seed_seq.spawn(config.samples)
 
-    def worker(index: int):
-        point = points[index]
-        rng = np.random.default_rng(children[index])
-        try:
-            sample = sample_point(chart, point, rng=rng, tol_margin=config.tol_margin)
-            return ("ok", sample, sample.cc_residual)
-        except (GeometryError, EvalDomainError, ZeroDivisionError) as err:
-            return ("degenerate", point.tolist(), str(err))
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(worker, range(config.samples)))
-    else:
-        outcomes = [worker(i) for i in range(config.samples)]
-
     samples: list[IsotropySample] = []
-    cc_values: list[float] = []
     degenerate: list[tuple[list[float], str]] = []
-    for outcome in outcomes:
-        if outcome[0] == "ok":
-            samples.append(outcome[1])
-            cc_values.append(outcome[2])
-        else:
-            degenerate.append((outcome[1], outcome[2]))
+    for point, child in zip(points, children):
+        try:
+            samples.append(sample_point(chart, point, rng=np.random.default_rng(child),
+                                        tol_margin=config.tol_margin))
+        except (GeometryError, EvalDomainError, ZeroDivisionError) as err:
+            degenerate.append((point.tolist(), str(err)))
+    cc_values = [s.cc_residual for s in samples]
 
     notes: list[str] = []
     residual_max: dict[str, float | None] = {}

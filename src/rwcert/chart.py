@@ -97,9 +97,11 @@ class ChartSpec:
                              u_constant, tuple(u_varying))
 
     def contains(self, point, rtol: float = 1e-9) -> bool:
+        """Whether every coordinate lies in its domain interval (padded by
+        rtol of its width); a nan coordinate lies in none."""
         for x, (lo, hi) in zip(point, self.domain):
             pad = rtol * (hi - lo)
-            if x < lo - pad or x > hi + pad:
+            if not lo - pad <= x <= hi + pad:
                 return False
         return True
 

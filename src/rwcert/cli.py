@@ -14,6 +14,7 @@ report bytes stay deterministic.  No environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -24,7 +25,9 @@ from . import __version__, catalog, report
 from .certify import (CertificationInputError, CertifyConfig, certify,
                       DEFAULT_TOL_MARGIN, DEFAULT_TOL_PASS, CLASSIFICATIONS)
 from .chart import ChartError, ChartSpec, load_chart
+from .exprs import EvalDomainError
 from .foliation import FoliationError, scale_factor_profile
+from .geometry import GeometryError
 from .transport import CurveError, CurveSpec, TransportError, gram_drift, transport
 
 EXIT_PASS = 0
@@ -43,8 +46,9 @@ class _InputError(Exception):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    parser, subcommands = _build_parser()
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv,
+                                                 subcommands))
     if args.subcommand is None:
         parser.print_help(sys.stderr)
         return EXIT_INPUT
@@ -54,7 +58,8 @@ def main(argv=None) -> int:
     except _InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (ChartError, CurveError, CertificationInputError) as err:
+    except (ChartError, CurveError, CertificationInputError,
+            GeometryError, EvalDomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     print(f"[rwcert] {args.subcommand} finished in {time.perf_counter() - started:.2f}s "
@@ -62,21 +67,31 @@ def main(argv=None) -> int:
     return code
 
 
-def _attach_list_values(argv) -> list[str]:
+def _attach_list_values(argv, subcommands: dict) -> list[str]:
     """Rewrite `--opt VALUE` as `--opt=VALUE` for the list options, so that the
-    token after one of them is always its value."""
+    token after one of them is always its value.  An abbreviation counts when
+    it is the prefix of exactly one option of the subcommand, which is how
+    argparse resolves it; an ambiguous one is left for argparse to reject."""
     out: list[str] = []
+    options: list[str] | None = None
     tokens = iter(argv)
     for token in tokens:
-        if token in _LIST_OPTIONS:
-            value = next(tokens, None)
-            if value is not None:
-                token = f"{token}={value}"
+        if options is None:
+            if token in subcommands:
+                options = list(subcommands[token]._option_string_actions)
+        elif token.startswith("--") and "=" not in token:
+            named = [token] if token in options else [o for o in options
+                                                      if o.startswith(token)]
+            if len(named) == 1 and named[0] in _LIST_OPTIONS:
+                value = next(tokens, None)
+                if value is not None:
+                    token = f"{token}={value}"
         out.append(token)
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and the parser of each subcommand by name."""
     parser = argparse.ArgumentParser(prog="rwcert",
                                      description="Certify the Robertson-Walker "
                                                  "curvature form of a metric.")
@@ -104,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", default=None, help="write the JSON report here "
                                                       "instead of stdout")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (speed only, never output)")
+                       help="accepted for compatibility; has no effect "
+                            "(samples are evaluated serially)")
         p.set_defaults(handler=handler)
         if name == "slice":
             p.add_argument("--base", required=True, help="base point, comma-separated")
@@ -124,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="integration steps (default from step size 1e-3)")
             p.add_argument("--drift-tol", type=float, default=1e-8, dest="drift_tol",
                            help="fail (exit 1) when Gram drift exceeds this")
-    return parser
+    return parser, sub.choices
 
 
 def _resolve_chart(arg: str) -> tuple[ChartSpec, str]:
@@ -148,6 +164,8 @@ def _floats(text: str, label: str, expected: int | None = None) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as err:
         raise _InputError(f"{label} must be comma-separated numbers: {err}") from err
+    if not all(math.isfinite(v) for v in values):
+        raise _InputError(f"{label} must be finite numbers, got {text!r}")
     if expected is not None and len(values) != expected:
         raise _InputError(f"{label} needs {expected} components, got {len(values)}")
     return values
@@ -158,10 +176,7 @@ def _tau_grid(text: str) -> np.ndarray:
         parts = text.split(":")
         if len(parts) != 3:
             raise _InputError("--tau-grid range form is start:stop:step")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError as err:
-            raise _InputError(f"bad --tau-grid: {err}") from err
+        start, stop, step = _floats(text.replace(":", ","), "--tau-grid", 3)
         if step <= 0 or stop < start:
             raise _InputError("--tau-grid needs step > 0 and stop >= start")
         count = int(round((stop - start) / step))

@@ -139,31 +139,35 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     d2g = np.zeros((n, n, n, n)) if order >= 2 else None
     d3g = np.zeros((n, n, n, n, n)) if order >= 3 else None
     metric_jets: dict[tuple[int, int], Jet3] = {}
-    try:
-        for i, j, program in programs.metric_varying:
-            jet = program(env)
-            metric_jets[i, j] = jet
-            g[i, j] = g[j, i] = jet.value
-            dg[:, i, j] = dg[:, j, i] = jet.grad
-            if order >= 2:
-                d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
-            if order >= 3:
-                d3g[:, :, :, i, j] = d3g[:, :, :, j, i] = jet.cube
-    except OverflowError as err:
-        raise _overflow(point, "metric", err) from err
-    _require_finite(point, "metric", g, dg, d2g, d3g)
+    # an overflowing chart leaves inf or nan, which is rejected below as a
+    # degenerate point; numpy's warnings about it would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i, j, program in programs.metric_varying:
+                jet = program(env)
+                metric_jets[i, j] = jet
+                g[i, j] = g[j, i] = jet.value
+                dg[:, i, j] = dg[:, j, i] = jet.grad
+                if order >= 2:
+                    d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
+                if order >= 3:
+                    d3g[:, :, :, i, j] = d3g[:, :, :, j, i] = jet.cube
+        except OverflowError as err:
+            raise _overflow(point, "metric", err) from err
+        _require_finite(point, "metric", g, dg, d2g, d3g)
 
-    # numpy powers overflow to inf instead of raising; an overflowing
-    # determinant gives nan, which is degenerate too
-    scale = np.float64(max(float(np.abs(g).max()), 1e-300))
-    scaled_det = abs(float(np.linalg.det(g))) / scale**n
+        # numpy powers overflow to inf instead of raising; an overflowing
+        # determinant gives nan, which is degenerate too
+        scale = np.float64(max(float(np.abs(g).max()), 1e-300))
+        scaled_det = abs(float(np.linalg.det(g))) / scale**n
     if not scaled_det > DET_TOL:
         raise DegenerateMetricError(
             f"metric degenerate at {point.tolist()} (scaled |det g| = {scaled_det:.3e})")
 
     g_inv = np.linalg.inv(g)
     g_inv = 0.5 * (g_inv + g_inv.T)
-    dg_inv = -np.einsum('ia,lab,bj->lij', g_inv, dg, g_inv)
+    g_inv_dg = g_inv @ dg                                    # [l,i,b] = g^ia d_l g_ab
+    dg_inv = -(g_inv_dg @ g_inv)
 
     T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg   # T[m,i,j] = g_mj,i + g_mi,j - g_ij,m
     gamma = 0.5 * np.einsum('km,mij->kij', g_inv, T)
@@ -178,9 +182,9 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
                       - np.einsum('rnl,lms->rsmn', gamma, gamma))
         riemann_low = np.einsum('ar,rsmn->asmn', g, riemann_up)
     if order >= 3:
-        d2g_inv = -(np.einsum('mia,lab,bj->lmij', dg_inv, dg, g_inv)
-                    + np.einsum('ia,lmab,bj->lmij', g_inv, d2g, g_inv)
-                    + np.einsum('ia,lab,mbj->lmij', g_inv, dg, dg_inv))
+        d2g_inv = -((dg_inv[None] @ dg[:, None]) @ g_inv
+                    + (g_inv @ d2g) @ g_inv
+                    + g_inv_dg[:, None] @ dg_inv[None])
         d2g_inv = 0.5 * (d2g_inv + d2g_inv.transpose(1, 0, 2, 3))
         d2T = d3g.transpose(0, 1, 3, 2, 4) + d3g.transpose(0, 1, 3, 4, 2) - d3g   # d_p d_l T
         d2gamma = 0.5 * (np.einsum('plkm,mij->plkij', d2g_inv, T)
@@ -198,27 +202,28 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     u = programs.u_constant.copy()
     du = np.zeros((n, n))
     u_jets: list[Jet3 | None] = [None] * n
-    try:
-        for k, program in programs.u_varying:
-            jet = program(env)
-            u_jets[k] = jet
-            u[k] = jet.value
-            du[:, k] = jet.grad
-    except OverflowError as err:
-        raise _overflow(point, "u", err) from err
-    if chart.normalize_u:
-        # rescale the whole field in jet arithmetic so du matches the unit field
-        full_jets = [uj if uj is not None else Jet3.constant(u[k], n, order)
-                     for k, uj in enumerate(u_jets)]
-        q_jet = _metric_square(metric_jets, full_jets, g, n, order)
-        if abs(q_jet.value) < 1e-12:
-            raise UnitVectorError(f"cannot normalize a near-null u (g(u,u) = {q_jet.value:.3e})")
-        absq = q_jet if q_jet.value > 0 else -q_jet
-        rescale = jets.pow_const(absq, -0.5)
-        full_jets = [uj * rescale for uj in full_jets]
-        u = np.array([uj.value for uj in full_jets])
-        du = np.stack([uj.grad for uj in full_jets], axis=1)
-    _require_finite(point, "u", u, du)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for k, program in programs.u_varying:
+                jet = program(env)
+                u_jets[k] = jet
+                u[k] = jet.value
+                du[:, k] = jet.grad
+        except OverflowError as err:
+            raise _overflow(point, "u", err) from err
+        if chart.normalize_u:
+            # rescale the whole field in jet arithmetic so du matches the unit field
+            full_jets = [uj if uj is not None else Jet3.constant(u[k], n, order)
+                         for k, uj in enumerate(u_jets)]
+            q_jet = _metric_square(metric_jets, full_jets, g, n, order)
+            if abs(q_jet.value) < 1e-12:
+                raise UnitVectorError(f"cannot normalize a near-null u (g(u,u) = {q_jet.value:.3e})")
+            absq = q_jet if q_jet.value > 0 else -q_jet
+            rescale = jets.pow_const(absq, -0.5)
+            full_jets = [uj * rescale for uj in full_jets]
+            u = np.array([uj.value for uj in full_jets])
+            du = np.stack([uj.grad for uj in full_jets], axis=1)
+        _require_finite(point, "u", u, du)
     u_norm2 = float(u @ g @ u)
 
     if order >= 2:
@@ -312,11 +317,6 @@ class Frame:
     def norm(self, w: np.ndarray) -> float:
         """Positive-definite norm: Euclidean length of the frame components."""
         return float(np.linalg.norm(self.components(w)))
-
-    def batch_norms(self, w: np.ndarray) -> np.ndarray:
-        """Norms along the last axis of a stacked array of vectors."""
-        comps = (w @ self.g) @ self.vectors.T * self.etas
-        return np.linalg.norm(comps, axis=-1)
 
 
 def adapted_frame(geom: PointGeometry, u_value=None, rng=None) -> Frame:

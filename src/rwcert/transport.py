@@ -132,14 +132,15 @@ class _ExplicitCurve:
         x = np.empty(self.chart.dim)
         xdot = np.zeros(self.chart.dim)
         xddot = np.zeros(self.chart.dim)
-        for k, program in enumerate(self.programs):
-            if isinstance(program, float):
-                x[k] = program
-                continue
-            jet = program(env)
-            x[k] = jet.value
-            xdot[k] = jet.grad[0]
-            xddot[k] = jet.hess[0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):   # inf/nan leave the domain
+            for k, program in enumerate(self.programs):
+                if isinstance(program, float):
+                    x[k] = program
+                    continue
+                jet = program(env)
+                x[k] = jet.value
+                xdot[k] = jet.grad[0]
+                xddot[k] = jet.hess[0, 0]
         return x, xdot, xddot
 
     def _speed(self, tau: float):

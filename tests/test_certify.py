@@ -1,5 +1,7 @@
 """Invariant extraction, residual battery and classification."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from rwcert.certify import (CertificationInputError, CertifyConfig,
                             RESIDUAL_KEYS, certify, extract_invariants,
                             isotropy_residuals, sample_point, structure_residuals)
 from rwcert.chart import chart_from_dict
-from rwcert.geometry import adapted_frame, geometry_at, sectional_curvature
+from rwcert.geometry import FrameError, adapted_frame, geometry_at, sectional_curvature
 
 from conftest import domain_points
+
+certify_module = importlib.import_module("rwcert.certify")   # `rwcert.certify` is the function
 
 
 def _extract(chart, point, seed=0):
@@ -232,3 +236,137 @@ def test_certify_all_points_degenerate_has_no_margins():
     assert cert.classification == "Degenerate"
     assert cert.min_margin is None and cert.max_margin is None
     assert len(cert.degenerate_points) == 6
+
+
+# -- the residual battery against plain loops ----------------------------------
+
+
+def _reference_unit_spatial(geom, frame, rng, count):
+    """One candidate per draw, as the battery's block draws must replay."""
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 64 * count:
+        attempts += 1
+        v = rng.normal(size=frame.dim - 1) @ frame.spatial
+        norm = np.linalg.norm(v)
+        if norm < 1e-12:
+            continue
+        v = v / norm
+        q = geom.ip(v, v)
+        if abs(q) < certify_module.PIVOT_TOL:
+            continue
+        out.append(v / np.sqrt(abs(q)))
+    if len(out) < count:
+        raise FrameError("could not draw enough non-null unit combinations")
+    return np.array(out)
+
+
+def _reference_pairs(geom, frame, rng, count):
+    xs = [frame.vectors[i] for i in range(1, frame.dim) for j in range(i + 1, frame.dim)]
+    ys = [frame.vectors[j] for i in range(1, frame.dim) for j in range(i + 1, frame.dim)]
+    drawn = attempts = 0
+    while drawn < count and attempts < 64 * count:
+        attempts += 1
+        x = _reference_unit_spatial(geom, frame, rng, 1)[0]
+        raw = rng.normal(size=frame.dim - 1) @ frame.spatial
+        eta_x = 1.0 if geom.ip(x, x) > 0 else -1.0
+        y = raw - eta_x * geom.ip(raw, x) * x
+        norm = np.linalg.norm(y)
+        if norm < 1e-12:
+            continue
+        y = y / norm
+        q = geom.ip(y, y)
+        if abs(q) < certify_module.PIVOT_TOL:
+            continue
+        xs.append(x)
+        ys.append(y / np.sqrt(abs(q)))
+        drawn += 1
+    return np.array(xs), np.array(ys)
+
+
+def _apply(R, x, y, z):
+    """(R(x,y)z)^r = R^r_{smn} z^s x^m y^n by coordinate loops."""
+    n = len(x)
+    return np.array([sum(R[r][s][m][k] * z[s] * x[m] * y[k]
+                         for s in range(n) for m in range(n) for k in range(n))
+                     for r in range(n)])
+
+
+def _oracle_battery(geom, frame, f, h, pool, xs, ys):
+    R = geom.riemann_up.tolist()
+    u, eps, ip = geom.u, geom.epsilon, geom.ip
+    eq13 = max(frame.norm(_apply(R, x, u, u) - f * x) for x in pool)
+    eq14 = max(frame.norm(_apply(R, x, y, z) - h * (ip(y, z) * x - ip(x, z) * y))
+               for x in pool for y in pool for z in pool)
+    a43 = max(frame.norm(_apply(R, x, y, u)) for x in pool for y in pool)
+    a44 = max(frame.norm(_apply(R, x, u, y) + eps * f * ip(x, y) * u)
+              for x in pool for y in pool)
+    skew = max(frame.norm(_apply(R, x, u, y) + _apply(R, y, u, x)) for x, y in zip(xs, ys))
+    scale = geom.residual_scale
+    return {"eq13": eq13 / scale, "eq14": eq14 / scale, "a43": a43 / scale,
+            "a44": a44 / scale, "skewA1": skew / scale}
+
+
+def test_isotropy_residuals_match_coordinate_loops(charts, monkeypatch):
+    monkeypatch.setattr(certify_module, "RANDOM_COMBINATIONS", 3)
+    for cid in catalog.CATALOG:
+        chart = charts[cid]
+        for index, point in enumerate(domain_points(chart, 2, seed=37)):
+            geom, frame, (eps, f, h) = _extract(chart, point, seed=index)
+            got = isotropy_residuals(geom, frame, f, h, rng=np.random.default_rng(index))
+            rng = np.random.default_rng(index)
+            pool = np.vstack([frame.spatial, _reference_unit_spatial(geom, frame, rng, 3)])
+            xs, ys = _reference_pairs(geom, frame, rng, 3)
+            want = _oracle_battery(geom, frame, f, h, pool, xs, ys)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert abs(got[key] - want[key]) <= 1e-12, (cid, key, got[key], want[key])
+
+
+def _outcome(draw, *args):
+    try:
+        return draw(*args)
+    except FrameError:
+        return None
+
+
+def test_block_draws_replay_one_at_a_time_rejections(charts, monkeypatch):
+    """With PIVOT_TOL raised so that many candidates are near-null, the block
+    draws accept the same directions, give up at the same attempt, and leave
+    the rng in the same state."""
+    geom, frame, _ = _extract(charts["schwarzschild_static_observer"], [0.0, 10.0, 1.2, 0.7])
+    probe = np.random.default_rng(5).normal(size=(400, 3)) @ frame.spatial
+    probe /= np.linalg.norm(probe, axis=1)[:, None]
+    q = np.abs(np.einsum('ai,ij,aj->a', probe, geom.g, probe))
+    gave_up = 0
+    for quantile in (0.3, 0.7, 0.97):
+        monkeypatch.setattr(certify_module, "PIVOT_TOL", float(np.quantile(q, quantile)))
+        for seed in range(4):
+            block, one = np.random.default_rng(seed), np.random.default_rng(seed)
+            for draw, reference in ((certify_module._random_unit_spatial, _reference_unit_spatial),
+                                    (certify_module._orthonormal_pairs, _reference_pairs)):
+                got = _outcome(draw, geom, frame, block, 16)
+                want = _outcome(reference, geom, frame, one, 16)
+                assert (got is None) == (want is None), (quantile, seed, draw.__name__)
+                gave_up += got is None
+                if got is not None:
+                    np.testing.assert_allclose(np.asarray(got), np.asarray(want),
+                                               rtol=1e-13, atol=1e-15)
+                assert block.bit_generator.state == one.bit_generator.state, (quantile, seed)
+    assert gave_up   # the near-null cap was exercised too
+
+
+def test_block_draws_give_up_where_one_at_a_time_does(charts, monkeypatch):
+    geom, frame, _ = _extract(charts["schwarzschild_static_observer"], [0.0, 10.0, 1.2, 0.7])
+    monkeypatch.setattr(certify_module, "PIVOT_TOL", 1e6)     # every candidate near-null
+    block, one = np.random.default_rng(2), np.random.default_rng(2)
+    with pytest.raises(FrameError):
+        certify_module._random_unit_spatial(geom, frame, block, 16)
+    with pytest.raises(FrameError):
+        _reference_unit_spatial(geom, frame, one, 16)
+    assert block.bit_generator.state == one.bit_generator.state
+    with pytest.raises(FrameError):
+        certify_module._orthonormal_pairs(geom, frame, block, 16)
+    with pytest.raises(FrameError):
+        _reference_pairs(geom, frame, one, 16)
+    assert block.bit_generator.state == one.bit_generator.state

@@ -125,3 +125,10 @@ def test_contains_respects_domain():
     chart = chart_from_dict(_doc())
     assert chart.contains([2.0, 0.0, 0.0, 0.0])
     assert not chart.contains([0.5, 0.0, 0.0, 0.0])
+
+
+def test_contains_rejects_non_finite():
+    chart = chart_from_dict(_doc())
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        assert not chart.contains([2.0, bad, 0.0, 0.0])
+        assert not chart.contains([bad, 0.0, 0.0, 0.0])

@@ -223,8 +223,6 @@ def test_transport_list_values_may_start_with_minus(capsys, option, value, curve
     assert recorded[option] == expected
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_chart_reports_degenerate(tmp_path, capsys):
     """exp(exp(t)) overflows on part of the domain: a Degenerate report, not a crash."""
     path = tmp_path / "overflow.chart.json"
@@ -237,6 +235,7 @@ def test_overflowing_chart_reports_degenerate(tmp_path, capsys):
     code, out, err = run_cli(["check", str(path), "--points", "8"], capsys)
     assert code == 0
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
     assert json.loads(out)["certificate"]["classification"] == "Degenerate"
 
 
@@ -255,3 +254,42 @@ def test_all_points_degenerate_reports_null_margins(tmp_path, capsys):
     assert certificate["classification"] == "Degenerate"
     assert certificate["margin"] == {"min": None, "max": None}
     assert '"min": null' in out
+
+
+def test_abbreviated_list_option_takes_a_minus_value(capsys):
+    argv = ["slice", "einstein_static", "--base", "0,1,1.2,1.5", "--points", "8"]
+    code_full, full, _ = run_cli(argv + ["--tau-grid", "-0.1,0.1"], capsys)
+    code_abbrev, abbrev, _ = run_cli(argv + ["--tau", "-0.1,0.1"], capsys)
+    assert code_full == code_abbrev == 0
+    assert abbrev == full
+
+
+def test_ambiguous_abbreviation_exits_two(capsys):
+    # --st is a prefix of both --start and --steps
+    with pytest.raises(SystemExit) as exc:
+        main(["transport", "minkowski", "--curve", "u", "--st", "-1,0,0,0",
+              "--x0", "0,1,0,0"])
+    assert exc.value.code == 2
+    assert "ambiguous" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "minkowski", "--curve", "u", "--start", "nan,0,0,0", "--x0", "0,1,0,0"],
+    ["slice", "flrw_open", "--base", "nan,1,1.5,1.5", "--tau-grid", "0,0.1"],
+    ["slice", "flrw_open", "--base", "1,1,1.5,1.5", "--tau-grid", "0:inf:0.1"],
+])
+def test_non_finite_coordinates_exit_two(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+    assert err.count("\n") == 1
+
+
+def test_expression_domain_error_exits_two(capsys):
+    code, out, err = run_cli(["transport", "minkowski", "--curve", "explicit",
+                              "--exprs", "ln(s-2),0,0,0", "--x0", "0,1,0,0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
