@@ -34,6 +34,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
+TAU_GRID_MAX = 100_000   # values the --tau-grid range form may expand to
+
 
 # Options whose value is a comma-separated list, which may start with '-'
 # ("--tau-grid -0.1,0.1"); argparse alone would read such a value as an option.
@@ -125,7 +127,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         if name == "slice":
             p.add_argument("--base", required=True, help="base point, comma-separated")
             p.add_argument("--tau-grid", required=True, dest="tau_grid",
-                           help="'start:stop:step' or comma-separated tau values")
+                           help="'start:stop:step' (at most 100000 values) "
+                                "or comma-separated tau values")
         if name == "transport":
             p.add_argument("--curve", required=True, choices=("u", "explicit", "geodesic"))
             p.add_argument("--start", default=None, help="curve start point (u/geodesic)")
@@ -179,8 +182,11 @@ def _tau_grid(text: str) -> np.ndarray:
         start, stop, step = _floats(text.replace(":", ","), "--tau-grid", 3)
         if step <= 0 or stop < start:
             raise _InputError("--tau-grid needs step > 0 and stop >= start")
-        count = int(round((stop - start) / step))
-        return start + step * np.arange(count + 1)
+        count = np.rint((stop - start) / step) + 1    # inf if the ratio overflows
+        if count > TAU_GRID_MAX:
+            raise _InputError(f"--tau-grid range form gives {count:.0f} values, "
+                              f"more than the limit of {TAU_GRID_MAX}")
+        return start + step * np.arange(int(count))
     return np.array(_floats(text, "--tau-grid"))
 
 

@@ -108,6 +108,7 @@ class TransportResult:
     points: np.ndarray          # curve positions, shape (N+1, dim)
     tangents: np.ndarray        # unit tangent along the curve
     vectors: np.ndarray         # transported field(s): (N+1, dim) or (N+1, k, dim)
+    metrics: np.ndarray         # metric g at each curve position, shape (N+1, dim, dim)
     epsilon: float
     steps: int
 
@@ -215,12 +216,21 @@ def _transport_rhs(geom: PointGeometry, U, A, Xs, eps: float) -> np.ndarray:
 
 
 class _Driver:
-    """Joint ODE for the curve state and the transported rows."""
+    """Joint ODE for the curve state and the transported rows.
+
+    The context (x, tangent, acceleration, geom) of the last curve point
+    evaluated is kept in a one-entry memo, keyed by tau on explicit curves
+    (their context does not depend on the state) and by the exact position
+    otherwise.  A table row and the next step's k1 share one evaluation, and
+    so do stages that land on the same point: k2 and k3 of an explicit curve,
+    and k2/k3 and k4/next k1 wherever the coordinate tangent is constant.
+    """
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec, rows: int):
         self.chart = chart
         self.curve = curve
         self.rows = rows
+        self._memo = None   # (key, (x, U, A, geom)) of the last point evaluated
         n = chart.dim
         if curve.kind == "explicit":
             if curve.exprs is None or len(curve.exprs) != n:
@@ -234,7 +244,8 @@ class _Driver:
             self.lo, self.hi = curve.t0, curve.t1
             self.head = n
         elif curve.kind == "geodesic":
-            if curve.start is None or curve.velocity is None:
+            if (curve.start is None or curve.velocity is None
+                    or len(curve.start) != n or len(curve.velocity) != n):
                 raise CurveError("geodesic transport needs a start point and velocity")
             self.lo, self.hi = curve.t0, curve.t1
             self.head = 2 * n
@@ -247,18 +258,12 @@ class _Driver:
         self.epsilon = 1.0 if q > 0 else -1.0
 
     def start_data(self):
-        if self.curve.kind == "explicit":
-            x, U, _, geom = self.engine.state(self.lo)
-            return geom, U
-        start = np.asarray(self.curve.start, dtype=float)
-        _check_inside(self.chart, start)
-        geom = geometry_at(self.chart, start, order=1)
-        if self.curve.kind == "geodesic":
-            return geom, np.asarray(self.curve.velocity, dtype=float)
-        q = geom.u_norm2
-        if abs(abs(q) - 1.0) > 1e-6:
-            raise CurveError(f"chart u is not unit at the start: g(u,u) = {q!r}")
-        return geom, geom.u
+        """(geom, tangent) at the start of the curve."""
+        state = self.initial_state(np.zeros((self.rows, self.chart.dim)))
+        _, U, _, geom = self._context(self.lo, state)
+        if self.curve.kind == "u_integral" and abs(abs(geom.u_norm2) - 1.0) > 1e-6:
+            raise CurveError(f"chart u is not unit at the start: g(u,u) = {geom.u_norm2!r}")
+        return geom, U
 
     def initial_state(self, X0_rows: np.ndarray) -> np.ndarray:
         if self.curve.kind == "explicit":
@@ -274,15 +279,20 @@ class _Driver:
         """(x, tangent, acceleration, geom) at the current integration point."""
         n = self.chart.dim
         if self.curve.kind == "explicit":
-            x, U, A, geom = self.engine.state(tau)
-            return x, U, A, geom
+            if self._memo is None or self._memo[0] != tau:
+                self._memo = (tau, self.engine.state(tau))
+            return self._memo[1]
         x = state[:n]
-        _check_inside(self.chart, x)
-        geom = geometry_at(self.chart, x, order=1)
-        if self.curve.kind == "u_integral":
-            return x, geom.u, geom.acceleration(), geom
-        v = state[n:2 * n]
-        return x, v, np.zeros(n), geom
+        if self._memo is None or not np.array_equal(self._memo[0], x):
+            _check_inside(self.chart, x)
+            geom = geometry_at(self.chart, x, order=1)
+            x = x.copy()
+            A = geom.acceleration() if self.curve.kind == "u_integral" else np.zeros(n)
+            self._memo = (x, (x, geom.u, A, geom))
+        x, U, A, geom = self._memo[1]
+        if self.curve.kind == "geodesic":
+            U = state[n:2 * n]
+        return x, U, A, geom
 
     def rhs(self, tau: float, state: np.ndarray) -> np.ndarray:
         x, U, A, geom = self._context(tau, state)
@@ -296,15 +306,9 @@ class _Driver:
         return np.concatenate([U, dv, dX])
 
     def observe(self, tau: float, state: np.ndarray):
-        n = self.chart.dim
-        if self.curve.kind == "geodesic":
-            # position and velocity are the state itself: no geometry needed
-            x, U = state[:n], state[n:2 * n]
-            _check_inside(self.chart, x)
-        else:
-            x, U, _, _ = self._context(tau, state)
-        Xs = state[self.head:].reshape(self.rows, n)
-        return x, U, Xs
+        """Position, tangent, metric and transported rows of one table row."""
+        x, U, _, geom = self._context(tau, state)
+        return x, U, geom.g, state[self.head:].reshape(self.rows, self.chart.dim)
 
     def integrate(self, X0_rows: np.ndarray, steps: int):
         n = self.chart.dim
@@ -312,18 +316,20 @@ class _Driver:
         h = (self.hi - self.lo) / steps
         points = np.empty((steps + 1, n))
         tangents = np.empty((steps + 1, n))
+        metrics = np.empty((steps + 1, n, n))
         vectors = np.empty((steps + 1, self.rows, n))
         state = self.initial_state(X0_rows)
-        points[0], tangents[0], vectors[0] = self.observe(taus[0], state)
+        points[0], tangents[0], metrics[0], vectors[0] = self.observe(taus[0], state)
         for i in range(steps):
-            t = taus[i]
+            t, end = taus[i], taus[i + 1]    # k4 takes the next row's tau, bit for bit
             k1 = self.rhs(t, state)
             k2 = self.rhs(t + 0.5 * h, state + 0.5 * h * k1)
             k3 = self.rhs(t + 0.5 * h, state + 0.5 * h * k2)
-            k4 = self.rhs(t + h, state + h * k3)
+            k4 = self.rhs(end, state + h * k3)
             state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            points[i + 1], tangents[i + 1], vectors[i + 1] = self.observe(taus[i + 1], state)
-        return taus, points, tangents, vectors
+            points[i + 1], tangents[i + 1], metrics[i + 1], vectors[i + 1] = \
+                self.observe(end, state)
+        return taus, points, tangents, metrics, vectors
 
 
 def transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None = None,
@@ -331,29 +337,39 @@ def transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None = None,
     """Fermi-transport X0 along the curve (solves D_u X = 0).
 
     Fixed-step RK4; the step count doubles until the endpoint vector moves by
-    less than ENDPOINT_TOL.  The returned table is sampled at the requested
-    resolution regardless of internal refinement.
+    less than ENDPOINT_TOL, and a TransportError is raised when it still has
+    not after `max_halvings` doublings (max_halvings=0 is one fixed-step run).
+    The returned table is sampled at the requested resolution regardless of
+    internal refinement.
     """
     X0_rows = np.atleast_2d(np.asarray(X0, dtype=float))
     if not np.all(np.isfinite(X0_rows)):
         raise TransportError("initial vector must be finite")
     base_steps = steps if steps is not None else curve.default_steps()
+    if base_steps < 1:
+        raise CurveError(f"transport needs at least one step, got {base_steps}")
     driver = _Driver(chart, curve, X0_rows.shape[0])
     run = driver.integrate(X0_rows, base_steps)
     factor = 1
     for _ in range(max_halvings):
         finer = driver.integrate(X0_rows, base_steps * factor * 2)
-        change = float(np.abs(finer[3][-1] - run[3][-1]).max())
+        change = float(np.abs(finer[-1][-1] - run[-1][-1]).max())
         run = finer
         factor *= 2
         if change < ENDPOINT_TOL:
             break
-    taus, points, tangents, vectors = (arr[::factor] if factor > 1 else arr
-                                       for arr in run)
+    else:
+        if max_halvings > 0:
+            raise TransportError(
+                f"transport did not converge: the endpoint vector still moved by "
+                f"{change:.3e} (tolerance {ENDPOINT_TOL:.0e}) at {base_steps * factor} steps")
+    taus, points, tangents, metrics, vectors = (arr[::factor] if factor > 1 else arr
+                                                for arr in run)
     squeeze = np.asarray(X0, dtype=float).ndim == 1
     return TransportResult(taus=taus, points=points, tangents=tangents,
                            vectors=vectors[:, 0, :] if squeeze else vectors,
-                           epsilon=driver.epsilon, steps=taus.shape[0] - 1)
+                           metrics=metrics, epsilon=driver.epsilon,
+                           steps=taus.shape[0] - 1)
 
 
 def fermi_frame(chart: ChartSpec, curve: CurveSpec, frame0,
@@ -374,13 +390,12 @@ def fermi_frame(chart: ChartSpec, curve: CurveSpec, frame0,
 
 
 def gram_drift(chart: ChartSpec, result: TransportResult) -> float:
-    """Max |g(X_i, X_j)(tau) - g(X_i, X_j)(0)| over the transported table."""
+    """Max |g(X_i, X_j)(tau) - g(X_i, X_j)(0)| over the transported table.
+
+    Reads the metric the integrator recorded at each row, so it evaluates no
+    geometry; `chart` is the chart the result was transported in."""
     vectors = result.vectors if result.vectors.ndim == 3 else result.vectors[:, None, :]
-    grams = []
-    for x, rows in zip(result.points, vectors):
-        geom = geometry_at(chart, x, order=1)
-        grams.append(rows @ geom.g @ rows.T)
-    grams = np.array(grams)
+    grams = vectors @ result.metrics @ vectors.transpose(0, 2, 1)
     return float(np.abs(grams - grams[0]).max())
 
 
@@ -410,20 +425,24 @@ def geodesic_integrate(chart: ChartSpec, p, v, length: float, steps: int) -> Geo
     norms[0] = abs(q)
     state = np.concatenate([p, v])
 
-    def rhs(state):
-        x, vel = state[:n], state[n:]
+    def at(x):
         _check_inside(chart, x)
-        g = geometry_at(chart, x, order=1)
-        return np.concatenate([vel, -np.einsum('kij,i,j->k', g.gamma, vel, vel)])
+        return geometry_at(chart, x, order=1)
 
+    def rhs(state, geom=None):
+        x, vel = state[:n], state[n:]
+        geom = at(x) if geom is None else geom
+        return np.concatenate([vel, -np.einsum('kij,i,j->k', geom.gamma, vel, vel)])
+
+    _check_inside(chart, p)
     for i in range(steps):
-        k1 = rhs(state)
+        k1 = rhs(state, geom)      # geom is at state[:n], shared with the last norm
         k2 = rhs(state + 0.5 * h * k1)
         k3 = rhs(state + 0.5 * h * k2)
         k4 = rhs(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         points[i + 1], velocities[i + 1] = state[:n], state[n:]
-        g = geometry_at(chart, state[:n], order=1)
-        norms[i + 1] = abs(g.ip(state[n:], state[n:]))
+        geom = at(state[:n])
+        norms[i + 1] = abs(geom.ip(state[n:], state[n:]))
     return GeodesicPath(taus=taus, points=points, velocities=velocities,
                         norm_drift=float(np.abs(norms - norms[0]).max()))

@@ -293,3 +293,23 @@ def test_expression_domain_error_exits_two(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_transport_steps_below_one_exit_two(capsys, steps):
+    code, out, err = run_cli(["transport", "minkowski", "--curve", "u",
+                              "--start", "0,0,0,0", "--x0", "0,1,0,0",
+                              "--steps", steps], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "at least one step" in err
+    assert err.count("\n") == 1
+
+
+def test_tau_grid_range_above_limit_exits_two(capsys):
+    code, out, err = run_cli(["slice", "flrw_open", "--base", "1,1,1.5,1.5",
+                              "--tau-grid", "0:1e12:1e-3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "limit of 100000" in err
+    assert err.count("\n") == 1

@@ -221,9 +221,8 @@ def test_geodesic_fermi_equals_parallel(charts):
     assert np.abs(result.vectors[-1] - state[2 * n:]).max() < 1e-8
 
 
-def test_geodesic_observe_needs_no_geometry(charts, monkeypatch):
-    """A geodesic's position and velocity are its state: one evaluation for
-    the start data, then four per RK4 step and none per observed row."""
+def _count_geometry(monkeypatch) -> list:
+    """Record the order of every geometry_at call the transport module makes."""
     from rwcert import transport as transport_module
 
     calls = []
@@ -234,10 +233,154 @@ def test_geodesic_observe_needs_no_geometry(charts, monkeypatch):
         return real(chart, point, order)
 
     monkeypatch.setattr(transport_module, "geometry_at", counting)
+    return calls
+
+
+def test_geodesic_observe_needs_no_geometry(charts, monkeypatch):
+    """A geodesic's position and velocity are its state, and each observed row
+    takes its metric from the geometry the next k1 uses.  On a comoving
+    geodesic the coordinate tangent is constant, so the k2/k3 positions and
+    the k4/next-row positions coincide: one evaluation for the start data,
+    then two per RK4 step."""
+    calls = _count_geometry(monkeypatch)
     curve = CurveSpec.geodesic([3.0, 1.0, 1.5, 1.5], [1.0, 0.0, 0.0, 0.0], t1=0.05)
     steps = 10
     result = transport(charts["flrw_closed_osc"], curve, [0.0, 0.2, 0.1, -0.05],
                        steps=steps, max_halvings=0)
-    assert len(calls) == 1 + 4 * steps
+    assert len(calls) == 1 + 2 * steps
     assert set(calls) == {1}
     assert np.allclose(result.points[:, 0], 3.0 + result.taus, atol=1e-12)   # comoving time
+
+
+def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
+    """k2 and k3 share one tau, and k4, the next row and the next k1 share
+    another; the start cost is the unit-speed validation plus the start data."""
+    from rwcert.transport import _SPEED_SAMPLES
+
+    calls = _count_geometry(monkeypatch)
+    curve = CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"], t0=0.0, t1=1.0)
+    steps = 10
+    transport(charts["minkowski"], curve, [0.0, 1.0, 0.0, 0.0], steps=steps,
+              max_halvings=0)
+    assert len(calls) == _SPEED_SAMPLES + 1 + 2 * steps
+
+
+def test_comoving_u_curve_evaluates_two_per_step(charts, monkeypatch):
+    """Two per step after the start data; a doubled run starts at a point the
+    memo no longer holds and costs one more (this one converges at the first
+    doubling)."""
+    calls = _count_geometry(monkeypatch)
+    curve = CurveSpec.integral_curve_of_u([2.0, 0.1, 0.2, 0.3], t1=0.05)
+    steps = 10
+    x0 = [0.0, 0.25, 0.0, 0.0]
+    transport(charts["flrw_flat_linear"], curve, x0, steps=steps, max_halvings=0)
+    assert len(calls) == 1 + 2 * steps
+
+    calls.clear()
+    result = transport(charts["flrw_flat_linear"], curve, x0, steps=steps)
+    assert result.steps == steps
+    assert len(calls) == 1 + 2 * steps + (1 + 4 * steps)
+
+
+ROTATING_PLANE_DOC = {
+    "name": "plane_rotating_u",
+    "dim": 2,
+    "coords": ["x", "y"],
+    "metric": [["1", None], [None, "1"]],
+    "u": ["cos(y)", "sin(y)"],
+    "params": {},
+    "domain": [[-3.0, 3.0], [-3.0, 3.0]],
+    "options": {},
+}
+
+
+def test_tilted_curves_evaluate_at_most_four_per_step(charts, monkeypatch):
+    """Where the coordinate tangent turns, k2, k3, k4 and the next row are four
+    distinct points; the row and the next k1 still share one evaluation."""
+    from rwcert.chart import chart_from_dict
+
+    plane = chart_from_dict(ROTATING_PLANE_DOC)
+    calls = _count_geometry(monkeypatch)
+    steps = 10
+    result = transport(plane, CurveSpec.integral_curve_of_u([0.0, 0.5], t1=0.5),
+                       [0.0, 1.0], steps=steps, max_halvings=0)
+    assert np.ptp(result.tangents[:, 0]) > 0.1      # the tangent does turn
+    assert len(calls) == 1 + 4 * steps
+
+    calls.clear()
+    velocity = [np.sqrt(1.0 + 4.41 * 0.04), 0.2, 0.0, 0.0]    # unit: a(1)^2 = 4.41
+    transport(charts["flrw_open"], CurveSpec.geodesic([1.0, 1.0, 1.2, 1.0], velocity,
+                                                      t1=0.05),
+              [0.0, 1.0, 0.0, 0.0], steps=steps, max_halvings=0)
+    assert len(calls) == 1 + 4 * steps
+
+
+def test_gram_drift_reads_recorded_metrics(charts, plane_chart, monkeypatch):
+    """gram_drift evaluates no geometry and equals, bit for bit, the drift
+    recomputed from fresh metric evaluations at the table's points."""
+    rng = np.random.default_rng(11)
+    cases = [
+        (charts["minkowski"], CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"]),
+         rng.normal(size=(2, 4))),
+        (plane_chart, CurveSpec.explicit(["s + 0.002*sin(s)", "0.3"]), rng.normal(size=2)),
+        (charts["flrw_open"], CurveSpec.integral_curve_of_u([1.0, 1.0, 1.2, 1.0]),
+         rng.normal(size=(3, 4))),
+        (charts["flrw_closed_osc"], CurveSpec.geodesic([3.0, 1.0, 1.5, 1.5],
+                                                       [1.0, 0.0, 0.0, 0.0]),
+         rng.normal(size=4)),
+    ]
+    for chart, curve, x0 in cases:
+        result = transport(chart, curve, x0, steps=100)
+        vectors = (result.vectors if result.vectors.ndim == 3
+                   else result.vectors[:, None, :])
+        grams = np.array([rows @ geometry_at(chart, x, order=1).g @ rows.T
+                          for x, rows in zip(result.points, vectors)])
+        expected = float(np.abs(grams - grams[0]).max())
+        calls = _count_geometry(monkeypatch)
+        assert gram_drift(chart, result) == expected
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_transport_raises_when_halvings_do_not_converge(charts):
+    """Two coarse steps on a curved geodesic move the endpoint by far more
+    than ENDPOINT_TOL after one doubling: an error, not a silent table."""
+    velocity = [np.sqrt(1.0 + 4.41 * 0.04), 0.2, 0.0, 0.0]
+    curve = CurveSpec.geodesic([1.0, 1.0, 1.2, 1.0], velocity, t1=1.0)
+    with pytest.raises(TransportError, match="did not converge"):
+        transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2,
+                  max_halvings=1)
+    fixed = transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2,
+                      max_halvings=0)
+    assert fixed.steps == 2
+
+
+def test_geodesic_integrate_reuses_the_row_geometry(charts, monkeypatch):
+    """The geometry of each new row gives its norm and the next k1: one
+    evaluation for the start, four per step, and the path of plain RK4."""
+    chart = charts["schwarzschild_static_observer"]
+    r0 = 10.0
+    start = np.array([0.0, r0, 1.2, 0.7])
+    velocity = np.array([1.0 / (1.0 - 2.0 / r0), -np.sqrt(2.0 / r0), 0.0, 0.0])
+    steps = 20
+    calls = _count_geometry(monkeypatch)
+    path = geodesic_integrate(chart, start, velocity, 2.0, steps)
+    assert len(calls) == 1 + 4 * steps
+    monkeypatch.undo()
+
+    def rhs(s):
+        g = geometry_at(chart, s[:4], order=1)
+        return np.concatenate([s[4:], -np.einsum('kij,i,j->k', g.gamma, s[4:], s[4:])])
+
+    state, h = np.concatenate([start, velocity]), 2.0 / steps
+    norms = [abs(geometry_at(chart, start, order=1).ip(velocity, velocity))]
+    for i in range(steps):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(path.points[i + 1], state[:4])
+        assert np.array_equal(path.velocities[i + 1], state[4:])
+        norms.append(abs(geometry_at(chart, state[:4], order=1).ip(state[4:], state[4:])))
+    assert path.norm_drift == float(np.abs(np.array(norms) - norms[0]).max())
