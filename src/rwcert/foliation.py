@@ -27,8 +27,10 @@ from .certify import Certificate, DEFAULT_TOL_MARGIN
 from .chart import ChartSpec
 from .geometry import (OutsideDomainError, geometry_at, trace_invariant_gradients,
                        trace_invariants)
+from .integrate import doubled, rk4
 
 QUAD_TOL = 1e-10          # Gauss-Legendre segment bisection threshold
+QUAD_DEPTH = 20           # bisection levels before the quadrature gives up
 FLOW_A_TOL = 1e-8         # step halving stops when a(tau) moves less than this
 SLICE_TOL = 1e-9          # same-slice time agreement
 FLAT_BAND = 1e-6          # |k-hat| below this reports flat spatial sections
@@ -78,22 +80,30 @@ def require_locally_rw(chart: ChartSpec, certificate: Certificate):
             f"{certificate.classification}: foliation not applicable")
 
 
-def _omega(chart: ChartSpec, point, tol_margin: float) -> np.ndarray:
-    """The covector (h - eps f) u-flat, guarded against the margin band."""
-    geom = geometry_at(chart, point, order=2)
+def _guarded(chart: ChartSpec, point, order: int, tol_margin: float):
+    """(geom, f, h, h - eps f) at a point outside the margin band."""
+    geom = geometry_at(chart, point, order=order)
     f, h = trace_invariants(geom)
     margin = h - geom.epsilon * f
     if abs(margin) <= tol_margin:
         raise DegeneracyError(
             f"|h - eps f| = {abs(margin):.3e} inside margin band at {np.asarray(point).tolist()}")
+    return geom, f, h, margin
+
+
+def _omega(chart: ChartSpec, point, tol_margin: float) -> np.ndarray:
+    """The covector (h - eps f) u-flat, guarded against the margin band."""
+    geom, _, _, margin = _guarded(chart, point, 2, tol_margin)
     return margin * (geom.g @ geom.u)
 
 
 def _segment_integral(chart, a, b, tol_margin, depth=0, whole=None):
     if whole is None:
         whole = _gl8(chart, a, b, tol_margin)
-    if depth >= 20:
-        return whole
+    if depth >= QUAD_DEPTH:
+        raise FoliationError(
+            f"quadrature did not converge within {QUAD_DEPTH} bisections "
+            f"on [{a.tolist()}, {b.tolist()}]")
     mid = 0.5 * (a + b)
     left = _gl8(chart, a, mid, tol_margin)
     right = _gl8(chart, mid, b, tol_margin)
@@ -160,15 +170,9 @@ def loop_residual(chart: ChartSpec, certificate: Certificate, loop) -> float:
 
 def _scalars(chart: ChartSpec, point, tol_margin: float):
     """(geom, f, h, eps, margin, dh(u)) with the margin guard applied."""
-    geom = geometry_at(chart, point, order=3)
-    f, h = trace_invariants(geom)
-    eps = geom.epsilon
-    margin = h - eps * f
-    if abs(margin) <= tol_margin:
-        raise DegeneracyError(
-            f"|h - eps f| = {abs(margin):.3e} inside margin band at {np.asarray(point).tolist()}")
+    geom, f, h, margin = _guarded(chart, point, 3, tol_margin)
     _, dh = trace_invariant_gradients(geom)
-    return geom, f, h, eps, margin, float(dh @ geom.u)
+    return geom, f, h, geom.epsilon, margin, float(dh @ geom.u)
 
 
 def second_fundamental_form_check(chart: ChartSpec, point,
@@ -201,35 +205,6 @@ def slice_curvature(chart: ChartSpec, point,
 
 # -- flow of d_t and the scale factor ---------------------------------------------
 
-def _flow_rhs_position(chart: ChartSpec, x, eps: int, tol_margin: float) -> np.ndarray:
-    geom = geometry_at(chart, x, order=2)
-    f, h = trace_invariants(geom)
-    margin = h - geom.epsilon * f
-    if abs(margin) <= tol_margin:
-        raise DegeneracyError(f"flow hit the margin band at {np.asarray(x).tolist()}")
-    return eps * geom.u / margin
-
-def _flow_rhs_full(chart: ChartSpec, state, eps: int, tol_margin: float) -> np.ndarray:
-    """State = (x, log a^2, proper time); returns its tau derivative."""
-    x = state[:-2]
-    geom, f, h, _, margin, dh_u = _scalars(chart, x, tol_margin)
-    velocity = eps * geom.u / margin
-    psi = -eps * dh_u / margin**2
-    return np.concatenate([velocity, [psi, 1.0 / abs(margin)]])
-
-
-def _rk4(rhs, state, t0, t1, steps: int):
-    h = (t1 - t0) / steps
-    y = state.astype(float).copy()
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: float,
                steps_per_unit: int = 128) -> np.ndarray:
     """Advance `start` by delta_tau along d_t (position only, cheap)."""
@@ -239,12 +214,13 @@ def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: flo
         return np.asarray(start, dtype=float)
     steps = max(16, int(np.ceil(abs(delta_tau) * steps_per_unit)))
 
-    def rhs(x):
+    def rhs(_, x):
         if not chart.contains(x):
             raise FlowDomainError(f"flow left the domain at {x.tolist()}")
-        return _flow_rhs_position(chart, x, eps, certificate.tol_margin)
+        geom, _, _, margin = _guarded(chart, x, 2, certificate.tol_margin)
+        return eps * geom.u / margin
 
-    return _rk4(rhs, np.asarray(start, dtype=float), 0.0, delta_tau, steps)
+    return rk4(rhs, np.asarray(start, dtype=float), 0.0, delta_tau, steps)
 
 
 def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
@@ -262,10 +238,15 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
     eps = certificate.epsilon
     taus = np.unique(np.concatenate([[0.0], np.asarray(tau_grid, dtype=float)]))
 
-    def rhs(state):
-        if not chart.contains(state[:-2]):
-            raise FlowDomainError(f"flow left the domain at {state[:-2].tolist()}")
-        return _flow_rhs_full(chart, state, eps, certificate.tol_margin)
+    def rhs(_, state):
+        """State = (x, log a^2, proper time); returns its tau derivative."""
+        x = state[:-2]
+        if not chart.contains(x):
+            raise FlowDomainError(f"flow left the domain at {x.tolist()}")
+        geom, _, _, _, margin, dh_u = _scalars(chart, x, certificate.tol_margin)
+        velocity = eps * geom.u / margin
+        psi = -eps * dh_u / margin**2
+        return np.concatenate([velocity, [psi, 1.0 / abs(margin)]])
 
     def run(steps_per_unit: int) -> dict[float, np.ndarray]:
         states: dict[float, np.ndarray] = {}
@@ -276,24 +257,20 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
             for target in sorted(grid, key=abs):
                 span = abs(target - prev)
                 steps = max(4, int(np.ceil(span * steps_per_unit)))
-                state = _rk4(rhs, state, prev, target, steps)
-                states[target] = state.copy()
+                state = rk4(rhs, state, prev, target, steps)
+                states[target] = state
                 prev = target
         states[0.0] = np.concatenate([base, [0.0, 0.0]])
         return states
 
-    steps_per_unit = 64
-    states = run(steps_per_unit)
-    for _ in range(10):
-        finer = run(steps_per_unit * 2)
-        drift = max(abs(np.exp(0.5 * finer[t][-2]) - np.exp(0.5 * states[t][-2]))
-                    for t in taus)
-        states = finer
-        steps_per_unit *= 2
-        if drift < FLOW_A_TOL:
-            break
-    else:
+    def a_change(coarse, fine) -> float:
+        return max(abs(np.exp(0.5 * fine[t][-2]) - np.exp(0.5 * coarse[t][-2]))
+                   for t in taus)
+
+    flow = doubled(run, 64, a_change, FLOW_A_TOL, 10)
+    if not flow.converged:
         raise FoliationError("flow integration did not converge under step halving")
+    states = flow.value
 
     a_vals, k_vals, psi_vals, s_vals, points = [], [], [], [], []
     for t in taus:

@@ -272,13 +272,6 @@ def _metric_square(metric_jets, u_jets, g, n: int, order: int) -> Jet3:
     return total
 
 
-def covariant_derivative_u(chart: ChartSpec, point) -> tuple[np.ndarray, np.ndarray]:
-    """Return ((nabla_mu u)^nu indexed [mu, nu], acceleration nabla_u u)."""
-    geom = geometry_at(chart, point, order=2)
-    nabla = geom.nabla_u()
-    return nabla, geom.u @ nabla
-
-
 def sectional_curvature(geom: PointGeometry, v, w) -> float:
     """K(span(v, w)) = R(v,w,w,v) / (g(v,v) g(w,w) - g(v,w)^2)."""
     v = np.asarray(v, dtype=float)

@@ -1,0 +1,61 @@
+"""Fixed-step RK4 and step doubling: the package's one ODE integrator.
+
+The flow of d_t (`foliation`) and Fermi transport (`transport`) both integrate
+with classic RK4 on a uniform grid and refine by doubling the step count until
+a caller-defined change between two runs falls below a tolerance.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+
+def rk4(rhs: Callable, y: np.ndarray, t0: float, t1: float, steps: int,
+        row: Callable | None = None) -> np.ndarray:
+    """Integrate y' = rhs(t, y) from t0 to t1 in `steps` RK4 steps; return y(t1).
+
+    The grid is linspace(t0, t1, steps + 1) with h = (t1 - t0) / steps: the
+    mid stages run at t + 0.5*h and k4 at the next grid value, bit for bit,
+    so a caller keying work on the grid sees the same floats.  `row(i, tau, y)`
+    runs after step i (1..steps) with the grid value and state it reached.
+    """
+    taus = np.linspace(t0, t1, steps + 1)
+    h = (t1 - t0) / steps
+    for i in range(steps):
+        t, end = taus[i], taus[i + 1]
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(end, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if row is not None:
+            row(i + 1, end, y)
+    return y
+
+
+class Doubling(NamedTuple):
+    value: object            # run(steps) of the last run
+    steps: int               # step count of the last run
+    change: float | None     # change(coarse, fine) of the last doubling; None for one run
+    converged: bool          # False when doublings ran out with change >= tol
+
+
+def doubled(run: Callable, steps: int, change: Callable, tol: float,
+            max_doublings: int) -> Doubling:
+    """run(steps), then run(2*steps), run(4*steps), ... until change(coarse,
+    fine) < tol or `max_doublings` doublings are spent.
+
+    The first run is never accepted on its own when a doubling is allowed;
+    max_doublings <= 0 is one run, reported as converged.
+    """
+    value = run(steps)
+    delta = None
+    for _ in range(max_doublings):
+        finer = run(2 * steps)
+        delta = change(value, finer)
+        value, steps = finer, 2 * steps
+        if delta < tol:
+            return Doubling(value, steps, delta, True)
+    return Doubling(value, steps, delta, delta is None)

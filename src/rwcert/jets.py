@@ -218,19 +218,6 @@ def _reciprocal(a: Jet3) -> Jet3:
     return compose(a, iv, -iv * iv, 2.0 * iv**3, -6.0 * iv**4)
 
 
-def combine(op: str, a: Jet3, b: Jet3) -> Jet3:
-    """Named binary dispatch; operator syntax is the usual entry point."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown jet operation {op!r}")
-
-
 # -- elementary functions ----------------------------------------------------
 
 def sin(a: Jet3) -> Jet3:

@@ -24,6 +24,7 @@ import numpy as np
 from .chart import ChartSpec
 from .exprs import Expr, ExprError, compile_exprs, parse_expr
 from .geometry import PointGeometry, UNIT_TOL, geometry_at
+from .integrate import doubled, rk4
 from .jets import Jet3
 
 UNIT_SPEED_TOL = 1e-6
@@ -313,22 +314,17 @@ class _Driver:
     def integrate(self, X0_rows: np.ndarray, steps: int):
         n = self.chart.dim
         taus = np.linspace(self.lo, self.hi, steps + 1)
-        h = (self.hi - self.lo) / steps
         points = np.empty((steps + 1, n))
         tangents = np.empty((steps + 1, n))
         metrics = np.empty((steps + 1, n, n))
         vectors = np.empty((steps + 1, self.rows, n))
+
+        def row(i, tau, state):
+            points[i], tangents[i], metrics[i], vectors[i] = self.observe(tau, state)
+
         state = self.initial_state(X0_rows)
-        points[0], tangents[0], metrics[0], vectors[0] = self.observe(taus[0], state)
-        for i in range(steps):
-            t, end = taus[i], taus[i + 1]    # k4 takes the next row's tau, bit for bit
-            k1 = self.rhs(t, state)
-            k2 = self.rhs(t + 0.5 * h, state + 0.5 * h * k1)
-            k3 = self.rhs(t + 0.5 * h, state + 0.5 * h * k2)
-            k4 = self.rhs(end, state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            points[i + 1], tangents[i + 1], metrics[i + 1], vectors[i + 1] = \
-                self.observe(end, state)
+        row(0, taus[0], state)
+        rk4(self.rhs, state, self.lo, self.hi, steps, row)
         return taus, points, tangents, metrics, vectors
 
 
@@ -342,6 +338,13 @@ def transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None = None,
     The returned table is sampled at the requested resolution regardless of
     internal refinement.
     """
+    return _transport(chart, curve, X0, steps, max_halvings)
+
+
+def _transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None,
+               max_halvings: int, check_start=None) -> TransportResult:
+    """transport(), with check_start(geom, tangent) run at the curve start
+    before integrating."""
     X0_rows = np.atleast_2d(np.asarray(X0, dtype=float))
     if not np.all(np.isfinite(X0_rows)):
         raise TransportError("initial vector must be finite")
@@ -349,27 +352,24 @@ def transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None = None,
     if base_steps < 1:
         raise CurveError(f"transport needs at least one step, got {base_steps}")
     driver = _Driver(chart, curve, X0_rows.shape[0])
-    run = driver.integrate(X0_rows, base_steps)
-    factor = 1
-    for _ in range(max_halvings):
-        finer = driver.integrate(X0_rows, base_steps * factor * 2)
-        change = float(np.abs(finer[-1][-1] - run[-1][-1]).max())
-        run = finer
-        factor *= 2
-        if change < ENDPOINT_TOL:
-            break
-    else:
-        if max_halvings > 0:
-            raise TransportError(
-                f"transport did not converge: the endpoint vector still moved by "
-                f"{change:.3e} (tolerance {ENDPOINT_TOL:.0e}) at {base_steps * factor} steps")
-    taus, points, tangents, metrics, vectors = (arr[::factor] if factor > 1 else arr
-                                                for arr in run)
+    if check_start is not None:
+        check_start(*driver.start_data())
+
+    def endpoint_change(coarse, fine) -> float:
+        return float(np.abs(fine[-1][-1] - coarse[-1][-1]).max())
+
+    run = doubled(lambda steps: driver.integrate(X0_rows, steps), base_steps,
+                  endpoint_change, ENDPOINT_TOL, max_halvings)
+    if not run.converged:
+        raise TransportError(
+            f"transport did not converge: the endpoint vector still moved by "
+            f"{run.change:.3e} (tolerance {ENDPOINT_TOL:.0e}) at {run.steps} steps")
+    factor = run.steps // base_steps
+    taus, points, tangents, metrics, vectors = (arr[::factor] for arr in run.value)
     squeeze = np.asarray(X0, dtype=float).ndim == 1
     return TransportResult(taus=taus, points=points, tangents=tangents,
                            vectors=vectors[:, 0, :] if squeeze else vectors,
-                           metrics=metrics, epsilon=driver.epsilon,
-                           steps=taus.shape[0] - 1)
+                           metrics=metrics, epsilon=driver.epsilon, steps=base_steps)
 
 
 def fermi_frame(chart: ChartSpec, curve: CurveSpec, frame0,
@@ -379,14 +379,15 @@ def fermi_frame(chart: ChartSpec, curve: CurveSpec, frame0,
     n = chart.dim
     if frame0.shape != (n, n):
         raise TransportError(f"frame must be {n}x{n}")
-    driver = _Driver(chart, curve, n)
-    geom0, tangent0 = driver.start_data()
-    gram = frame0 @ geom0.g @ frame0.T
-    if float(np.abs(np.abs(gram) - np.eye(n)).max()) > 1e-6:
-        raise TransportError("frame0 is not orthonormal at the curve start")
-    if float(np.abs(frame0[-1] - tangent0).max()) > 1e-6:
-        raise TransportError("last frame vector must equal the curve tangent")
-    return transport(chart, curve, frame0, steps=steps)
+
+    def check_start(geom0, tangent0):
+        gram = frame0 @ geom0.g @ frame0.T
+        if float(np.abs(np.abs(gram) - np.eye(n)).max()) > 1e-6:
+            raise TransportError("frame0 is not orthonormal at the curve start")
+        if float(np.abs(frame0[-1] - tangent0).max()) > 1e-6:
+            raise TransportError("last frame vector must equal the curve tangent")
+
+    return _transport(chart, curve, frame0, steps, 6, check_start)
 
 
 def gram_drift(chart: ChartSpec, result: TransportResult) -> float:
@@ -397,52 +398,3 @@ def gram_drift(chart: ChartSpec, result: TransportResult) -> float:
     vectors = result.vectors if result.vectors.ndim == 3 else result.vectors[:, None, :]
     grams = vectors @ result.metrics @ vectors.transpose(0, 2, 1)
     return float(np.abs(grams - grams[0]).max())
-
-
-@dataclass
-class GeodesicPath:
-    taus: np.ndarray
-    points: np.ndarray
-    velocities: np.ndarray
-    norm_drift: float      # max over the path of | |g(x',x')| - |g(x',x')|_0 |
-
-
-def geodesic_integrate(chart: ChartSpec, p, v, length: float, steps: int) -> GeodesicPath:
-    """Shoot a unit-speed geodesic of the given parameter length (fixed-step RK4)."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    geom = geometry_at(chart, p, order=1)
-    q = geom.ip(v, v)
-    if abs(abs(q) - 1.0) > UNIT_TOL:
-        raise CurveError(f"geodesic start velocity is not unit: g(v,v) = {q!r}")
-    n = chart.dim
-    taus = np.linspace(0.0, length, steps + 1)
-    h = length / steps
-    points = np.empty((steps + 1, n))
-    velocities = np.empty((steps + 1, n))
-    points[0], velocities[0] = p, v
-    norms = np.empty(steps + 1)
-    norms[0] = abs(q)
-    state = np.concatenate([p, v])
-
-    def at(x):
-        _check_inside(chart, x)
-        return geometry_at(chart, x, order=1)
-
-    def rhs(state, geom=None):
-        x, vel = state[:n], state[n:]
-        geom = at(x) if geom is None else geom
-        return np.concatenate([vel, -np.einsum('kij,i,j->k', geom.gamma, vel, vel)])
-
-    _check_inside(chart, p)
-    for i in range(steps):
-        k1 = rhs(state, geom)      # geom is at state[:n], shared with the last norm
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        points[i + 1], velocities[i + 1] = state[:n], state[n:]
-        geom = at(state[:n])
-        norms[i + 1] = abs(geom.ip(state[n:], state[n:]))
-    return GeodesicPath(taus=taus, points=points, velocities=velocities,
-                        norm_drift=float(np.abs(norms - norms[0]).max()))

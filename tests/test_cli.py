@@ -119,6 +119,17 @@ def test_slice_flat_chart_reports_flat_sign(capsys):
     assert max(abs(s["k_hat"]) for s in doc["foliation"]["samples"]) < 1e-6
 
 
+def test_slice_quadrature_that_does_not_converge_exits_1(capsys, monkeypatch):
+    from rwcert import foliation
+
+    monkeypatch.setattr(foliation, "QUAD_TOL", 0.0)
+    monkeypatch.setattr(foliation, "QUAD_DEPTH", 2)
+    code, out, err = run_cli(["slice", "flrw_flat_linear", "--base", "2,0,0,0",
+                              "--tau-grid=-0.1,0,0.1", "--points", "8"], capsys)
+    assert code == 1
+    assert "quadrature did not converge" in err and "Traceback" not in err
+
+
 def test_slice_refuses_constant_curvature(capsys):
     code, out, err = run_cli(["slice", "minkowski", "--base", "0,0,0,0",
                               "--tau-grid", "0:1:0.5", "--points", "8"], capsys)

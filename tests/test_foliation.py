@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from rwcert import foliation
 from rwcert.foliation import (ClassificationError, DegeneracyError,
-                              FlowDomainError, loop_residual,
-                              same_slice_points, scale_factor_profile,
-                              second_fundamental_form_check, slice_curvature,
-                              time_value)
+                              FlowDomainError, FoliationError, flow_point,
+                              loop_residual, same_slice_points,
+                              scale_factor_profile, second_fundamental_form_check,
+                              slice_curvature, time_value)
+from rwcert.geometry import geometry_at, trace_invariants
 
 
 BASE = np.array([2.0, 0.0, 0.0, 0.0])
@@ -49,6 +51,18 @@ def test_loop_residual_small_and_point_loop(flrw):
         loop = [a, [b[0], a[1], a[2], a[3]], b, [a[0], b[1], b[2], b[3]], a]
         assert loop_residual(chart, cert, loop) < 1e-8
     assert loop_residual(chart, cert, [BASE]) == 0.0
+
+
+def test_quadrature_that_does_not_converge_raises(flrw, monkeypatch):
+    """At the bisection depth limit the quadrature raises instead of returning
+    an unconverged value, and same_slice_points does not redraw on it."""
+    chart, cert = flrw
+    monkeypatch.setattr(foliation, "QUAD_TOL", 0.0)
+    monkeypatch.setattr(foliation, "QUAD_DEPTH", 2)
+    with pytest.raises(FoliationError, match="quadrature did not converge"):
+        time_value(chart, cert, [3.0, 0.0, 0.0, 0.0], BASE)
+    with pytest.raises(FoliationError, match="quadrature did not converge"):
+        same_slice_points(chart, cert, BASE, 0.0, 1, rng=np.random.default_rng(0))
 
 
 def test_foliation_refuses_non_rw(charts, certificates):
@@ -151,6 +165,28 @@ def test_scale_factor_positive_and_normalized(flrw):
     assert (result.a > 0).all()
 
 
+def test_flow_point_is_plain_rk4(flrw):
+    """flow_point equals classic four-stage RK4 on dx/dtau = eps u / (h - eps f)
+    with max(16, ceil(128 |delta|)) steps, bit for bit."""
+    chart, cert = flrw
+    start, delta = np.array([2.0, 0.1, -0.2, 0.3]), -0.15
+    steps = 20
+
+    def rhs(x):
+        geom = geometry_at(chart, x, order=2)
+        f, h = trace_invariants(geom)
+        return cert.epsilon * geom.u / (h - geom.epsilon * f)
+
+    y, h = start, delta / steps
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(flow_point(chart, cert, start, delta), y)
+
+
 def test_flow_leaving_domain_raises(flrw):
     chart, cert = flrw
     with pytest.raises((FlowDomainError, DegeneracyError)):
@@ -160,8 +196,6 @@ def test_flow_leaving_domain_raises(flrw):
 def test_shear_coefficient_tracks_expansion_along_flow(charts, certificates, flrw):
     """The extrinsic-curvature coefficient must equal -(1/2) psi (h - eps f)
     along the flow, psi being d(log a^2)/dtau of the reconstruction."""
-    from rwcert.geometry import geometry_at, trace_invariants
-
     for cid in ("flrw_flat_linear", "flrw_open", "einstein_static"):
         chart = charts[cid]
         cert = certificates[cid]

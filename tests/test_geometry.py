@@ -8,7 +8,7 @@ from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError, eval_expr
 from rwcert.geometry import (DegenerateMetricError, DegeneratePlaneError,
                              OutsideDomainError, UnitVectorError, adapted_frame,
-                             covariant_derivative_u, geometry_at,
+                             geometry_at,
                              metric_compatibility_residual,
                              riemann_symmetry_residuals, second_bianchi_residual,
                              sectional_curvature, trace_invariants)
@@ -127,13 +127,14 @@ def test_adapted_frame_deterministic(charts):
 
 
 def test_covariant_derivative_u_examples(charts):
-    nabla, accel = covariant_derivative_u(charts["minkowski"], [0.0, 0.0, 0.0, 0.0])
+    geom = geometry_at(charts["minkowski"], [0.0, 0.0, 0.0, 0.0], order=2)
+    nabla, accel = geom.nabla_u(), geom.acceleration()
     assert np.abs(nabla).max() == 0.0 and np.abs(accel).max() == 0.0
 
     chart = charts["flrw_flat_linear"]
     point = [2.0, 0.1, 0.2, 0.3]
     geom = geometry_at(chart, point)
-    nabla, accel = covariant_derivative_u(chart, point)
+    nabla, accel = geom.nabla_u(), geom.acceleration()
     assert np.abs(accel).max() < 1e-14
     frame = adapted_frame(geom, rng=np.random.default_rng(2))
     for e in frame.spatial:
@@ -145,7 +146,7 @@ def test_schwarzschild_static_acceleration(charts):
     chart = charts["schwarzschild_static_observer"]
     point = [0.0, 10.0, 1.2, 0.7]
     geom = geometry_at(chart, point)
-    _, accel = covariant_derivative_u(chart, point)
+    accel = geom.acceleration()
     norm = np.sqrt(geom.ip(accel, accel))
     # closed form M / (r^2 sqrt(1 - 2M/r)) at M=1, r=10
     assert norm == pytest.approx(1.0 / (100.0 * np.sqrt(0.8)), abs=1e-8)

@@ -75,14 +75,6 @@ def test_tan_pole_rejected():
         jets.tan(Jet3.constant(math.pi / 2, 1))
 
 
-def test_named_combine_dispatch():
-    a, b = Jet3.variable(0, 3.0, 1), Jet3.constant(2.0, 1)
-    assert jets.combine("add", a, b).value == 5.0
-    assert jets.combine("mul", a, b).grad[0] == 2.0
-    with pytest.raises(ValueError):
-        jets.combine("mod", a, b)
-
-
 def test_exp_of_square_matches_finite_differences():
     node = parse_expr("exp(x^2)", ["x"], ())
     jet = eval_expr(node, {"x": Jet3.variable(0, 1.0, 1)}, {})

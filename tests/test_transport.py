@@ -5,8 +5,7 @@ import pytest
 
 from rwcert.geometry import adapted_frame, geometry_at
 from rwcert.transport import (CurveError, CurveSpec, TransportError,
-                              fermi_derivative, fermi_frame, geodesic_integrate,
-                              gram_drift, transport)
+                              fermi_derivative, fermi_frame, gram_drift, transport)
 
 
 def test_fermi_derivative_of_u_vanishes(charts):
@@ -132,13 +131,24 @@ def test_fermi_frame_validation(charts):
         fermi_frame(chart, curve, skewed, steps=10)
 
 
+def _geodesic(chart, p, v, length, steps):
+    """One fixed-step run along the geodesic from p with velocity v, carrying v."""
+    return transport(chart, CurveSpec.geodesic(p, v, t1=length), v, steps=steps,
+                     max_halvings=0)
+
+
+def _norm_drift(result) -> float:
+    """max | |g(x',x')| - |g(x',x')|_0 | over the rows of a geodesic table."""
+    norms = np.abs([t @ g @ t for t, g in zip(result.tangents, result.metrics)])
+    return float(np.abs(norms - norms[0]).max())
+
+
 def test_geodesic_straight_in_minkowski(charts):
-    path = geodesic_integrate(charts["minkowski"], [0, 0, 0, 0],
-                              [1.0, 0, 0, 0], 2.0, 50)
+    path = _geodesic(charts["minkowski"], [0, 0, 0, 0], [1.0, 0, 0, 0], 2.0, 50)
     expected = np.zeros((51, 4))
     expected[:, 0] = path.taus
     assert np.abs(path.points - expected).max() < 1e-12
-    assert path.norm_drift == 0.0
+    assert _norm_drift(path) == 0.0
 
 
 def test_sphere_great_circle_closes(sphere_chart):
@@ -147,10 +157,10 @@ def test_sphere_great_circle_closes(sphere_chart):
     start = [np.pi / 2, 0.5]
     velocity = [0.0, 0.5]       # |g(v,v)| = R^2 sin^2(theta) * 0.25 = 1
     length = 2 * np.pi * 2.0
-    path = geodesic_integrate(sphere_chart, start, velocity, length, 1500)
+    path = _geodesic(sphere_chart, start, velocity, length, 1500)
     assert abs(path.points[-1][0] - start[0]) < 1e-6
     assert abs(path.points[-1][1] - start[1] - 2 * np.pi) < 1e-6
-    assert path.norm_drift < 1e-8
+    assert _norm_drift(path) < 1e-8
 
 
 def test_schwarzschild_radial_infall_norm_conserved(charts):
@@ -158,8 +168,8 @@ def test_schwarzschild_radial_infall_norm_conserved(charts):
     # drop from rest at infinity, E = 1: tdot = 1/A, rdot = -sqrt(2M/r)
     r0 = 10.0
     velocity = [1.0 / (1.0 - 2.0 / r0), -np.sqrt(2.0 / r0), 0.0, 0.0]
-    path = geodesic_integrate(chart, [0.0, r0, 1.2, 0.7], velocity, 2.0, 400)
-    assert path.norm_drift < 1e-8
+    path = _geodesic(chart, [0.0, r0, 1.2, 0.7], velocity, 2.0, 400)
+    assert _norm_drift(path) < 1e-8
     assert path.points[-1][1] < r0   # actually falling
 
 
@@ -350,13 +360,14 @@ def test_transport_raises_when_halvings_do_not_converge(charts):
     with pytest.raises(TransportError, match="did not converge"):
         transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2,
                   max_halvings=1)
-    fixed = transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2,
-                      max_halvings=0)
-    assert fixed.steps == 2
+    for max_halvings in (0, -1):      # no doubling: one fixed-step run
+        fixed = transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2,
+                          max_halvings=max_halvings)
+        assert fixed.steps == 2
 
 
-def test_geodesic_integrate_reuses_the_row_geometry(charts, monkeypatch):
-    """The geometry of each new row gives its norm and the next k1: one
+def test_geodesic_transport_reuses_the_row_geometry(charts, monkeypatch):
+    """The geometry of each new row gives its metric and the next k1: one
     evaluation for the start, four per step, and the path of plain RK4."""
     chart = charts["schwarzschild_static_observer"]
     r0 = 10.0
@@ -364,7 +375,7 @@ def test_geodesic_integrate_reuses_the_row_geometry(charts, monkeypatch):
     velocity = np.array([1.0 / (1.0 - 2.0 / r0), -np.sqrt(2.0 / r0), 0.0, 0.0])
     steps = 20
     calls = _count_geometry(monkeypatch)
-    path = geodesic_integrate(chart, start, velocity, 2.0, steps)
+    path = _geodesic(chart, start, velocity, 2.0, steps)
     assert len(calls) == 1 + 4 * steps
     monkeypatch.undo()
 
@@ -381,6 +392,24 @@ def test_geodesic_integrate_reuses_the_row_geometry(charts, monkeypatch):
         k4 = rhs(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert np.array_equal(path.points[i + 1], state[:4])
-        assert np.array_equal(path.velocities[i + 1], state[4:])
+        assert np.array_equal(path.tangents[i + 1], state[4:])
         norms.append(abs(geometry_at(chart, state[:4], order=1).ip(state[4:], state[4:])))
-    assert path.norm_drift == float(np.abs(np.array(norms) - norms[0]).max())
+    assert _norm_drift(path) == float(np.abs(np.array(norms) - norms[0]).max())
+
+
+def test_fermi_frame_builds_one_driver(charts, monkeypatch):
+    """fermi_frame checks the frame at the start point of the driver it
+    integrates with, so it evaluates exactly as often as transport()."""
+    chart = charts["minkowski"]
+    curve = CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"], t1=1.0)
+    frame0 = np.array([[0.0, 1.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, 0.0],
+                       [0.0, 0.0, 0.0, 1.0],
+                       [1.0, 0.0, 0.0, 0.0]])
+    calls = _count_geometry(monkeypatch)
+    framed = fermi_frame(chart, curve, frame0, steps=10)
+    frame_calls = len(calls)
+    calls.clear()
+    plain = transport(chart, curve, frame0, steps=10)
+    assert frame_calls == len(calls)
+    assert np.array_equal(framed.vectors, plain.vectors)
