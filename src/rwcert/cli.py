@@ -136,7 +136,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--exprs", default=None,
                            help="explicit curve components, comma-separated expressions")
             p.add_argument("--param", default="s", help="explicit curve parameter name")
-            p.add_argument("--range", default="0,1", dest="param_range",
+            p.add_argument("--range", default="0,1",
                            help="parameter range 't0,t1' (default 0,1)")
             p.add_argument("--x0", required=True, help="vector to transport")
             p.add_argument("--steps", type=int, default=None,
@@ -260,7 +260,7 @@ def cmd_slice(args) -> int:
 
 
 def _curve_from_args(args, chart: ChartSpec) -> tuple[CurveSpec, dict]:
-    t0, t1 = _floats(args.param_range, "--range", 2)
+    t0, t1 = _floats(args.range, "--range", 2)
     desc: dict = {"kind": args.curve, "range": [t0, t1]}
     if args.curve == "u":
         if args.start is None:

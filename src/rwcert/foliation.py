@@ -25,8 +25,8 @@ import numpy as np
 
 from .certify import Certificate, DEFAULT_TOL_MARGIN
 from .chart import ChartSpec
-from .geometry import (OutsideDomainError, geometry_at, trace_invariant_gradients,
-                       trace_invariants)
+from .geometry import (OutsideDomainError, adapted_frame, geometry_at,
+                       trace_invariant_gradients, trace_invariants)
 from .integrate import doubled, rk4
 
 QUAD_TOL = 1e-10          # Gauss-Legendre segment bisection threshold
@@ -122,23 +122,9 @@ def _gl8(chart, a, b, tol_margin) -> float:
     return total
 
 
-def time_value(chart: ChartSpec, certificate: Certificate, p, base,
-               path=None) -> float:
-    """Line integral of omega from `base` to `p` (t(base) = 0).
-
-    `path` is an optional polyline visiting intermediate points; by default the
-    straight coordinate segment is used.  Exactness of omega makes the result
-    path independent for certified charts.
-    """
+def _polyline_integral(chart: ChartSpec, certificate: Certificate, vertices) -> float:
+    """Line integral of omega along a polyline whose vertices lie in the domain."""
     require_locally_rw(chart, certificate)
-    base = np.asarray(base, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if path is None:
-        vertices = [base, p]
-    else:
-        vertices = [np.asarray(q, dtype=float) for q in path]
-        if not np.allclose(vertices[0], base) or not np.allclose(vertices[-1], p):
-            raise FoliationError("path must run from base to p")
     for q in vertices:
         if not chart.contains(q):
             raise FlowDomainError(f"path vertex {q.tolist()} outside the chart domain")
@@ -150,20 +136,31 @@ def time_value(chart: ChartSpec, certificate: Certificate, p, base,
     return total
 
 
+def time_value(chart: ChartSpec, certificate: Certificate, p, base,
+               path=None) -> float:
+    """Line integral of omega from `base` to `p` (t(base) = 0).
+
+    `path` is an optional polyline visiting intermediate points; by default the
+    straight coordinate segment is used.  Exactness of omega makes the result
+    path independent for certified charts.
+    """
+    base = np.asarray(base, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if path is None:
+        vertices = [base, p]
+    else:
+        vertices = [np.asarray(q, dtype=float) for q in path]
+        if not np.allclose(vertices[0], base) or not np.allclose(vertices[-1], p):
+            raise FoliationError("path must run from base to p")
+    return _polyline_integral(chart, certificate, vertices)
+
+
 def loop_residual(chart: ChartSpec, certificate: Certificate, loop) -> float:
-    """|closed line integral of omega| around a polyline loop."""
-    require_locally_rw(chart, certificate)
+    """|closed line integral of omega| around a polyline loop (0.0 for one point)."""
     vertices = [np.asarray(q, dtype=float) for q in loop]
-    if len(vertices) < 2 or not np.allclose(vertices[0], vertices[-1]):
-        if len(vertices) == 1:
-            return 0.0
+    if not vertices or not np.allclose(vertices[0], vertices[-1]):
         raise FoliationError("loop must be closed (first and last points equal)")
-    total = 0.0
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        if np.array_equal(a, b):
-            continue
-        total += _segment_integral(chart, a, b, certificate.tol_margin)
-    return abs(total)
+    return abs(_polyline_integral(chart, certificate, vertices))
 
 
 # -- slice data -----------------------------------------------------------------
@@ -184,8 +181,6 @@ def second_fundamental_form_check(chart: ChartSpec, point,
     compares that coefficient against -eps g(x, nabla_y u) over the spatial
     frame, relative to the local curvature scale.
     """
-    from .geometry import adapted_frame  # local import to avoid cycle at module load
-
     geom, f, h, eps, margin, dh_u = _scalars(chart, point, tol_margin)
     coefficient = eps * dh_u / (2.0 * margin)
     frame = adapted_frame(geom, rng=np.random.default_rng(0))

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
 from .chart import ChartSpec
 from .jets import Jet3
 
@@ -138,14 +137,12 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     dg = np.zeros((n, n, n))
     d2g = np.zeros((n, n, n, n)) if order >= 2 else None
     d3g = np.zeros((n, n, n, n, n)) if order >= 3 else None
-    metric_jets: dict[tuple[int, int], Jet3] = {}
     # an overflowing chart leaves inf or nan, which is rejected below as a
     # degenerate point; numpy's warnings about it would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for i, j, program in programs.metric_varying:
                 jet = program(env)
-                metric_jets[i, j] = jet
                 g[i, j] = g[j, i] = jet.value
                 dg[:, i, j] = dg[:, j, i] = jet.grad
                 if order >= 2:
@@ -201,28 +198,22 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
 
     u = programs.u_constant.copy()
     du = np.zeros((n, n))
-    u_jets: list[Jet3 | None] = [None] * n
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k, program in programs.u_varying:
                 jet = program(env)
-                u_jets[k] = jet
                 u[k] = jet.value
                 du[:, k] = jet.grad
         except OverflowError as err:
             raise _overflow(point, "u", err) from err
         if chart.normalize_u:
-            # rescale the whole field in jet arithmetic so du matches the unit field
-            full_jets = [uj if uj is not None else Jet3.constant(u[k], n, order)
-                         for k, uj in enumerate(u_jets)]
-            q_jet = _metric_square(metric_jets, full_jets, g, n, order)
-            if abs(q_jet.value) < 1e-12:
-                raise UnitVectorError(f"cannot normalize a near-null u (g(u,u) = {q_jet.value:.3e})")
-            absq = q_jet if q_jet.value > 0 else -q_jet
-            rescale = jets.pow_const(absq, -0.5)
-            full_jets = [uj * rescale for uj in full_jets]
-            u = np.array([uj.value for uj in full_jets])
-            du = np.stack([uj.grad for uj in full_jets], axis=1)
+            # u / sqrt|q| with q = g(u,u); du follows from d_l q = d_l g(u,u) + 2 g(d_l u, u)
+            q = float(u @ g @ u)
+            if abs(q) < 1e-12:
+                raise UnitVectorError(f"cannot normalize a near-null u (g(u,u) = {q:.3e})")
+            dq = np.einsum('lab,a,b->l', dg, u, u) + 2.0 * (du @ (g @ u))
+            root = np.sqrt(abs(q))
+            u, du = u / root, du / root - np.outer(0.5 * dq / (q * root), u)
         _require_finite(point, "u", u, du)
     u_norm2 = float(u @ g @ u)
 
@@ -251,25 +242,6 @@ def _require_finite(point: np.ndarray, what: str, *arrays) -> None:
 def _overflow(point: np.ndarray, what: str, err: OverflowError) -> DegenerateMetricError:
     """Python float powers inside the jets raise where numpy would give inf."""
     return DegenerateMetricError(f"{what} overflows at {point.tolist()}: {err}")
-
-
-def _metric_square(metric_jets, u_jets, g, n: int, order: int) -> Jet3:
-    """g(u, u) as a jet (only needed on the normalize_u path)."""
-    total = None
-    for i in range(n):
-        for j in range(i, n):
-            entry = metric_jets.get((i, j))
-            if entry is None:                      # constant metric entry
-                if g[i, j] == 0.0:
-                    continue
-                entry = Jet3.constant(g[i, j], n, order)
-            term = entry * u_jets[i] * u_jets[j]
-            if i != j:
-                term = 2.0 * term
-            total = term if total is None else total + term
-    if total is None:
-        raise DegenerateMetricError("metric is identically zero")
-    return total
 
 
 def sectional_curvature(geom: PointGeometry, v, w) -> float:

@@ -316,11 +316,3 @@ ELEMENTARY = {
     "sinh": sinh, "cosh": cosh, "tanh": tanh,
     "exp": exp, "ln": ln, "sqrt": sqrt,
 }
-
-
-def elementary(fn: str, a: Jet3) -> Jet3:
-    try:
-        impl = ELEMENTARY[fn]
-    except KeyError:
-        raise ValueError(f"unknown elementary function {fn!r}") from None
-    return impl(a)

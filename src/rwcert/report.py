@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .certify import RESIDUAL_KEYS, Certificate
-from .foliation import FoliationResult
+from .foliation import FLAT_BAND, FLOW_A_TOL, QUAD_TOL, SLICE_TOL, FoliationResult
 
 REPORT_VERSION = 1
 _TRANSPORT_TABLE_ROWS = 33
@@ -98,8 +98,6 @@ def certificate_payload(cert: Certificate) -> dict:
 
 
 def foliation_payload(result: FoliationResult) -> dict:
-    from .foliation import FLAT_BAND, FLOW_A_TOL, QUAD_TOL, SLICE_TOL
-
     return {
         "base_point": [float(x) for x in result.base_point],
         "epsilon": result.epsilon,

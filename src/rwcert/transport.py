@@ -11,8 +11,11 @@ rejected: the eps-weighted decomposition behind the law needs |g(u,u)| = 1.
 
 Curves come in three kinds: integral curves of the chart's u field, explicit
 coordinate expressions of one parameter, and geodesics shot from a point.
-Explicit curves must be unit speed; a sub-percent violation is repaired by
-arclength resampling, anything larger is an error.
+Every curve is integrated in its own parameter.  Explicit curves should be
+unit speed; within a sub-percent speed error v = |g(c',c')|^1/2 the tangent
+and acceleration are normalized pointwise and the transport rate is scaled
+by v (D_{c'} X = v D_u X, so the transported field does not depend on the
+parametrization); a larger error is rejected.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from .integrate import doubled, rk4
 from .jets import Jet3
 
 UNIT_SPEED_TOL = 1e-6
-REPARAM_LIMIT = 1e-2       # relative speed error fixable by resampling
+REPARAM_LIMIT = 1e-2       # relative speed error fixable by pointwise normalization
 ENDPOINT_TOL = 1e-8        # step-halving convergence on the transported vector
 _SPEED_SAMPLES = 65
-_TABLE_SIZE = 8193
 
 
 class TransportError(ValueError):
@@ -117,13 +119,13 @@ class TransportResult:
 # -- curve engines -----------------------------------------------------------------
 
 class _ExplicitCurve:
-    """Point/tangent/acceleration of an explicit curve, with optional arclength
-    reparametrization stacked on top once validation demands it."""
+    """Point, unit tangent and acceleration of an explicit curve in its own
+    parameter, normalized pointwise once validation finds a mild speed error."""
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec):
         self.chart = chart
         self.curve = curve
-        self.table = None   # (sigma grid, tau grid) once resampled
+        self.normalize = False
         self.programs = compile_exprs(curve.exprs, {},
                                       curve.expr_texts or [""] * len(curve.exprs))
         self._validate()
@@ -153,18 +155,18 @@ class _ExplicitCurve:
         return x, xdot, xddot, geom, geom.ip(xdot, xdot)
 
     def state(self, tau: float):
-        """(x, unit tangent, acceleration nabla_u u, geom) at parameter tau."""
-        if self.table is not None:
-            tau = self._tau_of_sigma(tau)
+        """(x, unit tangent, acceleration nabla_u u, geom, speed v) at parameter
+        tau; v is 1.0 on a unit-speed curve."""
         x, xdot, xddot, geom, w = self._speed(tau)
-        if self.table is not None:
+        v = 1.0
+        if self.normalize:
             v = np.sqrt(abs(w))
             wdot = (np.einsum('mab,m,a,b->', geom.dg, xdot, xdot, xdot)
                     + 2.0 * geom.ip(xddot, xdot))
             vdot = wdot / (2.0 * v) * (1.0 if w > 0 else -1.0)
             xdot, xddot = xdot / v, xddot / v**2 - xdot * vdot / v**3
         accel = xddot + np.einsum('kij,i,j->k', geom.gamma, xdot, xdot)
-        return x, xdot, accel, geom
+        return x, xdot, accel, geom, v
 
     def _validate(self):
         taus = np.linspace(self.curve.t0, self.curve.t1, _SPEED_SAMPLES)
@@ -176,31 +178,11 @@ class _ExplicitCurve:
                     f"curve is null or nearly null at tau = {tau}: g(c',c') = {w!r}")
             speeds.append(np.sqrt(abs(w)))
         err = float(np.abs(np.array(speeds) - 1.0).max())
-        if err <= UNIT_SPEED_TOL:
-            return
         if err > REPARAM_LIMIT:
             raise CurveError(
                 f"curve is not unit speed (max | |g(c',c')|^1/2 - 1 | = {err:.3e}); "
-                f"violations above {REPARAM_LIMIT:.0%} are not resampled")
-        self._build_table()
-
-    def _build_table(self):
-        taus = np.linspace(self.curve.t0, self.curve.t1, _TABLE_SIZE)
-        speeds = np.empty(_TABLE_SIZE)
-        for i, tau in enumerate(taus):
-            speeds[i] = np.sqrt(abs(self._speed(tau)[4]))
-        dtau = taus[1] - taus[0]
-        sigma = np.concatenate([[0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * dtau)])
-        self.table = (sigma, taus)
-
-    def _tau_of_sigma(self, sigma: float) -> float:
-        grid_sigma, grid_tau = self.table
-        return float(np.interp(sigma, grid_sigma, grid_tau))
-
-    def param_range(self) -> tuple[float, float]:
-        if self.table is None:
-            return self.curve.t0, self.curve.t1
-        return 0.0, float(self.table[0][-1])
+                f"violations above {REPARAM_LIMIT:.0%} are not normalized")
+        self.normalize = err > UNIT_SPEED_TOL
 
 
 def _check_inside(chart: ChartSpec, x):
@@ -217,9 +199,10 @@ def _transport_rhs(geom: PointGeometry, U, A, Xs, eps: float) -> np.ndarray:
 
 
 class _Driver:
-    """Joint ODE for the curve state and the transported rows.
+    """Joint ODE for the curve state and the transported rows, in the curve's
+    own parameter over [curve.t0, curve.t1].
 
-    The context (x, tangent, acceleration, geom) of the last curve point
+    The context (x, tangent, acceleration, geom, speed) of the last curve point
     evaluated is kept in a one-entry memo, keyed by tau on explicit curves
     (their context does not depend on the state) and by the exact position
     otherwise.  A table row and the next step's k1 share one evaluation, and
@@ -231,24 +214,21 @@ class _Driver:
         self.chart = chart
         self.curve = curve
         self.rows = rows
-        self._memo = None   # (key, (x, U, A, geom)) of the last point evaluated
+        self._memo = None   # (key, (x, U, A, geom, speed)) of the last point evaluated
         n = chart.dim
         if curve.kind == "explicit":
             if curve.exprs is None or len(curve.exprs) != n:
                 raise CurveError(f"explicit curve needs {n} component expressions")
             self.engine = _ExplicitCurve(chart, curve)
-            self.lo, self.hi = self.engine.param_range()
             self.head = 0
         elif curve.kind == "u_integral":
             if curve.start is None or len(curve.start) != n:
                 raise CurveError("integral-curve transport needs a start point")
-            self.lo, self.hi = curve.t0, curve.t1
             self.head = n
         elif curve.kind == "geodesic":
             if (curve.start is None or curve.velocity is None
                     or len(curve.start) != n or len(curve.velocity) != n):
                 raise CurveError("geodesic transport needs a start point and velocity")
-            self.lo, self.hi = curve.t0, curve.t1
             self.head = 2 * n
         else:
             raise CurveError(f"unknown curve kind {curve.kind!r}")
@@ -261,7 +241,7 @@ class _Driver:
     def start_data(self):
         """(geom, tangent) at the start of the curve."""
         state = self.initial_state(np.zeros((self.rows, self.chart.dim)))
-        _, U, _, geom = self._context(self.lo, state)
+        _, U, _, geom, _ = self._context(self.curve.t0, state)
         if self.curve.kind == "u_integral" and abs(abs(geom.u_norm2) - 1.0) > 1e-6:
             raise CurveError(f"chart u is not unit at the start: g(u,u) = {geom.u_norm2!r}")
         return geom, U
@@ -277,7 +257,9 @@ class _Driver:
                                X0_rows.ravel()])
 
     def _context(self, tau: float, state: np.ndarray):
-        """(x, tangent, acceleration, geom) at the current integration point."""
+        """(x, unit tangent, acceleration, geom, speed) at the current
+        integration point; the speed is 1.0 except on a normalized explicit
+        curve."""
         n = self.chart.dim
         if self.curve.kind == "explicit":
             if self._memo is None or self._memo[0] != tau:
@@ -289,18 +271,18 @@ class _Driver:
             geom = geometry_at(self.chart, x, order=1)
             x = x.copy()
             A = geom.acceleration() if self.curve.kind == "u_integral" else np.zeros(n)
-            self._memo = (x, (x, geom.u, A, geom))
-        x, U, A, geom = self._memo[1]
+            self._memo = (x, (x, geom.u, A, geom, 1.0))
+        x, U, A, geom, speed = self._memo[1]
         if self.curve.kind == "geodesic":
             U = state[n:2 * n]
-        return x, U, A, geom
+        return x, U, A, geom, speed
 
     def rhs(self, tau: float, state: np.ndarray) -> np.ndarray:
-        x, U, A, geom = self._context(tau, state)
+        x, U, A, geom, speed = self._context(tau, state)
         Xs = state[self.head:].reshape(self.rows, self.chart.dim)
         dX = _transport_rhs(geom, U, A, Xs, self.epsilon).ravel()
         if self.curve.kind == "explicit":
-            return dX
+            return dX if speed == 1.0 else speed * dX       # D_{c'} X = v D_u X
         if self.curve.kind == "u_integral":
             return np.concatenate([U, dX])
         dv = -np.einsum('kij,i,j->k', geom.gamma, U, U)
@@ -308,12 +290,12 @@ class _Driver:
 
     def observe(self, tau: float, state: np.ndarray):
         """Position, tangent, metric and transported rows of one table row."""
-        x, U, _, geom = self._context(tau, state)
+        x, U, _, geom, _ = self._context(tau, state)
         return x, U, geom.g, state[self.head:].reshape(self.rows, self.chart.dim)
 
     def integrate(self, X0_rows: np.ndarray, steps: int):
         n = self.chart.dim
-        taus = np.linspace(self.lo, self.hi, steps + 1)
+        taus = np.linspace(self.curve.t0, self.curve.t1, steps + 1)
         points = np.empty((steps + 1, n))
         tangents = np.empty((steps + 1, n))
         metrics = np.empty((steps + 1, n, n))
@@ -324,7 +306,7 @@ class _Driver:
 
         state = self.initial_state(X0_rows)
         row(0, taus[0], state)
-        rk4(self.rhs, state, self.lo, self.hi, steps, row)
+        rk4(self.rhs, state, self.curve.t0, self.curve.t1, steps, row)
         return taus, points, tangents, metrics, vectors
 
 

@@ -151,6 +151,18 @@ def test_transport_minkowski_geodesic(capsys):
     assert last["vectors"] == [0.0, 1.0, 0.0, 0.0]
 
 
+def test_transport_table_runs_in_the_curve_parameter(capsys):
+    """A curve 0.2% off unit speed is transported in its own parameter: the
+    last table row sits at the end of --range, as the report's curve says."""
+    code, out, _ = run_cli(["transport", "minkowski", "--curve", "explicit",
+                            "--exprs", "s+0.002*sin(s),0.3,0,0", "--range", "0,2",
+                            "--x0", "0,1,0,0", "--steps", "64"], capsys)
+    assert code == 0
+    doc = json.loads(out)["transport"]
+    assert doc["curve"]["range"] == [0, 2]
+    assert doc["table"][-1]["tau"] == 2.0
+
+
 def test_transport_rindler_pass(capsys):
     code, out, _ = run_cli(["transport", "minkowski", "--curve", "explicit",
                             "--exprs", "sinh(s),cosh(s),0,0", "--x0", "0,1,0,0",

@@ -221,3 +221,12 @@ def test_same_slice_points_land_on_slice(charts, certificates):
     for p in points:
         assert abs(time_value(chart, cert, p, base) - 0.02) < 1e-8
         assert chart.contains(p)
+
+
+def test_loop_vertex_outside_domain_raises(flrw):
+    """A loop vertex outside the domain is refused before any quadrature, as a
+    time_value path vertex is."""
+    chart, cert = flrw
+    outside = [10.0, 0.0, 0.0, 0.0]
+    with pytest.raises(FlowDomainError, match="outside the chart domain"):
+        loop_residual(chart, cert, [BASE, outside, BASE])

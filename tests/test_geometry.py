@@ -275,3 +275,26 @@ def test_domain_error_in_constant_entry_is_raised_per_point():
     with pytest.raises(EvalDomainError) as err:
         geometry_at(chart, [7.0, 0.0, 0.0, 0.0])
     assert err.value.span == (4, 10)
+
+
+def test_normalize_u_gives_unit_u_and_matching_du():
+    """On a normalize_u chart with a varying, non-unit u, u is unit and du is
+    the derivative of the normalized field (central differences of u); a
+    null u cannot be normalized."""
+    doc = catalog.get_entry("flrw_open").document
+    chart = chart_from_dict(dict(doc, name="scaled_u", options={"normalize_u": True},
+                                 u=["2 + 0.1*chi*theta", "0.1*t*sin(phi)", "0.05*chi", "0"]))
+    h = 1e-5
+    for point in domain_points(chart, 5, seed=17):
+        geom = geometry_at(chart, point, order=1)
+        assert abs(abs(geom.ip(geom.u, geom.u)) - 1.0) < 1e-12
+        for l in range(chart.dim):
+            step = h * np.eye(chart.dim)[l]
+            central = (geometry_at(chart, point + step, order=1).u
+                       - geometry_at(chart, point - step, order=1).u) / (2.0 * h)
+            assert np.abs(geom.du[l] - central).max() < 1e-8
+
+    null = chart_from_dict(dict(doc, name="null_u", options={"normalize_u": True},
+                                u=["1", "1/(2 + 0.1*t^2)", "0", "0"]))
+    with pytest.raises(UnitVectorError, match="near-null"):
+        geometry_at(null, [1.0, 1.0, 1.2, 1.0], order=1)

@@ -49,14 +49,21 @@ def test_minkowski_geodesic_transport_constant(charts):
 
 
 def test_rindler_transport_matches_boost(charts):
-    """Along (sinh s, cosh s, 0, 0) the Fermi frame is the instantaneous boost:
-    X0 = d_x maps to (sinh s, cosh s, 0, 0)."""
-    curve = CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"], t0=0.0, t1=1.0)
-    result = transport(charts["minkowski"], curve, np.array([0.0, 1.0, 0.0, 0.0]),
-                       steps=400)
-    for tau, vec in zip(result.taus[::80], result.vectors[::80]):
-        assert np.abs(vec - [np.sinh(tau), np.cosh(tau), 0, 0]).max() < 1e-8
-    assert gram_drift(charts["minkowski"], result) < 1e-8
+    """Along (sinh ks, cosh ks, 0, 0) the Fermi frame is the instantaneous boost
+    by rapidity k tau: X0 = d_x maps to (sinh k tau, cosh k tau, 0, 0).  At
+    k = 1.004 the curve is 0.4% off unit speed, is transported in its own
+    parameter, and the rows stay on the curve's tau grid."""
+    x0 = np.array([0.3, 1.0, -0.2, 0.5])
+    for k in (1.0, 1.004):
+        curve = CurveSpec.explicit([f"sinh({k}*s)", f"cosh({k}*s)", "0", "0"],
+                                   t0=0.0, t1=1.0)
+        result = transport(charts["minkowski"], curve, x0, steps=400)
+        assert np.array_equal(result.taus, np.linspace(0.0, 1.0, 401))
+        for tau, vec in zip(result.taus, result.vectors):
+            ch, sh = np.cosh(k * tau), np.sinh(k * tau)
+            boosted = [x0[0] * ch + x0[1] * sh, x0[0] * sh + x0[1] * ch, x0[2], x0[3]]
+            assert np.abs(vec - boosted).max() < 1e-10, (k, tau)
+        assert gram_drift(charts["minkowski"], result) < 1e-8
 
 
 def test_plane_circle_fermi_rotation(plane_chart):
@@ -188,8 +195,8 @@ def test_null_curve_rejected(charts):
 
 
 def test_mild_speed_violation_resampled(plane_chart):
-    """0.2% speed wobble is repaired by arclength resampling; the transported
-    result still conserves inner products."""
+    """A 0.2% speed wobble is normalized pointwise: the tangents are unit and
+    the transported result still conserves inner products."""
     curve = CurveSpec.explicit(["s + 0.002*sin(s)", "0.3"], t0=0.0, t1=1.0)
     result = transport(plane_chart, curve, np.array([0.0, 1.0]), steps=100)
     assert gram_drift(plane_chart, result) < 1e-8
@@ -264,15 +271,18 @@ def test_geodesic_observe_needs_no_geometry(charts, monkeypatch):
 
 def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
     """k2 and k3 share one tau, and k4, the next row and the next k1 share
-    another; the start cost is the unit-speed validation plus the start data."""
+    another; the start cost is the unit-speed validation plus the start data.
+    A curve with a mild speed error costs the same: it is normalized pointwise,
+    with no extra evaluations."""
     from rwcert.transport import _SPEED_SAMPLES
 
     calls = _count_geometry(monkeypatch)
-    curve = CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"], t0=0.0, t1=1.0)
     steps = 10
-    transport(charts["minkowski"], curve, [0.0, 1.0, 0.0, 0.0], steps=steps,
-              max_halvings=0)
-    assert len(calls) == _SPEED_SAMPLES + 1 + 2 * steps
+    for exprs in (["sinh(s)", "cosh(s)", "0", "0"], ["s + 0.002*sin(s)", "0.3", "0", "0"]):
+        calls.clear()
+        transport(charts["minkowski"], CurveSpec.explicit(exprs, t0=0.0, t1=1.0),
+                  [0.0, 1.0, 0.0, 0.0], steps=steps, max_halvings=0)
+        assert len(calls) == _SPEED_SAMPLES + 1 + 2 * steps, exprs
 
 
 def test_comoving_u_curve_evaluates_two_per_step(charts, monkeypatch):
