@@ -282,7 +282,7 @@ class _Driver:
         Xs = state[self.head:].reshape(self.rows, self.chart.dim)
         dX = _transport_rhs(geom, U, A, Xs, self.epsilon).ravel()
         if self.curve.kind == "explicit":
-            return dX if speed == 1.0 else speed * dX       # D_{c'} X = v D_u X
+            return speed * dX       # D_{c'} X = v D_u X
         if self.curve.kind == "u_integral":
             return np.concatenate([U, dX])
         dv = -np.einsum('kij,i,j->k', geom.gamma, U, U)

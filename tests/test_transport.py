@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwcert.geometry import adapted_frame, geometry_at
-from rwcert.transport import (CurveError, CurveSpec, TransportError,
+from rwcert.transport import (CurveError, CurveSpec, TransportError, _ExplicitCurve,
                               fermi_derivative, fermi_frame, gram_drift, transport)
 
 
@@ -205,6 +205,41 @@ def test_mild_speed_violation_resampled(plane_chart):
         geom = geometry_at(plane_chart, result.points[i], order=1)
         speeds.append(geom.ip(result.tangents[i], result.tangents[i]))
     assert np.abs(np.array(speeds) - 1.0).max() < 1e-6
+
+
+_CURVED_MILD = [
+    ("einstein_static", ["s + 0.004*sin(s)", "1 + 0.03*s", "1.2", "1.5"]),
+    ("flrw_open", ["1 + s + 0.002*sin(2*s)", "1", "1.2 + 0.015*s", "1"]),
+]
+
+
+@pytest.mark.parametrize("name, exprs", _CURVED_MILD)
+def test_normalized_curve_carries_its_tangent_in_curved_space(charts, name, exprs):
+    """On a curved chart with a mild speed error the part of the normalized
+    acceleration normal to u is right: the Fermi-transported unit tangent
+    stays the curve's unit tangent.  Gram conservation alone cannot see this,
+    because the Fermi-Walker term is skew for any acceleration."""
+    chart = charts[name]
+    curve = CurveSpec.explicit(exprs, t0=0.0, t1=1.0)
+    start = transport(chart, curve, np.zeros(4), steps=1, max_halvings=0)
+    result = transport(chart, curve, start.tangents[0], steps=200)
+    assert np.abs(result.vectors - result.tangents).max() < 1e-8
+    assert gram_drift(chart, result) < 1e-8
+
+
+@pytest.mark.parametrize("name, exprs", _CURVED_MILD)
+def test_normalized_acceleration_is_normal_to_the_tangent(charts, name, exprs):
+    """The d_m g(c',c') term of v' only moves the acceleration along u, which
+    the Fermi-Walker law cancels, so no transported vector shows it; it is
+    pinned here by g(A, u) = 0 on the normalized state."""
+    chart = charts[name]
+    engine = _ExplicitCurve(chart, CurveSpec.explicit(exprs, t0=0.0, t1=1.0))
+    assert engine.normalize
+    for tau in np.linspace(0.0, 1.0, 5):
+        _, U, A, geom, v = engine.state(tau)
+        assert v != 1.0
+        assert abs(geom.ip(U, U) + 1.0) < 1e-12
+        assert abs(geom.ip(A, U)) < 1e-12
 
 
 def test_geodesic_fermi_equals_parallel(charts):
