@@ -202,12 +202,15 @@ def slice_curvature(chart: ChartSpec, point,
 
 def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: float,
                steps_per_unit: int = 128) -> np.ndarray:
-    """Advance `start` by delta_tau along d_t (position only, cheap)."""
+    """Advance `start` by delta_tau along d_t (position only, cheap).
+
+    Plain RK4 with max(4, ceil(steps_per_unit |delta_tau|)) steps.
+    """
     require_locally_rw(chart, certificate)
     eps = certificate.epsilon
     if delta_tau == 0.0:
         return np.asarray(start, dtype=float)
-    steps = max(16, int(np.ceil(abs(delta_tau) * steps_per_unit)))
+    steps = max(4, int(np.ceil(abs(delta_tau) * steps_per_unit)))
 
     def rhs(_, x):
         if not chart.contains(x):
@@ -311,10 +314,15 @@ def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
                       max_rejects: int = 200) -> list[np.ndarray]:
     """Sample `count` domain points and shoot each onto the slice t = target_tau.
 
-    Each candidate q is flowed by delta = target - t(q); the landing time is
-    re-measured with time_value and delta corrected (dt/d delta = 1 exactly, so
-    this converges in a couple of rounds) until |t(p) - target| < SLICE_TOL.
-    Candidates whose correction path exits the domain are redrawn.
+    Each candidate q is flowed coarsely (16 RK4 steps per unit tau) by
+    delta = target - t(q), then corrected by Newton steps p <- p - err d_t(p)
+    until |err| < SLICE_TOL.  Because dt(d_t) = 1 exactly, a step removes err
+    to first order and costs one evaluation of d_t plus the quadrature along
+    the step.  t(p) is t(q) plus the quadrature of omega along each
+    straight step, q -> p and then p -> p'; exactness of omega on the box
+    domain makes that equal to time_value(p) from the base.  A candidate whose
+    flow or step leaves the domain or meets the margin band is redrawn; one
+    that does not converge within 12 Newton steps raises.
     """
     require_locally_rw(chart, certificate)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -322,26 +330,40 @@ def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
     lows = np.array([lo for lo, _ in chart.domain])
     highs = np.array([hi for _, hi in chart.domain])
     points: list[np.ndarray] = []
-    rejects = 0
+    rejects = {"flow or step left the domain": 0, "hit the margin band": 0,
+               "evaluated outside the domain": 0}
     while len(points) < count:
-        if rejects > max_rejects:
+        failed = sum(rejects.values())
+        if failed > max_rejects:
+            reasons = ", ".join(f"{n} {why}" for why, n in rejects.items())
             raise FoliationError(
                 f"could not place {count} points on slice {target_tau}; "
-                f"{rejects} candidates failed (domain too tight?)")
+                f"{failed} candidates failed ({reasons})")
         q = rng.uniform(lows, highs)
         try:
-            tau_q = time_value(chart, certificate, q, base)
-            delta = target_tau - tau_q
-            p = q
-            for _ in range(12):
-                p = flow_point(chart, certificate, q, delta)
-                err = time_value(chart, certificate, p, base) - target_tau
-                if abs(err) < SLICE_TOL:
-                    break
-                delta -= err
-            else:
-                raise FoliationError("slice shooting did not converge")
-            points.append(p)
-        except (FlowDomainError, DegeneracyError, OutsideDomainError):
-            rejects += 1
+            points.append(_shoot(chart, certificate, base, q, target_tau))
+        except FlowDomainError:
+            rejects["flow or step left the domain"] += 1
+        except DegeneracyError:
+            rejects["hit the margin band"] += 1
+        except OutsideDomainError:
+            rejects["evaluated outside the domain"] += 1
     return points
+
+
+def _shoot(chart: ChartSpec, certificate: Certificate, base, q,
+           target_tau: float) -> np.ndarray:
+    """Coarse flow from q onto the slice t = target_tau, then Newton steps."""
+    t_q = time_value(chart, certificate, q, base)
+    p = flow_point(chart, certificate, q, target_tau - t_q, steps_per_unit=16)
+    err = t_q + _polyline_integral(chart, certificate, [q, p]) - target_tau
+    rounds = 0
+    while abs(err) >= SLICE_TOL:
+        if rounds == 12:
+            raise FoliationError("slice shooting did not converge")
+        geom, _, _, margin = _guarded(chart, p, 2, certificate.tol_margin)
+        step = p - err * certificate.epsilon * geom.u / margin
+        err += _polyline_integral(chart, certificate, [p, step])
+        p = step
+        rounds += 1
+    return p

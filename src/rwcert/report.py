@@ -117,8 +117,10 @@ def foliation_payload(result: FoliationResult) -> dict:
 
 def transport_payload(result, drift: float, curve_desc: dict) -> dict:
     stride = max(1, result.steps // (_TRANSPORT_TABLE_ROWS - 1))
+    last = result.taus.shape[0] - 1
     rows = []
-    for i in range(0, result.taus.shape[0], stride):
+    # every stride-th row from row 0, then the transported endpoint
+    for i in [*range(0, last, stride), last]:
         vec = result.vectors[i]
         rows.append({
             "tau": float(result.taus[i]),

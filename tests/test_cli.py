@@ -163,6 +163,20 @@ def test_transport_table_runs_in_the_curve_parameter(capsys):
     assert doc["table"][-1]["tau"] == 2.0
 
 
+def test_transport_table_ends_at_the_curve_end(capsys):
+    """At 1000 steps the stride of 31 does not divide the step count; the table
+    still ends with the transported endpoint."""
+    code, out, _ = run_cli(["transport", "minkowski", "--curve", "explicit",
+                            "--exprs", "sinh(s),cosh(s),0,0", "--x0", "0,1,0,0",
+                            "--steps", "1000"], capsys)
+    assert code == 0
+    doc = json.loads(out)["transport"]
+    assert doc["table_stride"] == 31
+    taus = [row["tau"] for row in doc["table"]]
+    assert taus[-1] == doc["curve"]["range"][1] == 1.0
+    assert taus[:-1] == [pytest.approx(0.031 * k, abs=1e-12) for k in range(33)]
+
+
 def test_transport_rindler_pass(capsys):
     code, out, _ = run_cli(["transport", "minkowski", "--curve", "explicit",
                             "--exprs", "sinh(s),cosh(s),0,0", "--x0", "0,1,0,0",

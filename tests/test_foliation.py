@@ -167,7 +167,7 @@ def test_scale_factor_positive_and_normalized(flrw):
 
 def test_flow_point_is_plain_rk4(flrw):
     """flow_point equals classic four-stage RK4 on dx/dtau = eps u / (h - eps f)
-    with max(16, ceil(128 |delta|)) steps, bit for bit."""
+    with max(4, ceil(128 |delta|)) steps at the default rate, bit for bit."""
     chart, cert = flrw
     start, delta = np.array([2.0, 0.1, -0.2, 0.3]), -0.15
     steps = 20
@@ -212,15 +212,34 @@ def test_shear_coefficient_tracks_expansion_along_flow(charts, certificates, flr
             assert abs(coefficient + 0.5 * psi * margin) < 1e-7, (cid, point)
 
 
+POSITIVE_BASES = {
+    "flrw_flat_linear": [2.0, 0.0, 0.0, 0.0],
+    "flrw_closed_osc": [3.0, 1.0, 1.5, 1.5],
+    "flrw_open": [1.5, 1.0, 1.5, 1.5],
+    "einstein_static": [0.0, 1.0, 1.2, 1.5],
+    "riemannian_grw": [2.2, 0.0, 0.0, 0.0],
+}
+
+
 def test_same_slice_points_land_on_slice(charts, certificates):
-    chart = charts["flrw_closed_osc"]
-    cert = certificates["flrw_closed_osc"]
-    base = np.array([3.0, 1.0, 1.5, 1.5])
-    points = same_slice_points(chart, cert, base, 0.02, 5,
-                               rng=np.random.default_rng(11))
-    for p in points:
-        assert abs(time_value(chart, cert, p, base) - 0.02) < 1e-8
-        assert chart.contains(p)
+    """On every LocallyRW chart, points shot onto the slice halfway to the
+    probe at 3/4 of the time range lie in the domain and on the slice when
+    re-measured on the straight base -> p segment, a path the shooting, which
+    measures t along its own steps, never integrates."""
+    for cid, base in POSITIVE_BASES.items():
+        chart, cert = charts[cid], certificates[cid]
+        base = np.array(base)
+        lo, hi = chart.domain[0]
+        probe = base.copy()
+        probe[0] = lo + 0.75 * (hi - lo)
+        target = 0.5 * time_value(chart, cert, probe, base)
+        assert abs(target) > 1e-3, cid
+        points = same_slice_points(chart, cert, base, target, 5,
+                                   rng=np.random.default_rng(11))
+        assert len(points) == 5
+        for p in points:
+            assert chart.contains(p), (cid, p)
+            assert abs(time_value(chart, cert, p, base) - target) < 1e-8, (cid, p)
 
 
 def test_loop_vertex_outside_domain_raises(flrw):
@@ -230,3 +249,60 @@ def test_loop_vertex_outside_domain_raises(flrw):
     outside = [10.0, 0.0, 0.0, 0.0]
     with pytest.raises(FlowDomainError, match="outside the chart domain"):
         loop_residual(chart, cert, [BASE, outside, BASE])
+
+
+def test_same_slice_points_evaluation_count(flrw, monkeypatch):
+    """One seeded call makes an exact number of order-2 evaluations: the time
+    of each candidate from the base, a 16-per-unit coarse flow, and per Newton
+    step one evaluation of d_t plus the step's quadrature."""
+    chart, cert = flrw
+    calls = []
+    real = foliation.geometry_at
+
+    def counting(chart, point, order=3):
+        calls.append(order)
+        return real(chart, point, order)
+
+    monkeypatch.setattr(foliation, "geometry_at", counting)
+    same_slice_points(chart, cert, BASE, -0.05, 3, rng=np.random.default_rng(2))
+    assert set(calls) == {2}
+    # per candidate: one GL8 pair (24) from the base, 4 RK4 steps (16) and
+    # 24 on q -> p; the second candidate takes one Newton step (1 + 24)
+    assert len(calls) == 3 * (24 + 16 + 24) + (1 + 24)
+
+
+class _CountingRng:
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def uniform(self, low, high):
+        self.draws += 1
+        return self._rng.uniform(low, high)
+
+
+def test_shooting_that_does_not_converge_raises(flrw, monkeypatch):
+    """With no tolerance to meet, the Newton correction gives up after its
+    rounds and raises instead of returning the point, and the candidate is
+    not redrawn."""
+    chart, cert = flrw
+    monkeypatch.setattr(foliation, "SLICE_TOL", 0.0)
+    rng = _CountingRng(0)
+    with pytest.raises(FoliationError, match="slice shooting did not converge"):
+        same_slice_points(chart, cert, BASE, -0.05, 1, rng=rng)
+    assert rng.draws == 1
+
+
+def test_give_up_counts_failures_by_reason(flrw):
+    """t = 1/x0 - 1/2 spans [-0.21, 0.17] on the domain, so every flow toward
+    t = 5 leaves it; the error says how many candidates failed for which
+    reason."""
+    chart, cert = flrw
+    rng = _CountingRng(4)
+    with pytest.raises(FoliationError) as info:
+        same_slice_points(chart, cert, BASE, 5.0, 1, rng=rng, max_rejects=5)
+    assert rng.draws == 6
+    assert str(info.value) == (
+        "could not place 1 points on slice 5.0; 6 candidates failed "
+        "(6 flow or step left the domain, 0 hit the margin band, "
+        "0 evaluated outside the domain)")
