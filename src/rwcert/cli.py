@@ -35,6 +35,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 TAU_GRID_MAX = 100_000   # values the --tau-grid range form may expand to
+POINTS_MAX = 100_000     # --points: each sample keeps its point, seed and residuals
+STEPS_MAX = 100_000      # --steps: transport keeps a table row per step, per doubling
 
 
 # Options whose value is a comma-separated list, which may start with '-'
@@ -110,7 +112,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             ("transport", "Fermi-transport a vector along a curve", cmd_transport)):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("chart", help="catalog id or path to a .chart.json file")
-        p.add_argument("--points", type=int, default=64, help="sample count (default 64)")
+        p.add_argument("--points", type=int, default=64,
+                       help="sample count (default 64, at most 100000)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL_PASS,
                        help="residual pass tolerance")
@@ -140,7 +143,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            help="parameter range 't0,t1' (default 0,1)")
             p.add_argument("--x0", required=True, help="vector to transport")
             p.add_argument("--steps", type=int, default=None,
-                           help="integration steps (default from step size 1e-3)")
+                           help="integration steps (default from step size 1e-3, "
+                                "at most 100000)")
             p.add_argument("--drift-tol", type=float, default=1e-8, dest="drift_tol",
                            help="fail (exit 1) when Gram drift exceeds this")
     return parser, sub.choices
@@ -217,7 +221,20 @@ def cmd_list(args) -> int:
     return EXIT_PASS
 
 
+def _check_options(args) -> None:
+    """Reject option values that no run could use or no report could hold."""
+    if args.seed < 0:
+        raise _InputError(f"--seed must be a non-negative integer, got {args.seed}")
+    for flag, value in (("--tol", args.tol), ("--margin", args.margin),
+                        ("--drift-tol", getattr(args, "drift_tol", 0.0))):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise _InputError(f"{flag} must be a finite number >= 0, got {value!r}")
+    if args.points > POINTS_MAX:
+        raise _InputError(f"--points is {args.points}, more than the limit of {POINTS_MAX}")
+
+
 def cmd_check(args) -> int:
+    _check_options(args)
     chart, source = _resolve_chart(args.chart)
     certificate = certify(chart, _config(args))
     document = report.build_report("check", chart.name, source, args.seed,
@@ -231,6 +248,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    _check_options(args)
     chart, source = _resolve_chart(args.chart)
     base = _floats(args.base, "--base", chart.dim)
     grid = _tau_grid(args.tau_grid)
@@ -287,8 +305,13 @@ def _curve_from_args(args, chart: ChartSpec) -> tuple[CurveSpec, dict]:
 
 
 def cmd_transport(args) -> int:
+    _check_options(args)
     chart, source = _resolve_chart(args.chart)
     curve, desc = _curve_from_args(args, chart)
+    steps = curve.default_steps() if args.steps is None else args.steps
+    if steps > STEPS_MAX:
+        raise _InputError(f"transport would take {steps} steps (--steps, or one per 1e-3 "
+                          f"of --range), more than the limit of {STEPS_MAX}")
     x0 = np.array(_floats(args.x0, "--x0", chart.dim))
     try:
         result = transport(chart, curve, x0, steps=args.steps)

@@ -269,9 +269,10 @@ def compile_expr(node: Expr, params: Mapping[str, float], source: str = "") -> P
 
     Returns a float when the expression does not depend on the coordinates,
     otherwise a function from a coordinate-jet environment (a Jet3 for every
-    coordinate the expression references, all of one dimension and order) to
-    the result's Jet3, of that order.  Domain failures surface as
-    EvalDomainError tagged with the failing node's source span.
+    coordinate the expression references, all of one dimension, order and
+    batch shape) to the result's Jet3, of that order and batch shape.  Domain
+    failures surface as EvalDomainError tagged with the failing node's source
+    span.
     """
     return _Compiler(params, frozenset()).compile(node, source)
 
@@ -372,7 +373,7 @@ def eval_expr(node: Expr, env: Mapping[str, Jet3], params: Mapping[str, float],
     program = compile_expr(node, params, source)
     if isinstance(program, float):
         seed = next(iter(env.values()))
-        return Jet3.constant(program, seed.dim, seed.order)
+        return Jet3.constant(program, seed.dim, seed.order, seed.shape)
     return program(env)
 
 
@@ -423,7 +424,7 @@ def _compile_pow(left: Program, right: Program, span, source: str) -> Program:
         base = None if isinstance(left, float) else left(env)
         power = right(env)
         if base is None:
-            base = Jet3.constant(left, power.dim, power.order)
+            base = Jet3.constant(left, power.dim, power.order, power.shape)
         try:
             return jets.exp(power * jets.ln(base))
         except (jets.JetDomainError, ZeroDivisionError) as err:

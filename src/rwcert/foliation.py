@@ -25,8 +25,9 @@ import numpy as np
 
 from .certify import Certificate, DEFAULT_TOL_MARGIN
 from .chart import ChartSpec
-from .geometry import (OutsideDomainError, adapted_frame, geometry_at,
-                       trace_invariant_gradients, trace_invariants)
+from .geometry import (GeometryError, OutsideDomainError, PointGeometry, adapted_frame,
+                       geometry_at, geometry_batch, trace_invariant_gradients,
+                       trace_invariants)
 from .integrate import doubled, rk4
 
 QUAD_TOL = 1e-10          # Gauss-Legendre segment bisection threshold
@@ -82,18 +83,21 @@ def require_locally_rw(chart: ChartSpec, certificate: Certificate):
 
 def _guarded(chart: ChartSpec, point, order: int, tol_margin: float):
     """(geom, f, h, h - eps f) at a point outside the margin band."""
-    geom = geometry_at(chart, point, order=order)
+    return _guard(geometry_at(chart, point, order=order), tol_margin)
+
+
+def _guard(geom: PointGeometry, tol_margin: float):
     f, h = trace_invariants(geom)
     margin = h - geom.epsilon * f
     if abs(margin) <= tol_margin:
         raise DegeneracyError(
-            f"|h - eps f| = {abs(margin):.3e} inside margin band at {np.asarray(point).tolist()}")
+            f"|h - eps f| = {abs(margin):.3e} inside margin band at {geom.point.tolist()}")
     return geom, f, h, margin
 
 
-def _omega(chart: ChartSpec, point, tol_margin: float) -> np.ndarray:
+def _omega_of(geom: PointGeometry, tol_margin: float) -> np.ndarray:
     """The covector (h - eps f) u-flat, guarded against the margin band."""
-    geom, _, _, margin = _guarded(chart, point, 2, tol_margin)
+    _, _, _, margin = _guard(geom, tol_margin)
     return margin * (geom.g @ geom.u)
 
 
@@ -114,11 +118,18 @@ def _segment_integral(chart, a, b, tol_margin, depth=0, whole=None):
 
 
 def _gl8(chart, a, b, tol_margin) -> float:
+    """The 8-node Gauss-Legendre rule for omega on [a, b], its nodes evaluated
+    as one batch.  If the batch fails, the nodes are evaluated and guarded one
+    at a time, which raises what the first failing node raises."""
     delta = b - a
+    try:
+        geoms = geometry_batch(chart, a + _GL_T[:, None] * delta, order=2)
+    except (GeometryError, ArithmeticError):
+        geoms = None
     total = 0.0
-    for t, w in zip(_GL_T, _GL_W):
-        omega = _omega(chart, a + t * delta, tol_margin)
-        total += w * float(omega @ delta)
+    for k, (t, w) in enumerate(zip(_GL_T, _GL_W)):
+        geom = geometry_at(chart, a + t * delta, order=2) if geoms is None else geoms[k]
+        total += w * float(_omega_of(geom, tol_margin) @ delta)
     return total
 
 

@@ -120,23 +120,84 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     it and is noticeably cheaper for quadrature loops; order=1 stops at the
     connection (enough for transport integrators).  A non-finite metric or u
     value or derivative is a DegenerateMetricError.
+
+    This runs the evaluator that geometry_batch runs, with no batch axis.
     """
-    if order not in (1, 2, 3):
-        raise GeometryError(f"order must be 1, 2 or 3, got {order!r}")
+    _check_order(order)
     n = chart.dim
     point = np.asarray(point, dtype=float)
     if point.shape != (n,):
         raise GeometryError(f"point must have {n} coordinates, got shape {point.shape}")
+    _require_inside(chart, point)
+    return _point_geometry(_evaluate(chart, point, order), order, None)
+
+
+def geometry_batch(chart: ChartSpec, points, order: int = 3) -> list[PointGeometry]:
+    """geometry_at at every row of a (B, n) array of points, in one pass.
+
+    The jets carry the batch as a trailing axis and the tensor algebra runs
+    over a leading one, so B points cost one jet program and one set of
+    einsums.  Every check of geometry_at applies to every point, and if any
+    point fails the whole call raises, naming the first failing point where
+    the check can tell; a caller that needs each point's own exception runs
+    the points through geometry_at.  Row b of the result equals
+    geometry_at(chart, points[b], order) to rounding (numpy's array and scalar
+    powers may differ in the last bit), and its arrays are views into the
+    batch arrays.
+    """
+    _check_order(order)
+    n = chart.dim
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != n or not len(points):
+        raise GeometryError(f"points must have shape (B, {n}) with B >= 1, "
+                            f"got shape {points.shape}")
+    for point in points:
+        _require_inside(chart, point)
+    fields = _evaluate(chart, points, order)
+    return [_point_geometry(fields, order, b) for b in range(len(points))]
+
+
+def _require_inside(chart: ChartSpec, point: np.ndarray) -> None:
     if not chart.contains(point):
-        raise OutsideDomainError(f"point {point.tolist()} outside domain of chart {chart.name!r}")
+        raise OutsideDomainError(
+            f"point {point.tolist()} outside domain of chart {chart.name!r}")
 
+
+def _check_order(order) -> None:
+    if order not in (1, 2, 3):
+        raise GeometryError(f"order must be 1, 2 or 3, got {order!r}")
+
+
+def _point_geometry(fields: dict, order: int, index: int | None) -> PointGeometry:
+    """PointGeometry from the evaluator's arrays, at one row of a batch
+    (index None: the arrays have no batch axis)."""
+    row = fields if index is None else {key: None if value is None else value[index]
+                                        for key, value in fields.items()}
+    eigenvalues = row.pop("eigenvalues")
+    signature = () if eigenvalues is None else tuple(1 if ev > 0 else -1 for ev in eigenvalues)
+    row["u_norm2"] = float(row["u_norm2"])
+    return PointGeometry(**row, signature=signature, order=order)
+
+
+def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> dict:
+    """The geometry of points of shape (n,) or (B, n), inside the domain, as
+    arrays with the same leading batch shape: one body for geometry_at and
+    geometry_batch.
+
+    Jets hold the batch as a trailing axis (see jets), so the metric slots are
+    gathered with it last and moved to the front once; after that every
+    contraction names its axes relative to the end.
+    """
+    n = chart.dim
+    batch = points.shape[:-1]
     programs = chart.programs
-    env = {name: Jet3.variable(k, point[k], n, order) for k, name in enumerate(chart.coords)}
+    columns = points.T
+    env = {name: Jet3.variable(k, columns[k], n, order) for k, name in enumerate(chart.coords)}
 
-    g = programs.metric_constant.copy()
-    dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n)) if order >= 2 else None
-    d3g = np.zeros((n, n, n, n, n)) if order >= 3 else None
+    g = _spread(programs.metric_constant, batch)
+    dg = np.zeros((n, n, n) + batch)
+    d2g = np.zeros((n, n, n, n) + batch) if order >= 2 else None
+    d3g = np.zeros((n, n, n, n, n) + batch) if order >= 3 else None
     # an overflowing chart leaves inf or nan, which is rejected below as a
     # degenerate point; numpy's warnings about it would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,54 +211,66 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
                 if order >= 3:
                     d3g[:, :, :, i, j] = d3g[:, :, :, j, i] = jet.cube
         except OverflowError as err:
-            raise _overflow(point, "metric", err) from err
-        _require_finite(point, "metric", g, dg, d2g, d3g)
+            raise _overflow(points, "metric", err) from err
+        if batch:
+            g, dg, d2g, d3g = (_batch_first(a) for a in (g, dg, d2g, d3g))
+        _require_finite(points, "metric", g, dg, d2g, d3g)
 
         # numpy powers overflow to inf instead of raising; an overflowing
         # determinant gives nan, which is degenerate too
-        scale = np.float64(max(float(np.abs(g).max()), 1e-300))
-        scaled_det = abs(float(np.linalg.det(g))) / scale**n
-    if not scaled_det > DET_TOL:
+        scale = np.maximum(np.abs(g).max(axis=(-2, -1)), 1e-300)
+        scaled_det = np.abs(np.linalg.det(g)) / scale**n
+    ok = scaled_det > DET_TOL
+    if not _all(ok):
         raise DegenerateMetricError(
-            f"metric degenerate at {point.tolist()} (scaled |det g| = {scaled_det:.3e})")
+            f"metric degenerate at {_first_failing(points, ok)} "
+            f"(scaled |det g| = {_first_failing(scaled_det, ok):.3e})")
 
     g_inv = np.linalg.inv(g)
-    g_inv = 0.5 * (g_inv + g_inv.T)
-    g_inv_dg = g_inv @ dg                                    # [l,i,b] = g^ia d_l g_ab
-    dg_inv = -(g_inv_dg @ g_inv)
+    g_inv = 0.5 * (g_inv + g_inv.swapaxes(-1, -2))
+    g_inv_l = g_inv[..., None, :, :]                        # broadcast over a derivative index
+    g_inv_dg = g_inv_l @ dg                                 # [l,i,b] = g^ia d_l g_ab
+    dg_inv = -(g_inv_dg @ g_inv_l)
 
-    T = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg   # T[m,i,j] = g_mj,i + g_mi,j - g_ij,m
-    gamma = 0.5 * np.einsum('km,mij->kij', g_inv, T)
+    T = _perm(dg, 1, 0, 2) + _perm(dg, 1, 2, 0) - dg        # T[m,i,j] = g_mj,i + g_mi,j - g_ij,m
+    gamma = 0.5 * np.einsum('...km,...mij->...kij', g_inv, T)
 
     dgamma = riemann_up = riemann_low = driemann_up = driemann_low = None
     if order >= 2:
-        dT = d2g.transpose(0, 2, 1, 3) + d2g.transpose(0, 2, 3, 1) - d2g   # d_l T
-        dgamma = 0.5 * (np.einsum('lkm,mij->lkij', dg_inv, T)
-                        + np.einsum('km,lmij->lkij', g_inv, dT))
-        riemann_up = (np.einsum('mrns->rsmn', dgamma) - np.einsum('nrms->rsmn', dgamma)
-                      + np.einsum('rml,lns->rsmn', gamma, gamma)
-                      - np.einsum('rnl,lms->rsmn', gamma, gamma))
-        riemann_low = np.einsum('ar,rsmn->asmn', g, riemann_up)
+        dT = _perm(d2g, 0, 2, 1, 3) + _perm(d2g, 0, 2, 3, 1) - d2g   # d_l T
+        dgamma = 0.5 * (np.einsum('...lkm,...mij->...lkij', dg_inv, T)
+                        + np.einsum('...km,...lmij->...lkij', g_inv, dT))
+        riemann_up = (np.einsum('...mrns->...rsmn', dgamma)
+                      - np.einsum('...nrms->...rsmn', dgamma)
+                      + np.einsum('...rml,...lns->...rsmn', gamma, gamma)
+                      - np.einsum('...rnl,...lms->...rsmn', gamma, gamma))
+        riemann_low = np.einsum('...ar,...rsmn->...asmn', g, riemann_up)
     if order >= 3:
-        d2g_inv = -((dg_inv[None] @ dg[:, None]) @ g_inv
-                    + (g_inv @ d2g) @ g_inv
-                    + g_inv_dg[:, None] @ dg_inv[None])
-        d2g_inv = 0.5 * (d2g_inv + d2g_inv.transpose(1, 0, 2, 3))
-        d2T = d3g.transpose(0, 1, 3, 2, 4) + d3g.transpose(0, 1, 3, 4, 2) - d3g   # d_p d_l T
-        d2gamma = 0.5 * (np.einsum('plkm,mij->plkij', d2g_inv, T)
-                         + np.einsum('lkm,pmij->plkij', dg_inv, dT)
-                         + np.einsum('pkm,lmij->plkij', dg_inv, dT)
-                         + np.einsum('km,plmij->plkij', g_inv, d2T))
-        driemann_up = (np.einsum('pmrns->prsmn', d2gamma) - np.einsum('pnrms->prsmn', d2gamma)
-                       + np.einsum('prml,lns->prsmn', dgamma, gamma)
-                       + np.einsum('rml,plns->prsmn', gamma, dgamma)
-                       - np.einsum('prnl,lms->prsmn', dgamma, gamma)
-                       - np.einsum('rnl,plms->prsmn', gamma, dgamma))
-        driemann_low = (np.einsum('par,rsmn->pasmn', dg, riemann_up)
-                        + np.einsum('ar,prsmn->pasmn', g, driemann_up))
+        g_inv_2 = g_inv[..., None, None, :, :]
+        d2g_inv = -((dg_inv[..., None, :, :, :] @ dg[..., :, None, :, :]) @ g_inv_2
+                    + (g_inv_2 @ d2g) @ g_inv_2
+                    + g_inv_dg[..., :, None, :, :] @ dg_inv[..., None, :, :, :])
+        d2g_inv = 0.5 * (d2g_inv + _perm(d2g_inv, 1, 0, 2, 3))
+        d2T = _perm(d3g, 0, 1, 3, 2, 4) + _perm(d3g, 0, 1, 3, 4, 2) - d3g   # d_p d_l T
+        # a batch's largest arrays are freed as soon as they have been used
+        del d3g
+        d2gamma = 0.5 * (np.einsum('...plkm,...mij->...plkij', d2g_inv, T)
+                         + np.einsum('...lkm,...pmij->...plkij', dg_inv, dT)
+                         + np.einsum('...pkm,...lmij->...plkij', dg_inv, dT)
+                         + np.einsum('...km,...plmij->...plkij', g_inv, d2T))
+        del d2T
+        driemann_up = (np.einsum('...pmrns->...prsmn', d2gamma)
+                       - np.einsum('...pnrms->...prsmn', d2gamma)
+                       + np.einsum('...prml,...lns->...prsmn', dgamma, gamma)
+                       + np.einsum('...rml,...plns->...prsmn', gamma, dgamma)
+                       - np.einsum('...prnl,...lms->...prsmn', dgamma, gamma)
+                       - np.einsum('...rnl,...plms->...prsmn', gamma, dgamma))
+        del d2gamma
+        driemann_low = (np.einsum('...par,...rsmn->...pasmn', dg, riemann_up)
+                        + np.einsum('...ar,...prsmn->...pasmn', g, driemann_up))
 
-    u = programs.u_constant.copy()
-    du = np.zeros((n, n))
+    u = _spread(programs.u_constant, batch)
+    du = np.zeros((n, n) + batch)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k, program in programs.u_varying:
@@ -205,43 +278,87 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
                 u[k] = jet.value
                 du[:, k] = jet.grad
         except OverflowError as err:
-            raise _overflow(point, "u", err) from err
+            raise _overflow(points, "u", err) from err
+        if batch:
+            u, du = _batch_first(u), _batch_first(du)
         if chart.normalize_u:
             # u / sqrt|q| with q = g(u,u); du follows from d_l q = d_l g(u,u) + 2 g(d_l u, u)
-            q = float(u @ g @ u)
-            if abs(q) < 1e-12:
-                raise UnitVectorError(f"cannot normalize a near-null u (g(u,u) = {q:.3e})")
-            dq = np.einsum('lab,a,b->l', dg, u, u) + 2.0 * (du @ (g @ u))
-            root = np.sqrt(abs(q))
-            u, du = u / root, du / root - np.outer(0.5 * dq / (q * root), u)
-        _require_finite(point, "u", u, du)
-    u_norm2 = float(u @ g @ u)
+            q = _quadratic(g, u)
+            ok = ~(np.abs(q) < 1e-12)      # a nan q fails the finite check below instead
+            if not _all(ok):
+                raise UnitVectorError("cannot normalize a near-null u "
+                                      f"(g(u,u) = {_first_failing(q, ok):.3e})")
+            dq = (np.einsum('...lab,...a,...b->...l', dg, u, u)
+                  + 2.0 * _apply(du, _apply(g, u)))
+            root = np.sqrt(np.abs(q))
+            u, du = (u / root[..., None],
+                     du / root[..., None, None]
+                     - (0.5 * dq / (q * root)[..., None])[..., :, None] * u[..., None, :])
+        _require_finite(points, "u", u, du)
 
-    if order >= 2:
-        eigenvalues = np.linalg.eigvalsh(g)
-        signature = tuple(1 if ev > 0 else -1 for ev in eigenvalues)
-    else:
-        signature = ()
-
-    return PointGeometry(point=point, g=g, dg=dg, g_inv=g_inv, dg_inv=dg_inv,
-                         gamma=gamma, dgamma=dgamma,
-                         riemann_up=riemann_up, riemann_low=riemann_low,
-                         driemann_up=driemann_up, driemann_low=driemann_low,
-                         signature=signature, u=u, du=du, u_norm2=u_norm2, order=order)
+    return {"point": points, "g": g, "dg": dg, "g_inv": g_inv, "dg_inv": dg_inv,
+            "gamma": gamma, "dgamma": dgamma,
+            "riemann_up": riemann_up, "riemann_low": riemann_low,
+            "driemann_up": driemann_up, "driemann_low": driemann_low,
+            "u": u, "du": du, "u_norm2": _quadratic(g, u),
+            "eigenvalues": np.linalg.eigvalsh(g) if order >= 2 else None}
 
 
-def _require_finite(point: np.ndarray, what: str, *arrays) -> None:
+def _spread(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """A writable copy of `a`, repeated over a trailing batch axis."""
+    return np.repeat(a[..., None], batch[0], axis=-1) if batch else a.copy()
+
+
+def _batch_first(a: np.ndarray | None) -> np.ndarray | None:
+    """Move a trailing batch axis, as the jets carry it, to the front."""
+    return None if a is None else np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _perm(a: np.ndarray, *axes: int) -> np.ndarray:
+    """Transpose the last len(axes) axes of `a` by `axes`, after any batch axis."""
+    lead = a.ndim - len(axes)
+    if not lead:
+        return a.transpose(axes)
+    return a.transpose(*range(lead), *(lead + axis for axis in axes))
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for matrices and vectors with the same leading batch shape."""
+    return (m @ v[..., :, None])[..., 0]
+
+
+def _quadratic(g: np.ndarray, v: np.ndarray):
+    """g(v, v), with the same leading batch shape."""
+    return (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
+
+
+def _all(ok) -> bool:
+    """Whether a check held at every point: a numpy bool without a batch axis."""
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def _first_failing(values: np.ndarray, ok) -> list | float:
+    """What a failed check names: `values` itself (as a list when it is a
+    point) with no batch axis, else its entry at the first row not `ok`."""
+    if np.ndim(ok):
+        values = values[np.argmin(ok)]
+    return values.tolist()
+
+
+def _require_finite(points: np.ndarray, what: str, *arrays) -> None:
     """Overflowing expressions leave inf or nan, which no check downstream
     could interpret: reject them as a degenerate point."""
     for arr in arrays:
         if arr is not None and not np.isfinite(arr).all():
+            lead = points.ndim - 1
+            finite = np.isfinite(arr).reshape(arr.shape[:lead] + (-1,)).all(axis=-1)
             raise DegenerateMetricError(
-                f"non-finite {what} value or derivative at {point.tolist()}")
+                f"non-finite {what} value or derivative at {_first_failing(points, finite)}")
 
 
-def _overflow(point: np.ndarray, what: str, err: OverflowError) -> DegenerateMetricError:
+def _overflow(points: np.ndarray, what: str, err: OverflowError) -> DegenerateMetricError:
     """Python float powers inside the jets raise where numpy would give inf."""
-    return DegenerateMetricError(f"{what} overflows at {point.tolist()}: {err}")
+    return DegenerateMetricError(f"{what} overflows at {points.tolist()}: {err}")
 
 
 def sectional_curvature(geom: PointGeometry, v, w) -> float:

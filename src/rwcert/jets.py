@@ -16,6 +16,16 @@ than any packing.  A jet combined with a plain number is a scale or a shift,
 without a product rule over zero slots.  Combining jets of two orders gives a
 jet of the lower order.
 
+A jet may also carry a trailing batch shape S: the value then has shape S,
+the gradient (n,)+S, the Hessian (n,n)+S and the cube (n,n,n)+S, so one jet
+holds the expansions of the same expression at many points and every slot
+broadcasts against the value with no reshaping.  With S = () a jet is the
+scalar jet above, computed by the same operations.  Transposes name their
+axes explicitly so that trailing batch axes stay in place, and the domain and
+zero checks fail when any entry fails, naming the first offending value.
+Jets of one computation share one S; constants built beside batched jets take
+their shape (``Jet3.constant(..., shape=S)``).
+
 Jets are value objects: operations never mutate their inputs, so instances
 and their arrays may be shared freely between concurrent evaluators.
 """
@@ -42,33 +52,46 @@ class JetDomainError(ArithmeticError):
 class Jet3:
     """Truncated Taylor expansion: value, gradient, Hessian and third cube."""
 
-    value: float
-    grad: np.ndarray                 # shape (n,)
-    hess: np.ndarray | None = None   # shape (n, n), symmetric; None below order 2
-    cube: np.ndarray | None = None   # shape (n, n, n), totally symmetric; None below order 3
+    value: float | np.ndarray        # shape S
+    grad: np.ndarray                 # shape (n,) + S
+    hess: np.ndarray | None = None   # shape (n, n) + S, symmetric; None below order 2
+    cube: np.ndarray | None = None   # shape (n, n, n) + S, totally symmetric; None below order 3
 
     @property
     def dim(self) -> int:
         return self.grad.shape[0]
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """The batch shape S; () for a jet at a single point."""
+        return self.grad.shape[1:]
+
+    @property
     def order(self) -> int:
         return 1 if self.hess is None else 2 if self.cube is None else 3
 
     @classmethod
-    def variable(cls, index: int, x0: float, dim: int, order: int = MAX_ORDER) -> "Jet3":
-        """Seed coordinate `index` at the point value `x0`."""
+    def variable(cls, index: int, x0, dim: int, order: int = MAX_ORDER) -> "Jet3":
+        """Seed coordinate `index` at the point value `x0`, a number or an
+        array of values (its shape is the batch shape S)."""
         _check_shape(dim, order)
         if not 0 <= index < dim:
             raise IndexError(f"coordinate index {index} out of range for dim {dim}")
+        if not isinstance(x0, float):           # numpy float64 included
+            x0 = np.array(x0, dtype=float)
+            if x0.shape:
+                _, hess, cube = _zeros(dim, order, x0.shape)
+                return cls(x0, _batched(_units(dim)[index], x0.shape), hess, cube)
         _, hess, cube = _zeros(dim, order)
         return cls(float(x0), _units(dim)[index], hess, cube)
 
     @classmethod
-    def constant(cls, c: float, dim: int, order: int = MAX_ORDER) -> "Jet3":
+    def constant(cls, c: float, dim: int, order: int = MAX_ORDER,
+                 shape: tuple[int, ...] = ()) -> "Jet3":
+        """The constant c, with batch shape `shape`."""
         _check_shape(dim, order)
-        grad, hess, cube = _zeros(dim, order)
-        return cls(float(c), grad, hess, cube)
+        grad, hess, cube = _zeros(dim, order, shape)
+        return cls(float(c) if not shape else np.full(shape, float(c)), grad, hess, cube)
 
     def _coerce(self, other: "Jet3") -> "Jet3":
         if other.dim != self.dim:
@@ -130,7 +153,7 @@ class Jet3:
         hess = cube = None
         if a.hess is not None and b.hess is not None:
             gg = a.grad[:, None] * b.grad
-            hess = a.hess * b.value + a.value * b.hess + gg + gg.T
+            hess = a.hess * b.value + a.value * b.hess + gg + gg.swapaxes(0, 1)
             if a.cube is not None and b.cube is not None:
                 cube = (a.cube * b.value + a.value * b.cube
                         + _sym_outer(a.hess, b.grad) + _sym_outer(b.hess, a.grad))
@@ -144,12 +167,12 @@ class Jet3:
                 raise ZeroDivisionError("jet division by zero value")
             return self.scale(1.0 / other)
         o = self._coerce(other)
-        if o.value == 0.0:
+        if _any(o.value == 0.0):
             raise ZeroDivisionError("jet division by zero value")
         return self * _reciprocal(o)
 
     def __rtruediv__(self, other) -> "Jet3":
-        if self.value == 0.0:
+        if _any(self.value == 0.0):
             raise ZeroDivisionError("jet division by zero value")
         return _reciprocal(self) * other
 
@@ -167,16 +190,16 @@ def _check_shape(dim: int, order: int) -> None:
 _ZERO_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _zeros(dim: int, order: int = MAX_ORDER):
-    """Shared read-only zero slots up to `order`; jet operations never mutate
-    operands."""
+def _zeros(dim: int, order: int = MAX_ORDER, shape: tuple[int, ...] = ()):
+    """Shared read-only zero slots up to `order`, with batch shape `shape`;
+    jet operations never mutate operands."""
     cached = _ZERO_CACHE.get(dim)
     if cached is None:
         cached = (np.zeros(dim), np.zeros((dim, dim)), np.zeros((dim, dim, dim)))
         for arr in cached:
             arr.flags.writeable = False
         _ZERO_CACHE[dim] = cached
-    grad, hess, cube = cached
+    grad, hess, cube = cached if not shape else (_batched(slot, shape) for slot in cached)
     return grad, hess if order >= 2 else None, cube if order >= 3 else None
 
 
@@ -192,10 +215,29 @@ def _units(dim: int) -> np.ndarray:
     return units
 
 
+def _batched(slot: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only view of `slot` repeated over the trailing batch shape."""
+    return np.broadcast_to(slot.reshape(slot.shape + (1,) * len(shape)),
+                           slot.shape + tuple(shape))
+
+
+def _any(mask) -> bool:
+    """Whether a check failed at any point of the batch."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _offending(value, mask):
+    """The value a failed check names: the value itself at a single point,
+    else the first entry of the batch where `mask` holds."""
+    return float(value[mask][0]) if isinstance(mask, np.ndarray) else value
+
+
 def _sym_outer(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Sum of H[i,j] g[k] over the three placements of the gradient index."""
+    """Sum of H[i,j] g[k] over the three placements of the gradient index;
+    trailing batch axes stay in place."""
     T = H[:, :, None] * g
-    return T + T.transpose(0, 2, 1) + T.transpose(2, 0, 1)
+    batch = tuple(range(3, T.ndim))
+    return T + T.transpose((0, 2, 1) + batch) + T.transpose((2, 0, 1) + batch)
 
 
 def compose(a: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
@@ -232,8 +274,9 @@ def cos(a: Jet3) -> Jet3:
 
 def tan(a: Jet3) -> Jet3:
     c = np.cos(a.value)
-    if abs(c) < 1e-14:
-        raise JetDomainError("tan", a.value)
+    bad = abs(c) < 1e-14
+    if _any(bad):
+        raise JetDomainError("tan", _offending(a.value, bad))
     t = np.tan(a.value)
     sec2 = 1.0 + t * t
     return compose(a, t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (1.0 + 3.0 * t * t))
@@ -262,16 +305,18 @@ def exp(a: Jet3) -> Jet3:
 
 def ln(a: Jet3) -> Jet3:
     v = a.value
-    if v <= 0.0:
-        raise JetDomainError("ln", v)
+    bad = v <= 0.0
+    if _any(bad):
+        raise JetDomainError("ln", _offending(v, bad))
     iv = 1.0 / v
     return compose(a, np.log(v), iv, -iv * iv, 2.0 * iv**3)
 
 
 def sqrt(a: Jet3) -> Jet3:
     v = a.value
-    if v <= 0.0:
-        raise JetDomainError("sqrt", v)
+    bad = v <= 0.0
+    if _any(bad):
+        raise JetDomainError("sqrt", _offending(v, bad))
     s = np.sqrt(v)
     return compose(a, s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
 
@@ -286,15 +331,17 @@ def pow_const(a: Jet3, r: float) -> Jet3:
     if r == round(r) and abs(r) <= 64:
         n = int(round(r))
         if n == 0:
-            return Jet3.constant(1.0, a.dim, a.order)
+            return Jet3.constant(1.0, a.dim, a.order, a.shape)
         if n < 0:
-            if a.value == 0.0:
-                raise JetDomainError(f"pow({r})", a.value)
+            bad = a.value == 0.0
+            if _any(bad):
+                raise JetDomainError(f"pow({r})", _offending(a.value, bad))
             return _int_pow(_reciprocal(a), -n)
         return _int_pow(a, n)
     v = a.value
-    if v <= 0.0:
-        raise JetDomainError(f"pow({r})", v)
+    bad = v <= 0.0
+    if _any(bad):
+        raise JetDomainError(f"pow({r})", _offending(v, bad))
     f0 = v**r
     return compose(a, f0, r * f0 / v, r * (r - 1.0) * f0 / v**2, r * (r - 1.0) * (r - 2.0) * f0 / v**3)
 

@@ -1,12 +1,14 @@
 """Shared fixtures and independent oracles.
 
 The evaluators and differentiators here are deliberately separate from the
-library code: `eval_real` is a plain recursive float evaluator and `fd_partial`
-a nested fourth-order central-difference stencil, so they can serve as oracles
-for the jet engine rather than echoing it.
+library code: `eval_real` is a plain recursive float evaluator, `fd_partial`
+a nested fourth-order central-difference stencil and the `symbolic_geometry`
+fixture builds the curvature from the chart's source text with sympy, so
+they can serve as oracles for the jet engine rather than echoing it.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +74,73 @@ def fd_partial(fn, x: dict, indices: tuple, h: float) -> float:
     def inner(y):
         return fd_partial(fn, y, indices[1:], h)
     return _d1(inner, x, indices[0], h)
+
+
+# -- symbolic curvature oracle ---------------------------------------------------
+
+@pytest.fixture(scope="session")
+def symbolic_geometry():
+    """Independent curvature of a chart, built symbolically by sympy.
+
+    Called with a chart, returns a function of (point, eps) giving g, gamma,
+    riemann_up, driemann_up, df and dh as arrays in the library's index
+    layout.  The metric and u are parsed from the chart's source text ('^' is
+    '**' and 'ln' is 'log', params substituted), the inverse is taken by LU,
+    and Gamma^k_ij, R^r_smn, d_p R^r_smn and the trace invariants
+    f = Ric(u,u)/(n-1), h = pi pi R/((n-1)(n-2)) are differentiated
+    symbolically under the conventions of rwcert.geometry.  u is used as
+    written (no normalize_u).  Each chart is built once per session; tests
+    using the fixture are skipped when sympy is not installed.
+    """
+    sympy = pytest.importorskip("sympy")
+    built = {}
+
+    def oracle(chart):
+        if chart.source not in built:
+            built[chart.source] = _symbolic_geometry(sympy, chart)
+        return built[chart.source]
+    return oracle
+
+
+def _symbolic_geometry(sympy, chart):
+    n = chart.dim
+    xs = sympy.symbols(chart.coords, real=True)
+    names = dict(zip(chart.coords, xs))
+    names.update({name: sympy.Float(value) for name, value in chart.params.items()})
+
+    def parse(text):
+        return sympy.sympify(re.sub(r"\bln\(", "log(", text.replace("^", "**")),
+                             locals=names)
+
+    g = sympy.Matrix(n, n, lambda i, j: parse(chart.metric_text[i][j]))
+    g_inv = g.inv(method="LU")
+    dg = [[[sympy.diff(g[i, j], x) for j in range(n)] for i in range(n)] for x in xs]
+    gamma = [[[sum(g_inv[k, m] * (dg[i][m][j] + dg[j][m][i] - dg[m][i][j])
+                   for m in range(n)) / 2
+               for j in range(n)] for i in range(n)] for k in range(n)]
+    riemann = [[[[sympy.diff(gamma[r][b][s], xs[a]) - sympy.diff(gamma[r][a][s], xs[b])
+                  + sum(gamma[r][a][l] * gamma[l][b][s] - gamma[r][b][l] * gamma[l][a][s]
+                        for l in range(n))
+                  for b in range(n)] for a in range(n)] for s in range(n)] for r in range(n)]
+    driemann = [[[[[sympy.diff(riemann[r][s][a][b], x) for b in range(n)] for a in range(n)]
+                  for s in range(n)] for r in range(n)] for x in xs]
+    u = [parse(text) for text in chart.u_text]
+    eps = sympy.Symbol("eps")
+    pi = [[g_inv[a, b] - eps * u[a] * u[b] for b in range(n)] for a in range(n)]
+    f = sum(riemann[r][s][r][b] * u[s] * u[b]
+            for r in range(n) for s in range(n) for b in range(n)) / (n - 1)
+    h = sum(pi[r][a] * pi[s][b] * g[c, r] * riemann[c][s][a][b]
+            for r in range(n) for s in range(n) for a in range(n) for b in range(n)
+            for c in range(n)) / ((n - 1) * (n - 2))
+    fields = {"g": g.tolist(), "gamma": gamma, "riemann_up": riemann,
+              "driemann_up": driemann, "df": [sympy.diff(f, x) for x in xs],
+              "dh": [sympy.diff(h, x) for x in xs]}
+    evaluate = sympy.lambdify([xs, eps], list(fields.values()), modules="numpy", cse=True)
+
+    def at(point, epsilon):
+        values = evaluate([float(x) for x in point], epsilon)
+        return {key: np.array(value, dtype=float) for key, value in zip(fields, values)}
+    return at
 
 
 # -- random expression trees ---------------------------------------------------

@@ -10,7 +10,9 @@ from rwcert.certify import (CertificationInputError, CertifyConfig,
                             RESIDUAL_KEYS, certify, extract_invariants,
                             isotropy_residuals, sample_point, structure_residuals)
 from rwcert.chart import chart_from_dict
-from rwcert.geometry import FrameError, adapted_frame, geometry_at, sectional_curvature
+from rwcert.exprs import EvalDomainError
+from rwcert.geometry import (FrameError, GeometryError, adapted_frame, geometry_at,
+                             sectional_curvature)
 
 from conftest import domain_points
 
@@ -370,3 +372,85 @@ def test_block_draws_give_up_where_one_at_a_time_does(charts, monkeypatch):
     with pytest.raises(FrameError):
         _reference_pairs(geom, frame, one, 16)
     assert block.bit_generator.state == one.bit_generator.state
+
+
+_MIXED_CHARTS = {
+    # exp(exp(t)) is fine below t ~ 2.04, has a vanishing scaled determinant
+    # above it and overflows above t ~ 6.56
+    "overflow": {
+        "name": "overflow", "dim": 4, "coords": ["t", "x", "y", "z"],
+        "metric": [["-1", None, None, None], [None, "exp(exp(t))", None, None],
+                   [None, None, "1", None], [None, None, None, "1"]],
+        "u": ["1", "0", "0", "0"],
+        "domain": [[0.0, 8.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]},
+    # the geometry of every point is fine; every sample fails on the unit u
+    "u_equals_2": {
+        "name": "u_equals_2", "dim": 4, "coords": ["t", "x", "y", "z"],
+        "metric": [["-1", None, None, None], [None, "1", None, None],
+                   [None, None, "1", None], [None, None, None, "1"]],
+        "u": ["2", "0", "0", "0"],
+        "domain": [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]},
+}
+
+
+def _sample_point_loop(chart, config):
+    """certify's samples, drawn as certify draws them and each evaluated by
+    sample_point: the reference for the chunked evaluation."""
+    seed_seq = np.random.SeedSequence(config.seed)
+    lows = np.array([lo for lo, _ in chart.domain])
+    highs = np.array([hi for _, hi in chart.domain])
+    points = np.random.default_rng(seed_seq).uniform(lows, highs,
+                                                     size=(config.samples, chart.dim))
+    samples, degenerate = [], []
+    for point, child in zip(points, seed_seq.spawn(config.samples)):
+        try:
+            samples.append(sample_point(chart, point, rng=np.random.default_rng(child),
+                                        tol_margin=config.tol_margin))
+        except (GeometryError, EvalDomainError, ZeroDivisionError) as err:
+            degenerate.append((point.tolist(), str(err)))
+    return samples, degenerate
+
+
+def _close(got, want, tol, relative):
+    if want is None:
+        return got is None
+    return abs(got - want) <= tol * (abs(want) if relative else 1.0)
+
+
+@pytest.mark.parametrize("samples", [1, 15, 16, 17, 33])
+def test_chunked_certify_equals_a_sample_point_loop(charts, monkeypatch, samples):
+    """Chunks of CHUNK points through geometry_batch give the certificate of
+    one sample_point per point, whatever the sample count's remainder, and a
+    point that fails inside a chunk keeps its own reason while its
+    neighbours keep their results.  Residual maxima agree to 1e-14 and the
+    margins and constant-curvature residual to 1e-13 relative (numpy's array
+    powers may differ from its scalar powers in the last bit)."""
+    assert certify_module.CHUNK == 16
+    cases = dict(charts)
+    cases.update({name: chart_from_dict(doc) for name, doc in _MIXED_CHARTS.items()})
+
+    def no_batch(*args, **kwargs):
+        raise GeometryError("batch evaluation disabled")
+
+    for chart_id, chart in cases.items():
+        config = CertifyConfig(samples=samples, seed=samples)
+        cert = certify(chart, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(certify_module, "geometry_batch", no_batch)
+            unbatched = certify(chart, config)
+        ref, degenerate = _sample_point_loop(chart, config)
+        assert cert.degenerate_points == degenerate, chart_id
+        assert (cert.classification, cert.epsilon, cert.notes) == \
+            (unbatched.classification, unbatched.epsilon, unbatched.notes), chart_id
+        for key in RESIDUAL_KEYS:
+            values = [s.residuals[key] for s in ref if s.residuals[key] is not None]
+            assert _close(cert.residual_max[key], max(values) if values else None,
+                          1e-14, False), (chart_id, key)
+        margins = [s.nondegeneracy for s in ref]
+        cc = [s.cc_residual for s in ref]
+        for got, want in ((cert.min_margin, min(margins, default=None)),
+                          (cert.max_margin, max(margins, default=None)),
+                          (cert.constant_curvature_max, max(cc, default=None))):
+            assert _close(got, want, 1e-13, True), chart_id
+    overflow = certify(cases["overflow"], CertifyConfig(samples=33, seed=33))
+    assert 0 < len(overflow.degenerate_points) < 33

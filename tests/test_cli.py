@@ -350,3 +350,29 @@ def test_tau_grid_range_above_limit_exits_two(capsys):
     assert out == ""
     assert err.startswith("error: ") and "limit of 100000" in err
     assert err.count("\n") == 1
+
+
+_TRANSPORT = ["transport", "minkowski", "--curve", "u", "--start", "0,0,0,0",
+              "--x0", "0,1,0,0"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["check", "minkowski", "--seed", "-1"], "--seed must be a non-negative integer"),
+    (["slice", "flrw_open", "--base", "1,1,1.5,1.5", "--tau-grid", "0,0.1",
+      "--seed", "-1"], "--seed must be a non-negative integer"),
+    (["check", "minkowski", "--tol", "nan"], "--tol must be a finite number >= 0"),
+    (["check", "minkowski", "--tol", "-0.5"], "--tol must be a finite number >= 0"),
+    (["check", "minkowski", "--margin", "nan"], "--margin must be a finite number >= 0"),
+    (_TRANSPORT + ["--drift-tol", "inf"], "--drift-tol must be a finite number >= 0"),
+    (["check", "minkowski", "--points", "1000000000000"], "limit of 100000"),
+    (_TRANSPORT + ["--steps", "1000000000000"], "limit of 100000"),
+    (_TRANSPORT + ["--range", "0,1e12"], "limit of 100000"),
+])
+def test_out_of_range_option_exits_two(capsys, argv, says):
+    """Values no run could use or no report could hold end in one error line,
+    before any work and without a traceback."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and says in err
+    assert err.count("\n") == 1

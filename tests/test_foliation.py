@@ -254,16 +254,22 @@ def test_loop_vertex_outside_domain_raises(flrw):
 def test_same_slice_points_evaluation_count(flrw, monkeypatch):
     """One seeded call makes an exact number of order-2 evaluations: the time
     of each candidate from the base, a 16-per-unit coarse flow, and per Newton
-    step one evaluation of d_t plus the step's quadrature."""
+    step one evaluation of d_t plus the step's quadrature.  A batched call
+    counts one evaluation per point."""
     chart, cert = flrw
     calls = []
-    real = foliation.geometry_at
+    real, real_batch = foliation.geometry_at, foliation.geometry_batch
 
     def counting(chart, point, order=3):
         calls.append(order)
         return real(chart, point, order)
 
+    def counting_batch(chart, points, order=3):
+        calls.extend([order] * len(points))
+        return real_batch(chart, points, order)
+
     monkeypatch.setattr(foliation, "geometry_at", counting)
+    monkeypatch.setattr(foliation, "geometry_batch", counting_batch)
     same_slice_points(chart, cert, BASE, -0.05, 3, rng=np.random.default_rng(2))
     assert set(calls) == {2}
     # per candidate: one GL8 pair (24) from the base, 4 RK4 steps (16) and

@@ -1,17 +1,20 @@
 """Curvature engine: Christoffels, Riemann, frames, self-check identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rwcert import catalog
 from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError, eval_expr
-from rwcert.geometry import (DegenerateMetricError, DegeneratePlaneError,
-                             OutsideDomainError, UnitVectorError, adapted_frame,
-                             geometry_at,
+from rwcert.geometry import (DegenerateMetricError, DegeneratePlaneError, GeometryError,
+                             OutsideDomainError, PointGeometry, UnitVectorError,
+                             adapted_frame, geometry_at, geometry_batch,
                              metric_compatibility_residual,
                              riemann_symmetry_residuals, second_bianchi_residual,
-                             sectional_curvature, trace_invariants)
+                             sectional_curvature, trace_invariant_gradients,
+                             trace_invariants)
 from rwcert.jets import Jet3
 
 from conftest import domain_points
@@ -298,3 +301,84 @@ def test_normalize_u_gives_unit_u_and_matching_du():
                                 u=["1", "1/(2 + 0.1*t^2)", "0", "0"]))
     with pytest.raises(UnitVectorError, match="near-null"):
         geometry_at(null, [1.0, 1.0, 1.2, 1.0], order=1)
+
+
+SCALED_U_DOC = dict(catalog.get_entry("flrw_open").document, name="scaled_u",
+                    options={"normalize_u": True},
+                    u=["2 + 0.1*chi*theta", "0.1*t*sin(phi)", "0.05*chi", "0"])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG) + ["scaled_u"])
+def test_batch_rows_equal_geometry_at(charts, chart_id, order):
+    """Row b of geometry_batch is geometry_at at points[b], field by field, to
+    1e-13 of the field's size (numpy's array powers may round differently
+    from its scalar powers); a batch of one gives the same rows."""
+    chart = chart_from_dict(SCALED_U_DOC) if chart_id == "scaled_u" else charts[chart_id]
+    points = domain_points(chart, 5, seed=23)
+    rows = geometry_batch(chart, points, order)
+    assert len(rows) == len(points)
+    for point, row in zip(points, rows):
+        single = geometry_batch(chart, point[None], order)[0]
+        want = geometry_at(chart, point, order)
+        for got in (row, single):
+            for field in dataclasses.fields(PointGeometry):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if b is None or isinstance(b, (int, tuple)):
+                    assert a == b, field.name
+                else:
+                    assert np.abs(np.asarray(a) - b).max() <= 1e-13 * np.abs(b).max(), field.name
+
+
+ORACLE_TOL = 1e-10      # relative to 1 + the largest oracle component of each field
+
+
+@pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG))
+def test_geometry_matches_the_symbolic_oracle(charts, symbolic_geometry, chart_id):
+    """g, Gamma, R, dR and the gradients of the trace invariants (f, h) agree
+    with sympy's, from geometry_at and from geometry_batch rows."""
+    chart = charts[chart_id]
+    oracle = symbolic_geometry(chart)
+    points = domain_points(chart, 4, seed=29)
+    for geom in [geometry_at(chart, p) for p in points] + geometry_batch(chart, points):
+        want = oracle(geom.point, geom.epsilon)
+        df, dh = trace_invariant_gradients(geom)
+        got = {"g": geom.g, "gamma": geom.gamma, "riemann_up": geom.riemann_up,
+               "driemann_up": geom.driemann_up, "df": df, "dh": dh}
+        for name, value in got.items():
+            error = np.abs(value - want[name]).max() / (1.0 + np.abs(want[name]).max())
+            assert error <= ORACLE_TOL, (name, geom.point.tolist(), error)
+
+
+def test_batch_fails_when_any_point_fails():
+    """Every check of geometry_at applies to every row: one failing point
+    makes the batch raise, while its neighbours evaluate one at a time."""
+    chart = chart_from_dict(dict(OVERFLOW_DOC, domain=[[0.0, 8.0], [-1.0, 1.0],
+                                                       [-1.0, 1.0], [-1.0, 1.0]]))
+    good, bad = [1.0, 0.0, 0.0, 0.0], [7.0, 0.5, 0.0, 0.0]
+    geometry_at(chart, good)
+    with pytest.raises(DegenerateMetricError, match=r"non-finite metric .* at \[7.0, 0.5"):
+        geometry_batch(chart, [good, bad, good])
+    with pytest.raises(OutsideDomainError, match=r"point \[9.0, 0.0, 0.0, 0.0\] outside"):
+        geometry_batch(chart, [good, [9.0, 0.0, 0.0, 0.0]])
+    doc = catalog.get_entry("flrw_open").document
+    null = chart_from_dict(dict(doc, name="null_u", options={"normalize_u": True},
+                                u=["1", "1/(2 + 0.1*t^2)", "0", "0"]))
+    with pytest.raises(UnitVectorError, match="near-null"):
+        geometry_batch(null, [[1.0, 1.0, 1.2, 1.0]] * 2, order=1)
+    for shape in ((0, 4), (2, 3), (4,)):
+        with pytest.raises(GeometryError, match="points must have shape"):
+            geometry_batch(chart, np.full(shape, 1.0))
+
+
+def test_normalizing_a_non_finite_u_is_degenerate():
+    """An overflowing u on a normalize_u chart is a non-finite u, not a
+    near-null one, at a single point and in a batch."""
+    doc = dict(OVERFLOW_DOC, metric=[["-1", None, None, None], [None, "1", None, None],
+                                     [None, None, "1", None], [None, None, None, "1"]],
+               u=["exp(exp(t))", "0", "0", "0"], options={"normalize_u": True})
+    chart = chart_from_dict(doc)
+    with pytest.raises(DegenerateMetricError, match="non-finite u"):
+        geometry_at(chart, [7.0, 0.0, 0.0, 0.0], order=1)
+    with pytest.raises(DegenerateMetricError, match="non-finite u"):
+        geometry_batch(chart, [[6.0, 0.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]], order=1)

@@ -221,3 +221,39 @@ def test_scalar_operands_scale_and_shift():
     assert (6.0 / x).grad[0] == pytest.approx(-6.0 / 9.0)
     with pytest.raises(ZeroDivisionError):
         x / 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_jets_equal_scalar_jets_per_point(seed):
+    """A program run on jets with a trailing batch axis gives, at each point,
+    the slots the scalar jets give there (to rounding: numpy's array powers
+    may differ from scalar powers in the last bit)."""
+    rng = np.random.default_rng(5000 + seed)
+    for _ in range(20):
+        text, node, names, point = draw_expr_case(rng)
+        program = compile_expr(node, {})
+        if isinstance(program, float):
+            continue
+        points = [{name: point[name] + 0.01 * k for name in names} for k in range(3)]
+        batch = program({name: Jet3.variable(k, [p[name] for p in points], len(names))
+                         for k, name in enumerate(names)})
+        assert batch.shape == (3,) and batch.grad.shape == (len(names), 3), text
+        for b, p in enumerate(points):
+            jet = program({name: Jet3.variable(k, p[name], len(names))
+                           for k, name in enumerate(names)})
+            for got, want in ((batch.value[b], jet.value), (batch.grad[..., b], jet.grad),
+                              (batch.hess[..., b], jet.hess), (batch.cube[..., b], jet.cube)):
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max()), text
+
+
+def test_batched_domain_errors_name_the_first_offending_value():
+    x = Jet3.variable(0, [0.5, -0.25, -2.0], 1)
+    with pytest.raises(JetDomainError, match="ln undefined at value -0.25"):
+        jets.ln(x)
+    with pytest.raises(JetDomainError, match=r"pow\(0.5\) undefined at value -0.25"):
+        jets.pow_const(x, 0.5)
+    with pytest.raises(ZeroDivisionError):
+        1.0 / (x - 0.5)
+    zero = jets.pow_const(x, 0)
+    assert zero.shape == (3,) and np.array_equal(zero.value, [1.0, 1.0, 1.0])
+    assert not zero.grad.any()
