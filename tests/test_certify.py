@@ -452,5 +452,5 @@ def test_chunked_certify_equals_a_sample_point_loop(charts, monkeypatch, samples
                           (cert.max_margin, max(margins, default=None)),
                           (cert.constant_curvature_max, max(cc, default=None))):
             assert _close(got, want, 1e-13, True), chart_id
-    overflow = certify(cases["overflow"], CertifyConfig(samples=33, seed=33))
-    assert 0 < len(overflow.degenerate_points) < 33
+        if chart_id == "overflow" and samples == 33:     # chunks mixing both kinds
+            assert 0 < len(degenerate) < samples
