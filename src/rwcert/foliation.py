@@ -224,9 +224,10 @@ def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: flo
     steps = max(4, int(np.ceil(abs(delta_tau) * steps_per_unit)))
 
     def rhs(_, x):
-        if not chart.contains(x):
-            raise FlowDomainError(f"flow left the domain at {x.tolist()}")
-        geom, _, _, margin = _guarded(chart, x, 2, certificate.tol_margin)
+        try:
+            geom, _, _, margin = _guarded(chart, x, 2, certificate.tol_margin)
+        except OutsideDomainError as err:
+            raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
         return eps * geom.u / margin
 
     return rk4(rhs, np.asarray(start, dtype=float), 0.0, delta_tau, steps)
@@ -250,9 +251,10 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
     def rhs(_, state):
         """State = (x, log a^2, proper time); returns its tau derivative."""
         x = state[:-2]
-        if not chart.contains(x):
-            raise FlowDomainError(f"flow left the domain at {x.tolist()}")
-        geom, _, _, _, margin, dh_u = _scalars(chart, x, certificate.tol_margin)
+        try:
+            geom, _, _, _, margin, dh_u = _scalars(chart, x, certificate.tol_margin)
+        except OutsideDomainError as err:
+            raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
         velocity = eps * geom.u / margin
         psi = -eps * dh_u / margin**2
         return np.concatenate([velocity, [psi, 1.0 / abs(margin)]])

@@ -128,7 +128,7 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     point = np.asarray(point, dtype=float)
     if point.shape != (n,):
         raise GeometryError(f"point must have {n} coordinates, got shape {point.shape}")
-    _require_inside(chart, point)
+    _require_inside(chart, point[None])
     return _point_geometry(_evaluate(chart, point, order), order, None)
 
 
@@ -151,16 +151,17 @@ def geometry_batch(chart: ChartSpec, points, order: int = 3) -> list[PointGeomet
     if points.ndim != 2 or points.shape[1] != n or not len(points):
         raise GeometryError(f"points must have shape (B, {n}) with B >= 1, "
                             f"got shape {points.shape}")
-    for point in points:
-        _require_inside(chart, point)
+    _require_inside(chart, points)
     fields = _evaluate(chart, points, order)
     return [_point_geometry(fields, order, b) for b in range(len(points))]
 
 
-def _require_inside(chart: ChartSpec, point: np.ndarray) -> None:
-    if not chart.contains(point):
-        raise OutsideDomainError(
-            f"point {point.tolist()} outside domain of chart {chart.name!r}")
+def _require_inside(chart: ChartSpec, points: np.ndarray) -> None:
+    """Raise for the first of a (B, n) array of points outside the domain."""
+    for point in points.tolist():       # the domain test is cheaper on floats
+        if not chart.contains(point):
+            raise OutsideDomainError(
+                f"point {point} outside domain of chart {chart.name!r}")
 
 
 def _check_order(order) -> None:
@@ -168,21 +169,22 @@ def _check_order(order) -> None:
         raise GeometryError(f"order must be 1, 2 or 3, got {order!r}")
 
 
-def _point_geometry(fields: dict, order: int, index: int | None) -> PointGeometry:
+def _point_geometry(fields: tuple, order: int, index: int | None) -> PointGeometry:
     """PointGeometry from the evaluator's arrays, at one row of a batch
     (index None: the arrays have no batch axis)."""
-    row = fields if index is None else {key: None if value is None else value[index]
-                                        for key, value in fields.items()}
-    eigenvalues = row.pop("eigenvalues")
+    if index is not None:
+        fields = [None if a is None else a[index] for a in fields]
+    point, g, *tensors, eigenvalues, u, du = fields
     signature = () if eigenvalues is None else tuple(1 if ev > 0 else -1 for ev in eigenvalues)
-    row["u_norm2"] = float(row["u_norm2"])
-    return PointGeometry(**row, signature=signature, order=order)
+    return PointGeometry(point, g, *tensors, signature, u, du, float(u @ g @ u), order)
 
 
-def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> dict:
+def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
     """The geometry of points of shape (n,) or (B, n), inside the domain, as
     arrays with the same leading batch shape: one body for geometry_at and
-    geometry_batch.
+    geometry_batch.  The arrays come in PointGeometry's field order up to du,
+    with the eigenvalues of g (None below order 2) in place of the signature;
+    _point_geometry derives the signature and u_norm2 row by row.
 
     Jets hold the batch as a trailing axis (see jets), so the metric slots are
     gathered with it last and moved to the front once; after that every
@@ -218,8 +220,8 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> dict:
 
         # numpy powers overflow to inf instead of raising; an overflowing
         # determinant gives nan, which is degenerate too
-        scale = np.maximum(np.abs(g).max(axis=(-2, -1)), 1e-300)
-        scaled_det = np.abs(np.linalg.det(g)) / scale**n
+        scale = np.abs(g).max(axis=(-2, -1), initial=1e-300)
+        scaled_det = abs(np.linalg.det(g)) / scale**n
     ok = scaled_det > DET_TOL
     if not _all(ok):
         raise DegenerateMetricError(
@@ -232,12 +234,14 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> dict:
     g_inv_dg = g_inv_l @ dg                                 # [l,i,b] = g^ia d_l g_ab
     dg_inv = -(g_inv_dg @ g_inv_l)
 
-    T = _perm(dg, 1, 0, 2) + _perm(dg, 1, 2, 0) - dg        # T[m,i,j] = g_mj,i + g_mi,j - g_ij,m
+    # T[m,i,j] = g_mj,i + g_mi,j - g_ij,m; swaps of the derivative index with
+    # either metric index suffice because g_ab is symmetric
+    T = dg.swapaxes(-3, -2) + dg.swapaxes(-3, -1) - dg
     gamma = 0.5 * np.einsum('...km,...mij->...kij', g_inv, T)
 
     dgamma = riemann_up = riemann_low = driemann_up = driemann_low = None
     if order >= 2:
-        dT = _perm(d2g, 0, 2, 1, 3) + _perm(d2g, 0, 2, 3, 1) - d2g   # d_l T
+        dT = d2g.swapaxes(-3, -2) + d2g.swapaxes(-3, -1) - d2g        # d_l T
         dgamma = 0.5 * (np.einsum('...lkm,...mij->...lkij', dg_inv, T)
                         + np.einsum('...km,...lmij->...lkij', g_inv, dT))
         riemann_up = (np.einsum('...mrns->...rsmn', dgamma)
@@ -250,8 +254,8 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> dict:
         d2g_inv = -((dg_inv[..., None, :, :, :] @ dg[..., :, None, :, :]) @ g_inv_2
                     + (g_inv_2 @ d2g) @ g_inv_2
                     + g_inv_dg[..., :, None, :, :] @ dg_inv[..., None, :, :, :])
-        d2g_inv = 0.5 * (d2g_inv + _perm(d2g_inv, 1, 0, 2, 3))
-        d2T = _perm(d3g, 0, 1, 3, 2, 4) + _perm(d3g, 0, 1, 3, 4, 2) - d3g   # d_p d_l T
+        d2g_inv = 0.5 * (d2g_inv + d2g_inv.swapaxes(-4, -3))
+        d2T = d3g.swapaxes(-3, -2) + d3g.swapaxes(-3, -1) - d3g        # d_p d_l T
         # a batch's largest arrays are freed as soon as they have been used
         del d3g
         d2gamma = 0.5 * (np.einsum('...plkm,...mij->...plkij', d2g_inv, T)
@@ -296,12 +300,9 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> dict:
                      - (0.5 * dq / (q * root)[..., None])[..., :, None] * u[..., None, :])
         _require_finite(points, "u", u, du)
 
-    return {"point": points, "g": g, "dg": dg, "g_inv": g_inv, "dg_inv": dg_inv,
-            "gamma": gamma, "dgamma": dgamma,
-            "riemann_up": riemann_up, "riemann_low": riemann_low,
-            "driemann_up": driemann_up, "driemann_low": driemann_low,
-            "u": u, "du": du, "u_norm2": _quadratic(g, u),
-            "eigenvalues": np.linalg.eigvalsh(g) if order >= 2 else None}
+    return (points, g, dg, g_inv, dg_inv, gamma, dgamma,
+            riemann_up, riemann_low, driemann_up, driemann_low,
+            np.linalg.eigvalsh(g) if order >= 2 else None, u, du)
 
 
 def _spread(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
@@ -312,14 +313,6 @@ def _spread(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
 def _batch_first(a: np.ndarray | None) -> np.ndarray | None:
     """Move a trailing batch axis, as the jets carry it, to the front."""
     return None if a is None else np.ascontiguousarray(np.moveaxis(a, -1, 0))
-
-
-def _perm(a: np.ndarray, *axes: int) -> np.ndarray:
-    """Transpose the last len(axes) axes of `a` by `axes`, after any batch axis."""
-    lead = a.ndim - len(axes)
-    if not lead:
-        return a.transpose(axes)
-    return a.transpose(*range(lead), *(lead + axis for axis in axes))
 
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:

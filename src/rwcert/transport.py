@@ -26,7 +26,8 @@ import numpy as np
 
 from .chart import ChartSpec
 from .exprs import Expr, ExprError, compile_exprs, parse_expr
-from .geometry import PointGeometry, UNIT_TOL, geometry_at
+from .geometry import (GeometryError, OutsideDomainError, PointGeometry, UNIT_TOL,
+                       geometry_at, geometry_batch)
 from .integrate import doubled, rk4
 from .jets import Jet3
 
@@ -34,6 +35,7 @@ UNIT_SPEED_TOL = 1e-6
 REPARAM_LIMIT = 1e-2       # relative speed error fixable by pointwise normalization
 ENDPOINT_TOL = 1e-8        # step-halving convergence on the transported vector
 _SPEED_SAMPLES = 65
+CHUNK = 64                 # explicit-curve stage points per geometry_batch call
 
 
 class TransportError(ValueError):
@@ -120,7 +122,12 @@ class TransportResult:
 
 class _ExplicitCurve:
     """Point, unit tangent and acceleration of an explicit curve in its own
-    parameter, normalized pointwise once validation finds a mild speed error."""
+    parameter, normalized pointwise once validation finds a mild speed error.
+
+    Every method that takes an array of parameter values evaluates them as one
+    batch: one order-2 jet program in tau and one geometry_batch call.  If
+    either raises, the values are evaluated one at a time instead, so each
+    raises exactly what the single-value path raises."""
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec):
         self.chart = chart
@@ -130,36 +137,57 @@ class _ExplicitCurve:
                                       curve.expr_texts or [""] * len(curve.exprs))
         self._validate()
 
-    def _raw(self, tau: float):
-        """Position, velocity and acceleration from order-2 jets in tau."""
-        env = {self.curve.param: Jet3.variable(0, tau, 1, order=2)}
-        x = np.empty(self.chart.dim)
-        xdot = np.zeros(self.chart.dim)
-        xddot = np.zeros(self.chart.dim)
+    def _raw(self, taus):
+        """Position, velocity and acceleration from order-2 jets in tau, at
+        one parameter value (shape (n,)) or along an array of them (rows)."""
+        env = {self.curve.param: Jet3.variable(0, taus, 1, order=2)}
+        shape = np.shape(taus) + (self.chart.dim,)
+        x = np.empty(shape)
+        xdot = np.zeros(shape)
+        xddot = np.zeros(shape)
         with np.errstate(over="ignore", invalid="ignore"):   # inf/nan leave the domain
             for k, program in enumerate(self.programs):
                 if isinstance(program, float):
-                    x[k] = program
+                    x[..., k] = program
                     continue
                 jet = program(env)
-                x[k] = jet.value
-                xdot[k] = jet.grad[0]
-                xddot[k] = jet.hess[0, 0]
+                x[..., k] = jet.value
+                xdot[..., k] = jet.grad[0]
+                xddot[..., k] = jet.hess[0, 0]
         return x, xdot, xddot
 
-    def _speed(self, tau: float):
+    def _point(self, tau: float):
+        """(x, c', c'', geom) at parameter tau."""
         x, xdot, xddot = self._raw(tau)
-        if not self.chart.contains(x):
-            raise DomainExitError(f"curve leaves the domain at {x.tolist()}")
-        geom = geometry_at(self.chart, x, order=1)
-        return x, xdot, xddot, geom, geom.ip(xdot, xdot)
+        try:
+            geom = geometry_at(self.chart, x, order=1)
+        except OutsideDomainError as err:
+            raise DomainExitError(f"curve leaves the domain at {x.tolist()}") from err
+        return x, xdot, xddot, geom
+
+    def _points(self, taus: np.ndarray):
+        """_point at each of taus: one batch, or, if the batch raises, one
+        point at a time as the result is consumed."""
+        try:
+            x, xdot, xddot = self._raw(taus)
+            geoms = geometry_batch(self.chart, x, order=1)
+        except (GeometryError, ArithmeticError):
+            return map(self._point, taus)
+        return zip(x, xdot, xddot, geoms)
 
     def state(self, tau: float):
         """(x, unit tangent, acceleration nabla_u u, geom, speed v) at parameter
         tau; v is 1.0 on a unit-speed curve."""
-        x, xdot, xddot, geom, w = self._speed(tau)
+        return self._state(*self._point(tau))
+
+    def states(self, taus: np.ndarray) -> list:
+        """state at each of taus."""
+        return [self._state(*point) for point in self._points(taus)]
+
+    def _state(self, x, xdot, xddot, geom: PointGeometry):
         v = 1.0
         if self.normalize:
+            w = geom.ip(xdot, xdot)
             v = np.sqrt(abs(w))
             wdot = (np.einsum('mab,m,a,b->', geom.dg, xdot, xdot, xdot)
                     + 2.0 * geom.ip(xddot, xdot))
@@ -171,8 +199,8 @@ class _ExplicitCurve:
     def _validate(self):
         taus = np.linspace(self.curve.t0, self.curve.t1, _SPEED_SAMPLES)
         speeds = []
-        for tau in taus:
-            _, _, _, _, w = self._speed(tau)
+        for tau, (_, xdot, _, geom) in zip(taus, self._points(taus)):
+            w = geom.ip(xdot, xdot)
             if abs(w) < 0.5:
                 raise CurveError(
                     f"curve is null or nearly null at tau = {tau}: g(c',c') = {w!r}")
@@ -183,11 +211,6 @@ class _ExplicitCurve:
                 f"curve is not unit speed (max | |g(c',c')|^1/2 - 1 | = {err:.3e}); "
                 f"violations above {REPARAM_LIMIT:.0%} are not normalized")
         self.normalize = err > UNIT_SPEED_TOL
-
-
-def _check_inside(chart: ChartSpec, x):
-    if not chart.contains(x):
-        raise DomainExitError(f"curve left the domain at {np.asarray(x).tolist()}")
 
 
 def _transport_rhs(geom: PointGeometry, U, A, Xs, eps: float) -> np.ndarray:
@@ -202,25 +225,33 @@ class _Driver:
     """Joint ODE for the curve state and the transported rows, in the curve's
     own parameter over [curve.t0, curve.t1].
 
-    The context (x, tangent, acceleration, geom, speed) of the last curve point
-    evaluated is kept in a one-entry memo, keyed by tau on explicit curves
-    (their context does not depend on the state) and by the exact position
-    otherwise.  A table row and the next step's k1 share one evaluation, and
-    so do stages that land on the same point: k2 and k3 of an explicit curve,
-    and k2/k3 and k4/next k1 wherever the coordinate tangent is constant.
+    The context of a curve point is (x, tangent, acceleration, geom, speed).
+    On an explicit curve it depends on tau alone, and every tau a run visits
+    is known before the run starts: the rows of linspace(t0, t1, N+1) and
+    the mid stages t + 0.5*h, in rk4's order and with rk4's floats.  The
+    driver evaluates them CHUNK at a time ahead of the integrator and looks
+    contexts up by tau, so each stage point is evaluated once; the start
+    context, evaluated once, seeds each run's first window.  Other curves
+    find their points by integrating, so the context of the last point is
+    kept in a one-entry memo keyed by the exact position: a table row and the
+    next step's k1 share one evaluation, and so do k2/k3 and k4/next k1
+    wherever the coordinate tangent is constant.
     """
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec, rows: int):
         self.chart = chart
         self.curve = curve
         self.rows = rows
-        self._memo = None   # (key, (x, U, A, geom, speed)) of the last point evaluated
+        self._memo = None   # (x, context) of the last point evaluated, off explicit curves
         n = chart.dim
         if curve.kind == "explicit":
             if curve.exprs is None or len(curve.exprs) != n:
                 raise CurveError(f"explicit curve needs {n} component expressions")
             self.engine = _ExplicitCurve(chart, curve)
             self.head = 0
+            self._start = self.engine.state(curve.t0)
+            self._window = {curve.t0: self._start}   # tau -> context, read ahead
+            self._ahead = np.empty(0)                # stage taus not yet evaluated
         elif curve.kind == "u_integral":
             if curve.start is None or len(curve.start) != n:
                 raise CurveError("integral-curve transport needs a start point")
@@ -256,19 +287,39 @@ class _Driver:
                                np.asarray(self.curve.velocity, dtype=float),
                                X0_rows.ravel()])
 
+    def _plan(self, taus: np.ndarray):
+        """Queue the stage taus of an explicit-curve run over the grid `taus`."""
+        steps = len(taus) - 1
+        stages = np.empty(2 * steps + 1)
+        stages[0::2] = taus
+        stages[1::2] = taus[:-1] + 0.5 * ((self.curve.t1 - self.curve.t0) / steps)
+        self._window = {self.curve.t0: self._start}
+        self._ahead = stages[1:]
+
+    def _read_ahead(self, tau: float):
+        """Context at a tau missing from the window: with the next CHUNK
+        queued stages when tau heads the queue, else alone."""
+        if len(self._ahead) and self._ahead[0] == tau:
+            chunk, self._ahead = self._ahead[:CHUNK], self._ahead[CHUNK:]
+            self._window = dict(zip(chunk.tolist(), self.engine.states(chunk)))
+        else:
+            self._window = {tau: self.engine.state(tau)}
+        return self._window[tau]
+
     def _context(self, tau: float, state: np.ndarray):
         """(x, unit tangent, acceleration, geom, speed) at the current
         integration point; the speed is 1.0 except on a normalized explicit
         curve."""
         n = self.chart.dim
         if self.curve.kind == "explicit":
-            if self._memo is None or self._memo[0] != tau:
-                self._memo = (tau, self.engine.state(tau))
-            return self._memo[1]
+            context = self._window.get(tau)
+            return self._read_ahead(tau) if context is None else context
         x = state[:n]
         if self._memo is None or not np.array_equal(self._memo[0], x):
-            _check_inside(self.chart, x)
-            geom = geometry_at(self.chart, x, order=1)
+            try:
+                geom = geometry_at(self.chart, x, order=1)
+            except OutsideDomainError as err:
+                raise DomainExitError(f"curve left the domain at {x.tolist()}") from err
             x = x.copy()
             A = geom.acceleration() if self.curve.kind == "u_integral" else np.zeros(n)
             self._memo = (x, (x, geom.u, A, geom, 1.0))
@@ -296,6 +347,8 @@ class _Driver:
     def integrate(self, X0_rows: np.ndarray, steps: int):
         n = self.chart.dim
         taus = np.linspace(self.curve.t0, self.curve.t1, steps + 1)
+        if self.curve.kind == "explicit":
+            self._plan(taus)
         points = np.empty((steps + 1, n))
         tangents = np.empty((steps + 1, n))
         metrics = np.empty((steps + 1, n, n))

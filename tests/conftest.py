@@ -8,7 +8,9 @@ they can serve as oracles for the jet engine rather than echoing it.
 """
 
 import math
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +242,16 @@ def plane_chart():
 @pytest.fixture(scope="session")
 def charts():
     return {cid: catalog.get_chart(cid) for cid in catalog.CATALOG}
+
+
+@pytest.fixture(scope="session")
+def cli_env():
+    """Environment for a `python -m rwcert` subprocess: it imports the package
+    the tests import, whether that came from PYTHONPATH or pytest's pythonpath."""
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -337,14 +337,14 @@ def test_criterion_09_fermi_conservation(charts100, plane_chart):
              f"{parallel_err:.2e}")
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, cli_env):
     """Fixed seed: byte-identical reports; --threads changes nothing."""
     def run(name, extra):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "rwcert", "check", "flrw_closed_osc",
              "--points", "24", "--seed", "11", "--report", str(out)] + extra,
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env)
         assert proc.returncode == 0, proc.stderr
         return out.read_bytes()
 
@@ -361,7 +361,7 @@ def test_criterion_10_determinism(tmp_path):
             [sys.executable, "-m", "rwcert", "slice", "einstein_static",
              "--base", "0,0.3,0.4,0.5", "--tau-grid", "0:0.4:0.2",
              "--points", "12", "--seed", "3", "--report", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env)
         assert proc.returncode == 0, proc.stderr
         slice_runs.append(out.read_bytes())
     assert slice_runs[0] == slice_runs[1]

@@ -212,9 +212,9 @@ def test_bad_base_vector_exits_two(capsys):
     assert "components" in err
 
 
-def test_module_entry_point_smoke():
+def test_module_entry_point_smoke(cli_env):
     proc = subprocess.run([sys.executable, "-m", "rwcert", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=cli_env)
     assert proc.returncode == 0
     assert "riemannian_grw" in proc.stdout
 
@@ -330,6 +330,52 @@ def test_expression_domain_error_exits_two(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exprs, says", [
+    # fails at the 46th of the 65 speed samples, before the run
+    ("sinh(s),cosh(s),0*sqrt(0.7-s),0",
+     "sqrt undefined at value -0.0031250000000000444 in 'sqrt(0.7-s)' (span 2:13)"),
+    # fails only between speed samples, at a stage point inside a read-ahead chunk
+    ("sinh(s),cosh(s),0*sqrt((s-0.5078125)^2-0.000001),0",
+     "sqrt undefined at value -9.023437499999694e-07 in "
+     "'sqrt((s-0.5078125)^2-0.000001)' (span 2:32)"),
+])
+def test_curve_component_failing_partway_exits_two(capsys, exprs, says):
+    """A component that fails partway along the range names the first failing
+    parameter value, as when each point was evaluated on its own."""
+    code, out, err = run_cli(["transport", "minkowski", "--curve", "explicit",
+                              "--exprs", exprs, "--x0", "0,1,0,0", "--steps", "200"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {says}\n"
+
+
+@pytest.mark.parametrize("chart_id, curve_args, x0, says", [
+    # a narrow bump in z between two speed samples carries the curve past z = 3
+    ("minkowski", ["--curve", "explicit",
+                   "--exprs", "sinh(s),cosh(s),10*exp(-1000000*(s-0.5078125)^2),0"],
+     "0,1,0,0", "curve leaves the domain at "),
+    ("flrw_flat_linear", ["--curve", "u", "--start", "3.4,0.1,0.2,0.3"],
+     "0,0.25,0,0", "curve left the domain at "),
+    ("flrw_closed_osc", ["--curve", "geodesic", "--start", "5.9,1.0,1.5,1.5",
+                         "--velocity", "1,0,0,0"], "0,0.2,0.1,-0.05",
+     "curve left the domain at "),
+])
+def test_transport_leaving_the_domain_mid_run_exits_one(capsys, chart_id, curve_args,
+                                                        x0, says):
+    """A curve that leaves the chart during the run is a failed transport
+    (exit 1), named at its first point outside the domain, not an input
+    error."""
+    code, out, err = run_cli(["transport", chart_id, *curve_args, "--x0", x0,
+                              "--steps", "200"], capsys)
+    assert code == 1
+    assert out == ""
+    line = err.splitlines()[0]
+    assert line.startswith(f"[rwcert] transport failed: {says}")
+    point = json.loads(line[len(f"[rwcert] transport failed: {says}"):])
+    assert not catalog.get_chart(chart_id).contains(point)
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rwcert.geometry import adapted_frame, geometry_at
+from rwcert.geometry import GeometryError, adapted_frame, geometry_at
 from rwcert.transport import (CurveError, CurveSpec, TransportError, _ExplicitCurve,
                               fermi_derivative, fermi_frame, gram_drift, transport)
 
@@ -242,6 +242,42 @@ def test_normalized_acceleration_is_normal_to_the_tangent(charts, name, exprs):
         assert abs(geom.ip(A, U)) < 1e-12
 
 
+_READ_AHEAD_CASES = [
+    # unit speed in curved space; 45 steps are 90 stage points, not a multiple of CHUNK
+    ("flrw_closed_osc", ["3 + s", "1", "1.5", "1.5"], 0.0, 1.0, 45),
+    # normalized in curved space
+    (*_CURVED_MILD[0], 0.0, 1.0, 100),
+    (*_CURVED_MILD[1], 0.0, 1.0, 100),
+    # a decreasing range
+    ("minkowski", ["sinh(s)", "cosh(s)", "0", "0"], 1.0, 0.0, 100),
+]
+
+
+@pytest.mark.parametrize("name, exprs, t0, t1, steps", _READ_AHEAD_CASES)
+def test_read_ahead_equals_the_point_path(charts, monkeypatch, name, exprs, t0, t1, steps):
+    """Explicit-curve stage points evaluated in read-ahead batches give the
+    table of the one-point-at-a-time path bit for bit.  That path is the
+    fallback of a batch that raises, forced here by a geometry_batch that
+    always does; the runs double until they converge."""
+    from rwcert import transport as transport_module
+
+    chart = charts[name]
+    curve = CurveSpec.explicit(exprs, t0=t0, t1=t1)
+    x0 = np.random.default_rng(4).normal(size=(2, 4))
+    batched = transport(chart, curve, x0, steps=steps)
+    refused = []
+
+    def refusing(chart, points, order=3):
+        refused.append(len(points))
+        raise GeometryError("batch refused")
+
+    monkeypatch.setattr(transport_module, "geometry_batch", refusing)
+    pointwise = transport(chart, curve, x0, steps=steps)
+    assert refused
+    for field in ("taus", "points", "tangents", "metrics", "vectors"):
+        assert np.array_equal(getattr(batched, field), getattr(pointwise, field)), field
+
+
 def test_geodesic_fermi_equals_parallel(charts):
     """On a curved-space geodesic the Fermi rhs has no acceleration terms, so
     transport must agree with independently integrated parallel transport."""
@@ -273,18 +309,27 @@ def test_geodesic_fermi_equals_parallel(charts):
     assert np.abs(result.vectors[-1] - state[2 * n:]).max() < 1e-8
 
 
-def _count_geometry(monkeypatch) -> list:
-    """Record the order of every geometry_at call the transport module makes."""
+def _count_geometry(monkeypatch, batches=None) -> list:
+    """Record the order of every point the transport module evaluates, by a
+    geometry_at call or as a row of a geometry_batch call; the size of each
+    batch goes to `batches` when it is given."""
     from rwcert import transport as transport_module
 
     calls = []
-    real = transport_module.geometry_at
+    real, real_batch = transport_module.geometry_at, transport_module.geometry_batch
 
     def counting(chart, point, order=3):
         calls.append(order)
         return real(chart, point, order)
 
+    def counting_batch(chart, points, order=3):
+        calls.extend([order] * len(points))
+        if batches is not None:
+            batches.append(len(points))
+        return real_batch(chart, points, order)
+
     monkeypatch.setattr(transport_module, "geometry_at", counting)
+    monkeypatch.setattr(transport_module, "geometry_batch", counting_batch)
     return calls
 
 
@@ -308,16 +353,32 @@ def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
     """k2 and k3 share one tau, and k4, the next row and the next k1 share
     another; the start cost is the unit-speed validation plus the start data.
     A curve with a mild speed error costs the same: it is normalized pointwise,
-    with no extra evaluations."""
-    from rwcert.transport import _SPEED_SAMPLES
+    with no extra evaluations.  The speed samples are one batch, the start
+    point one geometry_at call, and a run's stage points are read ahead in
+    batches of CHUNK; a doubled run starts from the start context it kept."""
+    from rwcert.transport import _SPEED_SAMPLES, CHUNK
 
-    calls = _count_geometry(monkeypatch)
+    batches = []
+    calls = _count_geometry(monkeypatch, batches)
     steps = 10
     for exprs in (["sinh(s)", "cosh(s)", "0", "0"], ["s + 0.002*sin(s)", "0.3", "0", "0"]):
         calls.clear()
+        batches.clear()
         transport(charts["minkowski"], CurveSpec.explicit(exprs, t0=0.0, t1=1.0),
                   [0.0, 1.0, 0.0, 0.0], steps=steps, max_halvings=0)
         assert len(calls) == _SPEED_SAMPLES + 1 + 2 * steps, exprs
+        assert batches == [_SPEED_SAMPLES, 2 * steps], exprs
+
+    calls.clear()
+    batches.clear()
+    steps = 200
+    rindler = CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"])
+    result = transport(charts["minkowski"], rindler, [0.0, 1.0, 0.0, 0.0], steps=steps,
+                       max_halvings=1)
+    assert result.steps == steps
+    assert len(calls) == _SPEED_SAMPLES + 1 + 2 * steps + 4 * steps
+    assert batches == ([_SPEED_SAMPLES] + [CHUNK] * 6 + [2 * steps - 6 * CHUNK]
+                       + [CHUNK] * 12 + [4 * steps - 12 * CHUNK])
 
 
 def test_comoving_u_curve_evaluates_two_per_step(charts, monkeypatch):
@@ -457,4 +518,7 @@ def test_fermi_frame_builds_one_driver(charts, monkeypatch):
     calls.clear()
     plain = transport(chart, curve, frame0, steps=10)
     assert frame_calls == len(calls)
+    # speed samples, start point, then runs of 10, 20, 40 and 80 steps, each
+    # starting from the kept start context
+    assert frame_calls == 65 + 1 + 2 * (10 + 20 + 40 + 80)
     assert np.array_equal(framed.vectors, plain.vectors)
