@@ -32,6 +32,7 @@ from .exprs import Expr, ExprError, compile_exprs, parse_expr
 _TOP_FIELDS = {"name", "dim", "coords", "metric", "u", "params", "domain", "options"}
 _OPTION_FIELDS = {"normalize_u"}
 _RESERVED = exprs.FUNCTION_NAMES | {"pi"}
+DOMAIN_RTOL = 1e-9      # contains() pads each domain interval by this share of its width
 
 
 class ChartError(ValueError):
@@ -96,11 +97,11 @@ class ChartSpec:
         return ChartPrograms(metric_constant, tuple(metric_varying),
                              u_constant, tuple(u_varying))
 
-    def contains(self, point, rtol: float = 1e-9) -> bool:
+    def contains(self, point) -> bool:
         """Whether every coordinate lies in its domain interval (padded by
-        rtol of its width); a nan coordinate lies in none."""
+        DOMAIN_RTOL of its width); a nan coordinate lies in none."""
         for x, (lo, hi) in zip(point, self.domain):
-            pad = rtol * (hi - lo)
+            pad = DOMAIN_RTOL * (hi - lo)
             if not lo - pad <= x <= hi + pad:
                 return False
         return True

@@ -112,21 +112,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             ("transport", "Fermi-transport a vector along a curve", cmd_transport)):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("chart", help="catalog id or path to a .chart.json file")
-        p.add_argument("--points", type=int, default=64,
-                       help="sample count (default 64, at most 100000)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL_PASS,
-                       help="residual pass tolerance")
-        p.add_argument("--margin", type=float, default=DEFAULT_TOL_MARGIN,
-                       help="|h - eps f| nondegeneracy margin")
-        p.add_argument("--expect", choices=CLASSIFICATIONS, default=None,
-                       help="fail (exit 1) unless the classification matches")
         p.add_argument("--report", default=None, help="write the JSON report here "
                                                       "instead of stdout")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect "
-                            "(samples are evaluated serially)")
         p.set_defaults(handler=handler)
+        if name != "transport":
+            p.add_argument("--points", type=int, default=64,
+                           help="sample count (default 64, at most 100000)")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL_PASS,
+                           help="residual pass tolerance")
+            p.add_argument("--margin", type=float, default=DEFAULT_TOL_MARGIN,
+                           help="|h - eps f| nondegeneracy margin")
+            p.add_argument("--expect", choices=CLASSIFICATIONS, default=None,
+                           help="fail (exit 1) unless the classification matches")
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted for compatibility; has no effect "
+                                "(samples are evaluated serially)")
         if name == "slice":
             p.add_argument("--base", required=True, help="base point, comma-separated")
             p.add_argument("--tau-grid", required=True, dest="tau_grid",
@@ -221,20 +222,20 @@ def cmd_list(args) -> int:
     return EXIT_PASS
 
 
-def _check_options(args) -> None:
-    """Reject option values that no run could use or no report could hold."""
+def _check_options(args, tolerances: dict, points: int = 0) -> None:
+    """Reject option values that no run could use or no report could hold:
+    the seed, each {flag: value} of `tolerances` and the --points count."""
     if args.seed < 0:
         raise _InputError(f"--seed must be a non-negative integer, got {args.seed}")
-    for flag, value in (("--tol", args.tol), ("--margin", args.margin),
-                        ("--drift-tol", getattr(args, "drift_tol", 0.0))):
+    for flag, value in tolerances.items():
         if not (math.isfinite(value) and value >= 0.0):
             raise _InputError(f"{flag} must be a finite number >= 0, got {value!r}")
-    if args.points > POINTS_MAX:
-        raise _InputError(f"--points is {args.points}, more than the limit of {POINTS_MAX}")
+    if points > POINTS_MAX:
+        raise _InputError(f"--points is {points}, more than the limit of {POINTS_MAX}")
 
 
 def cmd_check(args) -> int:
-    _check_options(args)
+    _check_options(args, {"--tol": args.tol, "--margin": args.margin}, args.points)
     chart, source = _resolve_chart(args.chart)
     certificate = certify(chart, _config(args))
     document = report.build_report("check", chart.name, source, args.seed,
@@ -248,7 +249,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    _check_options(args)
+    _check_options(args, {"--tol": args.tol, "--margin": args.margin}, args.points)
     chart, source = _resolve_chart(args.chart)
     base = _floats(args.base, "--base", chart.dim)
     grid = _tau_grid(args.tau_grid)
@@ -305,7 +306,7 @@ def _curve_from_args(args, chart: ChartSpec) -> tuple[CurveSpec, dict]:
 
 
 def cmd_transport(args) -> int:
-    _check_options(args)
+    _check_options(args, {"--drift-tol": args.drift_tol})
     chart, source = _resolve_chart(args.chart)
     curve, desc = _curve_from_args(args, chart)
     steps = curve.default_steps() if args.steps is None else args.steps

@@ -183,6 +183,20 @@ def _scalars(chart: ChartSpec, point, tol_margin: float):
     return geom, f, h, geom.epsilon, margin, float(dh @ geom.u)
 
 
+def _slice_terms(h: float, eps, margin: float, dh_u: float) -> tuple[float, float]:
+    """(K_tau, psi) from the scalars at a point, margin = h - eps f:
+    K_tau = h + eps [dh(u) / (2 margin)]^2 and psi = -eps dh(u) / margin^2."""
+    return h + eps * (dh_u / (2.0 * margin))**2, -eps * dh_u / margin**2
+
+
+def _on_flow(evaluate, chart: ChartSpec, x, *args):
+    """evaluate(chart, x, *args), leaving the domain raised as a FlowDomainError."""
+    try:
+        return evaluate(chart, x, *args)
+    except OutsideDomainError as err:
+        raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
+
+
 def second_fundamental_form_check(chart: ChartSpec, point,
                                   tol_margin: float = DEFAULT_TOL_MARGIN
                                   ) -> tuple[float, float]:
@@ -206,7 +220,7 @@ def slice_curvature(chart: ChartSpec, point,
                     tol_margin: float = DEFAULT_TOL_MARGIN) -> float:
     """K_tau = h + eps [dh(u)/(2(h - eps f))]^2 at a certified sample point."""
     _, _, h, eps, margin, dh_u = _scalars(chart, point, tol_margin)
-    return h + eps * (dh_u / (2.0 * margin))**2
+    return _slice_terms(h, eps, margin, dh_u)[0]
 
 
 # -- flow of d_t and the scale factor ---------------------------------------------
@@ -224,10 +238,7 @@ def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: flo
     steps = max(4, int(np.ceil(abs(delta_tau) * steps_per_unit)))
 
     def rhs(_, x):
-        try:
-            geom, _, _, margin = _guarded(chart, x, 2, certificate.tol_margin)
-        except OutsideDomainError as err:
-            raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
+        geom, _, _, margin = _on_flow(_guarded, chart, x, 2, certificate.tol_margin)
         return eps * geom.u / margin
 
     return rk4(rhs, np.asarray(start, dtype=float), 0.0, delta_tau, steps)
@@ -251,13 +262,9 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
     def rhs(_, state):
         """State = (x, log a^2, proper time); returns its tau derivative."""
         x = state[:-2]
-        try:
-            geom, _, _, _, margin, dh_u = _scalars(chart, x, certificate.tol_margin)
-        except OutsideDomainError as err:
-            raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
-        velocity = eps * geom.u / margin
-        psi = -eps * dh_u / margin**2
-        return np.concatenate([velocity, [psi, 1.0 / abs(margin)]])
+        geom, _, h, _, margin, dh_u = _on_flow(_scalars, chart, x, certificate.tol_margin)
+        _, psi = _slice_terms(h, eps, margin, dh_u)
+        return np.concatenate([eps * geom.u / margin, [psi, 1.0 / abs(margin)]])
 
     def run(steps_per_unit: int) -> dict[float, np.ndarray]:
         states: dict[float, np.ndarray] = {}
@@ -283,19 +290,17 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
         raise FoliationError("flow integration did not converge under step halving")
     states = flow.value
 
-    a_vals, k_vals, psi_vals, s_vals, points = [], [], [], [], []
+    a_vals, terms, s_vals, points = [], [], [], []
     for t in taus:
         state = states[float(t)]
         x = state[:-2]
         _, _, h_val, _, margin, dh_u = _scalars(chart, x, certificate.tol_margin)
-        a_val = float(np.exp(0.5 * state[-2]))
-        a_vals.append(a_val)
-        k_vals.append(h_val + eps * (dh_u / (2.0 * margin))**2)
-        psi_vals.append(-eps * dh_u / margin**2)
+        a_vals.append(float(np.exp(0.5 * state[-2])))
+        terms.append(_slice_terms(h_val, eps, margin, dh_u))
         s_vals.append(float(state[-1]))
         points.append(x)
     a_vals = np.array(a_vals)
-    k_vals = np.array(k_vals)
+    k_vals, psi_vals = np.array(terms).T
     k_hat = k_vals * a_vals**2
 
     k0 = float(k_hat[np.searchsorted(taus, 0.0)])

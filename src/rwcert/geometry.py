@@ -80,7 +80,6 @@ class PointGeometry:
     riemann_low: np.ndarray | None
     driemann_up: np.ndarray | None
     driemann_low: np.ndarray | None
-    signature: tuple[int, ...]
     u: np.ndarray
     du: np.ndarray          # du[l, k] = d_l u^k
     u_norm2: float          # g(u, u)
@@ -174,17 +173,15 @@ def _point_geometry(fields: tuple, order: int, index: int | None) -> PointGeomet
     (index None: the arrays have no batch axis)."""
     if index is not None:
         fields = [None if a is None else a[index] for a in fields]
-    point, g, *tensors, eigenvalues, u, du = fields
-    signature = () if eigenvalues is None else tuple(1 if ev > 0 else -1 for ev in eigenvalues)
-    return PointGeometry(point, g, *tensors, signature, u, du, float(u @ g @ u), order)
+    point, g, *tensors, u, du = fields
+    return PointGeometry(point, g, *tensors, u, du, float(u @ g @ u), order)
 
 
 def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
     """The geometry of points of shape (n,) or (B, n), inside the domain, as
     arrays with the same leading batch shape: one body for geometry_at and
-    geometry_batch.  The arrays come in PointGeometry's field order up to du,
-    with the eigenvalues of g (None below order 2) in place of the signature;
-    _point_geometry derives the signature and u_norm2 row by row.
+    geometry_batch.  The arrays come in PointGeometry's field order up to du;
+    _point_geometry derives u_norm2 row by row.
 
     Jets hold the batch as a trailing axis (see jets), so the metric slots are
     gathered with it last and moved to the front once; after that every
@@ -301,8 +298,7 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
         _require_finite(points, "u", u, du)
 
     return (points, g, dg, g_inv, dg_inv, gamma, dgamma,
-            riemann_up, riemann_low, driemann_up, driemann_low,
-            np.linalg.eigvalsh(g) if order >= 2 else None, u, du)
+            riemann_up, riemann_low, driemann_up, driemann_low, u, du)
 
 
 def _spread(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
@@ -394,7 +390,7 @@ class Frame:
         return float(np.linalg.norm(self.components(w)))
 
 
-def adapted_frame(geom: PointGeometry, u_value=None, rng=None) -> Frame:
+def adapted_frame(geom: PointGeometry, rng=None) -> Frame:
     """Complete u to an orthonormal frame by pivoted Gram-Schmidt.
 
     Pivot candidates are the coordinate axes in rng-shuffled order; a candidate
@@ -403,7 +399,7 @@ def adapted_frame(geom: PointGeometry, u_value=None, rng=None) -> Frame:
     MAX_PIVOT_TRIES random axis mixtures are tried afterwards.  Deterministic
     for a given rng state.
     """
-    u = geom.u if u_value is None else np.asarray(u_value, dtype=float)
+    u = geom.u
     rng = np.random.default_rng(0) if rng is None else rng
     n = geom.dim
     q = geom.ip(u, u)

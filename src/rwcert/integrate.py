@@ -12,22 +12,31 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
+def stage_taus(t0: float, t1: float, steps: int) -> list[float]:
+    """The 2*steps + 1 values rk4 visits, in order: linspace(t0, t1, steps + 1)
+    at even places, t + 0.5*(t1 - t0)/steps between them.  Step i takes k1 at
+    [2i], k2 and k3 at [2i + 1], k4 at [2i + 2]."""
+    stages = np.empty(2 * steps + 1)
+    stages[0::2] = np.linspace(t0, t1, steps + 1)
+    stages[1::2] = stages[0:-1:2] + 0.5 * ((t1 - t0) / steps)
+    return stages.tolist()
+
+
 def rk4(rhs: Callable, y: np.ndarray, t0: float, t1: float, steps: int,
         row: Callable | None = None) -> np.ndarray:
     """Integrate y' = rhs(t, y) from t0 to t1 in `steps` RK4 steps; return y(t1).
 
-    The grid is linspace(t0, t1, steps + 1) with h = (t1 - t0) / steps: the
-    mid stages run at t + 0.5*h and k4 at the next grid value, bit for bit,
-    so a caller keying work on the grid sees the same floats.  `row(i, tau, y)`
-    runs after step i (1..steps) with the grid value and state it reached.
+    rhs runs at the values of stage_taus(t0, t1, steps), so a caller keying
+    work on them sees the same floats.  `row(i, tau, y)` runs after step i
+    (1..steps) with the grid value and state it reached.
     """
-    taus = np.linspace(t0, t1, steps + 1)
+    taus = stage_taus(t0, t1, steps)
     h = (t1 - t0) / steps
     for i in range(steps):
-        t, end = taus[i], taus[i + 1]
+        t, mid, end = taus[2 * i:2 * i + 3]
         k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k2 = rhs(mid, y + 0.5 * h * k1)
+        k3 = rhs(mid, y + 0.5 * h * k2)
         k4 = rhs(end, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if row is not None:

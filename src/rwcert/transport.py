@@ -28,11 +28,12 @@ from .chart import ChartSpec
 from .exprs import Expr, ExprError, compile_exprs, parse_expr
 from .geometry import (GeometryError, OutsideDomainError, PointGeometry, UNIT_TOL,
                        geometry_at, geometry_batch)
-from .integrate import doubled, rk4
+from .integrate import doubled, rk4, stage_taus
 from .jets import Jet3
 
 UNIT_SPEED_TOL = 1e-6
 REPARAM_LIMIT = 1e-2       # relative speed error fixable by pointwise normalization
+STEP = 1e-3                # default integration step in the curve parameter
 ENDPOINT_TOL = 1e-8        # step-halving convergence on the transported vector
 _SPEED_SAMPLES = 65
 CHUNK = 64                 # explicit-curve stage points per geometry_batch call
@@ -56,14 +57,12 @@ class CurveSpec:
 
     kind is one of 'u_integral' (start point required), 'explicit' (component
     expressions of one parameter) or 'geodesic' (start point and unit start
-    velocity).  The parameter runs over [t0, t1] and `step` is the default
-    integration step.
+    velocity).  The parameter runs over [t0, t1].
     """
 
     kind: str
     t0: float = 0.0
     t1: float = 1.0
-    step: float = 1e-3
     start: tuple[float, ...] | None = None
     velocity: tuple[float, ...] | None = None
     exprs: tuple[Expr, ...] | None = None
@@ -71,27 +70,27 @@ class CurveSpec:
     param: str = "s"
 
     @classmethod
-    def integral_curve_of_u(cls, start, t0=0.0, t1=1.0, step=1e-3) -> "CurveSpec":
+    def integral_curve_of_u(cls, start, t0=0.0, t1=1.0) -> "CurveSpec":
         return cls(kind="u_integral", start=tuple(float(x) for x in start),
-                   t0=float(t0), t1=float(t1), step=float(step))
+                   t0=float(t0), t1=float(t1))
 
     @classmethod
-    def geodesic(cls, start, velocity, t0=0.0, t1=1.0, step=1e-3) -> "CurveSpec":
+    def geodesic(cls, start, velocity, t0=0.0, t1=1.0) -> "CurveSpec":
         return cls(kind="geodesic", start=tuple(float(x) for x in start),
                    velocity=tuple(float(v) for v in velocity),
-                   t0=float(t0), t1=float(t1), step=float(step))
+                   t0=float(t0), t1=float(t1))
 
     @classmethod
-    def explicit(cls, texts, param="s", t0=0.0, t1=1.0, step=1e-3) -> "CurveSpec":
+    def explicit(cls, texts, param="s", t0=0.0, t1=1.0) -> "CurveSpec":
         try:
             exprs = tuple(parse_expr(text, [param], ()) for text in texts)
         except ExprError as err:
             raise CurveError(f"bad curve expression: {err}") from err
         return cls(kind="explicit", exprs=exprs, expr_texts=tuple(texts), param=param,
-                   t0=float(t0), t1=float(t1), step=float(step))
+                   t0=float(t0), t1=float(t1))
 
     def default_steps(self) -> int:
-        return max(1, int(round(abs(self.t1 - self.t0) / self.step)))
+        return max(1, int(round(abs(self.t1 - self.t0) / STEP)))
 
 
 def fermi_derivative(geom: PointGeometry, u, accel, X, dX) -> np.ndarray:
@@ -127,7 +126,8 @@ class _ExplicitCurve:
     Every method that takes an array of parameter values evaluates them as one
     batch: one order-2 jet program in tau and one geometry_batch call.  If
     either raises, the values are evaluated one at a time instead, so each
-    raises exactly what the single-value path raises."""
+    raises exactly what the single-value path raises.  `start` is the state
+    at t0, taken from the first speed sample."""
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec):
         self.chart = chart
@@ -135,7 +135,7 @@ class _ExplicitCurve:
         self.normalize = False
         self.programs = compile_exprs(curve.exprs, {},
                                       curve.expr_texts or [""] * len(curve.exprs))
-        self._validate()
+        self.start = self._state(*self._validate())
 
     def _raw(self, taus):
         """Position, velocity and acceleration from order-2 jets in tau, at
@@ -175,13 +175,9 @@ class _ExplicitCurve:
             return map(self._point, taus)
         return zip(x, xdot, xddot, geoms)
 
-    def state(self, tau: float):
-        """(x, unit tangent, acceleration nabla_u u, geom, speed v) at parameter
-        tau; v is 1.0 on a unit-speed curve."""
-        return self._state(*self._point(tau))
-
     def states(self, taus: np.ndarray) -> list:
-        """state at each of taus."""
+        """(x, unit tangent, acceleration nabla_u u, geom, speed v) at each of
+        taus; v is 1.0 on a unit-speed curve."""
         return [self._state(*point) for point in self._points(taus)]
 
     def _state(self, x, xdot, xddot, geom: PointGeometry):
@@ -197,20 +193,25 @@ class _ExplicitCurve:
         return x, xdot, accel, geom, v
 
     def _validate(self):
+        """Check the speed at _SPEED_SAMPLES parameter values from t0 to t1,
+        set `normalize`, and return the first sample's (x, c', c'', geom)."""
         taus = np.linspace(self.curve.t0, self.curve.t1, _SPEED_SAMPLES)
-        speeds = []
-        for tau, (_, xdot, _, geom) in zip(taus, self._points(taus)):
+        speeds, start = [], None
+        for tau, point in zip(taus, self._points(taus)):
+            _, xdot, _, geom = point
             w = geom.ip(xdot, xdot)
             if abs(w) < 0.5:
                 raise CurveError(
                     f"curve is null or nearly null at tau = {tau}: g(c',c') = {w!r}")
             speeds.append(np.sqrt(abs(w)))
+            start = point if start is None else start
         err = float(np.abs(np.array(speeds) - 1.0).max())
         if err > REPARAM_LIMIT:
             raise CurveError(
                 f"curve is not unit speed (max | |g(c',c')|^1/2 - 1 | = {err:.3e}); "
                 f"violations above {REPARAM_LIMIT:.0%} are not normalized")
         self.normalize = err > UNIT_SPEED_TOL
+        return start
 
 
 def _transport_rhs(geom: PointGeometry, U, A, Xs, eps: float) -> np.ndarray:
@@ -227,15 +228,14 @@ class _Driver:
 
     The context of a curve point is (x, tangent, acceleration, geom, speed).
     On an explicit curve it depends on tau alone, and every tau a run visits
-    is known before the run starts: the rows of linspace(t0, t1, N+1) and
-    the mid stages t + 0.5*h, in rk4's order and with rk4's floats.  The
-    driver evaluates them CHUNK at a time ahead of the integrator and looks
-    contexts up by tau, so each stage point is evaluated once; the start
-    context, evaluated once, seeds each run's first window.  Other curves
-    find their points by integrating, so the context of the last point is
-    kept in a one-entry memo keyed by the exact position: a table row and the
-    next step's k1 share one evaluation, and so do k2/k3 and k4/next k1
-    wherever the coordinate tangent is constant.
+    is known before the run starts: integrate.stage_taus, which rk4 walks.
+    The driver evaluates them CHUNK at a time ahead of the integrator and
+    looks contexts up by tau, so each stage point is evaluated once; the
+    start context, the curve's first speed sample, seeds each run's first
+    window.  Other curves find their points by integrating, so the context
+    of the last point is kept in a one-entry memo keyed by the exact
+    position: a table row and the next step's k1 share one evaluation, and
+    so do k2/k3 and k4/next k1 wherever the coordinate tangent is constant.
     """
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec, rows: int):
@@ -249,9 +249,7 @@ class _Driver:
                 raise CurveError(f"explicit curve needs {n} component expressions")
             self.engine = _ExplicitCurve(chart, curve)
             self.head = 0
-            self._start = self.engine.state(curve.t0)
-            self._window = {curve.t0: self._start}   # tau -> context, read ahead
-            self._ahead = np.empty(0)                # stage taus not yet evaluated
+            self._window = {curve.t0: self.engine.start}   # tau -> context, read ahead
         elif curve.kind == "u_integral":
             if curve.start is None or len(curve.start) != n:
                 raise CurveError("integral-curve transport needs a start point")
@@ -287,33 +285,16 @@ class _Driver:
                                np.asarray(self.curve.velocity, dtype=float),
                                X0_rows.ravel()])
 
-    def _plan(self, taus: np.ndarray):
-        """Queue the stage taus of an explicit-curve run over the grid `taus`."""
-        steps = len(taus) - 1
-        stages = np.empty(2 * steps + 1)
-        stages[0::2] = taus
-        stages[1::2] = taus[:-1] + 0.5 * ((self.curve.t1 - self.curve.t0) / steps)
-        self._window = {self.curve.t0: self._start}
-        self._ahead = stages[1:]
-
-    def _read_ahead(self, tau: float):
-        """Context at a tau missing from the window: with the next CHUNK
-        queued stages when tau heads the queue, else alone."""
-        if len(self._ahead) and self._ahead[0] == tau:
-            chunk, self._ahead = self._ahead[:CHUNK], self._ahead[CHUNK:]
-            self._window = dict(zip(chunk.tolist(), self.engine.states(chunk)))
-        else:
-            self._window = {tau: self.engine.state(tau)}
-        return self._window[tau]
-
     def _context(self, tau: float, state: np.ndarray):
         """(x, unit tangent, acceleration, geom, speed) at the current
         integration point; the speed is 1.0 except on a normalized explicit
         curve."""
         n = self.chart.dim
         if self.curve.kind == "explicit":
-            context = self._window.get(tau)
-            return self._read_ahead(tau) if context is None else context
+            if tau not in self._window:     # tau heads the queue: read CHUNK stages
+                chunk, self._ahead = self._ahead[:CHUNK], self._ahead[CHUNK:]
+                self._window = dict(zip(chunk, self.engine.states(np.array(chunk))))
+            return self._window[tau]
         x = state[:n]
         if self._memo is None or not np.array_equal(self._memo[0], x):
             try:
@@ -346,9 +327,10 @@ class _Driver:
 
     def integrate(self, X0_rows: np.ndarray, steps: int):
         n = self.chart.dim
-        taus = np.linspace(self.curve.t0, self.curve.t1, steps + 1)
+        stages = stage_taus(self.curve.t0, self.curve.t1, steps)
         if self.curve.kind == "explicit":
-            self._plan(taus)
+            self._window = {stages[0]: self.engine.start}
+            self._ahead = stages[1:]                       # stage taus not yet evaluated
         points = np.empty((steps + 1, n))
         tangents = np.empty((steps + 1, n))
         metrics = np.empty((steps + 1, n, n))
@@ -358,9 +340,9 @@ class _Driver:
             points[i], tangents[i], metrics[i], vectors[i] = self.observe(tau, state)
 
         state = self.initial_state(X0_rows)
-        row(0, taus[0], state)
+        row(0, stages[0], state)
         rk4(self.rhs, state, self.curve.t0, self.curve.t1, steps, row)
-        return taus, points, tangents, metrics, vectors
+        return np.array(stages[0::2]), points, tangents, metrics, vectors
 
 
 def transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None = None,

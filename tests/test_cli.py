@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from rwcert import catalog
-from rwcert.cli import main
+from rwcert.cli import _build_parser, main
 
 
 def run_cli(args, capsys):
@@ -422,3 +422,27 @@ def test_out_of_range_option_exits_two(capsys, argv, says):
     assert out == ""
     assert err.startswith("error: ") and says in err
     assert err.count("\n") == 1
+
+
+_CERTIFY_OPTIONS = [("--points", "8"), ("--tol", "0.5"), ("--margin", "0.25"),
+                    ("--expect", "LocallyRW"), ("--threads", "2")]
+
+
+@pytest.mark.parametrize("flag, value", _CERTIFY_OPTIONS)
+def test_certify_options_are_not_transport_options(capsys, flag, value):
+    """The certify options belong to check and slice; transport, which
+    certifies nothing, refuses them with one usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(_TRANSPORT + [flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert "Traceback" not in captured.err
+
+    parser, _ = _build_parser()
+    for argv in (["check", "einstein_static"],
+                 ["slice", "einstein_static", "--base", "0,1,1.2,1.5", "--tau-grid", "0"]):
+        args = parser.parse_args(argv + [flag, value])
+        assert str(getattr(args, flag[2:])) == value

@@ -235,8 +235,7 @@ def test_normalized_acceleration_is_normal_to_the_tangent(charts, name, exprs):
     chart = charts[name]
     engine = _ExplicitCurve(chart, CurveSpec.explicit(exprs, t0=0.0, t1=1.0))
     assert engine.normalize
-    for tau in np.linspace(0.0, 1.0, 5):
-        _, U, A, geom, v = engine.state(tau)
+    for _, U, A, geom, v in engine.states(np.linspace(0.0, 1.0, 5)):
         assert v != 1.0
         assert abs(geom.ip(U, U) + 1.0) < 1e-12
         assert abs(geom.ip(A, U)) < 1e-12
@@ -351,11 +350,11 @@ def test_geodesic_observe_needs_no_geometry(charts, monkeypatch):
 
 def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
     """k2 and k3 share one tau, and k4, the next row and the next k1 share
-    another; the start cost is the unit-speed validation plus the start data.
-    A curve with a mild speed error costs the same: it is normalized pointwise,
-    with no extra evaluations.  The speed samples are one batch, the start
-    point one geometry_at call, and a run's stage points are read ahead in
-    batches of CHUNK; a doubled run starts from the start context it kept."""
+    another; the start cost is the unit-speed validation, whose first sample
+    is the start data.  A curve with a mild speed error costs the same: it is
+    normalized pointwise, with no extra evaluations.  The speed samples are
+    one batch and a run's stage points are read ahead in batches of CHUNK; a
+    doubled run starts from the start context it kept."""
     from rwcert.transport import _SPEED_SAMPLES, CHUNK
 
     batches = []
@@ -366,7 +365,7 @@ def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
         batches.clear()
         transport(charts["minkowski"], CurveSpec.explicit(exprs, t0=0.0, t1=1.0),
                   [0.0, 1.0, 0.0, 0.0], steps=steps, max_halvings=0)
-        assert len(calls) == _SPEED_SAMPLES + 1 + 2 * steps, exprs
+        assert len(calls) == _SPEED_SAMPLES + 2 * steps, exprs
         assert batches == [_SPEED_SAMPLES, 2 * steps], exprs
 
     calls.clear()
@@ -376,7 +375,7 @@ def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
     result = transport(charts["minkowski"], rindler, [0.0, 1.0, 0.0, 0.0], steps=steps,
                        max_halvings=1)
     assert result.steps == steps
-    assert len(calls) == _SPEED_SAMPLES + 1 + 2 * steps + 4 * steps
+    assert len(calls) == _SPEED_SAMPLES + 2 * steps + 4 * steps
     assert batches == ([_SPEED_SAMPLES] + [CHUNK] * 6 + [2 * steps - 6 * CHUNK]
                        + [CHUNK] * 12 + [4 * steps - 12 * CHUNK])
 
@@ -518,7 +517,7 @@ def test_fermi_frame_builds_one_driver(charts, monkeypatch):
     calls.clear()
     plain = transport(chart, curve, frame0, steps=10)
     assert frame_calls == len(calls)
-    # speed samples, start point, then runs of 10, 20, 40 and 80 steps, each
-    # starting from the kept start context
-    assert frame_calls == 65 + 1 + 2 * (10 + 20 + 40 + 80)
+    # speed samples, the first of them the start point, then runs of 10, 20,
+    # 40 and 80 steps, each starting from the kept start context
+    assert frame_calls == 65 + 2 * (10 + 20 + 40 + 80)
     assert np.array_equal(framed.vectors, plain.vectors)
