@@ -59,10 +59,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.handler(args)
-    except _InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ChartError, CurveError, CertificationInputError,
+    except (_InputError, ChartError, CurveError, CertificationInputError,
             GeometryError, EvalDomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -311,8 +308,9 @@ def cmd_transport(args) -> int:
     curve, desc = _curve_from_args(args, chart)
     steps = curve.default_steps() if args.steps is None else args.steps
     if steps > STEPS_MAX:
-        raise _InputError(f"transport would take {steps} steps (--steps, or one per 1e-3 "
-                          f"of --range), more than the limit of {STEPS_MAX}")
+        from decimal import Decimal     # formats counts beyond float range; rarely needed
+        raise _InputError(f"transport would take {Decimal(steps):.6g} steps (--steps, or "
+                          f"one per 1e-3 of --range), more than the limit of {STEPS_MAX}")
     x0 = np.array(_floats(args.x0, "--x0", chart.dim))
     try:
         result = transport(chart, curve, x0, steps=args.steps)

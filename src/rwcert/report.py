@@ -131,6 +131,8 @@ def transport_payload(result, drift: float, curve_desc: dict) -> dict:
     return {
         "curve": curve_desc,
         "steps": result.steps,
+        "refined_steps": result.refined_steps,
+        "endpoint_change": result.endpoint_change,
         "epsilon": result.epsilon,
         "gram_drift": drift,
         "table_stride": stride,

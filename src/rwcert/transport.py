@@ -11,11 +11,12 @@ rejected: the eps-weighted decomposition behind the law needs |g(u,u)| = 1.
 
 Curves come in three kinds: integral curves of the chart's u field, explicit
 coordinate expressions of one parameter, and geodesics shot from a point.
-Every curve is integrated in its own parameter.  Explicit curves should be
-unit speed; within a sub-percent speed error v = |g(c',c')|^1/2 the tangent
-and acceleration are normalized pointwise and the transport rate is scaled
-by v (D_{c'} X = v D_u X, so the transported field does not depend on the
-parametrization); a larger error is rejected.
+Every curve is integrated in its own parameter: RK4 over the curve alone,
+then the rows (dX/dtau = X M is linear) by each step's RK4 propagator.
+Explicit curves should be unit speed; within a sub-percent speed error
+v = |g(c',c')|^1/2 the tangent and acceleration are normalized pointwise and
+the transport rate is scaled by v (D_{c'} X = v D_u X, so the transported
+field does not depend on the parametrization); a larger error is rejected.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ REPARAM_LIMIT = 1e-2       # relative speed error fixable by pointwise normaliza
 STEP = 1e-3                # default integration step in the curve parameter
 ENDPOINT_TOL = 1e-8        # step-halving convergence on the transported vector
 _SPEED_SAMPLES = 65
-CHUNK = 64                 # explicit-curve stage points per geometry_batch call
+CHUNK = 64                 # steps per row fold; explicit-curve stage points per batch
 
 
 class TransportError(ValueError):
@@ -90,7 +91,10 @@ class CurveSpec:
                    t0=float(t0), t1=float(t1))
 
     def default_steps(self) -> int:
-        return max(1, int(round(abs(self.t1 - self.t0) / STEP)))
+        steps = abs(self.t1 - self.t0) / STEP
+        if not np.isfinite(steps):
+            raise CurveError(f"range [{self.t0}, {self.t1}] is too long for steps of {STEP}")
+        return max(1, int(round(steps)))
 
 
 def fermi_derivative(geom: PointGeometry, u, accel, X, dX) -> np.ndarray:
@@ -115,6 +119,8 @@ class TransportResult:
     metrics: np.ndarray         # metric g at each curve position, shape (N+1, dim, dim)
     epsilon: float
     steps: int
+    refined_steps: int              # step count of the accepted internal run
+    endpoint_change: float | None   # endpoint move at its last doubling; None for one run
 
 
 # -- curve engines -----------------------------------------------------------------
@@ -214,76 +220,72 @@ class _ExplicitCurve:
         return start
 
 
-def _transport_rhs(geom: PointGeometry, U, A, Xs, eps: float) -> np.ndarray:
-    """dX/dtau for each row of Xs: -Gamma(U, X) - eps g(X,A) U + eps g(X,U) A."""
-    gamma_u = np.einsum('kij,i->kj', geom.gamma, U)
-    return (-Xs @ gamma_u.T
-            - eps * np.outer(Xs @ (geom.g @ A), U)
-            + eps * np.outer(Xs @ (geom.g @ U), A))
+def _generators(U, A, speed, g, gamma, eps: float) -> np.ndarray:
+    """The Fermi generator at each of a stack of stage contexts: dX/dtau = X M
+    for a row X, M = v (-(Gamma.U)^T - eps (gA) U^T + eps (gU) A^T)."""
+    gU, gA = np.einsum('sij,sj->si', g, U), np.einsum('sij,sj->si', g, A)
+    M = (eps * (gU[:, :, None] * A[:, None, :] - gA[:, :, None] * U[:, None, :])
+         - np.einsum('skij,si->sjk', gamma, U))
+    return speed[:, None, None] * M
+
+
+def _propagators(M: np.ndarray, h: float) -> np.ndarray:
+    """D = P - I for each step's RK4 propagator P, from M at its k1..k4: a step
+    takes X to X + X D, keeping the low bits that forming P would round off."""
+    n = M.shape[-1]
+    M1, M2, M3, M4 = M.reshape(-1, 4, n, n).swapaxes(0, 1)
+    K2 = M2 + (0.5 * h) * (M1 @ M2)
+    K3 = M3 + (0.5 * h) * (K2 @ M3)
+    K4 = M4 + h * (K3 @ M4)
+    return (h / 6.0) * (M1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 class _Driver:
-    """Joint ODE for the curve state and the transported rows, in the curve's
-    own parameter over [curve.t0, curve.t1].
+    """Transport over [curve.t0, curve.t1]: rk4 integrates the curve state
+    alone (x on a u-curve, x and velocity on a geodesic, none on an explicit
+    curve), so it visits the points a joint integration would, bit for bit.
+    The context (x, tangent, acceleration, geom, speed) of each stage is kept
+    and, every CHUNK steps, folded into step propagators for the rows and dropped.
 
-    The context of a curve point is (x, tangent, acceleration, geom, speed).
-    On an explicit curve it depends on tau alone, and every tau a run visits
-    is known before the run starts: integrate.stage_taus, which rk4 walks.
-    The driver evaluates them CHUNK at a time ahead of the integrator and
-    looks contexts up by tau, so each stage point is evaluated once; the
-    start context, the curve's first speed sample, seeds each run's first
-    window.  Other curves find their points by integrating, so the context
-    of the last point is kept in a one-entry memo keyed by the exact
-    position: a table row and the next step's k1 share one evaluation, and
-    so do k2/k3 and k4/next k1 wherever the coordinate tangent is constant.
+    An explicit curve's context depends on tau alone, and every tau a run
+    visits (integrate.stage_taus) is known before it starts, so the driver
+    evaluates them CHUNK at a time ahead of the integrator; the start context,
+    the curve's first speed sample, seeds each run's first window.  Other
+    curves keep the context of the last point in a one-entry memo keyed by the
+    exact position: a table row and the next step's k1 share one evaluation,
+    and so do k2/k3 and k4/next k1 wherever the coordinate tangent is constant.
     """
 
-    def __init__(self, chart: ChartSpec, curve: CurveSpec, rows: int):
+    def __init__(self, chart: ChartSpec, curve: CurveSpec):
         self.chart = chart
         self.curve = curve
-        self.rows = rows
         self._memo = None   # (x, context) of the last point evaluated, off explicit curves
         n = chart.dim
         if curve.kind == "explicit":
             if curve.exprs is None or len(curve.exprs) != n:
                 raise CurveError(f"explicit curve needs {n} component expressions")
             self.engine = _ExplicitCurve(chart, curve)
-            self.head = 0
+            self.y0 = np.empty(0)
             self._window = {curve.t0: self.engine.start}   # tau -> context, read ahead
         elif curve.kind == "u_integral":
             if curve.start is None or len(curve.start) != n:
                 raise CurveError("integral-curve transport needs a start point")
-            self.head = n
+            self.y0 = np.asarray(curve.start, dtype=float)
         elif curve.kind == "geodesic":
             if (curve.start is None or curve.velocity is None
                     or len(curve.start) != n or len(curve.velocity) != n):
                 raise CurveError("geodesic transport needs a start point and velocity")
-            self.head = 2 * n
+            self.y0 = np.asarray(curve.start + curve.velocity, dtype=float)
         else:
             raise CurveError(f"unknown curve kind {curve.kind!r}")
-        geom0, tangent0 = self.start_data()
+        _, tangent0, _, geom0, _ = self._context(curve.t0, self.y0)
+        if curve.kind == "u_integral" and abs(abs(geom0.u_norm2) - 1.0) > 1e-6:
+            raise CurveError(f"chart u is not unit at the start: g(u,u) = {geom0.u_norm2!r}")
         q = geom0.ip(tangent0, tangent0)
         if abs(abs(q) - 1.0) > 1e-6:
             raise CurveError(f"curve tangent is not unit at the start: g(u,u) = {q!r}")
         self.epsilon = 1.0 if q > 0 else -1.0
-
-    def start_data(self):
-        """(geom, tangent) at the start of the curve."""
-        state = self.initial_state(np.zeros((self.rows, self.chart.dim)))
-        _, U, _, geom, _ = self._context(self.curve.t0, state)
-        if self.curve.kind == "u_integral" and abs(abs(geom.u_norm2) - 1.0) > 1e-6:
-            raise CurveError(f"chart u is not unit at the start: g(u,u) = {geom.u_norm2!r}")
-        return geom, U
-
-    def initial_state(self, X0_rows: np.ndarray) -> np.ndarray:
-        if self.curve.kind == "explicit":
-            return X0_rows.ravel()
-        if self.curve.kind == "u_integral":
-            return np.concatenate([np.asarray(self.curve.start, dtype=float),
-                                   X0_rows.ravel()])
-        return np.concatenate([np.asarray(self.curve.start, dtype=float),
-                               np.asarray(self.curve.velocity, dtype=float),
-                               X0_rows.ravel()])
+        self.start = geom0, tangent0        # (geom, tangent) at the start of the curve
 
     def _context(self, tau: float, state: np.ndarray):
         """(x, unit tangent, acceleration, geom, speed) at the current
@@ -309,39 +311,39 @@ class _Driver:
             U = state[n:2 * n]
         return x, U, A, geom, speed
 
-    def rhs(self, tau: float, state: np.ndarray) -> np.ndarray:
-        x, U, A, geom, speed = self._context(tau, state)
-        Xs = state[self.head:].reshape(self.rows, self.chart.dim)
-        dX = _transport_rhs(geom, U, A, Xs, self.epsilon).ravel()
-        if self.curve.kind == "explicit":
-            return speed * dX       # D_{c'} X = v D_u X
-        if self.curve.kind == "u_integral":
-            return np.concatenate([U, dX])
-        dv = -np.einsum('kij,i,j->k', geom.gamma, U, U)
-        return np.concatenate([U, dv, dX])
-
-    def observe(self, tau: float, state: np.ndarray):
-        """Position, tangent, metric and transported rows of one table row."""
-        x, U, _, geom, _ = self._context(tau, state)
-        return x, U, geom.g, state[self.head:].reshape(self.rows, self.chart.dim)
-
     def integrate(self, X0_rows: np.ndarray, steps: int):
         n = self.chart.dim
-        stages = stage_taus(self.curve.t0, self.curve.t1, steps)
+        t0, t1 = self.curve.t0, self.curve.t1
+        stages, h = stage_taus(t0, t1, steps), (t1 - t0) / steps
         if self.curve.kind == "explicit":
             self._window = {stages[0]: self.engine.start}
             self._ahead = stages[1:]                       # stage taus not yet evaluated
-        points = np.empty((steps + 1, n))
-        tangents = np.empty((steps + 1, n))
+        points, tangents = np.empty((2, steps + 1, n))
         metrics = np.empty((steps + 1, n, n))
-        vectors = np.empty((steps + 1, self.rows, n))
+        vectors = np.empty((steps + 1, *X0_rows.shape))
+        vectors[0] = X0_rows
+        pending = []        # (U, A, speed, g, Gamma) of each stage since the last fold
 
-        def row(i, tau, state):
-            points[i], tangents[i], metrics[i], vectors[i] = self.observe(tau, state)
+        def rhs(tau, y):
+            _, U, A, geom, speed = self._context(tau, y)
+            pending.append((U, A, speed, geom.g, geom.gamma))
+            if self.curve.kind == "geodesic":
+                return np.concatenate([U, -np.einsum('kij,i,j->k', geom.gamma, U, U)])
+            return U if self.curve.kind == "u_integral" else y     # explicit: no state
 
-        state = self.initial_state(X0_rows)
-        row(0, stages[0], state)
-        rk4(self.rhs, state, self.curve.t0, self.curve.t1, steps, row)
+        def row(i, tau, y):
+            points[i], tangents[i], _, geom, _ = self._context(tau, y)
+            metrics[i] = geom.g
+            if len(pending) == 4 * CHUNK or i == steps:
+                first = i - len(pending) // 4
+                M = _generators(*map(np.array, zip(*pending)), self.epsilon)
+                X = vectors[first]
+                for j, D in enumerate(_propagators(M, h), first + 1):
+                    vectors[j] = X = X + X @ D
+                pending.clear()
+
+        row(0, stages[0], self.y0)
+        rk4(rhs, self.y0, t0, t1, steps, row)
         return np.array(stages[0::2]), points, tangents, metrics, vectors
 
 
@@ -368,15 +370,12 @@ def _transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None,
     base_steps = steps if steps is not None else curve.default_steps()
     if base_steps < 1:
         raise CurveError(f"transport needs at least one step, got {base_steps}")
-    driver = _Driver(chart, curve, X0_rows.shape[0])
+    driver = _Driver(chart, curve)
     if check_start is not None:
-        check_start(*driver.start_data())
-
-    def endpoint_change(coarse, fine) -> float:
-        return float(np.abs(fine[-1][-1] - coarse[-1][-1]).max())
-
+        check_start(*driver.start)
     run = doubled(lambda steps: driver.integrate(X0_rows, steps), base_steps,
-                  endpoint_change, ENDPOINT_TOL, max_halvings)
+                  lambda coarse, fine: float(np.abs(fine[-1][-1] - coarse[-1][-1]).max()),
+                  ENDPOINT_TOL, max_halvings)
     if not run.converged:
         raise TransportError(
             f"transport did not converge: the endpoint vector still moved by "
@@ -386,7 +385,8 @@ def _transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None,
     squeeze = np.asarray(X0, dtype=float).ndim == 1
     return TransportResult(taus=taus, points=points, tangents=tangents,
                            vectors=vectors[:, 0, :] if squeeze else vectors,
-                           metrics=metrics, epsilon=driver.epsilon, steps=base_steps)
+                           metrics=metrics, epsilon=driver.epsilon, steps=base_steps,
+                           refined_steps=run.steps, endpoint_change=run.change)
 
 
 def fermi_frame(chart: ChartSpec, curve: CurveSpec, frame0,

@@ -378,6 +378,48 @@ def test_transport_leaving_the_domain_mid_run_exits_one(capsys, chart_id, curve_
     assert not catalog.get_chart(chart_id).contains(point)
 
 
+@pytest.mark.parametrize("chart_id, curve_args, says", [
+    ("flrw_open", ["--curve", "geodesic", "--start", "1,1,1.2,1", "--velocity", "1,0,0,0"],
+     "curve left the domain at [2.500499999999835, 1.0, 1.2, 1.0]"),
+    ("flrw_flat_linear", ["--curve", "u", "--start", "3.4,0.1,0.2,0.3"],
+     "curve left the domain at [3.500499999999989, 0.1, 0.2, 0.3]"),
+])
+def test_transport_domain_exit_partway_names_the_point(capsys, chart_id, curve_args, says):
+    """Default step counts, so the exit comes dozens of row folds into the run:
+    exit 1 and the exact point the joint integrator named, with no report."""
+    code, out, err = run_cli(["transport", chart_id, *curve_args, "--x0=0,1,0,0",
+                              "--range", "0,50"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == f"[rwcert] transport failed: {says}"
+
+
+def test_transport_report_shows_the_refinement(capsys):
+    """The report carries the step count of the accepted internal run and the
+    endpoint change of its last doubling, the evidence that it converged."""
+    code, out, _ = run_cli(["transport", "minkowski", "--curve", "explicit",
+                            "--exprs", "sinh(s),cosh(s),0,0", "--x0", "0,1,0,0",
+                            "--steps", "100"], capsys)
+    assert code == 0
+    doc = json.loads(out)["transport"]
+    assert doc["steps"] == 100
+    assert doc["refined_steps"] > 100 and doc["refined_steps"] % 100 == 0
+    assert 0.0 < doc["endpoint_change"] < 1e-8
+
+
+@pytest.mark.parametrize("extra", [["--range", "0,1e300"], ["--range", "0,1e308"],
+                                   ["--range", "-1e308,1e308"], ["--steps", "9" * 400]])
+def test_transport_huge_step_count_exits_two_on_one_short_line(capsys, extra):
+    """A step count far beyond the limit, or one that overflows a float, is one
+    short error line, not a 300-digit number or a traceback."""
+    code, out, err = run_cli(["transport", "minkowski", "--curve", "u",
+                              "--start", "0,0,0,0", "--x0=0,1,0,0", *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_transport_steps_below_one_exit_two(capsys, steps):
     code, out, err = run_cli(["transport", "minkowski", "--curve", "u",

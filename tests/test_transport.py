@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rwcert.geometry import GeometryError, adapted_frame, geometry_at
-from rwcert.transport import (CurveError, CurveSpec, TransportError, _ExplicitCurve,
-                              fermi_derivative, fermi_frame, gram_drift, transport)
+from rwcert.transport import (CurveError, CurveSpec, DomainExitError, TransportError,
+                              _ExplicitCurve, fermi_derivative, fermi_frame, gram_drift,
+                              transport)
 
 
 def test_fermi_derivative_of_u_vanishes(charts):
@@ -521,3 +522,174 @@ def test_fermi_frame_builds_one_driver(charts, monkeypatch):
     # 40 and 80 steps, each starting from the kept start context
     assert frame_calls == 65 + 2 * (10 + 20 + 40 + 80)
     assert np.array_equal(framed.vectors, plain.vectors)
+
+
+def _joint_rk4(chart, curve, X0, steps):
+    """Fermi transport by plain RK4 on one joint state, the curve state followed
+    by the rows, with the transport rhs written out from the law.  Returns the
+    table (points, tangents, metrics, vectors) at the grid rows."""
+    n = chart.dim
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    t0, t1 = curve.t0, curve.t1
+    h = (t1 - t0) / steps
+    grid = np.linspace(t0, t1, steps + 1)
+    if curve.kind == "explicit":
+        taus = np.empty(2 * steps + 1)
+        taus[0::2], taus[1::2] = grid, grid[:-1] + 0.5 * h
+        states = _ExplicitCurve(chart, curve).states(taus)
+        lookup = dict(zip(taus.tolist(), states))
+        y = X0.ravel()
+        m = 0
+
+        def context(tau, curve_state):
+            return lookup[tau]
+    else:
+        y = np.concatenate([curve.start, curve.velocity or (), X0.ravel()])
+        m = y.size - X0.size
+
+        def context(tau, curve_state):
+            geom = geometry_at(chart, curve_state[:n], order=1)
+            if curve.kind == "geodesic":
+                return curve_state[:n], curve_state[n:], np.zeros(n), geom, 1.0
+            return curve_state, geom.u, geom.acceleration(), geom, 1.0
+
+    _, U0, _, geom0, _ = context(t0, y[:m])
+    eps = 1.0 if geom0.ip(U0, U0) > 0 else -1.0
+
+    def rhs(tau, y):
+        _, U, A, geom, v = context(tau, y[:m])
+        X = y[m:].reshape(X0.shape)
+        dX = v * (-np.einsum('kij,i,rj->rk', geom.gamma, U, X)
+                  - eps * np.outer(X @ geom.g @ A, U) + eps * np.outer(X @ geom.g @ U, A))
+        if curve.kind == "geodesic":
+            return np.concatenate([U, -np.einsum('kij,i,j->k', geom.gamma, U, U),
+                                   dX.ravel()])
+        return np.concatenate([U if curve.kind == "u_integral" else [], dX.ravel()])
+
+    table = []
+    for i in range(steps + 1):
+        x, U, _, geom, _ = context(grid[i], y[:m])
+        table.append((x, U, geom.g, y[m:].reshape(X0.shape)))
+        if i == steps:
+            break
+        t, mid, end = grid[i], grid[i] + 0.5 * h, grid[i + 1]
+        k1 = rhs(t, y)
+        k2 = rhs(mid, y + 0.5 * h * k1)
+        k3 = rhs(mid, y + 0.5 * h * k2)
+        k4 = rhs(end, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return tuple(np.array(column) for column in zip(*table))
+
+
+def _oracle_cases(charts, plane_chart):
+    from rwcert.chart import chart_from_dict
+
+    rng = np.random.default_rng(12)
+    velocity = [np.sqrt(1.0 + 4.41 * 0.04), 0.2, 0.0, 0.0]    # unit: a(1)^2 = 4.41
+    return {
+        "rindler": (charts["minkowski"],
+                    CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"]),
+                    rng.normal(size=(2, 4))),
+        "rotating plane u-curve": (chart_from_dict(ROTATING_PLANE_DOC),
+                                   CurveSpec.integral_curve_of_u([0.0, 0.5], t1=0.5),
+                                   rng.normal(size=2)),
+        "normalized plane curve": (plane_chart,
+                                   CurveSpec.explicit(["s + 0.002*sin(s)", "0.3"]),
+                                   rng.normal(size=(2, 2))),
+        "normalized curved": (charts[_CURVED_MILD[0][0]],
+                              CurveSpec.explicit(_CURVED_MILD[0][1]),
+                              rng.normal(size=(3, 4))),
+        "tilted geodesic": (charts["flrw_open"],
+                            CurveSpec.geodesic([1.0, 1.0, 1.2, 1.0], velocity, t1=0.5),
+                            rng.normal(size=4)),
+    }
+
+
+def _assert_matches_oracle(result, oracle, factor=1):
+    points, tangents, metrics, vectors = (column[::factor] for column in oracle)
+    assert np.array_equal(result.points, points)
+    assert np.array_equal(result.tangents, tangents)
+    assert np.array_equal(result.metrics, metrics)
+    got = result.vectors.reshape(vectors.shape)
+    assert np.abs(got - vectors).max() <= 1e-12 * (1.0 + np.abs(vectors).max())
+
+
+@pytest.mark.parametrize("case", ["rindler", "rotating plane u-curve",
+                                  "normalized plane curve", "normalized curved",
+                                  "tilted geodesic"])
+def test_propagators_equal_a_joint_rk4(charts, plane_chart, case):
+    """The curve pass plus chunked row propagators give the table of a plain
+    joint RK4 over (curve state, rows): the curve arrays bit for bit, the rows
+    to rounding.  Step counts straddle the fold size CHUNK, so a run ends on a
+    full chunk, one step short of it and one step past it."""
+    from rwcert.transport import CHUNK
+
+    chart, curve, x0 = _oracle_cases(charts, plane_chart)[case]
+    for steps in (CHUNK - 1, CHUNK, CHUNK + 1):
+        result = transport(chart, curve, x0, steps=steps, max_halvings=0)
+        assert result.refined_steps == steps and result.endpoint_change is None
+        _assert_matches_oracle(result, _joint_rk4(chart, curve, x0, steps))
+
+
+def test_doubled_fermi_frame_equals_a_joint_rk4(charts):
+    """A whole Fermi frame, n rows, refined by step doubling: the returned
+    table is the accepted run's, every factor-th row, and that run equals the
+    joint RK4 at the accepted step count."""
+    from rwcert.transport import CHUNK, ENDPOINT_TOL
+
+    chart = charts["minkowski"]
+    curve = CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"])
+    frame0 = np.array([[0.0, 1.0, 0.0, 0.0],
+                       [0.0, 0.0, 1.0, 0.0],
+                       [0.0, 0.0, 0.0, 1.0],
+                       [1.0, 0.0, 0.0, 0.0]])
+    result = fermi_frame(chart, curve, frame0, steps=CHUNK + 1)
+    factor = result.refined_steps // result.steps
+    assert factor >= 2 and result.refined_steps == factor * (CHUNK + 1)
+    assert result.endpoint_change < ENDPOINT_TOL
+    _assert_matches_oracle(result, _joint_rk4(chart, curve, frame0, result.refined_steps),
+                           factor)
+
+
+def test_generators_satisfy_the_pointwise_law(charts, plane_chart):
+    """At sampled stage contexts the batched generator M obeys the law that
+    fermi_derivative states point by point: dX/dtau = X M means nabla_u X =
+    X M / v + Gamma(u, X), whose Fermi derivative vanishes for every X."""
+    from rwcert.transport import _generators
+
+    rng = np.random.default_rng(21)
+    cases = _oracle_cases(charts, plane_chart)
+    contexts = []
+    for name in ("rindler", "normalized plane curve", "normalized curved"):
+        chart, curve, _ = cases[name]
+        contexts += _ExplicitCurve(chart, curve).states(np.linspace(0.0, 1.0, 7))
+    chart, curve, _ = cases["rotating plane u-curve"]
+    for x in ([0.0, 0.5], [0.4, -0.3], [-1.0, 1.2]):
+        geom = geometry_at(chart, x, order=1)
+        contexts.append((x, geom.u, geom.acceleration(), geom, 1.0))
+    chart, curve, _ = cases["tilted geodesic"]
+    geom = geometry_at(chart, curve.start, order=1)
+    contexts.append((curve.start, np.array(curve.velocity), np.zeros(4), geom, 1.0))
+    for _, U, A, geom, v in contexts:
+        eps = 1.0 if geom.ip(U, U) > 0 else -1.0
+        M = _generators(U[None], A[None], np.array([v]), geom.g[None], geom.gamma[None],
+                        eps)[0]
+        for X in rng.normal(size=(3, len(U))):
+            nabla = (X @ M) / v + np.einsum('kij,i,j->k', geom.gamma, U, X)
+            assert np.abs(fermi_derivative(geom, U, A, X, nabla)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("chart_id, curve, says", [
+    ("flrw_open", CurveSpec.geodesic([1.0, 1.0, 1.2, 1.0], [1.0, 0.0, 0.0, 0.0], t1=50.0),
+     "curve left the domain at [2.500499999999835, 1.0, 1.2, 1.0]"),
+    ("flrw_flat_linear", CurveSpec.integral_curve_of_u([3.4, 0.1, 0.2, 0.3], t1=5.0),
+     "curve left the domain at [3.500499999999989, 0.1, 0.2, 0.3]"),
+])
+def test_domain_exit_partway_names_the_first_point_outside(charts, chart_id, curve, says):
+    """A curve that leaves the chart many chunks into a run raises at the
+    first stage point outside, with the message of the joint integrator the
+    curve pass replaced; no table comes back with rows folded from the
+    partial chunk."""
+    with pytest.raises(DomainExitError) as exc:
+        transport(charts[chart_id], curve, [0.0, 1.0, 0.0, 0.0])
+    assert str(exc.value) == says
