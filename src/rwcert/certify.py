@@ -13,17 +13,22 @@ shear law, closedness of (h - eps f) u-flat, and the geodesy diagnostic
 
 The algebraic residuals are measured in adapted-frame components: the model
 term is folded into the curvature once per point, and a few matmuls contract
-it with a pool of seeded spatial directions (see isotropy_residuals).  Each
-sample draws from its own child of the seed, and samples are evaluated one
-after another; a thread pool over them was slower than serial.
+it with a pool of seeded spatial directions (see isotropy_residuals).
 
-certify evaluates the order-3 geometry of its sample points in chunks of
-CHUNK = 16 through geometry_batch, one jet program and one set of einsums per
-chunk, and then runs each sample's frame and residuals as sample_point does.
-The chunk is bounded by memory, not speed: the batch holds every tensor of
-every point in it.  certify(256) on the nine catalog charts, in a process of
-about 38 MB, peaked 1.3 MB above one-point evaluation at chunk 16, 2.8 MB
-at chunk 32 and 12 MB with one chunk of 256, for no further speed past 16.
+certify works on chunks of CHUNK = 16 sample points: geometry_chunk evaluates
+a chunk's order-3 geometry in one pass, and one call of the battery
+(_battery) computes the frames, invariants and residuals of all its points as
+array operations over a leading chunk axis.  Per point stay only the random
+draws, since each sample draws from its own child of the seed in the order
+and block sizes of one sample at a time, and eq14's (pool, pool, n, pool)
+product.  sample_point, isotropy_residuals, structure_residuals and
+adapted_frame run the same body on a chunk of one; they are on no hot path.
+
+The chunk is bounded by memory, not speed: it holds every tensor of every
+point in it.  certify(256) on flrw_closed_osc peaks at 1.9 MB of traced
+allocations, against 1.7 MB one sample at a time; eq14's product formed for
+a whole chunk would add about 14 MB.  Chunks of 32 or 256 points were no
+faster than 16 in the geometry and held 2x and 9x its memory.
 
 Classification is sampled evidence, never proof: the certificate records the
 sample count and seed it was computed from.
@@ -37,8 +42,9 @@ import numpy as np
 from . import __version__
 from .chart import ChartSpec
 from .exprs import EvalDomainError
-from .geometry import (PIVOT_TOL, UNIT_TOL, Frame, FrameError, GeometryError,
-                       PointGeometry, adapted_frame, geometry_at, geometry_batch,
+from .geometry import (PIVOT_TOL, UNIT_TOL, Frame, FrameError, GeometryError, PointGeometry,
+                       _apply, _bilinear, _dot, _scalar, adapted_frame, adapted_frames,
+                       chunk_row, geometry_at, geometry_chunk, stack_geometry,
                        trace_invariant_gradients, trace_invariants)
 
 RESIDUAL_KEYS = ("eq13", "eq14", "a43", "a44", "skewA1",
@@ -50,7 +56,7 @@ CLASSIFICATIONS = ("LocallyRW", "ConstantCurvature", "NotIsotropic", "Degenerate
 DEFAULT_TOL_PASS = 1e-7
 DEFAULT_TOL_MARGIN = 1e-6
 RANDOM_COMBINATIONS = 16
-CHUNK = 16               # sample points per geometry_batch call; see the module docstring
+CHUNK = 16               # sample points per geometry_chunk call; see the module docstring
 
 # failures that make a sample point Degenerate instead of aborting certify
 _PRECONDITION_ERRORS = (GeometryError, EvalDomainError, ZeroDivisionError)
@@ -101,24 +107,26 @@ class Certificate:
 
 # -- extraction -----------------------------------------------------------------
 
-def extract_invariants(geom: PointGeometry, frame: Frame) -> tuple[int, float, float]:
-    """Read (epsilon, f, h) off the first adapted frame vectors.
+def extract_invariants(geom: PointGeometry, frame: Frame) -> tuple:
+    """Read (epsilon, f, h) off the first adapted frame vectors, at a point or
+    over a chunk (where a failed check raises for the whole chunk).
 
     f comes from the plane (e_1, u), h from (e_1, e_2).  Cross-validation over
     random plane choices happens in isotropy_residuals, not here.
     """
     if geom.dim < 4:
         raise CertificationInputError(f"certification needs dim >= 4, got {geom.dim}")
-    if abs(abs(geom.u_norm2) - 1.0) > UNIT_TOL:
+    if np.any(np.abs(np.abs(geom.u_norm2) - 1.0) > UNIT_TOL):
         raise UnitFieldError(geom.u_norm2)
-    if not np.allclose(frame.vectors[0], geom.u, atol=1e-8):
+    if not np.allclose(frame.vectors[..., 0, :], geom.u, atol=1e-8):
         raise FrameError("frame is not adapted to u (e_0 != u)")
-    u = geom.u
-    e1, e2 = frame.vectors[1], frame.vectors[2]
-    eta1, eta2 = frame.etas[1], frame.etas[2]
-    f = eta1 * geom.ip(np.einsum('rsmn,s,m,n->r', geom.riemann_up, u, e1, u), e1)
-    h = eta1 * eta2 * geom.ip(np.einsum('rsmn,s,m,n->r', geom.riemann_up, e2, e1, e2), e1)
-    return geom.epsilon, float(f), float(h)
+    u, R = geom.u, geom.riemann_up
+    e1, e2 = frame.vectors[..., 1, :], frame.vectors[..., 2, :]
+    eta1, eta2 = frame.etas[..., 1], frame.etas[..., 2]
+    f = eta1 * _bilinear(np.einsum('...rsmn,...s,...m,...n->...r', R, u, e1, u), geom.g, e1)
+    h = eta1 * eta2 * _bilinear(np.einsum('...rsmn,...s,...m,...n->...r', R, e2, e1, e2),
+                                geom.g, e1)
+    return geom.epsilon, _scalar(f), _scalar(h)
 
 
 class UnitFieldError(GeometryError):
@@ -127,103 +135,123 @@ class UnitFieldError(GeometryError):
                          "(set options.normalize_u to rescale pointwise)")
 
 
-def _candidates(geom: PointGeometry, frame: Frame, rng,
-                count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`count` seeded combinations of the spatial frame vectors, drawn as one
-    block: the raw combinations, their unit versions, and which are accepted.
-
-    rng.normal(size=(count, m)) yields the same numbers as `count` calls with
-    size=m.  A candidate is rejected when its coordinate norm is below 1e-12 or
-    its coordinate-unit version w has |g(w,w)| < PIVOT_TOL (near-null); the
-    unit version is rescaled to |g(v,v)| = 1.
-    """
-    raw = rng.normal(size=(count, frame.dim - 1)) @ frame.spatial
-    return (raw, *_unit_rows(raw, geom.g))
-
-
 def _unit_rows(v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The acceptance rule of _candidates, applied to the rows of v."""
-    norm = np.linalg.norm(v, axis=1)
+    """The rows of v made unit, and which are accepted (also over a chunk).
+
+    A candidate is rejected when its coordinate norm is below 1e-12 or its
+    coordinate-unit version w has |g(w,w)| < PIVOT_TOL (near-null); the unit
+    version is rescaled to |g(v,v)| = 1.
+    """
+    norm = np.linalg.norm(v, axis=-1)
     long = norm >= 1e-12
-    w = v / np.where(long, norm, 1.0)[:, None]
-    q = np.abs(((w @ g) * w).sum(axis=1))
+    w = v / np.where(long, norm, 1.0)[..., None]
+    q = np.abs(((w @ g) * w).sum(axis=-1))
     ok = long & (q >= PIVOT_TOL)
-    return w / np.sqrt(np.where(ok, q, 1.0))[:, None], ok
+    return w / np.sqrt(np.where(ok, q, 1.0))[..., None], ok
+
+
+def _pair_rows(x: np.ndarray, raw: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """raw made g-orthogonal to the unit rows x, then unit: y and which y are accepted."""
+    eta_x = np.where(((x @ g) * x).sum(axis=-1) > 0, 1.0, -1.0)
+    return _unit_rows(raw - (eta_x * ((raw @ g) * x).sum(axis=-1))[..., None] * x, g)
 
 
 def _random_unit_spatial(geom: PointGeometry, frame: Frame, rng, count: int) -> np.ndarray:
-    """Seeded unit-norm combinations of the spatial frame vectors.
+    """Seeded unit-norm combinations of the spatial frame vectors, one draw at
+    a time (the chunk battery draws blocks, and comes here for a row that
+    rejects a candidate).
 
     When the complement of u is indefinite these mix causal characters freely;
     near-null draws are rejected and redrawn, at most 64 * count draws in all.
-    Each block holds only the draws still certain to be needed, so the rng
-    ends where drawing one candidate at a time would leave it.
     """
     out = []
-    found = attempts = 0
-    while found < count and attempts < 64 * count:
-        block = min(count - found, 64 * count - attempts)
-        _, unit, ok = _candidates(geom, frame, rng, block)
-        out.append(unit[ok])
-        found += int(ok.sum())
-        attempts += block
-    if found < count:
-        raise FrameError("could not draw enough non-null unit combinations")
-    return np.vstack(out)
-
-
-def _candidate_stream(geom: PointGeometry, frame: Frame, rng, first: int):
-    """Candidates one at a time: a block of `first`, then single draws."""
-    size = first
-    while True:
-        yield from zip(*_candidates(geom, frame, rng, size))
-        size = 1
+    for _ in range(64 * count):
+        unit, ok = _unit_rows(rng.normal(size=(1, frame.dim - 1)) @ frame.spatial, geom.g)
+        if ok[0]:
+            out.append(unit[0])
+            if len(out) == count:
+                return np.array(out)
+    raise FrameError("could not draw enough non-null unit combinations")
 
 
 def _orthonormal_pairs(geom: PointGeometry, frame: Frame, rng,
                        count: int) -> tuple[np.ndarray, np.ndarray]:
     """Frame pairs (e_i, e_j), i < j, plus up to `count` random orthonormal
-    pairs spanning planes orthogonal to u.
+    pairs spanning planes orthogonal to u, one draw at a time.
 
     An attempt draws a unit x (redrawn while near-null, at most 64 times) and
     then a raw y, which is made orthogonal to x and unit, or rejected; at most
-    64 * count attempts.  A round of attempts that are all certain to happen
-    starts with one block of two draws per attempt; a rejected x moves on to
-    single draws, so the rng is never drawn past where the one-at-a-time loop
-    would stop.
+    64 * count attempts.
     """
-    k = frame.dim - 1
-    xs = [frame.spatial[[i for i in range(k) for j in range(i + 1, k)]]]
-    ys = [frame.spatial[[j for i in range(k) for j in range(i + 1, k)]]]
-    drawn = attempts = 0
-    while drawn < count and attempts < 64 * count:
-        certain = min(count - drawn, 64 * count - attempts)
-        stream = _candidate_stream(geom, frame, rng, 2 * certain)
-        picked = []
-        for _ in range(certain):
-            for _ in range(64):
-                _, x, ok = next(stream)
-                if ok:
-                    break
-            else:
-                raise FrameError("could not draw enough non-null unit combinations")
-            raw, _, _ = next(stream)
-            picked.append((x, raw))
-        attempts += certain
-        x, raw = np.array(picked).transpose(1, 0, 2)
-        eta_x = np.where(((x @ geom.g) * x).sum(axis=1) > 0, 1.0, -1.0)
-        y, ok = _unit_rows(raw - (eta_x * ((raw @ geom.g) * x).sum(axis=1))[:, None] * x,
-                           geom.g)
-        xs.append(x[ok])
-        ys.append(y[ok])
-        drawn += int(ok.sum())
-    return np.vstack(xs), np.vstack(ys)
+    i, j = np.triu_indices(frame.dim - 1, 1)
+    xs, ys = list(frame.spatial[i]), list(frame.spatial[j])
+    for _ in range(64 * count):
+        if len(xs) == len(i) + count:
+            break
+        x = _random_unit_spatial(geom, frame, rng, 1)
+        y, ok = _pair_rows(x, rng.normal(size=(1, frame.dim - 1)) @ frame.spatial, geom.g)
+        if ok[0]:
+            xs.append(x[0])
+            ys.append(y[0])
+    return np.array(xs), np.array(ys)
+
+
+def _draws(geom: PointGeometry, frame: Frame, rngs: list) -> tuple:
+    """Per row of a chunk: its pool (spatial frame vectors, then random unit
+    combinations), its pairs, and its FrameError or None.
+
+    Each row draws as one block what a row that rejects nothing draws, the
+    pool's normal(count, n-1) and then the pairs' normal(2 count, n-1), which
+    are the numbers of that many draws of size n-1.  A row that rejects a
+    candidate draws again from its saved rng state through the one-row
+    loops, and repeats its last pair if it gets fewer.
+    """
+    count, spatial, g = RANDOM_COMBINATIONS, frame.spatial, frame.g
+    k = spatial.shape[-2]
+    states = [rng.bit_generator.state for rng in rngs]
+    blocks = np.array([rng.normal(size=(3 * count, k)) for rng in rngs])
+    raw = np.concatenate([blocks[:, :count] @ spatial, blocks[:, count:] @ spatial], axis=1)
+    unit, ok = _unit_rows(raw, g)
+    y, ok_y = _pair_rows(unit[:, count::2], raw[:, count + 1::2], g)
+    i, j = np.triu_indices(k, 1)
+    pool = np.concatenate([spatial, unit[:, :count]], axis=1)
+    xs = np.concatenate([spatial[:, i], unit[:, count::2]], axis=1)
+    ys = np.concatenate([spatial[:, j], y], axis=1)
+    errors = [None] * len(rngs)
+    for b in np.flatnonzero(~(ok[:, :count].all(1) & ok[:, count::2].all(1) & ok_y.all(1))):
+        rngs[b].bit_generator.state = states[b]
+        one, row = chunk_row(geom, b), Frame(frame.vectors[b], frame.etas[b], g[b])
+        try:
+            pool[b, k:] = _random_unit_spatial(one, row, rngs[b], count)
+            x, y = _orthonormal_pairs(one, row, rngs[b], count)
+        except FrameError as err:
+            errors[b] = err
+            continue
+        last = np.minimum(np.arange(xs.shape[1]), len(x) - 1)
+        xs[b], ys[b] = x[last], y[last]
+    return pool, xs, ys, errors
 
 
 def isotropy_residuals(geom: PointGeometry, frame: Frame, f: float, h: float,
                        rng=None) -> dict[str, float]:
     """The five algebraic residuals, maximized over frame vectors and random
-    unit combinations orthogonal to u.
+    unit combinations orthogonal to u: _isotropy on a chunk of one."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    residuals, errors = _isotropy(*_chunk_of_one(geom, frame), np.array([f]), np.array([h]),
+                                  [rng])
+    if errors[0] is not None:
+        raise errors[0]
+    return {key: values[0] for key, values in residuals.items()}
+
+
+def _chunk_of_one(geom: PointGeometry, frame: Frame) -> tuple[PointGeometry, Frame]:
+    return stack_geometry([geom]), Frame(frame.vectors[None], frame.etas[None], frame.g[None])
+
+
+def _isotropy(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np.ndarray,
+              rngs: list) -> tuple[dict, list]:
+    """isotropy_residuals over a chunk: each residual as a list over rows, and
+    each row's FrameError or None.
 
     Every residual vector w is measured by the frame norm |M w| with
     M = diag(etas) V g (V the frame rows), so each check is a tensor in frame
@@ -235,51 +263,54 @@ def isotropy_residuals(geom: PointGeometry, frame: Frame, f: float, h: float,
     and D, (M R) with u, and f M are stacked with the x slot leading, so three
     matmuls contract the pool into x, then y, then z (eq14 only).  Each
     maximum is taken over sums of squares, with one square root at the end.
+    eq14's (pool, pool, n, pool) product is formed one row at a time: for a
+    whole chunk it would raise peak memory by about 15%.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     n = geom.dim
+    pool, xs, ys, errors = _draws(geom, frame, rngs)
+    size = pool.shape[1]
     u, g = geom.u, geom.g
-    pool = np.vstack([frame.spatial,
-                      _random_unit_spatial(geom, frame, rng, RANDOM_COMBINATIONS)])
-    size = len(pool)
-    M = frame.etas[:, None] * (frame.vectors @ g)
-    MR = (M @ geom.riemann_up.reshape(n, -1)).reshape(n, n, n, n)     # [a,s,m,n]
-    D = MR - h * (g[None, :, None, :] * M[:, None, :, None]
-                  - g[None, :, :, None] * M[:, None, None, :])
-    MR_u = MR @ u                                                        # [a,s,m]
-    u_MR = (u @ MR.reshape(n, n, -1)).reshape(n, n, n)                  # [a,m,n]
-    Mu = M @ u
+    M = frame.etas[..., None] * (frame.vectors @ g)
+    MR = (M @ geom.riemann_up.reshape(-1, n, n**3)).reshape(-1, n, n, n, n)    # [b,a,s,m,n]
+    D = MR - h[:, None, None, None, None] * (g[:, None, :, None, :] * M[:, :, None, :, None]
+                                             - g[:, None, :, :, None] * M[:, :, None, None, :])
+    MR_u = _apply(MR, u[:, None, None])                                      # [b,a,s,m]
+    u_MR = (u[:, None, None] @ MR.reshape(-1, n, n, n * n)).reshape(-1, n, n, n)  # [b,a,m,n]
+    eps_f = (geom.epsilon * f)[:, None, None, None]
 
     # x slot (m) leading; the y slot is last in each of the first three blocks
-    stacked = np.concatenate([
-        D.transpose(2, 1, 0, 3).reshape(n, -1),                          # eq14 [m,s,a,n]
-        u_MR.transpose(1, 0, 2).reshape(n, -1),                          # a43  [m,a,n]
-        (MR_u + geom.epsilon * f * Mu[:, None, None] * g).transpose(2, 0, 1)
-        .reshape(n, -1),                                                 # a44  [m,a,s]
-        (u_MR @ u - f * M).T,                                            # eq13 [m,a]
-    ], axis=1)
-    with_x = pool @ stacked                                              # [x, ...]
-    eq13 = _squares(with_x[:, -n:], 'xa')
-    with_xy = (with_x[:, :-n].reshape(-1, n) @ pool.T).reshape(size, -1, size)
-    a43 = _squares(with_xy[:, n * n:n * n + n], 'xay')
-    a44 = _squares(with_xy[:, n * n + n:], 'xay')
-    eq14_xy = with_xy[:, :n * n].reshape(size, n, n, size).transpose(1, 0, 2, 3)   # [s,x,a,y]
-    eq14 = _squares((pool @ eq14_xy.reshape(n, -1)).reshape(size, size, n, size), 'zxay')
+    with_x = pool @ np.concatenate([                                         # [b,x,...]
+        D.transpose(0, 3, 2, 1, 4).reshape(-1, n, n**3),                     # eq14 [m,s,a,n]
+        u_MR.transpose(0, 2, 1, 3).reshape(-1, n, n * n),                    # a43  [m,a,n]
+        (MR_u + eps_f * _apply(M, u)[:, :, None, None] * g[:, None])
+        .transpose(0, 3, 1, 2).reshape(-1, n, n * n),                        # a44  [m,a,s]
+        (_apply(u_MR, u[:, None]) - f[:, None, None] * M).swapaxes(1, 2),    # eq13 [m,a]
+    ], axis=2)
+    eq13 = _squares(with_x[..., -n:], 'xa')
+    eq14 = np.empty(len(pool))
+    for b, (row, p) in enumerate(zip(with_x[..., :n**3], pool)):
+        xy = (row.reshape(-1, n) @ p.T).reshape(size, n, n, size).transpose(1, 0, 2, 3)  # [s,x,a,y]
+        eq14[b] = _squares((p @ xy.reshape(n, -1)).reshape(size, size, n, size), 'zxay')
+    with_xy = (with_x[..., n**3:-n].reshape(len(pool), -1, n) @ pool.swapaxes(1, 2))
+    with_xy = with_xy.reshape(len(pool), size, 2 * n, size)
+    a43, a44 = _squares(with_xy[:, :, :n], 'xay'), _squares(with_xy[:, :, n:], 'xay')
 
     # R(x,u)y + R(y,u)x vanishes only for orthogonal unit pairs (its symmetric
     # part carries the -eps f g(x,y) u term), so pair up orthonormally.
-    xs, ys = _orthonormal_pairs(geom, frame, rng, RANDOM_COMBINATIONS)
-    sym = (MR_u + MR_u.transpose(0, 2, 1)).reshape(n, -1)
-    skew = _squares((ys[:, :, None] * xs[:, None, :]).reshape(len(xs), -1) @ sym.T, 'pa')
+    sym = (MR_u + MR_u.swapaxes(-1, -2)).reshape(-1, n, n * n)
+    skew = _squares((ys[..., :, None] * xs[..., None, :]).reshape(len(xs), -1, n * n)
+                    @ sym.swapaxes(1, 2), 'pa')
 
     scale = geom.residual_scale
-    return {key: float(np.sqrt(value)) / scale for key, value in
-            (("eq13", eq13), ("eq14", eq14), ("a43", a43), ("a44", a44), ("skewA1", skew))}
+    return {key: (np.sqrt(value) / scale).tolist() for key, value in
+            (("eq13", eq13), ("eq14", eq14), ("a43", a43), ("a44", a44),
+             ("skewA1", skew))}, errors
 
 
-def _squares(comps: np.ndarray, axes: str) -> float:
-    """Largest sum of squares over the frame-component axis 'a'."""
-    return float(np.einsum(f"{axes},{axes}->{axes.replace('a', '')}", comps, comps).max())
+def _squares(comps: np.ndarray, axes: str):
+    """Largest sum of squares over the frame-component axis 'a', per row."""
+    summed = np.einsum(f"...{axes},...{axes}->...{axes.replace('a', '')}", comps, comps)
+    return summed.max(axis=tuple(range(1 - len(axes), 0)))
 
 
 def structure_residuals(chart: ChartSpec, point,
@@ -289,83 +320,122 @@ def structure_residuals(chart: ChartSpec, point,
     geom = geometry_at(chart, point, order=3)
     frame = adapted_frame(geom, rng=np.random.default_rng(0) if rng is None else rng)
     _, f, h = extract_invariants(geom, frame)
-    return _structure_residuals(geom, frame, f, h, tol_margin)
+    residuals = _structure_residuals(*_chunk_of_one(geom, frame), np.array([f]), np.array([h]),
+                                     tol_margin)
+    return {key: values[0] for key, values in residuals.items()}
 
 
-def _structure_residuals(geom: PointGeometry, frame: Frame, f: float, h: float,
-                         tol_margin: float) -> dict[str, float | None]:
+def _structure_residuals(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np.ndarray,
+                         tol_margin: float) -> dict[str, list]:
+    """The six differential residuals over a chunk, as lists over rows."""
     eps = geom.epsilon
-    u = geom.u
+    u, g = geom.u, geom.g
     scale = geom.residual_scale
     spatial = frame.spatial
+    spatial_T = spatial.swapaxes(-1, -2)
 
     nabla = geom.nabla_u()
-    accel = u @ nabla
+    accel = (u[:, None] @ nabla)[:, 0]
     df, dh = trace_invariant_gradients(geom)
     f_tr, h_tr = trace_invariants(geom)
     margin = h - eps * f
 
     # df(x) = -(h - eps f) g(x, nabla_u u) for x | u
-    df_x = spatial @ df
-    acc_x = spatial @ geom.g @ accel
-    bianchi31 = float(np.abs(df_x + margin * acc_x).max())
+    df_x = _apply(spatial, df)
+    acc_x = _apply(spatial @ g, accel)
+    bianchi31 = np.abs(df_x + margin[:, None] * acc_x).max(axis=-1)
 
     # g(nabla_x u, y) symmetric on the orthogonal complement
-    B = nabla @ geom.g                     # B[m, s] = g(nabla_m u, d_s)
-    M = (spatial @ B) @ spatial.T          # M[a, b] = g(nabla_{e_a} u, e_b)
-    bianchi32 = float(np.abs(M - M.T).max())
+    B = nabla @ g                          # B[m, s] = g(nabla_m u, d_s)
+    M = (spatial @ B) @ spatial_T          # M[a, b] = g(nabla_{e_a} u, e_b)
+    M_T = M.swapaxes(-1, -2)
+    bianchi32 = np.abs(M - M_T).max(axis=(-2, -1))
 
     # dh(x) = 0 for x | u
-    bianchi33 = float(np.abs(spatial @ dh).max())
+    bianchi33 = np.abs(_apply(spatial, dh)).max(axis=-1)
 
-    # pure-trace expansion: g(x, nabla_y u) = -dh(u)/(2(h - eps f)) g(x, y)
-    if abs(margin) > tol_margin:
-        coeff = float(dh @ u) / (2.0 * margin)
-        gram = spatial @ geom.g @ spatial.T
-        shear = float(np.abs(M.T + coeff * gram).max()) / scale
-    else:
-        shear = None
+    # pure-trace expansion: g(x, nabla_y u) = -dh(u)/(2(h - eps f)) g(x, y),
+    # checked only outside the margin band
+    band = np.abs(margin) > tol_margin
+    coeff = _dot(dh, u) / (2.0 * np.where(band, margin, 1.0))
+    gram = spatial @ g @ spatial_T
+    shear = np.abs(M_T + coeff[:, None, None] * gram).max(axis=(-2, -1)) / scale
 
     # d[ (h - eps f) u-flat ] = 0, using the differentiable trace fields
     margin_tr = h_tr - eps * f_tr
-    dmargin = dh - eps * df
-    u_flat = geom.g @ u
-    du_flat = np.einsum('mns,s->mn', geom.dg, u) + np.einsum('ns,ms->mn', geom.g, geom.du)
-    domega = np.einsum('m,n->mn', dmargin, u_flat) + margin_tr * du_flat
-    closedness = float(np.abs(domega - domega.T).max())
+    dmargin = dh - eps[:, None] * df
+    u_flat = _apply(g, u)
+    du_flat = (np.einsum('...mns,...s->...mn', geom.dg, u)
+               + np.einsum('...ns,...ms->...mn', g, geom.du))
+    domega = (np.einsum('...m,...n->...mn', dmargin, u_flat)
+              + margin_tr[:, None, None] * du_flat)
+    closedness = np.abs(domega - domega.swapaxes(-1, -2)).max(axis=(-2, -1))
 
     geodesy = frame.norm(accel)
 
-    return {"bianchi31": bianchi31 / scale, "bianchi32": bianchi32 / scale,
-            "bianchi33": bianchi33 / scale, "shear": shear,
-            "closedness": closedness / scale, "geodesy": geodesy / scale}
+    return {"bianchi31": (bianchi31 / scale).tolist(), "bianchi32": (bianchi32 / scale).tolist(),
+            "bianchi33": (bianchi33 / scale).tolist(),
+            "shear": [s if ok else None for s, ok in zip(shear.tolist(), band)],
+            "closedness": (closedness / scale).tolist(), "geodesy": (geodesy / scale).tolist()}
 
 
 # -- sampling and classification ---------------------------------------------------
 
 def sample_point(chart: ChartSpec, point, rng=None,
                  tol_margin: float = DEFAULT_TOL_MARGIN) -> IsotropySample:
-    """Full residual evaluation at one point (certify's per-sample reference)."""
+    """Full residual evaluation at one point: the battery on a chunk of one."""
     rng = np.random.default_rng(0) if rng is None else rng
-    return _sample(geometry_at(chart, point, order=3), rng, tol_margin)
+    result = _battery(stack_geometry([geometry_at(chart, point, order=3)]), [rng], tol_margin)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _sample(geom: PointGeometry, rng, tol_margin: float) -> IsotropySample:
-    """Everything a sample computes after its order-3 geometry."""
-    frame = adapted_frame(geom, rng=rng)
-    eps, f, h = extract_invariants(geom, frame)
-    residuals = isotropy_residuals(geom, frame, f, h, rng=rng)
-    residuals.update(_structure_residuals(geom, frame, f, h, tol_margin))
-    return IsotropySample(point=geom.point, epsilon=eps, f=f, h=h,
-                          nondegeneracy=abs(h - eps * f), residuals=residuals,
-                          cc_residual=constant_curvature_residual(geom, h))
+def _battery(chunk: PointGeometry, rngs: list, tol_margin: float) -> list:
+    """The residual battery at each point of a chunk, point b drawing from
+    rngs[b]: per point its IsotropySample, or the GeometryError that makes it
+    Degenerate."""
+    vectors, etas, results = adapted_frames(chunk.g, chunk.u, rngs)
+    live = [b for b, err in enumerate(results) if err is None]
+    if not live:
+        return results
+    if len(live) < len(results):
+        chunk = stack_geometry([chunk_row(chunk, b) for b in live])
+        rngs, vectors, etas = [rngs[b] for b in live], vectors[live], etas[live]
+    frame = Frame(vectors, etas, chunk.g)
+    # adapted_frames checked what extract_invariants checks, row by row
+    eps, f, h = extract_invariants(chunk, frame)
+    residuals, errors = _isotropy(chunk, frame, f, h, rngs)
+    residuals.update(_structure_residuals(chunk, frame, f, h, tol_margin))
+    # the constant-curvature residual |R_{rsmn} - h (g_rm g_sn - g_rn g_sm)|, relative
+    g = chunk.g
+    model = h[:, None, None, None, None] * (np.einsum('...rm,...sn->...rsmn', g, g)
+                                            - np.einsum('...rn,...sm->...rsmn', g, g))
+    cc = np.abs(chunk.riemann_low - model).max(axis=(1, 2, 3, 4)) / chunk.residual_scale
+    for i, b in enumerate(live):
+        results[b] = errors[i] or IsotropySample(
+            point=chunk.point[i], epsilon=int(eps[i]), f=float(f[i]), h=float(h[i]),
+            nondegeneracy=float(abs(h[i] - eps[i] * f[i])), cc_residual=float(cc[i]),
+            residuals={key: residuals[key][i] for key in RESIDUAL_KEYS})
+    return results
 
 
-def constant_curvature_residual(geom: PointGeometry, h: float) -> float:
-    """Relative size of R_{rsmn} - h (g_{rm} g_{sn} - g_{rn} g_{sm})."""
-    g = geom.g
-    model = h * (np.einsum('rm,sn->rsmn', g, g) - np.einsum('rn,sm->rsmn', g, g))
-    return float(np.abs(geom.riemann_low - model).max()) / geom.residual_scale
+def _chunk_geometry(chart: ChartSpec, points: np.ndarray) -> tuple[PointGeometry | None, list]:
+    """The order-3 geometry of a chunk of points, and per point None or the
+    error that makes it Degenerate.  A chunk that raises is evaluated point
+    by point, and the points that evaluate are stacked."""
+    try:
+        return geometry_chunk(chart, points, order=3), [None] * len(points)
+    except _PRECONDITION_ERRORS:
+        pass
+    geoms, errors = [], []
+    for point in points:
+        try:
+            geoms.append(geometry_at(chart, point, order=3))
+            errors.append(None)
+        except _PRECONDITION_ERRORS as err:
+            errors.append(err)
+    return (stack_geometry(geoms) if geoms else None), errors
 
 
 def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificate:
@@ -373,12 +443,11 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
 
     Draws config.samples points uniformly (seeded).  Points where the
     preconditions fail (degenerate metric, non-unit u, expression domain
-    errors) make the verdict Degenerate.  The geometry is evaluated
-    CHUNK points at a time by geometry_batch; a chunk in which any point
+    errors) make the verdict Degenerate.  Points are evaluated CHUNK at a
+    time (see the module docstring); a chunk in which any point's geometry
     fails is evaluated again point by point, so each point keeps its own
-    result or reason.  Each sample draws from its own child of the seed, and
-    aggregation is an ordered reduction over sample index; config.threads is
-    ignored.
+    result or reason.  Aggregation is an ordered reduction over sample index;
+    config.threads is ignored.
     """
     config = config or CertifyConfig()
     if chart.dim < 4:
@@ -398,17 +467,17 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
     degenerate: list[tuple[list[float], str]] = []
     for start in range(0, config.samples, CHUNK):
         chunk = points[start:start + CHUNK]
-        try:
-            geoms = geometry_batch(chart, chunk, order=3)
-        except _PRECONDITION_ERRORS:
-            geoms = None
-        for k, point in enumerate(chunk):
-            rng = np.random.default_rng(children[start + k])
-            try:
-                geom = geometry_at(chart, point, order=3) if geoms is None else geoms[k]
-                samples.append(_sample(geom, rng, config.tol_margin))
-            except _PRECONDITION_ERRORS as err:
-                degenerate.append((point.tolist(), str(err)))
+        geoms, results = _chunk_geometry(chart, chunk)
+        evaluated = [k for k, err in enumerate(results) if err is None]
+        if evaluated:
+            rngs = [np.random.default_rng(children[start + k]) for k in evaluated]
+            for k, result in zip(evaluated, _battery(geoms, rngs, config.tol_margin)):
+                results[k] = result
+        for point, result in zip(chunk, results):
+            if isinstance(result, IsotropySample):
+                samples.append(result)
+            else:
+                degenerate.append((point.tolist(), str(result)))
     cc_values = [s.cc_residual for s in samples]
 
     notes: list[str] = []

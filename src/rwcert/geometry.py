@@ -21,7 +21,7 @@ closedness, second Bianchi) consume.  Residuals are reported relative to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,6 +67,9 @@ class PointGeometry:
     derivative, e.g. dg[l, i, j] = d_l g_ij and dgamma[l, k, i, j] = d_l
     Gamma^k_ij.  riemann_up is R^r_{smn} indexed [r, s, m, n]; riemann_low has
     the first index lowered.  driemann_* are None when built with order=2.
+    stack_geometry puts several points into one PointGeometry whose arrays,
+    and u_norm2, carry a leading chunk axis; the properties below, nabla_u
+    and the trace invariants serve a point and a chunk alike.
     """
 
     point: np.ndarray
@@ -87,24 +90,26 @@ class PointGeometry:
 
     @property
     def dim(self) -> int:
-        return self.point.shape[0]
+        return self.point.shape[-1]
 
     @property
-    def epsilon(self) -> int:
-        return 1 if self.u_norm2 > 0 else -1
+    def epsilon(self):
+        if isinstance(self.u_norm2, float):
+            return 1 if self.u_norm2 > 0 else -1
+        return np.where(self.u_norm2 > 0, 1, -1)
 
     @property
-    def residual_scale(self) -> float:
+    def residual_scale(self):
         if self.riemann_low is None:
             raise GeometryError("curvature requires geometry evaluated with order >= 2")
-        return 1.0 + float(np.abs(self.riemann_low).max())
+        return _scalar(1.0 + np.abs(self.riemann_low).max(axis=(-4, -3, -2, -1)))
 
     def ip(self, v: np.ndarray, w: np.ndarray) -> float:
         return float(v @ self.g @ w)
 
     def nabla_u(self) -> np.ndarray:
         """(nabla_mu u)^nu = d_mu u^nu + Gamma^nu_{mu lam} u^lam, indexed [mu, nu]."""
-        return self.du + np.einsum('nml,l->mn', self.gamma, self.u)
+        return self.du + np.einsum('...nml,...l->...mn', self.gamma, self.u)
 
     def acceleration(self) -> np.ndarray:
         return self.u @ self.nabla_u()
@@ -120,7 +125,7 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     connection (enough for transport integrators).  A non-finite metric or u
     value or derivative is a DegenerateMetricError.
 
-    This runs the evaluator that geometry_batch runs, with no batch axis.
+    This runs the evaluator that geometry_chunk runs, with no batch axis.
     """
     _check_order(order)
     n = chart.dim
@@ -128,7 +133,7 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     if point.shape != (n,):
         raise GeometryError(f"point must have {n} coordinates, got shape {point.shape}")
     _require_inside(chart, point[None])
-    return _point_geometry(_evaluate(chart, point, order), order, None)
+    return _point_geometry(_evaluate(chart, point, order), order)
 
 
 def geometry_batch(chart: ChartSpec, points, order: int = 3) -> list[PointGeometry]:
@@ -142,8 +147,14 @@ def geometry_batch(chart: ChartSpec, points, order: int = 3) -> list[PointGeomet
     the points through geometry_at.  Row b of the result equals
     geometry_at(chart, points[b], order) to rounding (numpy's array and scalar
     powers may differ in the last bit), and its arrays are views into the
-    batch arrays.
+    arrays of geometry_chunk.
     """
+    chunk = geometry_chunk(chart, points, order)
+    return [chunk_row(chunk, b) for b in range(len(points))]
+
+
+def geometry_chunk(chart: ChartSpec, points, order: int = 3) -> PointGeometry:
+    """geometry_batch as one PointGeometry with a leading chunk axis."""
     _check_order(order)
     n = chart.dim
     points = np.asarray(points, dtype=float)
@@ -151,8 +162,30 @@ def geometry_batch(chart: ChartSpec, points, order: int = 3) -> list[PointGeomet
         raise GeometryError(f"points must have shape (B, {n}) with B >= 1, "
                             f"got shape {points.shape}")
     _require_inside(chart, points)
-    fields = _evaluate(chart, points, order)
-    return [_point_geometry(fields, order, b) for b in range(len(points))]
+    return _point_geometry(_evaluate(chart, points, order), order)
+
+
+def chunk_row(chunk: PointGeometry, b: int) -> PointGeometry:
+    """Row b of a chunk, its arrays views into the chunk's."""
+    arrays = (getattr(chunk, f.name) for f in fields(PointGeometry)[:-2])
+    return PointGeometry(*(None if a is None else a[b] for a in arrays),
+                         float(chunk.u_norm2[b]), chunk.order)
+
+
+def stack_geometry(geoms: list[PointGeometry]) -> PointGeometry:
+    """The geometries of several points as one chunk: the inverse of chunk_row."""
+    values = [[getattr(geom, f.name) for geom in geoms] for f in fields(PointGeometry)[:-1]]
+    return PointGeometry(*(None if v[0] is None else _stack(v) for v in values),
+                         geoms[0].order)
+
+
+def _stack(rows: list) -> np.ndarray:
+    """The rows on a new leading axis, each laid out in memory as rows[0] is:
+    einsum's summation order follows the memory layout of its operands, so a
+    contiguous copy of a Riemann tensor would round differently from the point."""
+    order = np.argsort(np.asarray(rows[0]).strides)[::-1]
+    stacked = np.array([np.asarray(row).transpose(order) for row in rows])
+    return stacked.transpose(0, *(1 + np.argsort(order)))
 
 
 def _require_inside(chart: ChartSpec, points: np.ndarray) -> None:
@@ -168,20 +201,18 @@ def _check_order(order) -> None:
         raise GeometryError(f"order must be 1, 2 or 3, got {order!r}")
 
 
-def _point_geometry(fields: tuple, order: int, index: int | None) -> PointGeometry:
-    """PointGeometry from the evaluator's arrays, at one row of a batch
-    (index None: the arrays have no batch axis)."""
-    if index is not None:
-        fields = [None if a is None else a[index] for a in fields]
+def _point_geometry(fields: tuple, order: int) -> PointGeometry:
+    """PointGeometry from the evaluator's arrays, of a point or a chunk."""
     point, g, *tensors, u, du = fields
-    return PointGeometry(point, g, *tensors, u, du, float(u @ g @ u), order)
+    u_norm2 = _bilinear(u, g, u) if u.ndim > 1 else float(u @ g @ u)
+    return PointGeometry(point, g, *tensors, u, du, u_norm2, order)
 
 
 def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
     """The geometry of points of shape (n,) or (B, n), inside the domain, as
     arrays with the same leading batch shape: one body for geometry_at and
-    geometry_batch.  The arrays come in PointGeometry's field order up to du;
-    _point_geometry derives u_norm2 row by row.
+    geometry_chunk.  The arrays come in PointGeometry's field order up to du;
+    _point_geometry derives u_norm2.
 
     Jets hold the batch as a trailing axis (see jets), so the metric slots are
     gathered with it last and moved to the front once; after that every
@@ -284,7 +315,7 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
             u, du = _batch_first(u), _batch_first(du)
         if chart.normalize_u:
             # u / sqrt|q| with q = g(u,u); du follows from d_l q = d_l g(u,u) + 2 g(d_l u, u)
-            q = _quadratic(g, u)
+            q = _bilinear(u, g, u)
             ok = ~(np.abs(q) < 1e-12)      # a nan q fails the finite check below instead
             if not _all(ok):
                 raise UnitVectorError("cannot normalize a near-null u "
@@ -316,9 +347,22 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., :, None])[..., 0]
 
 
-def _quadratic(g: np.ndarray, v: np.ndarray):
-    """g(v, v), with the same leading batch shape."""
-    return (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
+def _bilinear(v: np.ndarray, g: np.ndarray, w: np.ndarray):
+    """v @ g @ w for vectors and matrices with the same leading batch shape."""
+    if v.ndim == 1:
+        return v @ g @ w
+    return (v[..., None, :] @ g @ w[..., :, None])[..., 0, 0]
+
+
+def _dot(v: np.ndarray, w: np.ndarray):
+    """v @ w row by row; like _apply and _bilinear, this runs the BLAS call
+    that the unbatched expression runs, so rows match it bit for bit."""
+    return (v[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def _scalar(value):
+    """A float for a point, the array over a chunk."""
+    return float(value) if getattr(value, "ndim", 0) == 0 else value
 
 
 def _all(ok) -> bool:
@@ -367,7 +411,10 @@ def sectional_curvature(geom: PointGeometry, v, w) -> float:
 
 @dataclass
 class Frame:
-    """Orthonormal frame rows e_0..e_{n-1} with e_0 = u; etas[a] = g(e_a, e_a)."""
+    """Orthonormal frame rows e_0..e_{n-1} with e_0 = u; etas[a] = g(e_a, e_a).
+
+    Over a chunk each array carries a leading chunk axis.
+    """
 
     vectors: np.ndarray
     etas: np.ndarray
@@ -375,19 +422,17 @@ class Frame:
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-1]
 
     @property
     def spatial(self) -> np.ndarray:
-        return self.vectors[1:]
+        return self.vectors[..., 1:, :]
 
-    def components(self, w: np.ndarray) -> np.ndarray:
-        """Coefficients of w in the frame (Riemannianized: always well-scaled)."""
-        return self.etas * (self.vectors @ self.g @ w)
-
-    def norm(self, w: np.ndarray) -> float:
-        """Positive-definite norm: Euclidean length of the frame components."""
-        return float(np.linalg.norm(self.components(w)))
+    def norm(self, w: np.ndarray):
+        """Positive-definite norm: Euclidean length of the frame components
+        etas * (V g w) of w (Riemannianized: always well-scaled)."""
+        c = self.etas * _apply(self.vectors @ self.g, w)
+        return _scalar(np.sqrt(_dot(c, c)))
 
 
 def adapted_frame(geom: PointGeometry, rng=None) -> Frame:
@@ -397,71 +442,86 @@ def adapted_frame(geom: PointGeometry, rng=None) -> Frame:
     is rejected when, after projection, its unit-coordinate-norm version has
     |g(v,v)| < PIVOT_TOL (this is what near-null directions look like).  Up to
     MAX_PIVOT_TRIES random axis mixtures are tried afterwards.  Deterministic
-    for a given rng state.
+    for a given rng state.  This is adapted_frames on a chunk of one.
     """
-    u = geom.u
     rng = np.random.default_rng(0) if rng is None else rng
-    n = geom.dim
-    q = geom.ip(u, u)
-    if abs(abs(q) - 1.0) > UNIT_TOL:
-        raise UnitVectorError(f"u is not unit: g(u,u) = {q!r}")
-
-    vectors = [u / np.sqrt(abs(q))]
-    etas = [1 if q > 0 else -1]
-    candidates = [_axis(k, n) for k in rng.permutation(n)]
-    for _ in range(n - 1):
-        accepted = None
-        tries = 0
-        while accepted is None and tries < MAX_PIVOT_TRIES:
-            if candidates:
-                trial = candidates.pop(0)
-            else:
-                mix = rng.normal(size=n)
-                trial = mix / np.linalg.norm(mix)
-            tries += 1
-            v = trial.astype(float).copy()
-            for e, eta in zip(vectors, etas):
-                v -= eta * geom.ip(v, e) * e
-            norm = np.linalg.norm(v)
-            if norm < 1e-12:
-                continue
-            v /= norm
-            q_v = geom.ip(v, v)
-            if abs(q_v) < PIVOT_TOL:
-                continue
-            accepted = v / np.sqrt(abs(q_v))
-        if accepted is None:
-            raise FrameError(
-                f"Gram-Schmidt failed after {MAX_PIVOT_TRIES} pivot candidates")
-        vectors.append(accepted)
-        etas.append(1 if geom.ip(accepted, accepted) > 0 else -1)
-    return Frame(np.array(vectors), np.array(etas, dtype=float), geom.g)
+    vectors, etas, errors = adapted_frames(geom.g[None], geom.u[None], [rng])
+    if errors[0] is not None:
+        raise errors[0]
+    return Frame(vectors[0], etas[0], geom.g)
 
 
-def _axis(k: int, n: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[k] = 1.0
-    return v
+def adapted_frames(g: np.ndarray, u: np.ndarray, rngs: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """adapted_frame at each row of (B, n, n) metrics and (B, n) fields u, row
+    b drawing from rngs[b]: the frame vectors [b, a, :], their etas [b, a]
+    and each row's exception, None where the row has its frame.
+
+    Slot a is filled, one pivot attempt at a time, for all rows that still
+    lack it; each row keeps its own place in its shuffled axes and draws its
+    random mixtures from its own rng.
+    """
+    rows, n = u.shape
+    q = _bilinear(u, g, u)
+    errors = [UnitVectorError(f"u is not unit: g(u,u) = {x!r}")
+              if abs(abs(x) - 1.0) > UNIT_TOL else None for x in q.tolist()]
+    live = np.array([err is None for err in errors])
+    axes = np.array([rng.permutation(n) if ok else np.arange(n) for rng, ok in zip(rngs, live)])
+    vectors = np.zeros((rows, n, n))
+    vectors[:, 0] = u / np.sqrt(np.where(live, np.abs(q), 1.0))[:, None]
+    etas = np.ones((rows, n))
+    etas[:, 0] = np.where(q > 0, 1.0, -1.0)
+    tried = np.zeros(rows, dtype=int)
+    for a in range(1, n):
+        pending = live.copy()
+        for _ in range(MAX_PIVOT_TRIES):
+            idx = np.flatnonzero(pending)
+            if not len(idx):
+                break
+            v = np.eye(n)[axes[idx, np.minimum(tried[idx], n - 1)]]
+            for i in np.flatnonzero(tried[idx] >= n):
+                mix = rngs[idx[i]].normal(size=n)
+                v[i] = mix / np.linalg.norm(mix)
+            tried[idx] += 1
+            G = g[idx]
+            for e, eta in zip(vectors[idx, :a].swapaxes(0, 1), etas[idx, :a].T):
+                v = v - (eta * _bilinear(v, G, e))[:, None] * e
+            norm = np.sqrt(_dot(v, v))
+            v = v / np.where(norm < 1e-12, 1.0, norm)[:, None]
+            q_v = _bilinear(v, G, v)
+            ok = (norm >= 1e-12) & (np.abs(q_v) >= PIVOT_TOL)
+            accepted = v[ok] / np.sqrt(np.abs(q_v[ok]))[:, None]
+            vectors[idx[ok], a] = accepted
+            etas[idx[ok], a] = np.where(_bilinear(accepted, G[ok], accepted) > 0, 1.0, -1.0)
+            pending[idx[ok]] = False
+        for b in np.flatnonzero(pending):
+            errors[b] = FrameError(f"Gram-Schmidt failed after {MAX_PIVOT_TRIES} pivot candidates")
+        live &= ~pending
+    return vectors, etas, errors
 
 
 # -- derived scalar fields -----------------------------------------------------
 
-def trace_invariants(geom: PointGeometry) -> tuple[float, float]:
+def _projector(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """pi^{ab} = g^{ab} - eps u^a u^b, and eps shaped to scale matrices."""
+    eps = np.asarray(geom.epsilon)[..., None, None]
+    return geom.g_inv - eps * (geom.u[..., :, None] * geom.u[..., None, :]), eps
+
+
+def trace_invariants(geom: PointGeometry) -> tuple:
     """Frame-free forms of the two plane invariants.
 
     f = Ric(u,u)/(n-1) and h = pi^{rm} pi^{sn} R_{rsmn} / ((n-1)(n-2)) with
     pi the projector onto the orthogonal complement of u.  These coincide with
     the frame-extracted values exactly when the curvature has the isotropic
-    form, and being fields they can be differentiated.
+    form, and being fields they can be differentiated.  Floats at a point,
+    arrays over a chunk.
     """
     n = geom.dim
-    eps = geom.epsilon
-    ric = np.einsum('rsrn->sn', geom.riemann_up)
-    f = float(geom.u @ ric @ geom.u) / (n - 1)
-    pi_up = geom.g_inv - eps * np.outer(geom.u, geom.u)
-    s = float(np.einsum('rm,sn,rsmn->', pi_up, pi_up, geom.riemann_low))
-    h = s / ((n - 1) * (n - 2))
-    return f, h
+    ric = np.einsum('...rsrn->...sn', geom.riemann_up)
+    f = _bilinear(geom.u, ric, geom.u) / (n - 1)
+    pi_up, _ = _projector(geom)
+    s = np.einsum('...rm,...sn,...rsmn->...', pi_up, pi_up, geom.riemann_low)
+    return _scalar(f), _scalar(s / ((n - 1) * (n - 2)))
 
 
 def trace_invariant_gradients(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -469,18 +529,18 @@ def trace_invariant_gradients(geom: PointGeometry) -> tuple[np.ndarray, np.ndarr
     if geom.driemann_up is None:
         raise GeometryError("gradients require geometry evaluated with order=3")
     n = geom.dim
-    eps = geom.epsilon
     u, du = geom.u, geom.du
-    ric = np.einsum('rsrn->sn', geom.riemann_up)
-    dric = np.einsum('prsrn->psn', geom.driemann_up)
-    df = (np.einsum('psn,s,n->p', dric, u, u)
-          + np.einsum('sn,ps,n->p', ric, du, u)
-          + np.einsum('sn,s,pn->p', ric, u, du)) / (n - 1)
-    pi_up = geom.g_inv - eps * np.outer(u, u)
-    dpi_up = geom.dg_inv - eps * (np.einsum('pa,b->pab', du, u) + np.einsum('a,pb->pab', u, du))
-    ds = (np.einsum('prm,sn,rsmn->p', dpi_up, pi_up, geom.riemann_low)
-          + np.einsum('rm,psn,rsmn->p', pi_up, dpi_up, geom.riemann_low)
-          + np.einsum('rm,sn,prsmn->p', pi_up, pi_up, geom.driemann_low))
+    ric = np.einsum('...rsrn->...sn', geom.riemann_up)
+    dric = np.einsum('...prsrn->...psn', geom.driemann_up)
+    df = (np.einsum('...psn,...s,...n->...p', dric, u, u)
+          + np.einsum('...sn,...ps,...n->...p', ric, du, u)
+          + np.einsum('...sn,...s,...pn->...p', ric, u, du)) / (n - 1)
+    pi_up, eps = _projector(geom)
+    dpi_up = geom.dg_inv - eps[..., None] * (np.einsum('...pa,...b->...pab', du, u)
+                                             + np.einsum('...a,...pb->...pab', u, du))
+    ds = (np.einsum('...prm,...sn,...rsmn->...p', dpi_up, pi_up, geom.riemann_low)
+          + np.einsum('...rm,...psn,...rsmn->...p', pi_up, dpi_up, geom.riemann_low)
+          + np.einsum('...rm,...sn,...prsmn->...p', pi_up, pi_up, geom.driemann_low))
     dh = ds / ((n - 1) * (n - 2))
     return df, dh
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from rwcert import catalog, foliation
-from rwcert.certify import CertifyConfig
+from rwcert.certify import CertifyConfig, sample_point
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -42,3 +42,4 @@ def test_bench_calls_still_bind():
         chart, None, base, 0.1, 10, rng=np.random.default_rng(0))
     inspect.signature(foliation.slice_curvature).bind(chart, p)
     inspect.signature(foliation.time_value).bind(chart, None, p, base)
+    inspect.signature(sample_point).bind(chart, p, rng=np.random.default_rng(0))

@@ -1,18 +1,21 @@
 """Invariant extraction, residual battery and classification."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rwcert import catalog
-from rwcert.certify import (CertificationInputError, CertifyConfig,
+from rwcert.certify import (DEFAULT_TOL_MARGIN, CertificationInputError, CertifyConfig,
                             RESIDUAL_KEYS, certify, extract_invariants,
                             isotropy_residuals, sample_point, structure_residuals)
 from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError
-from rwcert.geometry import (FrameError, GeometryError, adapted_frame, geometry_at,
-                             sectional_curvature)
+from rwcert.geometry import (MAX_PIVOT_TRIES, Frame, FrameError, GeometryError,
+                             UnitVectorError, adapted_frame, adapted_frames, chunk_row,
+                             geometry_at, geometry_chunk, sectional_curvature, stack_geometry)
+from rwcert.geometry import PIVOT_TOL as FRAME_PIVOT_TOL
 
 from conftest import domain_points
 
@@ -287,8 +290,10 @@ def _reference_pairs(geom, frame, rng, count):
 
 
 def _apply(R, x, y, z):
-    """(R(x,y)z)^r = R^r_{smn} z^s x^m y^n by coordinate loops."""
+    """(R(x,y)z)^r = R^r_{smn} z^s x^m y^n by coordinate loops (on Python
+    floats, which round as numpy's scalars do but loop faster)."""
     n = len(x)
+    x, y, z = x.tolist(), y.tolist(), z.tolist()
     return np.array([sum(R[r][s][m][k] * z[s] * x[m] * y[k]
                          for s in range(n) for m in range(n) for k in range(n))
                      for r in range(n)])
@@ -419,7 +424,7 @@ def _close(got, want, tol, relative):
 
 @pytest.mark.parametrize("samples", [1, 15, 16, 17, 33])
 def test_chunked_certify_equals_a_sample_point_loop(charts, monkeypatch, samples):
-    """Chunks of CHUNK points through geometry_batch give the certificate of
+    """Chunks of CHUNK points through geometry_chunk give the certificate of
     one sample_point per point, whatever the sample count's remainder, and a
     point that fails inside a chunk keeps its own reason while its
     neighbours keep their results.  Residual maxima agree to 1e-14 and the
@@ -436,7 +441,7 @@ def test_chunked_certify_equals_a_sample_point_loop(charts, monkeypatch, samples
         config = CertifyConfig(samples=samples, seed=samples)
         cert = certify(chart, config)
         with monkeypatch.context() as patch:
-            patch.setattr(certify_module, "geometry_batch", no_batch)
+            patch.setattr(certify_module, "geometry_chunk", no_batch)
             unbatched = certify(chart, config)
         ref, degenerate = _sample_point_loop(chart, config)
         assert cert.degenerate_points == degenerate, chart_id
@@ -454,3 +459,268 @@ def test_chunked_certify_equals_a_sample_point_loop(charts, monkeypatch, samples
             assert _close(got, want, 1e-13, True), chart_id
         if chart_id == "overflow" and samples == 33:     # chunks mixing both kinds
             assert 0 < len(degenerate) < samples
+
+
+# -- the chunk battery against the per-sample code ---------------------------------
+
+
+def _reference_frame(geom, rng):
+    """adapted_frame's pivoted Gram-Schmidt one candidate at a time, as the
+    per-sample code ran it."""
+    n, ip = geom.dim, geom.ip
+    q = ip(geom.u, geom.u)
+    vectors, etas = [geom.u / np.sqrt(abs(q))], [1 if q > 0 else -1]
+    candidates = [np.eye(n)[k] for k in rng.permutation(n)]
+    for _ in range(n - 1):
+        for _ in range(MAX_PIVOT_TRIES):
+            if candidates:
+                v = candidates.pop(0)
+            else:
+                mix = rng.normal(size=n)
+                v = mix / np.linalg.norm(mix)
+            for e, eta in zip(vectors, etas):
+                v = v - eta * ip(v, e) * e
+            norm = np.linalg.norm(v)
+            if norm < 1e-12:
+                continue
+            v = v / norm
+            q_v = ip(v, v)
+            if abs(q_v) < FRAME_PIVOT_TOL:
+                continue
+            vectors.append(v / np.sqrt(abs(q_v)))
+            etas.append(1 if ip(vectors[-1], vectors[-1]) > 0 else -1)
+            break
+        else:
+            raise FrameError(f"Gram-Schmidt failed after {MAX_PIVOT_TRIES} pivot candidates")
+    return Frame(np.array(vectors), np.array(etas, dtype=float), geom.g)
+
+
+def _reference_sample(geom, frame, tol_margin):
+    """f, h, |h - eps f|, the constant-curvature residual and the six
+    structure residuals by the per-sample formulas."""
+    n, g, u, du, eps = geom.dim, geom.g, geom.u, geom.du, geom.epsilon
+    R, R_low = geom.riemann_up, geom.riemann_low
+    e1, e2 = frame.vectors[1], frame.vectors[2]
+    eta1, eta2 = frame.etas[1], frame.etas[2]
+    f = float(eta1 * geom.ip(np.einsum('rsmn,s,m,n->r', R, u, e1, u), e1))
+    h = float(eta1 * eta2 * geom.ip(np.einsum('rsmn,s,m,n->r', R, e2, e1, e2), e1))
+    scale = 1.0 + float(np.abs(R_low).max())
+    model = h * (np.einsum('rm,sn->rsmn', g, g) - np.einsum('rn,sm->rsmn', g, g))
+    cc = float(np.abs(R_low - model).max()) / scale
+
+    ric = np.einsum('rsrn->sn', R)
+    dric = np.einsum('prsrn->psn', geom.driemann_up)
+    pi = geom.g_inv - eps * np.outer(u, u)
+    dpi = geom.dg_inv - eps * (np.einsum('pa,b->pab', du, u) + np.einsum('a,pb->pab', u, du))
+    f_tr = float(u @ ric @ u) / (n - 1)
+    h_tr = float(np.einsum('rm,sn,rsmn->', pi, pi, R_low)) / ((n - 1) * (n - 2))
+    df = (np.einsum('psn,s,n->p', dric, u, u) + np.einsum('sn,ps,n->p', ric, du, u)
+          + np.einsum('sn,s,pn->p', ric, u, du)) / (n - 1)
+    dh = (np.einsum('prm,sn,rsmn->p', dpi, pi, R_low) + np.einsum('rm,psn,rsmn->p', pi, dpi, R_low)
+          + np.einsum('rm,sn,prsmn->p', pi, pi, geom.driemann_low)) / ((n - 1) * (n - 2))
+
+    margin = h - eps * f
+    spatial = frame.spatial
+    nabla = du + np.einsum('nml,l->mn', geom.gamma, u)
+    accel = u @ nabla
+    M = (spatial @ (nabla @ g)) @ spatial.T
+    shear = None
+    if abs(margin) > tol_margin:
+        coeff = float(dh @ u) / (2.0 * margin)
+        shear = float(np.abs(M.T + coeff * (spatial @ g @ spatial.T)).max()) / scale
+    domega = (np.einsum('m,n->mn', dh - eps * df, g @ u)
+              + (h_tr - eps * f_tr) * (np.einsum('mns,s->mn', geom.dg, u)
+                                       + np.einsum('ns,ms->mn', g, du)))
+    structure = {
+        "bianchi31": float(np.abs(spatial @ df + margin * (spatial @ g @ accel)).max()) / scale,
+        "bianchi32": float(np.abs(M - M.T).max()) / scale,
+        "bianchi33": float(np.abs(spatial @ dh).max()) / scale,
+        "shear": shear,
+        "closedness": float(np.abs(domega - domega.T).max()) / scale,
+        "geodesy": float(np.linalg.norm(frame.etas * (frame.vectors @ g @ accel))) / scale,
+    }
+    return f, h, abs(margin), cc, structure
+
+
+def test_chunk_battery_matches_the_per_sample_formulas(charts, monkeypatch):
+    """One battery call over 16 points of each catalog chart, row by row: the
+    frames, f, h, margin, constant-curvature and structure residuals equal
+    the per-sample formulas (the arithmetic is the same), and the algebraic
+    residuals match the coordinate loops of _oracle_battery to 1e-12."""
+    monkeypatch.setattr(certify_module, "RANDOM_COMBINATIONS", 3)
+    for cid in catalog.CATALOG:
+        chart = charts[cid]
+        chunk = geometry_chunk(chart, domain_points(chart, 16, seed=41))
+        vectors, etas, errors = adapted_frames(chunk.g, chunk.u,
+                                               [np.random.default_rng(k) for k in range(16)])
+        results = certify_module._battery(chunk, [np.random.default_rng(k) for k in range(16)],
+                                          DEFAULT_TOL_MARGIN)
+        assert errors == [None] * 16, cid
+        for k, got in enumerate(results):
+            geom, rng = chunk_row(chunk, k), np.random.default_rng(k)
+            frame = _reference_frame(geom, rng)
+            np.testing.assert_array_equal(vectors[k], frame.vectors)
+            np.testing.assert_array_equal(etas[k], frame.etas)
+            pool = np.vstack([frame.spatial, _reference_unit_spatial(geom, frame, rng, 3)])
+            xs, ys = _reference_pairs(geom, frame, rng, 3)
+            f, h, margin, cc, structure = _reference_sample(geom, frame, DEFAULT_TOL_MARGIN)
+            assert (got.epsilon, got.f, got.h, got.nondegeneracy, got.cc_residual) == \
+                (geom.epsilon, f, h, margin, cc), (cid, k)
+            assert {key: got.residuals[key] for key in structure} == structure, (cid, k)
+            want = _oracle_battery(geom, frame, f, h, pool, xs, ys)
+            for key in want:
+                assert abs(got.residuals[key] - want[key]) <= 1e-12, (cid, k, key)
+
+
+def _same(got, want) -> bool:
+    """Two battery results agree: the same error text, or equal samples."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return (np.array_equal(got.point, want.point)
+            and (got.epsilon, got.f, got.h, got.nondegeneracy, got.cc_residual, got.residuals)
+            == (want.epsilon, want.f, want.h, want.nondegeneracy, want.cc_residual,
+                want.residuals))
+
+
+def test_chunk_draws_replay_one_at_a_time_rejections(charts, monkeypatch):
+    """PIVOT_TOL raised as in test_block_draws_replay_one_at_a_time_rejections,
+    over a chunk mixing rows that reject candidates (Schwarzschild) with rows
+    that cannot (a spatial metric of 400): every row gets the pool, pairs and
+    rng state of the one-at-a-time loops, and the residuals of a chunk of
+    one; a row that gives up gets the same FrameError text."""
+    wide = chart_from_dict({
+        "name": "wide", "dim": 4, "coords": ["t", "x", "y", "z"],
+        "metric": [["-1", None, None, None], [None, "400", None, None],
+                   [None, None, "400", None], [None, None, None, "400"]],
+        "u": ["1", "0", "0", "0"],
+        "domain": [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]})
+    schwarzschild = charts["schwarzschild_static_observer"]
+    geoms = ([geometry_at(schwarzschild, p) for p in domain_points(schwarzschild, 12, seed=47)]
+             + [geometry_at(wide, p) for p in domain_points(wide, 4, seed=47)])
+    chunk = stack_geometry(geoms)
+    geom, frame, _ = _extract(schwarzschild, [0.0, 10.0, 1.2, 0.7])
+    probe = np.random.default_rng(5).normal(size=(400, 3)) @ frame.spatial
+    probe /= np.linalg.norm(probe, axis=1)[:, None]
+    q = np.abs(np.einsum('ai,ij,aj->a', probe, geom.g, probe))
+    kinds = set()
+    for quantile in (0.3, 0.7, 0.97):
+        monkeypatch.setattr(certify_module, "PIVOT_TOL", float(np.quantile(q, quantile)))
+        seeds = [[int(100 * quantile), k] for k in range(16)]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        vectors, etas, _ = adapted_frames(chunk.g, chunk.u, rngs)
+        pool, xs, ys, errors = certify_module._draws(chunk, Frame(vectors, etas, chunk.g), rngs)
+        results = certify_module._battery(chunk, [np.random.default_rng(s) for s in seeds],
+                                          DEFAULT_TOL_MARGIN)
+        for k, row in enumerate(geoms):
+            one, clean = np.random.default_rng(seeds[k]), np.random.default_rng(seeds[k])
+            frame = adapted_frame(row, rng=one)
+            adapted_frame(row, rng=clean)
+            clean.normal(size=(48, 3))        # the draws of a row that rejects nothing
+            try:
+                want_pool = _reference_unit_spatial(row, frame, one, 16)
+                want_xs, want_ys = _reference_pairs(row, frame, one, 16)
+            except FrameError as err:
+                assert str(errors[k]) == str(err), (quantile, k)
+                kinds.add("gave up")
+            else:
+                assert errors[k] is None, (quantile, k)
+                np.testing.assert_allclose(pool[k, 3:], want_pool, rtol=1e-13, atol=1e-15)
+                m = len(want_xs)
+                np.testing.assert_allclose(xs[k, :m], want_xs, rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(ys[k, :m], want_ys, rtol=1e-13, atol=1e-15)
+                assert (xs[k, m:] == xs[k, m - 1]).all() and (ys[k, m:] == ys[k, m - 1]).all()
+                replayed = one.bit_generator.state != clean.bit_generator.state
+                kinds.add("replayed" if replayed else "clean")
+            assert rngs[k].bit_generator.state == one.bit_generator.state, (quantile, k)
+            single = certify_module._battery(stack_geometry([row]),
+                                             [np.random.default_rng(seeds[k])],
+                                             DEFAULT_TOL_MARGIN)[0]
+            assert _same(results[k], single), (quantile, k)
+    assert kinds == {"clean", "replayed", "gave up"}
+
+
+def test_one_battery_call_per_chunk(monkeypatch):
+    """certify(33) on the overflow chart makes one battery call per chunk
+    with points that evaluate, over exactly those points, also in the chunks
+    whose geometry_chunk call raised; the degenerate points are those of a
+    sample_point loop."""
+    chart = chart_from_dict(_MIXED_CHARTS["overflow"])
+    config = CertifyConfig(samples=33, seed=33)
+    battery, chunk_geometry = certify_module._battery, certify_module.geometry_chunk
+    calls, raised = [], []
+
+    def spy_battery(chunk, rngs, tol_margin):
+        calls.append(chunk.point.tolist())
+        return battery(chunk, rngs, tol_margin)
+
+    def spy_chunk(*args, **kwargs):
+        try:
+            return chunk_geometry(*args, **kwargs)
+        except (GeometryError, EvalDomainError, ZeroDivisionError):
+            raised.append(True)
+            raise
+
+    samples, degenerate = _sample_point_loop(chart, config)
+    monkeypatch.setattr(certify_module, "_battery", spy_battery)
+    monkeypatch.setattr(certify_module, "geometry_chunk", spy_chunk)
+    cert = certify(chart, config)
+    assert cert.degenerate_points == degenerate
+    bad = {tuple(point) for point, _ in degenerate}
+    points = [p.tolist() for p in np.random.default_rng(np.random.SeedSequence(33)).uniform(
+        [0.0, -1.0, -1.0, -1.0], [8.0, 1.0, 1.0, 1.0], size=(33, 4))]
+    chunks = [[p for p in points[start:start + 16] if tuple(p) not in bad]
+              for start in range(0, 33, 16)]
+    assert calls == [chunk for chunk in chunks if chunk]
+    assert raised and len(samples) == sum(map(len, calls))
+
+
+def test_a_failing_row_leaves_its_neighbours_alone(charts, monkeypatch):
+    """A unit-field failure forced on row 5 of a chunk makes that point
+    Degenerate with adapted_frame's message; the other rows give what
+    sample_point gives, in the battery and in certify."""
+    chart = charts["goedel"]        # off-diagonal: rounding follows the memory layout
+    points = domain_points(chart, 16, seed=43)
+    real = certify_module.geometry_chunk
+
+    def doubled_u(*args, **kwargs):
+        chunk = real(*args, **kwargs)
+        chunk.u[5] *= 2.0
+        return chunk
+
+    chunk = doubled_u(chart, points)
+    with pytest.raises(UnitVectorError) as want:
+        adapted_frame(chunk_row(chunk, 5))
+    results = certify_module._battery(chunk, [np.random.default_rng(k) for k in range(16)],
+                                      DEFAULT_TOL_MARGIN)
+    assert _same(results[5], want.value)
+    for k, point in enumerate(points):
+        if k != 5:
+            assert _same(results[k], sample_point(chart, point, rng=np.random.default_rng(k)))
+
+    monkeypatch.setattr(certify_module, "geometry_chunk", doubled_u)
+    config = CertifyConfig(samples=16, seed=3)
+    cert = certify(chart, config)
+    monkeypatch.undo()
+    samples, _ = _sample_point_loop(chart, config)
+    assert len(cert.degenerate_points) == 1
+    point, reason = cert.degenerate_points[0]
+    assert point == samples[5].point.tolist() and reason.startswith("u is not unit")
+    del samples[5]
+    assert cert.residual_max == {key: max((s.residuals[key] for s in samples
+                                           if s.residuals[key] is not None), default=None)
+                                 for key in RESIDUAL_KEYS}
+
+
+def test_certify_memory_stays_within_its_guard(charts):
+    """certify(256) on flrw_closed_osc peaks at no more than 2.7 MB of traced
+    allocations (1.7 MB one sample at a time, about 1.9 MB by chunks): eq14's
+    (pool, pool, n, pool) product is never formed for a whole chunk."""
+    chart = charts["flrw_closed_osc"]
+    certify(chart, CertifyConfig(samples=16))
+    tracemalloc.start()
+    try:
+        certify(chart, CertifyConfig(samples=256, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.7e6, peak

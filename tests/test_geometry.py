@@ -10,11 +10,11 @@ from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError, eval_expr
 from rwcert.geometry import (DegenerateMetricError, DegeneratePlaneError, GeometryError,
                              OutsideDomainError, PointGeometry, UnitVectorError,
-                             adapted_frame, geometry_at, geometry_batch,
-                             metric_compatibility_residual,
+                             adapted_frame, chunk_row, geometry_at, geometry_batch,
+                             geometry_chunk, metric_compatibility_residual,
                              riemann_symmetry_residuals, second_bianchi_residual,
-                             sectional_curvature, trace_invariant_gradients,
-                             trace_invariants)
+                             sectional_curvature, stack_geometry,
+                             trace_invariant_gradients, trace_invariants)
 from rwcert.jets import Jet3
 
 from conftest import domain_points
@@ -329,6 +329,28 @@ def test_batch_rows_equal_geometry_at(charts, chart_id, order):
                     assert a == b, field.name
                 else:
                     assert np.abs(np.asarray(a) - b).max() <= 1e-13 * np.abs(b).max(), field.name
+
+
+def test_chunks_round_as_their_points_do(charts):
+    """The trace invariants and their gradients over a chunk equal those of
+    its rows, exactly: stack_geometry keeps each point's memory layout, which
+    einsum's summation order follows (goedel's metric is not diagonal, so a
+    contiguous copy would round differently), and geometry_chunk's rows are
+    its own arrays.  chunk_row and stack_geometry undo each other."""
+    chart = charts["goedel"]
+    points = domain_points(chart, 16, seed=1)
+    singles = [geometry_at(chart, p) for p in points]
+    for chunk, rows in ((stack_geometry(singles), singles),
+                        (geometry_chunk(chart, points), geometry_batch(chart, points))):
+        for got, want in zip(trace_invariants(chunk) + trace_invariant_gradients(chunk),
+                             zip(*(trace_invariants(r) + trace_invariant_gradients(r)
+                                   for r in rows))):
+            np.testing.assert_array_equal(got, np.array(want))
+        again = stack_geometry([chunk_row(chunk, b) for b in range(len(points))])
+        for field in dataclasses.fields(PointGeometry):
+            a, b = getattr(again, field.name), getattr(chunk, field.name)
+            assert a == b if field.name == "order" else np.array_equal(a, b), field.name
+            assert field.name == "order" or a.strides == b.strides, field.name
 
 
 ORACLE_TOL = 1e-10      # relative to 1 + the largest oracle component of each field
