@@ -25,8 +25,8 @@ product.  sample_point, isotropy_residuals, structure_residuals and
 adapted_frame run the same body on a chunk of one; they are on no hot path.
 
 The chunk is bounded by memory, not speed: it holds every tensor of every
-point in it.  certify(256) on flrw_closed_osc peaks at 1.9 MB of traced
-allocations, against 1.7 MB one sample at a time; eq14's product formed for
+point in it.  certify(256) on flrw_closed_osc peaks at 1.69 MB of traced
+allocations, against 1.72 MB one sample at a time; eq14's product formed for
 a whole chunk would add about 14 MB.  Chunks of 32 or 256 points were no
 faster than 16 in the geometry and held 2x and 9x its memory.
 

@@ -713,7 +713,7 @@ def test_a_failing_row_leaves_its_neighbours_alone(charts, monkeypatch):
 
 def test_certify_memory_stays_within_its_guard(charts):
     """certify(256) on flrw_closed_osc peaks at no more than 2.7 MB of traced
-    allocations (1.7 MB one sample at a time, about 1.9 MB by chunks): eq14's
+    allocations (1.72 MB one sample at a time, 1.69 MB by chunks): eq14's
     (pool, pool, n, pool) product is never formed for a whole chunk."""
     chart = charts["flrw_closed_osc"]
     certify(chart, CertifyConfig(samples=16))
