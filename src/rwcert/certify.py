@@ -45,7 +45,7 @@ from .exprs import EvalDomainError
 from .geometry import (PIVOT_TOL, UNIT_TOL, Frame, FrameError, GeometryError, PointGeometry,
                        _apply, _bilinear, _dot, _scalar, adapted_frame, adapted_frames,
                        chunk_row, geometry_at, geometry_chunk, stack_geometry,
-                       trace_invariant_gradients, trace_invariants)
+                       trace_invariants)
 
 RESIDUAL_KEYS = ("eq13", "eq14", "a43", "a44", "skewA1",
                  "bianchi31", "bianchi32", "bianchi33",
@@ -336,8 +336,7 @@ def _structure_residuals(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np
 
     nabla = geom.nabla_u()
     accel = (u[:, None] @ nabla)[:, 0]
-    df, dh = trace_invariant_gradients(geom)
-    f_tr, h_tr = trace_invariants(geom)
+    f_tr, h_tr, df, dh = trace_invariants(geom, gradients=True)
     margin = h - eps * f
 
     # df(x) = -(h - eps f) g(x, nabla_u u) for x | u

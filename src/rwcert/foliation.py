@@ -25,9 +25,8 @@ import numpy as np
 
 from .certify import Certificate, DEFAULT_TOL_MARGIN
 from .chart import ChartSpec
-from .geometry import (GeometryError, OutsideDomainError, PointGeometry, adapted_frame,
-                       geometry_at, geometry_batch, trace_invariant_gradients,
-                       trace_invariants)
+from .geometry import (GeometryError, OutsideDomainError, _apply, _dot, adapted_frame,
+                       geometry_at, geometry_chunk, trace_invariants)
 from .integrate import doubled, rk4
 
 QUAD_TOL = 1e-10          # Gauss-Legendre segment bisection threshold
@@ -35,6 +34,7 @@ QUAD_DEPTH = 20           # bisection levels before the quadrature gives up
 FLOW_A_TOL = 1e-8         # step halving stops when a(tau) moves less than this
 SLICE_TOL = 1e-9          # same-slice time agreement
 FLAT_BAND = 1e-6          # |k-hat| below this reports flat spatial sections
+BATCH_ROWS = 64           # rows per geometry_chunk call, which bounds a batch's memory
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
@@ -81,70 +81,118 @@ def require_locally_rw(chart: ChartSpec, certificate: Certificate):
             f"{certificate.classification}: foliation not applicable")
 
 
-def _guarded(chart: ChartSpec, point, order: int, tol_margin: float):
-    """(geom, f, h, h - eps f) at a point outside the margin band."""
-    return _guard(geometry_at(chart, point, order=order), tol_margin)
+def _degenerate(margin: float, point: np.ndarray) -> DegeneracyError:
+    return DegeneracyError(
+        f"|h - eps f| = {abs(margin):.3e} inside margin band at {point.tolist()}")
 
 
-def _guard(geom: PointGeometry, tol_margin: float):
-    f, h = trace_invariants(geom)
-    margin = h - geom.epsilon * f
-    if abs(margin) <= tol_margin:
-        raise DegeneracyError(
-            f"|h - eps f| = {abs(margin):.3e} inside margin band at {geom.point.tolist()}")
-    return geom, f, h, margin
+def _rows(chart: ChartSpec, points: np.ndarray, tol_margin: float):
+    """The order-2 (g, u, h - eps f) at the rows of a (B, n) array, and per
+    row None or what geometry_at and the margin guard raise there.  Rows go
+    to geometry_chunk BATCH_ROWS at a time, a lone row or one outside the
+    domain to geometry_at, and a chunk that raises again row by row."""
+    count, n = points.shape
+    g, u, margin = (np.full((count,) + shape, np.nan) for shape in ((n, n), (n,), ()))
+    errors = [None] * count
+
+    def evaluate(batch):
+        try:
+            geom = (geometry_at(chart, points[batch[0]], order=2) if len(batch) == 1
+                    else geometry_chunk(chart, points[batch], order=2))
+        except (GeometryError, ArithmeticError) as err:
+            if len(batch) == 1:
+                errors[batch[0]] = err
+            else:
+                for b in batch:
+                    evaluate([b])
+            return
+        f, h = trace_invariants(geom)
+        g[batch], u[batch], margin[batch] = geom.g, geom.u, h - geom.epsilon * f
+
+    inside = np.array([chart.contains(p) for p in points.tolist()], dtype=bool)
+    rows = np.flatnonzero(inside).tolist()
+    for batch in ([rows[k:k + BATCH_ROWS] for k in range(0, len(rows), BATCH_ROWS)]
+                  + [[b] for b in np.flatnonzero(~inside).tolist()]):
+        evaluate(batch)
+    for b in np.flatnonzero(np.abs(margin) <= tol_margin):
+        errors[b] = _degenerate(margin[b], points[b])
+    return g, u, margin, errors
 
 
-def _omega_of(geom: PointGeometry, tol_margin: float) -> np.ndarray:
-    """The covector (h - eps f) u-flat, guarded against the margin band."""
-    _, _, _, margin = _guard(geom, tol_margin)
-    return margin * (geom.g @ geom.u)
-
-
-def _segment_integral(chart, a, b, tol_margin, depth=0, whole=None):
-    if whole is None:
-        whole = _gl8(chart, a, b, tol_margin)
-    if depth >= QUAD_DEPTH:
-        raise FoliationError(
-            f"quadrature did not converge within {QUAD_DEPTH} bisections "
-            f"on [{a.tolist()}, {b.tolist()}]")
-    mid = 0.5 * (a + b)
-    left = _gl8(chart, a, mid, tol_margin)
-    right = _gl8(chart, mid, b, tol_margin)
-    if abs(left + right - whole) < QUAD_TOL:
-        return left + right
-    return (_segment_integral(chart, a, mid, tol_margin, depth + 1, left)
-            + _segment_integral(chart, mid, b, tol_margin, depth + 1, right))
-
-
-def _gl8(chart, a, b, tol_margin) -> float:
-    """The 8-node Gauss-Legendre rule for omega on [a, b], its nodes evaluated
-    as one batch.  If the batch fails, the nodes are evaluated and guarded one
-    at a time, which raises what the first failing node raises."""
+def _gl8(chart: ChartSpec, a: np.ndarray, b: np.ndarray, tol_margin: float) -> list:
+    """The 8-node Gauss-Legendre rule for omega on segments [a[s], b[s]], all
+    nodes in one batch: per segment its value, or its first failing node's error."""
     delta = b - a
-    try:
-        geoms = geometry_batch(chart, a + _GL_T[:, None] * delta, order=2)
-    except (GeometryError, ArithmeticError):
-        geoms = None
-    total = 0.0
-    for k, (t, w) in enumerate(zip(_GL_T, _GL_W)):
-        geom = geometry_at(chart, a + t * delta, order=2) if geoms is None else geoms[k]
-        total += w * float(_omega_of(geom, tol_margin) @ delta)
-    return total
+    nodes = a[:, None, :] + _GL_T[:, None] * delta[:, None, :]
+    g, u, margin, errors = _rows(chart, nodes.reshape(-1, chart.dim), tol_margin)
+    omega = margin[:, None] * _apply(g, u)
+    terms = (_GL_W * _dot(omega, np.repeat(delta, 8, axis=0)).reshape(-1, 8)).T
+    total = sum(terms, np.zeros(len(a)))       # 0.0 + the nodes in order, as for one segment
+    return [next((e for e in errors[8 * s:8 * s + 8] if e is not None), value)
+            for s, value in enumerate(total.tolist())]
+
+
+def _failed(*results):
+    """The first exception among results, or None."""
+    return next((r for r in results if isinstance(r, Exception)), None)
+
+
+def _bisect(chart: ChartSpec, a: np.ndarray, b: np.ndarray, wholes: list,
+            tol_margin: float, depth: int = 0) -> list:
+    """The integral of omega over segments [a[s], b[s]] whose GL8 rules gave
+    `wholes`, per segment its value or exception: the sum of its halves'
+    rules if within QUAD_TOL of its own, else left + right integrated alike,
+    raising at QUAD_DEPTH.  One call is one level, its halves one batch; a
+    segment raises what depth-first recursion meets first."""
+    if not len(a):
+        return []
+    if depth >= QUAD_DEPTH:
+        return [FoliationError(f"quadrature did not converge within {QUAD_DEPTH} bisections "
+                               f"on [{x.tolist()}, {y.tolist()}]") for x, y in zip(a, b)]
+    mid = 0.5 * (a + b)
+    halves = _gl8(chart, np.concatenate([a, mid]), np.concatenate([mid, b]), tol_margin)
+    lefts, rights = halves[:len(a)], halves[len(a):]
+    results = [_failed(left, right)
+               or (left + right if abs(left + right - whole) < QUAD_TOL else None)
+               for left, right, whole in zip(lefts, rights, wholes)]
+    split = [s for s, result in enumerate(results) if result is None]
+    parts = _bisect(chart, np.concatenate([a[split], mid[split]]),
+                    np.concatenate([mid[split], b[split]]),
+                    [lefts[s] for s in split] + [rights[s] for s in split], tol_margin, depth + 1)
+    for s, left, right in zip(split, parts, parts[len(split):]):
+        results[s] = _failed(left, right) or left + right
+    return results
+
+
+def _integrals(chart: ChartSpec, paths: list, tol_margin: float) -> tuple[list, list]:
+    """Line integrals of omega along polylines, all segments together: per path
+    its value (nan on failure), and None or its first failing segment's error."""
+    totals, segments = [], []
+    for k, vertices in enumerate(paths):
+        outside = next((q for q in vertices if not chart.contains(q)), None)
+        totals.append(0.0 if outside is None else
+                      FlowDomainError(f"path vertex {outside.tolist()} outside the chart domain"))
+        segments += [(k, a, b) for a, b in zip(vertices[:-1], vertices[1:])
+                     if outside is None and not np.array_equal(a, b)]
+    a, b = (np.array([s[j] for s in segments]).reshape(-1, chart.dim) for j in (1, 2))
+    values = _gl8(chart, a, b, tol_margin)
+    whole = [s for s, value in enumerate(values) if not _failed(value)]
+    for s, value in zip(whole, _bisect(chart, a[whole], b[whole], [values[s] for s in whole],
+                                       tol_margin)):
+        values[s] = value
+    for (k, _, _), value in zip(segments, values):
+        totals[k] = _failed(totals[k], value) or totals[k] + value
+    errors = [_failed(total) for total in totals]
+    return [np.nan if err else total for total, err in zip(totals, errors)], errors
 
 
 def _polyline_integral(chart: ChartSpec, certificate: Certificate, vertices) -> float:
     """Line integral of omega along a polyline whose vertices lie in the domain."""
     require_locally_rw(chart, certificate)
-    for q in vertices:
-        if not chart.contains(q):
-            raise FlowDomainError(f"path vertex {q.tolist()} outside the chart domain")
-    total = 0.0
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        if np.array_equal(a, b):
-            continue
-        total += _segment_integral(chart, a, b, certificate.tol_margin)
-    return total
+    (value,), (error,) = _integrals(chart, [vertices], certificate.tol_margin)
+    if error is not None:
+        raise error
+    return value
 
 
 def time_value(chart: ChartSpec, certificate: Certificate, p, base,
@@ -155,14 +203,10 @@ def time_value(chart: ChartSpec, certificate: Certificate, p, base,
     straight coordinate segment is used.  Exactness of omega makes the result
     path independent for certified charts.
     """
-    base = np.asarray(base, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if path is None:
-        vertices = [base, p]
-    else:
-        vertices = [np.asarray(q, dtype=float) for q in path]
-        if not np.allclose(vertices[0], base) or not np.allclose(vertices[-1], p):
-            raise FoliationError("path must run from base to p")
+    base, p = np.asarray(base, dtype=float), np.asarray(p, dtype=float)
+    vertices = [base, p] if path is None else [np.asarray(q, dtype=float) for q in path]
+    if path is not None and not (np.allclose(vertices[0], base) and np.allclose(vertices[-1], p)):
+        raise FoliationError("path must run from base to p")
     return _polyline_integral(chart, certificate, vertices)
 
 
@@ -178,8 +222,11 @@ def loop_residual(chart: ChartSpec, certificate: Certificate, loop) -> float:
 
 def _scalars(chart: ChartSpec, point, tol_margin: float):
     """(geom, f, h, eps, margin, dh(u)) with the margin guard applied."""
-    geom, f, h, margin = _guarded(chart, point, 3, tol_margin)
-    _, dh = trace_invariant_gradients(geom)
+    geom = geometry_at(chart, point, order=3)
+    f, h, _, dh = trace_invariants(geom, gradients=True)
+    margin = h - geom.epsilon * f
+    if abs(margin) <= tol_margin:
+        raise _degenerate(margin, geom.point)
     return geom, f, h, geom.epsilon, margin, float(dh @ geom.u)
 
 
@@ -187,14 +234,6 @@ def _slice_terms(h: float, eps, margin: float, dh_u: float) -> tuple[float, floa
     """(K_tau, psi) from the scalars at a point, margin = h - eps f:
     K_tau = h + eps [dh(u) / (2 margin)]^2 and psi = -eps dh(u) / margin^2."""
     return h + eps * (dh_u / (2.0 * margin))**2, -eps * dh_u / margin**2
-
-
-def _on_flow(evaluate, chart: ChartSpec, x, *args):
-    """evaluate(chart, x, *args), leaving the domain raised as a FlowDomainError."""
-    try:
-        return evaluate(chart, x, *args)
-    except OutsideDomainError as err:
-        raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
 
 
 def second_fundamental_form_check(chart: ChartSpec, point,
@@ -232,16 +271,34 @@ def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: flo
     Plain RK4 with max(4, ceil(steps_per_unit |delta_tau|)) steps.
     """
     require_locally_rw(chart, certificate)
-    eps = certificate.epsilon
-    if delta_tau == 0.0:
-        return np.asarray(start, dtype=float)
-    steps = max(4, int(np.ceil(abs(delta_tau) * steps_per_unit)))
+    ends, errors = _flows(chart, certificate, np.asarray(start, dtype=float)[None],
+                          np.array([delta_tau]), steps_per_unit)
+    if errors[0] is not None:
+        raise errors[0]
+    return ends[0]
 
-    def rhs(_, x):
-        geom, _, _, margin = _on_flow(_guarded, chart, x, 2, certificate.tol_margin)
-        return eps * geom.u / margin
 
-    return rk4(rhs, np.asarray(start, dtype=float), 0.0, delta_tau, steps)
+def _flows(chart: ChartSpec, certificate: Certificate, starts: np.ndarray,
+           deltas: np.ndarray, steps_per_unit: int) -> tuple[np.ndarray, list]:
+    """flow_point from each row of `starts` by deltas[b] in one lockstep rk4
+    call (no step for a delta of 0): the end points, and per row None or the
+    exception that stopped it, a FlowDomainError for leaving the domain."""
+    eps, errors = certificate.epsilon, [None] * len(starts)
+
+    def rhs(_, x, rows):
+        k = np.full_like(x, np.nan)
+        todo = [j for j, b in enumerate(rows) if errors[b] is None]
+        _, u, margin, errs = _rows(chart, x[todo], certificate.tol_margin)
+        k[todo] = eps * u / margin[:, None]
+        for j, err in zip(todo, errs):
+            if isinstance(err, OutsideDomainError):
+                cause, err = err, FlowDomainError(f"flow left the domain at {x[j].tolist()}")
+                err.__cause__ = cause
+            errors[rows[j]] = err
+        return k
+
+    steps = np.where(deltas == 0.0, 0, np.maximum(4, np.ceil(np.abs(deltas) * steps_per_unit)))
+    return rk4(rhs, starts, np.zeros(len(starts)), deltas, steps.astype(int)), errors
 
 
 def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
@@ -262,7 +319,10 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
     def rhs(_, state):
         """State = (x, log a^2, proper time); returns its tau derivative."""
         x = state[:-2]
-        geom, _, h, _, margin, dh_u = _on_flow(_scalars, chart, x, certificate.tol_margin)
+        try:
+            geom, _, h, _, margin, dh_u = _scalars(chart, x, certificate.tol_margin)
+        except OutsideDomainError as err:
+            raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
         _, psi = _slice_terms(h, eps, margin, dh_u)
         return np.concatenate([eps * geom.u / margin, [psi, 1.0 / abs(margin)]])
 
@@ -273,10 +333,8 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
             state = np.concatenate([base, [0.0, 0.0]])
             prev = 0.0
             for target in sorted(grid, key=abs):
-                span = abs(target - prev)
-                steps = max(4, int(np.ceil(span * steps_per_unit)))
-                state = rk4(rhs, state, prev, target, steps)
-                states[target] = state
+                steps = max(4, int(np.ceil(abs(target - prev) * steps_per_unit)))
+                states[target] = state = rk4(rhs, state, prev, target, steps)
                 prev = target
         states[0.0] = np.concatenate([base, [0.0, 0.0]])
         return states
@@ -317,14 +375,10 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
 
 def _diagnostic_loop(chart: ChartSpec, certificate: Certificate, base) -> float:
     """Rectangle loop around the base in the first two coordinates."""
-    lows = np.array([lo for lo, _ in chart.domain])
-    highs = np.array([hi for _, hi in chart.domain])
-    d0 = np.zeros(chart.dim)
-    d1 = np.zeros(chart.dim)
-    d0[0] = 0.1 * (highs[0] - lows[0]) * (1 if base[0] + 0.1 * (highs[0] - lows[0]) <= highs[0] else -1)
-    d1[1] = 0.1 * (highs[1] - lows[1]) * (1 if base[1] + 0.1 * (highs[1] - lows[1]) <= highs[1] else -1)
-    loop = [base, base + d0, base + d0 + d1, base + d1, base]
-    return loop_residual(chart, certificate, loop)
+    d0, d1 = np.zeros(chart.dim), np.zeros(chart.dim)
+    for d, (i, (lo, hi)) in zip((d0, d1), enumerate(chart.domain)):
+        d[i] = 0.1 * (hi - lo) * (1 if base[i] + 0.1 * (hi - lo) <= hi else -1)
+    return loop_residual(chart, certificate, [base, base + d0, base + d0 + d1, base + d1, base])
 
 
 def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
@@ -335,12 +389,15 @@ def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
     Each candidate q is flowed coarsely (16 RK4 steps per unit tau) by
     delta = target - t(q), then corrected by Newton steps p <- p - err d_t(p)
     until |err| < SLICE_TOL.  Because dt(d_t) = 1 exactly, a step removes err
-    to first order and costs one evaluation of d_t plus the quadrature along
-    the step.  t(p) is t(q) plus the quadrature of omega along each
-    straight step, q -> p and then p -> p'; exactness of omega on the box
-    domain makes that equal to time_value(p) from the base.  A candidate whose
-    flow or step leaves the domain or meets the margin band is redrawn; one
-    that does not converge within 12 Newton steps raises.
+    to first order.  t(p) is t(q) plus the quadrature of omega along each
+    straight step, q -> p and then p -> p', which exactness makes equal to
+    time_value(p).  A candidate whose flow or step leaves the domain or meets
+    the margin band is redrawn; one that does not converge within 12 Newton
+    steps raises.  Candidates are shot together (_shoot) in waves of
+    min(count - placed, max_rejects + 1 - failed) rng.uniform(lows, highs)
+    draws, which one-at-a-time shooting would all make too: the points,
+    reject counts and rng state are its own.  Any other exception is raised
+    in draw order.
     """
     require_locally_rw(chart, certificate)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -350,6 +407,7 @@ def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
     points: list[np.ndarray] = []
     rejects = {"flow or step left the domain": 0, "hit the margin band": 0,
                "evaluated outside the domain": 0}
+    kinds = dict(zip((FlowDomainError, DegeneracyError, OutsideDomainError), rejects))
     while len(points) < count:
         failed = sum(rejects.values())
         if failed > max_rejects:
@@ -357,31 +415,52 @@ def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
             raise FoliationError(
                 f"could not place {count} points on slice {target_tau}; "
                 f"{failed} candidates failed ({reasons})")
-        q = rng.uniform(lows, highs)
-        try:
-            points.append(_shoot(chart, certificate, base, q, target_tau))
-        except FlowDomainError:
-            rejects["flow or step left the domain"] += 1
-        except DegeneracyError:
-            rejects["hit the margin band"] += 1
-        except OutsideDomainError:
-            rejects["evaluated outside the domain"] += 1
+        wave = [rng.uniform(lows, highs)
+                for _ in range(min(count - len(points), max_rejects + 1 - failed))]
+        for outcome in _shoot(chart, certificate, base, np.array(wave), target_tau):
+            if isinstance(outcome, np.ndarray):
+                points.append(outcome)
+                continue
+            why = next((why for kind, why in kinds.items() if isinstance(outcome, kind)), None)
+            if why is None:
+                raise outcome
+            rejects[why] += 1
     return points
 
 
-def _shoot(chart: ChartSpec, certificate: Certificate, base, q,
-           target_tau: float) -> np.ndarray:
-    """Coarse flow from q onto the slice t = target_tau, then Newton steps."""
-    t_q = time_value(chart, certificate, q, base)
-    p = flow_point(chart, certificate, q, target_tau - t_q, steps_per_unit=16)
-    err = t_q + _polyline_integral(chart, certificate, [q, p]) - target_tau
-    rounds = 0
-    while abs(err) >= SLICE_TOL:
-        if rounds == 12:
-            raise FoliationError("slice shooting did not converge")
-        geom, _, _, margin = _guarded(chart, p, 2, certificate.tol_margin)
-        step = p - err * certificate.epsilon * geom.u / margin
-        err += _polyline_integral(chart, certificate, [p, step])
-        p = step
-        rounds += 1
-    return p
+def _shoot(chart: ChartSpec, certificate: Certificate, base, qs: np.ndarray,
+           target_tau: float) -> list:
+    """Shoot the rows of qs onto the slice t = target_tau together, a batch per
+    stage: per candidate its point or the exception that ends its shooting."""
+    tol_margin, eps = certificate.tol_margin, certificate.epsilon
+    outcomes: list = [None] * len(qs)
+    live = np.arange(len(qs))
+
+    def settle(errors, *arrays):
+        """Record the live candidates' errors; keep those without one."""
+        ok = np.array([err is None for err in errors], dtype=bool)
+        for c, err in zip(live, errors):
+            outcomes[c] = err
+        return (live[ok],) + tuple(np.asarray(a)[ok] for a in arrays)
+
+    t_q, errors = _integrals(chart, [[base, q] for q in qs], tol_margin)
+    live, t_q, q = settle(errors, t_q, qs)
+    p, errors = _flows(chart, certificate, q, target_tau - t_q, 16)
+    live, t_q, q, p = settle(errors, t_q, q, p)
+    steps, errors = _integrals(chart, [[a, b] for a, b in zip(q, p)], tol_margin)
+    live, p, err = settle(errors, p, t_q + np.array(steps) - target_tau)
+    for rounds in range(13):
+        done = ~(np.abs(err) >= SLICE_TOL)
+        for c, point in zip(live[done], p[done]):
+            outcomes[c] = point
+        live, p, err = live[~done], p[~done], err[~done]
+        if rounds == 12 or not len(live):
+            break
+        _, u, margin, errors = _rows(chart, p, tol_margin)
+        step = p - (err * eps)[:, None] * u / margin[:, None]
+        live, p, step, err = settle(errors, p, step, err)
+        steps, errors = _integrals(chart, [[a, b] for a, b in zip(p, step)], tol_margin)
+        live, p, err = settle(errors, step, err + np.array(steps))
+    for c in live:
+        outcomes[c] = FoliationError("slice shooting did not converge")
+    return outcomes

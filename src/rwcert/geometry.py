@@ -507,42 +507,36 @@ def _projector(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
     return geom.g_inv - eps * (geom.u[..., :, None] * geom.u[..., None, :]), eps
 
 
-def trace_invariants(geom: PointGeometry) -> tuple:
+def trace_invariants(geom: PointGeometry, gradients: bool = False) -> tuple:
     """Frame-free forms of the two plane invariants.
 
     f = Ric(u,u)/(n-1) and h = pi^{rm} pi^{sn} R_{rsmn} / ((n-1)(n-2)) with
     pi the projector onto the orthogonal complement of u.  These coincide with
     the frame-extracted values exactly when the curvature has the isotropic
-    form, and being fields they can be differentiated.  Floats at a point,
-    arrays over a chunk.
+    form, and being fields they can be differentiated: gradients=True gives
+    (f, h, d_l f, d_l h) from the same Ricci tensor and projector.  Floats at
+    a point, arrays over a chunk.
     """
-    n = geom.dim
-    ric = np.einsum('...rsrn->...sn', geom.riemann_up)
-    f = _bilinear(geom.u, ric, geom.u) / (n - 1)
-    pi_up, _ = _projector(geom)
-    s = np.einsum('...rm,...sn,...rsmn->...', pi_up, pi_up, geom.riemann_low)
-    return _scalar(f), _scalar(s / ((n - 1) * (n - 2)))
-
-
-def trace_invariant_gradients(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate gradients (d_l f, d_l h) of the trace-form invariants."""
-    if geom.driemann_up is None:
+    if gradients and geom.driemann_up is None:
         raise GeometryError("gradients require geometry evaluated with order=3")
-    n = geom.dim
-    u, du = geom.u, geom.du
+    n, u, du = geom.dim, geom.u, geom.du
     ric = np.einsum('...rsrn->...sn', geom.riemann_up)
+    f = _bilinear(u, ric, u) / (n - 1)
+    pi_up, eps = _projector(geom)
+    s = np.einsum('...rm,...sn,...rsmn->...', pi_up, pi_up, geom.riemann_low)
+    invariants = _scalar(f), _scalar(s / ((n - 1) * (n - 2)))
+    if not gradients:
+        return invariants
     dric = np.einsum('...prsrn->...psn', geom.driemann_up)
     df = (np.einsum('...psn,...s,...n->...p', dric, u, u)
           + np.einsum('...sn,...ps,...n->...p', ric, du, u)
           + np.einsum('...sn,...s,...pn->...p', ric, u, du)) / (n - 1)
-    pi_up, eps = _projector(geom)
     dpi_up = geom.dg_inv - eps[..., None] * (np.einsum('...pa,...b->...pab', du, u)
                                              + np.einsum('...a,...pb->...pab', u, du))
     ds = (np.einsum('...prm,...sn,...rsmn->...p', dpi_up, pi_up, geom.riemann_low)
           + np.einsum('...rm,...psn,...rsmn->...p', pi_up, dpi_up, geom.riemann_low)
           + np.einsum('...rm,...sn,...prsmn->...p', pi_up, pi_up, geom.driemann_low))
-    dh = ds / ((n - 1) * (n - 2))
-    return df, dh
+    return invariants + (df, ds / ((n - 1) * (n - 2)))
 
 
 # -- tensor identity residuals (engine self-checks) ----------------------------

@@ -22,25 +22,42 @@ def stage_taus(t0: float, t1: float, steps: int) -> list[float]:
     return stages.tolist()
 
 
-def rk4(rhs: Callable, y: np.ndarray, t0: float, t1: float, steps: int,
-        row: Callable | None = None) -> np.ndarray:
+def rk4(rhs: Callable, y: np.ndarray, t0, t1, steps, row: Callable | None = None):
     """Integrate y' = rhs(t, y) from t0 to t1 in `steps` RK4 steps; return y(t1).
 
     rhs runs at the values of stage_taus(t0, t1, steps), so a caller keying
     work on them sees the same floats.  `row(i, tau, y)` runs after step i
     (1..steps) with the grid value and state it reached.
-    """
-    taus = stage_taus(t0, t1, steps)
-    h = (t1 - t0) / steps
-    for i in range(steps):
-        t, mid, end = taus[2 * i:2 * i + 3]
-        k1 = rhs(t, y)
-        k2 = rhs(mid, y + 0.5 * h * k1)
-        k3 = rhs(mid, y + 0.5 * h * k2)
-        k4 = rhs(end, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    With arrays of B values for t0, t1 and steps, y holds B rows stepped in
+    lockstep, row b steps[b] >= 0 times over [t0[b], t1[b]] (bit for bit as
+    alone); rhs and row see the rows still stepping, rhs(t, y, rows) by index."""
+    if np.ndim(steps) == 0:          # one state: float taus and steps
+        stages, width = stage_taus(t0, t1, steps), (t1 - t0) / steps
+        plan = ((None, rhs, *stages[2 * i:2 * i + 3], width) for i in range(steps))
+    else:
+        steps = np.asarray(steps)
+        width = ((np.asarray(t1, dtype=float) - t0) / np.maximum(steps, 1))[:, None]
+        taus = np.zeros((len(steps), 2 * steps.max(initial=0) + 1))
+        for b, (start, stop, count) in enumerate(zip(t0, t1, steps.tolist())):
+            taus[b, :2 * count + 1] = stage_taus(start, stop, count) if count else start
+        plan = ((rows, lambda t, x, rows=rows: rhs(t, x, rows), *taus[rows, 2 * i:2 * i + 3].T,
+                 width[rows]) for i in range(steps.max(initial=0))
+                for rows in [np.flatnonzero(steps > i)])
+        y = np.array(y, dtype=float)
+    for i, (rows, f, t, mid, end, h) in enumerate(plan):
+        x = y if rows is None else y[rows]
+        k1 = f(t, x)
+        k2 = f(mid, x + 0.5 * h * k1)
+        k3 = f(mid, x + 0.5 * h * k2)
+        k4 = f(end, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if rows is None:
+            y = x
+        else:
+            y[rows] = x
         if row is not None:
-            row(i + 1, end, y)
+            row(i + 1, end, x)
     return y
 
 

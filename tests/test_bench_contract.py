@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from rwcert import catalog, foliation
-from rwcert.certify import CertifyConfig, sample_point
+from rwcert.certify import CertifyConfig, certify, sample_point
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -43,3 +43,26 @@ def test_bench_calls_still_bind():
     inspect.signature(foliation.slice_curvature).bind(chart, p)
     inspect.signature(foliation.time_value).bind(chart, None, p, base)
     inspect.signature(sample_point).bind(chart, p, rng=np.random.default_rng(0))
+
+
+class _UniformOnly:
+    """The rng interface of bench/workloads.SlicePoints: uniform(low, high)
+    and nothing else, so no size= argument."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high):
+        return self._rng.uniform(low, high)
+
+
+def test_same_slice_points_draws_through_uniform_only():
+    """same_slice_points draws each candidate by a uniform(low, high) call of
+    its own, as the slice-schur workload's rng allows."""
+    chart = catalog.get_chart("flrw_open")
+    cert = certify(chart, CertifyConfig(samples=16, seed=0))
+    base = np.array([1.5, 1.0, 1.5, 1.5])
+    points = foliation.same_slice_points(chart, cert, base, 0.1, 3, rng=_UniformOnly(0))
+    assert len(points) == 3
+    for p in points:
+        assert abs(foliation.time_value(chart, cert, p, base) - 0.1) < 1e-8

@@ -1,5 +1,7 @@
 """Time function, slice data and scale-factor reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from rwcert.foliation import (ClassificationError, DegeneracyError,
                               scale_factor_profile, second_fundamental_form_check,
                               slice_curvature, time_value)
 from rwcert.geometry import geometry_at, trace_invariants
+
+import sequential_shooting
 
 
 BASE = np.array([2.0, 0.0, 0.0, 0.0])
@@ -258,18 +262,18 @@ def test_same_slice_points_evaluation_count(flrw, monkeypatch):
     counts one evaluation per point."""
     chart, cert = flrw
     calls = []
-    real, real_batch = foliation.geometry_at, foliation.geometry_batch
+    real, real_chunk = foliation.geometry_at, foliation.geometry_chunk
 
     def counting(chart, point, order=3):
         calls.append(order)
         return real(chart, point, order)
 
-    def counting_batch(chart, points, order=3):
+    def counting_chunk(chart, points, order=3):
         calls.extend([order] * len(points))
-        return real_batch(chart, points, order)
+        return real_chunk(chart, points, order)
 
     monkeypatch.setattr(foliation, "geometry_at", counting)
-    monkeypatch.setattr(foliation, "geometry_batch", counting_batch)
+    monkeypatch.setattr(foliation, "geometry_chunk", counting_chunk)
     same_slice_points(chart, cert, BASE, -0.05, 3, rng=np.random.default_rng(2))
     assert set(calls) == {2}
     # per candidate: one GL8 pair (24) from the base, 4 RK4 steps (16) and
@@ -312,3 +316,66 @@ def test_give_up_counts_failures_by_reason(flrw):
         "could not place 1 points on slice 5.0; 6 candidates failed "
         "(6 flow or step left the domain, 0 hit the margin band, "
         "0 evaluated outside the domain)")
+
+
+REPLAY_CASES = {
+    # name: (chart, base, tol_margin or None, target x0 or None for the domain's end, count, seed)
+    "flows_leave_the_domain": ("flrw_closed_osc", [3.0, 1.0, 1.5, 1.5], None, None, 6, 5),
+    "margin_band": ("flrw_flat_linear", [2.0, 0.0, 0.0, 0.0], 0.15, 1.52, 8, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_waves_replay_one_at_a_time_shooting(charts, certificates, case):
+    """Batched shooting places the points that one-at-a-time shooting (the
+    sequential_shooting copy) places, bit for bit, after as many draws and
+    with the rng left in the same state, on a slice where some candidates are
+    rejected: flows that leave the domain near its end, or candidates in a
+    widened margin band."""
+    cid, base, tol_margin, x0, count, seed = REPLAY_CASES[case]
+    chart, cert = charts[cid], certificates[cid]
+    if tol_margin is not None:
+        cert = dataclasses.replace(cert, tol_margin=tol_margin)
+    probe = np.array(base)
+    probe[0] = chart.domain[0][1] if x0 is None else x0
+    target = time_value(chart, cert, probe, base)
+    batched, sequential = _CountingRng(seed), _CountingRng(seed)
+    points = same_slice_points(chart, cert, base, target, count, rng=batched)
+    want, rejects = sequential_shooting.same_slice_points(chart, cert, base, target, count,
+                                                          sequential)
+    assert sum(rejects.values()) > 0 and len(want) == count
+    assert batched.draws == sequential.draws == count + sum(rejects.values())
+    assert all(np.array_equal(p, q) for p, q in zip(points, want, strict=True))
+    assert batched._rng.bit_generator.state == sequential._rng.bit_generator.state
+
+
+def test_give_up_replays_one_at_a_time_shooting(charts, certificates, monkeypatch):
+    """Giving up reports the reasons one-at-a-time shooting reports, flows
+    leaving the domain and the margin band mixed, after the same draws and
+    as many geometry rows: a candidate whose time from the base fails is not
+    bisected further."""
+    chart = charts["flrw_flat_linear"]
+    cert = dataclasses.replace(certificates["flrw_flat_linear"], tol_margin=0.12)
+    rows = [0, 0]
+    for k, module in enumerate((foliation, sequential_shooting)):
+        for name in ("geometry_at", "geometry_chunk", "geometry_batch"):
+            if hasattr(module, name):
+                real, single = getattr(module, name), name == "geometry_at"
+
+                def counting(chart, points, order=3, real=real, single=single, k=k):
+                    rows[k] += 1 if single else len(points)
+                    return real(chart, points, order)
+
+                monkeypatch.setattr(module, name, counting)
+    errors, rngs = [], [_CountingRng(3), _CountingRng(3)]
+    for shoot, rng in zip((same_slice_points, sequential_shooting.same_slice_points), rngs):
+        with pytest.raises(FoliationError, match="could not place") as info:
+            shoot(chart, cert, BASE, 1.0 / 1.5 - 0.5, 8, rng=rng, max_rejects=30)
+        errors.append(str(info.value))
+    assert rows[0] == rows[1] > 0
+    assert errors[0] == errors[1]
+    assert "31 candidates failed" in errors[0]
+    assert " 0 hit the margin band" not in errors[0]
+    assert "(0 flow or step left the domain" not in errors[0]
+    assert rngs[0].draws == rngs[1].draws
+    assert rngs[0]._rng.bit_generator.state == rngs[1]._rng.bit_generator.state

@@ -14,7 +14,7 @@ from rwcert.geometry import (DegenerateMetricError, DegeneratePlaneError, Geomet
                              geometry_chunk, metric_compatibility_residual,
                              riemann_symmetry_residuals, second_bianchi_residual,
                              sectional_curvature, stack_geometry,
-                             trace_invariant_gradients, trace_invariants)
+                             trace_invariants)
 from rwcert.jets import Jet3
 
 from conftest import domain_points
@@ -331,6 +331,27 @@ def test_batch_rows_equal_geometry_at(charts, chart_id, order):
                     assert np.abs(np.asarray(a) - b).max() <= 1e-13 * np.abs(b).max(), field.name
 
 
+LOCALLY_RW = ("flrw_flat_linear", "flrw_closed_osc", "flrw_open", "einstein_static",
+              "riemannian_grw")
+
+
+@pytest.mark.parametrize("size", [2, 8, 64])
+@pytest.mark.parametrize("chart_id", LOCALLY_RW)
+def test_batch_rows_equal_geometry_at_bit_for_bit(charts, chart_id, size):
+    """On the LocallyRW charts, every field of every geometry_batch row is
+    array_equal to geometry_at at its point, at orders 1-3 and batch sizes 2,
+    8 and 64.  The batched foliation paths (slice shooting, quadrature, flows)
+    reproduce one-point results exactly only because of this."""
+    chart = charts[chart_id]
+    points = domain_points(chart, size, seed=size)
+    for order in (1, 2, 3):
+        for point, row in zip(points, geometry_batch(chart, points, order)):
+            want = geometry_at(chart, point, order)
+            for field in dataclasses.fields(PointGeometry):
+                a, b = getattr(row, field.name), getattr(want, field.name)
+                assert (a is None and b is None) or np.array_equal(a, b), (order, field.name)
+
+
 def test_chunks_round_as_their_points_do(charts):
     """The trace invariants and their gradients over a chunk equal those of
     its rows, exactly: stack_geometry keeps each point's memory layout, which
@@ -342,8 +363,8 @@ def test_chunks_round_as_their_points_do(charts):
     singles = [geometry_at(chart, p) for p in points]
     for chunk, rows in ((stack_geometry(singles), singles),
                         (geometry_chunk(chart, points), geometry_batch(chart, points))):
-        for got, want in zip(trace_invariants(chunk) + trace_invariant_gradients(chunk),
-                             zip(*(trace_invariants(r) + trace_invariant_gradients(r)
+        for got, want in zip(trace_invariants(chunk, gradients=True),
+                             zip(*(trace_invariants(r, gradients=True)
                                    for r in rows))):
             np.testing.assert_array_equal(got, np.array(want))
         again = stack_geometry([chunk_row(chunk, b) for b in range(len(points))])
@@ -365,7 +386,7 @@ def test_geometry_matches_the_symbolic_oracle(charts, symbolic_geometry, chart_i
     points = domain_points(chart, 4, seed=29)
     for geom in [geometry_at(chart, p) for p in points] + geometry_batch(chart, points):
         want = oracle(geom.point, geom.epsilon)
-        df, dh = trace_invariant_gradients(geom)
+        _, _, df, dh = trace_invariants(geom, gradients=True)
         got = {"g": geom.g, "gamma": geom.gamma, "riemann_up": geom.riemann_up,
                "driemann_up": geom.driemann_up, "df": df, "dh": dh}
         for name, value in got.items():
