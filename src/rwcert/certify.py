@@ -41,7 +41,6 @@ import numpy as np
 
 from . import __version__
 from .chart import ChartSpec
-from .exprs import EvalDomainError
 from .geometry import (PIVOT_TOL, UNIT_TOL, Frame, FrameError, GeometryError, PointGeometry,
                        _apply, _bilinear, _dot, _scalar, adapted_frame, adapted_frames,
                        chunk_row, geometry_at, geometry_chunk, stack_geometry,
@@ -57,9 +56,6 @@ DEFAULT_TOL_PASS = 1e-7
 DEFAULT_TOL_MARGIN = 1e-6
 RANDOM_COMBINATIONS = 16
 CHUNK = 16               # sample points per geometry_chunk call; see the module docstring
-
-# failures that make a sample point Degenerate instead of aborting certify
-_PRECONDITION_ERRORS = (GeometryError, EvalDomainError, ZeroDivisionError)
 
 
 class CertificationInputError(ValueError):
@@ -419,34 +415,16 @@ def _battery(chunk: PointGeometry, rngs: list, tol_margin: float) -> list:
     return results
 
 
-def _chunk_geometry(chart: ChartSpec, points: np.ndarray) -> tuple[PointGeometry | None, list]:
-    """The order-3 geometry of a chunk of points, and per point None or the
-    error that makes it Degenerate.  A chunk that raises is evaluated point
-    by point, and the points that evaluate are stacked."""
-    try:
-        return geometry_chunk(chart, points, order=3), [None] * len(points)
-    except _PRECONDITION_ERRORS:
-        pass
-    geoms, errors = [], []
-    for point in points:
-        try:
-            geoms.append(geometry_at(chart, point, order=3))
-            errors.append(None)
-        except _PRECONDITION_ERRORS as err:
-            errors.append(err)
-    return (stack_geometry(geoms) if geoms else None), errors
-
-
 def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificate:
     """Sample the domain and classify the chart.
 
     Draws config.samples points uniformly (seeded).  Points where the
     preconditions fail (degenerate metric, non-unit u, expression domain
     errors) make the verdict Degenerate.  Points are evaluated CHUNK at a
-    time (see the module docstring); a chunk in which any point's geometry
-    fails is evaluated again point by point, so each point keeps its own
-    result or reason.  Aggregation is an ordered reduction over sample index;
-    config.threads is ignored.
+    time (see the module docstring); geometry_chunk gives each point of a
+    chunk its own geometry or reason, and only the points that evaluate go
+    on to the battery.  Aggregation is an ordered reduction over sample
+    index; config.threads is ignored.
     """
     config = config or CertifyConfig()
     if chart.dim < 4:
@@ -466,7 +444,7 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
     degenerate: list[tuple[list[float], str]] = []
     for start in range(0, config.samples, CHUNK):
         chunk = points[start:start + CHUNK]
-        geoms, results = _chunk_geometry(chart, chunk)
+        geoms, results = geometry_chunk(chart, chunk, order=3)
         evaluated = [k for k, err in enumerate(results) if err is None]
         if evaluated:
             rngs = [np.random.default_rng(children[start + k]) for k in evaluated]

@@ -122,9 +122,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            help="|h - eps f| nondegeneracy margin")
             p.add_argument("--expect", choices=CLASSIFICATIONS, default=None,
                            help="fail (exit 1) unless the classification matches")
-            p.add_argument("--threads", type=int, default=1,
-                           help="accepted for compatibility; has no effect "
-                                "(samples are evaluated serially)")
         if name == "slice":
             p.add_argument("--base", required=True, help="base point, comma-separated")
             p.add_argument("--tau-grid", required=True, dest="tau_grid",
@@ -204,7 +201,7 @@ def _emit(args, document: dict) -> None:
 
 def _config(args) -> CertifyConfig:
     return CertifyConfig(samples=args.points, seed=args.seed, tol_pass=args.tol,
-                         tol_margin=args.margin, threads=args.threads)
+                         tol_margin=args.margin)
 
 
 def _common_flags(args) -> dict:

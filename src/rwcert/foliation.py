@@ -25,8 +25,8 @@ import numpy as np
 
 from .certify import Certificate, DEFAULT_TOL_MARGIN
 from .chart import ChartSpec
-from .geometry import (GeometryError, OutsideDomainError, _apply, _dot, adapted_frame,
-                       geometry_at, geometry_chunk, trace_invariants)
+from .geometry import (OutsideDomainError, _apply, _dot, adapted_frame, geometry_at,
+                       geometry_chunk, trace_invariants)
 from .integrate import doubled, rk4
 
 QUAD_TOL = 1e-10          # Gauss-Legendre segment bisection threshold
@@ -89,31 +89,17 @@ def _degenerate(margin: float, point: np.ndarray) -> DegeneracyError:
 def _rows(chart: ChartSpec, points: np.ndarray, tol_margin: float):
     """The order-2 (g, u, h - eps f) at the rows of a (B, n) array, and per
     row None or what geometry_at and the margin guard raise there.  Rows go
-    to geometry_chunk BATCH_ROWS at a time, a lone row or one outside the
-    domain to geometry_at, and a chunk that raises again row by row."""
+    to geometry_chunk BATCH_ROWS at a time."""
     count, n = points.shape
     g, u, margin = (np.full((count,) + shape, np.nan) for shape in ((n, n), (n,), ()))
-    errors = [None] * count
-
-    def evaluate(batch):
-        try:
-            geom = (geometry_at(chart, points[batch[0]], order=2) if len(batch) == 1
-                    else geometry_chunk(chart, points[batch], order=2))
-        except (GeometryError, ArithmeticError) as err:
-            if len(batch) == 1:
-                errors[batch[0]] = err
-            else:
-                for b in batch:
-                    evaluate([b])
-            return
-        f, h = trace_invariants(geom)
-        g[batch], u[batch], margin[batch] = geom.g, geom.u, h - geom.epsilon * f
-
-    inside = np.array([chart.contains(p) for p in points.tolist()], dtype=bool)
-    rows = np.flatnonzero(inside).tolist()
-    for batch in ([rows[k:k + BATCH_ROWS] for k in range(0, len(rows), BATCH_ROWS)]
-                  + [[b] for b in np.flatnonzero(~inside).tolist()]):
-        evaluate(batch)
+    errors = []
+    for start in range(0, count, BATCH_ROWS):
+        geom, batch_errors = geometry_chunk(chart, points[start:start + BATCH_ROWS], order=2)
+        if geom is not None:
+            rows = start + np.flatnonzero([err is None for err in batch_errors])
+            f, h = trace_invariants(geom)
+            g[rows], u[rows], margin[rows] = geom.g, geom.u, h - geom.epsilon * f
+        errors += batch_errors
     for b in np.flatnonzero(np.abs(margin) <= tol_margin):
         errors[b] = _degenerate(margin[b], points[b])
     return g, u, margin, errors

@@ -132,37 +132,52 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     point = np.asarray(point, dtype=float)
     if point.shape != (n,):
         raise GeometryError(f"point must have {n} coordinates, got shape {point.shape}")
-    _require_inside(chart, point[None])
-    return _point_geometry(_evaluate(chart, point, order), order)
+    return _point_geometry(_evaluate(chart, point, order)[0], order)
 
 
-def geometry_batch(chart: ChartSpec, points, order: int = 3) -> list[PointGeometry]:
+def geometry_chunk(chart: ChartSpec, points, order: int = 3) -> tuple[PointGeometry | None, list]:
     """geometry_at at every row of a (B, n) array of points, in one pass.
 
-    The jets carry the batch as a trailing axis and the tensor algebra runs
-    over a leading one, so B points cost one jet program and one set of
-    einsums.  Every check of geometry_at applies to every point, and if any
-    point fails the whole call raises, naming the first failing point where
-    the check can tell; a caller that needs each point's own exception runs
-    the points through geometry_at.  Row b of the result equals
-    geometry_at(chart, points[b], order) to rounding (numpy's array and scalar
-    powers may differ in the last bit), and its arrays are views into the
-    arrays of geometry_chunk.
+    Returns the geometry of the rows that evaluate, in order, as one
+    PointGeometry with a leading chunk axis (None if no row evaluates), and
+    per row None or the exception that geometry_at raises there, of the same
+    type and with the same text.  The jets carry the batch as a trailing axis
+    and the tensor algebra runs over a leading one, so B points cost one jet
+    program and one set of einsums.  A row that fails a check of geometry_at
+    is set aside, and geometry_at alone gives its exception: a failing row
+    costs one point evaluation, its neighbours nothing.  Jets that raise (an
+    expression domain error, a zero division, an overflowing float power)
+    stop the pass, and every row is evaluated alone; so is a batch of one,
+    for which a pass costs several geometry_at calls.  A row of the chunk
+    (chunk_row) equals geometry_at at its point to rounding: numpy's array
+    and scalar powers may differ in the last bit.
     """
-    chunk = geometry_chunk(chart, points, order)
-    return [chunk_row(chunk, b) for b in range(len(points))]
-
-
-def geometry_chunk(chart: ChartSpec, points, order: int = 3) -> PointGeometry:
-    """geometry_batch as one PointGeometry with a leading chunk axis."""
     _check_order(order)
     n = chart.dim
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != n or not len(points):
         raise GeometryError(f"points must have shape (B, {n}) with B >= 1, "
                             f"got shape {points.shape}")
-    _require_inside(chart, points)
-    return _point_geometry(_evaluate(chart, points, order), order)
+    chunk, rows = None, []
+    if len(points) > 1:
+        try:
+            fields, rows = _evaluate(chart, points, order)
+            chunk = _point_geometry(fields, order) if len(rows) else None
+        except (GeometryError, ArithmeticError):     # the jets stopped the pass
+            pass
+    errors = [None] * len(points)
+    if len(rows) == len(points):
+        return chunk, errors
+    alone = {}
+    for b in sorted(set(range(len(points))).difference(rows)):
+        try:
+            alone[b] = geometry_at(chart, points[b], order)
+        except (GeometryError, ArithmeticError) as err:
+            errors[b] = err
+    if alone:       # rows that evaluate only alone join the chunk in their places
+        alone.update((b, chunk_row(chunk, k)) for k, b in enumerate(rows))
+        chunk = stack_geometry([alone[b] for b in sorted(alone)])
+    return chunk, errors
 
 
 def chunk_row(chunk: PointGeometry, b: int) -> PointGeometry:
@@ -188,14 +203,6 @@ def _stack(rows: list) -> np.ndarray:
     return stacked.transpose(0, *(1 + np.argsort(order)))
 
 
-def _require_inside(chart: ChartSpec, points: np.ndarray) -> None:
-    """Raise for the first of a (B, n) array of points outside the domain."""
-    for point in points.tolist():       # the domain test is cheaper on floats
-        if not chart.contains(point):
-            raise OutsideDomainError(
-                f"point {point} outside domain of chart {chart.name!r}")
-
-
 def _check_order(order) -> None:
     if order not in (1, 2, 3):
         raise GeometryError(f"order must be 1, 2 or 3, got {order!r}")
@@ -209,21 +216,32 @@ def _point_geometry(fields: tuple, order: int) -> PointGeometry:
 
 
 def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
-    """The geometry of points of shape (n,) or (B, n), inside the domain, as
-    arrays with the same leading batch shape: one body for geometry_at and
-    geometry_chunk.  The arrays come in PointGeometry's field order up to du;
-    _point_geometry derives u_norm2.
+    """The geometry of points of shape (n,) or (B, n) as arrays with the same
+    leading batch shape: one body for geometry_at and geometry_chunk.  Returns
+    the arrays, in PointGeometry's field order up to du (_point_geometry
+    derives u_norm2), and over a batch the indices of the rows they hold.
+
+    The checks come in one order: the domain, a finite and non-degenerate
+    metric, then a u that can be normalized and is finite.  At a point a
+    failed check raises; over a batch it drops the rows that fail it, so a
+    row outside the domain never reaches the jets and only rows that pass
+    every check reach the curvature, which comes last.  Jets that raise stop
+    a batch too.
 
     Jets hold the batch as a trailing axis (see jets), so the metric slots are
     gathered with it last and moved to the front once; after that every
     contraction names its axes relative to the end.
     """
     n = chart.dim
-    batch = points.shape[:-1]
+    lead = points.ndim - 1          # 1 over a batch
+    rows = np.arange(len(points)) if lead else None
+    listed = points.tolist()        # the domain test is cheaper on floats
+    inside = np.array([chart.contains(p) for p in listed]) if lead else chart.contains(listed)
+    rows, points = _keep(inside, lambda: OutsideDomainError(
+        f"point {listed} outside domain of chart {chart.name!r}"), rows, points)
     programs = chart.programs
-    columns = points.T
-    env = {name: Jet3.variable(k, columns[k], n, order) for k, name in enumerate(chart.coords)}
-
+    env = _variables(chart, points, order)
+    batch = points.shape[:-1]
     g = _spread(programs.metric_constant, batch)
     dg = np.zeros((n, n, n) + batch)
     d2g = np.zeros((n, n, n, n) + batch) if order >= 2 else None
@@ -242,19 +260,54 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
                     d3g[:, :, :, i, j] = d3g[:, :, :, j, i] = jet.cube
         except OverflowError as err:
             raise _overflow(points, "metric", err) from err
-        if batch:
+        if lead:
             g, dg, d2g, d3g = (_batch_first(a) for a in (g, dg, d2g, d3g))
-        _require_finite(points, "metric", g, dg, d2g, d3g)
+        rows, points, g, dg, d2g, d3g = _keep(
+            _finite(lead, g, dg, d2g, d3g), lambda: DegenerateMetricError(
+                f"non-finite metric value or derivative at {listed}"),
+            rows, points, g, dg, d2g, d3g)
 
         # numpy powers overflow to inf instead of raising; an overflowing
         # determinant gives nan, which is degenerate too
         scale = np.abs(g).max(axis=(-2, -1), initial=1e-300)
         scaled_det = abs(np.linalg.det(g)) / scale**n
-    ok = scaled_det > DET_TOL
-    if not _all(ok):
-        raise DegenerateMetricError(
-            f"metric degenerate at {_first_failing(points, ok)} "
-            f"(scaled |det g| = {_first_failing(scaled_det, ok):.3e})")
+        rows, points, g, dg, d2g, d3g = _keep(
+            scaled_det > DET_TOL, lambda: DegenerateMetricError(
+                f"metric degenerate at {listed} (scaled |det g| = {scaled_det:.3e})"),
+            rows, points, g, dg, d2g, d3g)
+
+        if points.shape[:-1] != batch:      # rows were dropped
+            batch = points.shape[:-1]
+            env = _variables(chart, points, order)
+        u = _spread(programs.u_constant, batch)
+        du = np.zeros((n, n) + batch)
+        try:
+            for k, program in programs.u_varying:
+                jet = program(env)
+                u[k] = jet.value
+                du[:, k] = jet.grad
+        except OverflowError as err:
+            raise _overflow(points, "u", err) from err
+        if lead:
+            u, du = _batch_first(u), _batch_first(du)
+        if chart.normalize_u:
+            # u / sqrt|q| with q = g(u,u); du follows from d_l q = d_l g(u,u) + 2 g(d_l u, u)
+            q = _bilinear(u, g, u)
+            # a nan q fails the finite check below instead
+            rows, points, u, du, q, g, dg, d2g, d3g = _keep(
+                ~(np.abs(q) < 1e-12), lambda: UnitVectorError(
+                    f"cannot normalize a near-null u (g(u,u) = {q:.3e})"),
+                rows, points, u, du, q, g, dg, d2g, d3g)
+            dq = (np.einsum('...lab,...a,...b->...l', dg, u, u)
+                  + 2.0 * _apply(du, _apply(g, u)))
+            root = np.sqrt(np.abs(q))
+            u, du = (u / root[..., None],
+                     du / root[..., None, None]
+                     - (0.5 * dq / (q * root)[..., None])[..., :, None] * u[..., None, :])
+        rows, points, u, du, g, dg, d2g, d3g = _keep(
+            _finite(lead, u, du), lambda: DegenerateMetricError(
+                f"non-finite u value or derivative at {listed}"),
+            rows, points, u, du, g, dg, d2g, d3g)
 
     g_inv = np.linalg.inv(g)
     g_inv = 0.5 * (g_inv + g_inv.swapaxes(-1, -2))
@@ -301,35 +354,38 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
         driemann_low = (np.einsum('...par,...rsmn->...pasmn', dg, riemann_up)
                         + np.einsum('...ar,...prsmn->...pasmn', g, driemann_up))
 
-    u = _spread(programs.u_constant, batch)
-    du = np.zeros((n, n) + batch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for k, program in programs.u_varying:
-                jet = program(env)
-                u[k] = jet.value
-                du[:, k] = jet.grad
-        except OverflowError as err:
-            raise _overflow(points, "u", err) from err
-        if batch:
-            u, du = _batch_first(u), _batch_first(du)
-        if chart.normalize_u:
-            # u / sqrt|q| with q = g(u,u); du follows from d_l q = d_l g(u,u) + 2 g(d_l u, u)
-            q = _bilinear(u, g, u)
-            ok = ~(np.abs(q) < 1e-12)      # a nan q fails the finite check below instead
-            if not _all(ok):
-                raise UnitVectorError("cannot normalize a near-null u "
-                                      f"(g(u,u) = {_first_failing(q, ok):.3e})")
-            dq = (np.einsum('...lab,...a,...b->...l', dg, u, u)
-                  + 2.0 * _apply(du, _apply(g, u)))
-            root = np.sqrt(np.abs(q))
-            u, du = (u / root[..., None],
-                     du / root[..., None, None]
-                     - (0.5 * dq / (q * root)[..., None])[..., :, None] * u[..., None, :])
-        _require_finite(points, "u", u, du)
-
     return (points, g, dg, g_inv, dg_inv, gamma, dgamma,
-            riemann_up, riemann_low, driemann_up, driemann_low, u, du)
+            riemann_up, riemann_low, driemann_up, driemann_low, u, du), rows
+
+
+def _keep(ok, error, *arrays):
+    """The arrays at the rows where `ok` holds.  At a point `ok` is one bool,
+    and error() is raised where it does not hold."""
+    if not isinstance(ok, np.ndarray):
+        if not ok:
+            raise error()
+        return arrays
+    return arrays if ok.all() else tuple(None if a is None else a[ok] for a in arrays)
+
+
+def _variables(chart: ChartSpec, points: np.ndarray, order: int) -> dict:
+    """The coordinate jets at a point or along the rows of a batch."""
+    columns = points.T
+    return {name: Jet3.variable(k, columns[k], chart.dim, order)
+            for k, name in enumerate(chart.coords)}
+
+
+def _finite(lead: int, *arrays):
+    """Whether every entry of the arrays is finite: a bool at a point, per row
+    over a batch (lead = 1)."""
+    ok = True
+    for a in arrays:
+        if a is not None:
+            if lead:
+                ok = ok & np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+            elif not np.isfinite(a).all():
+                return False
+    return ok
 
 
 def _spread(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
@@ -363,30 +419,6 @@ def _dot(v: np.ndarray, w: np.ndarray):
 def _scalar(value):
     """A float for a point, the array over a chunk."""
     return float(value) if getattr(value, "ndim", 0) == 0 else value
-
-
-def _all(ok) -> bool:
-    """Whether a check held at every point: a numpy bool without a batch axis."""
-    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
-
-
-def _first_failing(values: np.ndarray, ok) -> list | float:
-    """What a failed check names: `values` itself (as a list when it is a
-    point) with no batch axis, else its entry at the first row not `ok`."""
-    if np.ndim(ok):
-        values = values[np.argmin(ok)]
-    return values.tolist()
-
-
-def _require_finite(points: np.ndarray, what: str, *arrays) -> None:
-    """Overflowing expressions leave inf or nan, which no check downstream
-    could interpret: reject them as a degenerate point."""
-    for arr in arrays:
-        if arr is not None and not np.isfinite(arr).all():
-            lead = points.ndim - 1
-            finite = np.isfinite(arr).reshape(arr.shape[:lead] + (-1,)).all(axis=-1)
-            raise DegenerateMetricError(
-                f"non-finite {what} value or derivative at {_first_failing(points, finite)}")
 
 
 def _overflow(points: np.ndarray, what: str, err: OverflowError) -> DegenerateMetricError:

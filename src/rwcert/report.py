@@ -144,7 +144,7 @@ def build_report(subcommand: str, chart_name: str, chart_source: str, seed: int,
                  flags: dict, certificate: dict | None = None,
                  foliation: dict | None = None, transport: dict | None = None) -> dict:
     """Assemble the full document.  `flags` must already exclude anything that
-    cannot influence report content (--threads, --report)."""
+    cannot influence report content (--report)."""
     document = {
         "report_version": REPORT_VERSION,
         "tool_version": __version__,

@@ -27,8 +27,8 @@ import numpy as np
 
 from .chart import ChartSpec
 from .exprs import Expr, ExprError, compile_exprs, parse_expr
-from .geometry import (GeometryError, OutsideDomainError, PointGeometry, UNIT_TOL,
-                       geometry_at, geometry_batch)
+from .geometry import (OutsideDomainError, PointGeometry, UNIT_TOL, chunk_row, geometry_at,
+                       geometry_chunk)
 from .integrate import doubled, rk4, stage_taus
 from .jets import Jet3
 
@@ -130,10 +130,10 @@ class _ExplicitCurve:
     parameter, normalized pointwise once validation finds a mild speed error.
 
     Every method that takes an array of parameter values evaluates them as one
-    batch: one order-2 jet program in tau and one geometry_batch call.  If
-    either raises, the values are evaluated one at a time instead, so each
-    raises exactly what the single-value path raises.  `start` is the state
-    at t0, taken from the first speed sample."""
+    batch: one order-2 jet program in tau and one geometry_chunk call.  If the
+    jets raise or a value's geometry fails, the values are evaluated one at a
+    time instead, so each raises exactly what the single-value path raises.
+    `start` is the state at t0, taken from the first speed sample."""
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec):
         self.chart = chart
@@ -172,14 +172,17 @@ class _ExplicitCurve:
         return x, xdot, xddot, geom
 
     def _points(self, taus: np.ndarray):
-        """_point at each of taus: one batch, or, if the batch raises, one
-        point at a time as the result is consumed."""
+        """_point at each of taus: one batch, or, if the curve's jets raise or
+        a row fails, one point at a time as the result is consumed, which
+        ends in the error _point raises."""
         try:
             x, xdot, xddot = self._raw(taus)
-            geoms = geometry_batch(self.chart, x, order=1)
-        except (GeometryError, ArithmeticError):
+        except ArithmeticError:
             return map(self._point, taus)
-        return zip(x, xdot, xddot, geoms)
+        chunk, errors = geometry_chunk(self.chart, x, order=1)
+        if any(err is not None for err in errors):
+            return map(self._point, taus)
+        return zip(x, xdot, xddot, (chunk_row(chunk, b) for b in range(len(taus))))
 
     def states(self, taus: np.ndarray) -> list:
         """(x, unit tangent, acceleration nabla_u u, geom, speed v) at each of

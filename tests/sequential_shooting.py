@@ -6,10 +6,19 @@ candidate is drawn."""
 
 import numpy as np
 
-from rwcert import foliation
+from rwcert import foliation, geometry
 from rwcert.foliation import DegeneracyError, FlowDomainError, FoliationError
-from rwcert.geometry import (GeometryError, OutsideDomainError, geometry_at, geometry_batch,
+from rwcert.geometry import (GeometryError, OutsideDomainError, chunk_row, geometry_at,
                              trace_invariants)
+
+
+def geometry_batch(chart, points, order):
+    """The rows of geometry_chunk, raising if any row fails, as the batch call
+    this oracle was written against did."""
+    chunk, errors = geometry.geometry_chunk(chart, points, order)
+    if any(err is not None for err in errors):
+        raise GeometryError("a row of the batch failed")
+    return [chunk_row(chunk, b) for b in range(len(points))]
 
 
 def _guarded(chart, point, tol_margin):

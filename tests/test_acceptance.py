@@ -338,21 +338,24 @@ def test_criterion_09_fermi_conservation(charts100, plane_chart):
 
 
 def test_criterion_10_determinism(tmp_path, cli_env):
-    """Fixed seed: byte-identical reports; --threads changes nothing."""
-    def run(name, extra):
+    """Fixed seed: byte-identical reports; no thread count to vary."""
+    def run(name, extra=()):
         out = tmp_path / name
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "rwcert", "check", "flrw_closed_osc",
-             "--points", "24", "--seed", "11", "--report", str(out)] + extra,
-            capture_output=True, text=True, env=cli_env)
-        assert proc.returncode == 0, proc.stderr
-        return out.read_bytes()
+             "--points", "24", "--seed", "11", "--report", str(out), *extra],
+            capture_output=True, text=True, env=cli_env), out
 
-    first = run("a.json", [])
-    second = run("b.json", [])
-    threaded = run("c.json", ["--threads", "4"])
-    assert first == second
-    assert first == threaded
+    reports = []
+    for name in ("a.json", "b.json"):
+        proc, out = run(name)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    threaded, _ = run("c.json", ["--threads", "4"])
+    assert threaded.returncode == 2
+    assert threaded.stdout == "" and threaded.stderr.count("error:") == 1
+    assert "unrecognized arguments: --threads 4" in threaded.stderr
 
     slice_runs = []
     for name in ("s1.json", "s2.json"):
@@ -365,5 +368,4 @@ def test_criterion_10_determinism(tmp_path, cli_env):
         assert proc.returncode == 0, proc.stderr
         slice_runs.append(out.read_bytes())
     assert slice_runs[0] == slice_runs[1]
-    _pass(10, "check and slice reports byte-identical across reruns and "
-              "thread counts")
+    _pass(10, "check and slice reports byte-identical across reruns; --threads refused")

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from rwcert import catalog, foliation
+from rwcert.cli import _build_parser
 from rwcert.certify import CertifyConfig, certify, sample_point
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -32,6 +33,29 @@ def test_traced_functions_resolve():
     assert traced
     for module, function, _ in traced:
         assert callable(getattr(importlib.import_module(module), function)), (module, function)
+
+
+def _workload_flags() -> set:
+    """Every "--flag" string of bench/workloads.py, an f-string's "--flag="
+    prefix included."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    return {node.value.rstrip("=") for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("--")}
+
+
+def test_workload_flags_are_cli_options():
+    """Each flag the workloads pass is an option of some subcommand, and
+    --seed, which each workload passes, of all three."""
+    _, subcommands = _build_parser()
+    options = {name: set(sub._option_string_actions)
+               for name, sub in subcommands.items() if name != "list"}
+    flags = _workload_flags()
+    assert "--seed" in flags and len(flags) > 5
+    for flag in flags:
+        assert any(flag in known for known in options.values()), flag
+    assert sorted(options) == ["check", "slice", "transport"]
+    assert all("--seed" in known for known in options.values())
 
 
 def test_bench_calls_still_bind():

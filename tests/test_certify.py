@@ -2,6 +2,7 @@
 
 import importlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rwcert.geometry import PIVOT_TOL as FRAME_PIVOT_TOL
 from conftest import domain_points
 
 certify_module = importlib.import_module("rwcert.certify")   # `rwcert.certify` is the function
+geometry_module = importlib.import_module("rwcert.geometry")
 
 
 def _extract(chart, point, seed=0):
@@ -434,8 +436,11 @@ def test_chunked_certify_equals_a_sample_point_loop(charts, monkeypatch, samples
     cases = dict(charts)
     cases.update({name: chart_from_dict(doc) for name, doc in _MIXED_CHARTS.items()})
 
-    def no_batch(*args, **kwargs):
-        raise GeometryError("batch evaluation disabled")
+    def no_batch(chart, points, order=3):
+        """geometry_chunk one point at a time: batches of one go to geometry_at."""
+        alone = [geometry_chunk(chart, point[None], order) for point in points]
+        geoms = [chunk_row(chunk, 0) for chunk, _ in alone if chunk is not None]
+        return (stack_geometry(geoms) if geoms else None), [errors[0] for _, errors in alone]
 
     for chart_id, chart in cases.items():
         config = CertifyConfig(samples=samples, seed=samples)
@@ -550,7 +555,7 @@ def test_chunk_battery_matches_the_per_sample_formulas(charts, monkeypatch):
     monkeypatch.setattr(certify_module, "RANDOM_COMBINATIONS", 3)
     for cid in catalog.CATALOG:
         chart = charts[cid]
-        chunk = geometry_chunk(chart, domain_points(chart, 16, seed=41))
+        chunk, _ = geometry_chunk(chart, domain_points(chart, 16, seed=41))
         vectors, etas, errors = adapted_frames(chunk.g, chunk.u,
                                                [np.random.default_rng(k) for k in range(16)])
         results = certify_module._battery(chunk, [np.random.default_rng(k) for k in range(16)],
@@ -642,23 +647,21 @@ def test_chunk_draws_replay_one_at_a_time_rejections(charts, monkeypatch):
 def test_one_battery_call_per_chunk(monkeypatch):
     """certify(33) on the overflow chart makes one battery call per chunk
     with points that evaluate, over exactly those points, also in the chunks
-    whose geometry_chunk call raised; the degenerate points are those of a
-    sample_point loop."""
+    with points that fail; the degenerate points are those of a sample_point
+    loop."""
     chart = chart_from_dict(_MIXED_CHARTS["overflow"])
     config = CertifyConfig(samples=33, seed=33)
     battery, chunk_geometry = certify_module._battery, certify_module.geometry_chunk
-    calls, raised = [], []
+    calls, failing = [], []
 
     def spy_battery(chunk, rngs, tol_margin):
         calls.append(chunk.point.tolist())
         return battery(chunk, rngs, tol_margin)
 
     def spy_chunk(*args, **kwargs):
-        try:
-            return chunk_geometry(*args, **kwargs)
-        except (GeometryError, EvalDomainError, ZeroDivisionError):
-            raised.append(True)
-            raise
+        chunk, errors = chunk_geometry(*args, **kwargs)
+        failing.append(any(err is not None for err in errors))
+        return chunk, errors
 
     samples, degenerate = _sample_point_loop(chart, config)
     monkeypatch.setattr(certify_module, "_battery", spy_battery)
@@ -671,7 +674,30 @@ def test_one_battery_call_per_chunk(monkeypatch):
     chunks = [[p for p in points[start:start + 16] if tuple(p) not in bad]
               for start in range(0, 33, 16)]
     assert calls == [chunk for chunk in chunks if chunk]
-    assert raised and len(samples) == sum(map(len, calls))
+    assert any(failing) and len(samples) == sum(map(len, calls))
+
+
+def test_a_failing_point_costs_one_geometry_at_call(monkeypatch):
+    """certify(256, seed 3) on the overflow chart makes one geometry_chunk call
+    per chunk, and geometry_at calls only for its 193 degenerate points (143
+    with a degenerate metric, 50 with a non-finite one), whose reasons are
+    those of a sample_point loop."""
+    chart = chart_from_dict(_MIXED_CHARTS["overflow"])
+    config = CertifyConfig(samples=256, seed=3)
+    _, degenerate = _sample_point_loop(chart, config)
+    calls = {"geometry_chunk": 0, "geometry_at": 0}
+    for module, name in ((certify_module, "geometry_chunk"), (certify_module, "geometry_at"),
+                         (geometry_module, "geometry_at")):
+        def counting(*args, real=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    cert = certify(chart, config)
+    assert calls == {"geometry_chunk": 16, "geometry_at": 193}
+    assert cert.degenerate_points == degenerate
+    reasons = Counter(reason.split(" at ")[0] for _, reason in degenerate)
+    assert reasons == {"metric degenerate": 143, "non-finite metric value or derivative": 50}
 
 
 def test_a_failing_row_leaves_its_neighbours_alone(charts, monkeypatch):
@@ -683,11 +709,11 @@ def test_a_failing_row_leaves_its_neighbours_alone(charts, monkeypatch):
     real = certify_module.geometry_chunk
 
     def doubled_u(*args, **kwargs):
-        chunk = real(*args, **kwargs)
+        chunk, errors = real(*args, **kwargs)
         chunk.u[5] *= 2.0
-        return chunk
+        return chunk, errors
 
-    chunk = doubled_u(chart, points)
+    chunk, _ = doubled_u(chart, points)
     with pytest.raises(UnitVectorError) as want:
         adapted_frame(chunk_row(chunk, 5))
     results = certify_module._battery(chunk, [np.random.default_rng(k) for k in range(16)],

@@ -77,14 +77,20 @@ def test_chart_file_from_disk(tmp_path, capsys):
 
 
 def test_reports_byte_identical_and_thread_invariant(tmp_path, capsys):
+    """Reruns write the same report bytes; there is no thread count to vary,
+    and --threads is a usage error."""
+    argv = ["check", "flrw_open", "--points", "10", "--seed", "7"]
     texts = []
-    for threads, name in (("1", "a.json"), ("1", "b.json"), ("3", "c.json")):
+    for name in ("a.json", "b.json"):
         report = tmp_path / name
-        code, _, _ = run_cli(["check", "flrw_open", "--points", "10", "--seed", "7",
-                              "--threads", threads, "--report", str(report)], capsys)
+        code, _, _ = run_cli(argv + ["--report", str(report)], capsys)
         assert code == 0
         texts.append(report.read_bytes())
-    assert texts[0] == texts[1] == texts[2]
+    assert texts[0] == texts[1]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("error:") == 1
 
 
 def test_report_floats_have_17_significant_digits(capsys):
@@ -467,7 +473,7 @@ def test_out_of_range_option_exits_two(capsys, argv, says):
 
 
 _CERTIFY_OPTIONS = [("--points", "8"), ("--tol", "0.5"), ("--margin", "0.25"),
-                    ("--expect", "LocallyRW"), ("--threads", "2")]
+                    ("--expect", "LocallyRW")]
 
 
 @pytest.mark.parametrize("flag, value", _CERTIFY_OPTIONS)
@@ -488,3 +494,17 @@ def test_certify_options_are_not_transport_options(capsys, flag, value):
                  ["slice", "einstein_static", "--base", "0,1,1.2,1.5", "--tau-grid", "0"]):
         args = parser.parse_args(argv + [flag, value])
         assert str(getattr(args, flag[2:])) == value
+
+
+@pytest.mark.parametrize("argv", [["check", "einstein_static"],
+                                  ["slice", "einstein_static", "--base", "0,1,1.2,1.5",
+                                   "--tau-grid", "0"],
+                                  _TRANSPORT], ids=["check", "slice", "transport"])
+def test_threads_is_no_option(capsys, argv):
+    """No subcommand takes --threads: samples are evaluated serially."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert "unrecognized arguments: --threads 2" in captured.err

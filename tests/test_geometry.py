@@ -1,6 +1,7 @@
 """Curvature engine: Christoffels, Riemann, frames, self-check identities."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError, eval_expr
 from rwcert.geometry import (DegenerateMetricError, DegeneratePlaneError, GeometryError,
                              OutsideDomainError, PointGeometry, UnitVectorError,
-                             adapted_frame, chunk_row, geometry_at, geometry_batch,
-                             geometry_chunk, metric_compatibility_residual,
+                             adapted_frame, chunk_row, geometry_at, geometry_chunk,
+                             metric_compatibility_residual,
                              riemann_symmetry_residuals, second_bianchi_residual,
                              sectional_curvature, stack_geometry,
                              trace_invariants)
@@ -309,18 +310,25 @@ SCALED_U_DOC = dict(catalog.get_entry("flrw_open").document, name="scaled_u",
                     u=["2 + 0.1*chi*theta", "0.1*t*sin(phi)", "0.05*chi", "0"])
 
 
+def _rows(chart, points, order=3) -> list:
+    """The rows of geometry_chunk at points that all evaluate."""
+    chunk, errors = geometry_chunk(chart, points, order)
+    assert errors == [None] * len(points)
+    return [chunk_row(chunk, b) for b in range(len(points))]
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG) + ["scaled_u"])
 def test_batch_rows_equal_geometry_at(charts, chart_id, order):
-    """Row b of geometry_batch is geometry_at at points[b], field by field, to
+    """Row b of geometry_chunk is geometry_at at points[b], field by field, to
     1e-13 of the field's size (numpy's array powers may round differently
     from its scalar powers); a batch of one gives the same rows."""
     chart = chart_from_dict(SCALED_U_DOC) if chart_id == "scaled_u" else charts[chart_id]
     points = domain_points(chart, 5, seed=23)
-    rows = geometry_batch(chart, points, order)
+    rows = _rows(chart, points, order)
     assert len(rows) == len(points)
     for point, row in zip(points, rows):
-        single = geometry_batch(chart, point[None], order)[0]
+        (single,) = _rows(chart, point[None], order)
         want = geometry_at(chart, point, order)
         for got in (row, single):
             for field in dataclasses.fields(PointGeometry):
@@ -338,14 +346,14 @@ LOCALLY_RW = ("flrw_flat_linear", "flrw_closed_osc", "flrw_open", "einstein_stat
 @pytest.mark.parametrize("size", [2, 8, 64])
 @pytest.mark.parametrize("chart_id", LOCALLY_RW)
 def test_batch_rows_equal_geometry_at_bit_for_bit(charts, chart_id, size):
-    """On the LocallyRW charts, every field of every geometry_batch row is
+    """On the LocallyRW charts, every field of every geometry_chunk row is
     array_equal to geometry_at at its point, at orders 1-3 and batch sizes 2,
     8 and 64.  The batched foliation paths (slice shooting, quadrature, flows)
     reproduce one-point results exactly only because of this."""
     chart = charts[chart_id]
     points = domain_points(chart, size, seed=size)
     for order in (1, 2, 3):
-        for point, row in zip(points, geometry_batch(chart, points, order)):
+        for point, row in zip(points, _rows(chart, points, order)):
             want = geometry_at(chart, point, order)
             for field in dataclasses.fields(PointGeometry):
                 a, b = getattr(row, field.name), getattr(want, field.name)
@@ -362,7 +370,7 @@ def test_chunks_round_as_their_points_do(charts):
     points = domain_points(chart, 16, seed=1)
     singles = [geometry_at(chart, p) for p in points]
     for chunk, rows in ((stack_geometry(singles), singles),
-                        (geometry_chunk(chart, points), geometry_batch(chart, points))):
+                        (geometry_chunk(chart, points)[0], _rows(chart, points))):
         for got, want in zip(trace_invariants(chunk, gradients=True),
                              zip(*(trace_invariants(r, gradients=True)
                                    for r in rows))):
@@ -380,11 +388,11 @@ ORACLE_TOL = 1e-10      # relative to 1 + the largest oracle component of each f
 @pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG))
 def test_geometry_matches_the_symbolic_oracle(charts, symbolic_geometry, chart_id):
     """g, Gamma, R, dR and the gradients of the trace invariants (f, h) agree
-    with sympy's, from geometry_at and from geometry_batch rows."""
+    with sympy's, from geometry_at and from geometry_chunk rows."""
     chart = charts[chart_id]
     oracle = symbolic_geometry(chart)
     points = domain_points(chart, 4, seed=29)
-    for geom in [geometry_at(chart, p) for p in points] + geometry_batch(chart, points):
+    for geom in [geometry_at(chart, p) for p in points] + _rows(chart, points):
         want = oracle(geom.point, geom.epsilon)
         _, _, df, dh = trace_invariants(geom, gradients=True)
         got = {"g": geom.g, "gamma": geom.gamma, "riemann_up": geom.riemann_up,
@@ -394,25 +402,80 @@ def test_geometry_matches_the_symbolic_oracle(charts, symbolic_geometry, chart_i
             assert error <= ORACLE_TOL, (name, geom.point.tolist(), error)
 
 
-def test_batch_fails_when_any_point_fails():
-    """Every check of geometry_at applies to every row: one failing point
-    makes the batch raise, while its neighbours evaluate one at a time."""
+def _check_rows_against_geometry_at(chart, points, order=3) -> list:
+    """geometry_chunk at points against geometry_at at each: an evaluating
+    row is array_equal to it field by field and a failing row has its
+    exception, of the same type and with the same text.  The errors."""
+    chunk, errors = geometry_chunk(chart, points, order)
+    rows = iter(range(0 if chunk is None else len(chunk.point)))
+    for point, error in zip(points, errors):
+        try:
+            want = geometry_at(chart, point, order)
+        except (GeometryError, ArithmeticError) as exc:
+            assert (type(error), str(error)) == (type(exc), str(exc)), point
+            continue
+        assert error is None, point
+        row = chunk_row(chunk, next(rows))
+        for field in dataclasses.fields(PointGeometry):
+            a, b = getattr(row, field.name), getattr(want, field.name)
+            assert (a is None and b is None) or np.array_equal(a, b), (point, field.name)
+    assert next(rows, None) is None
+    return errors
+
+
+def test_each_row_gets_its_own_error(charts):
+    """A batch mixing good rows with rows that fail each check of geometry_at
+    gives every row what geometry_at gives at its point: rows outside the
+    domain, with a non-finite metric, with a scaled determinant below DET_TOL
+    (exp(exp(t)) for 2.04 < t < 6.56), with a near-null u and in a batch
+    whose jets raise; the good rows are the geometry_at rows bit for bit."""
     chart = chart_from_dict(dict(OVERFLOW_DOC, domain=[[0.0, 8.0], [-1.0, 1.0],
                                                        [-1.0, 1.0], [-1.0, 1.0]]))
-    good, bad = [1.0, 0.0, 0.0, 0.0], [7.0, 0.5, 0.0, 0.0]
-    geometry_at(chart, good)
-    with pytest.raises(DegenerateMetricError, match=r"non-finite metric .* at \[7.0, 0.5"):
-        geometry_batch(chart, [good, bad, good])
-    with pytest.raises(OutsideDomainError, match=r"point \[9.0, 0.0, 0.0, 0.0\] outside"):
-        geometry_batch(chart, [good, [9.0, 0.0, 0.0, 0.0]])
+    good, bad, outside = [1.0, 0.0, 0.0, 0.0], [7.0, 0.5, 0.0, 0.0], [9.0, 0.0, 0.0, 0.0]
+    errors = _check_rows_against_geometry_at(
+        chart, np.array([good, outside, bad, [1.5, 0.2, -0.3, 0.1], [4.0, 0.0, 0.0, 0.0], good]))
+    assert [type(err) for err in errors] == [type(None), OutsideDomainError,
+                                             DegenerateMetricError, type(None),
+                                             DegenerateMetricError, type(None)]
+    assert re.search(r"point \[9.0, 0.0, 0.0, 0.0\] outside", str(errors[1]))
+    assert re.search(r"non-finite metric .* at \[7.0, 0.5", str(errors[2]))
+    assert re.search(r"metric degenerate at \[4.0, 0.0, 0.0, 0.0\] \(scaled", str(errors[4]))
+    assert geometry_chunk(chart, np.array([bad, outside, bad]))[0] is None
+
+    # ln(t) raises for t <= 0, which stops the batch's jets: every row is
+    # then evaluated alone and still gets its own result
+    log = chart_from_dict(dict(OVERFLOW_DOC, metric=[["-1", None, None, None],
+                                                     [None, "2 + ln(t)", None, None],
+                                                     [None, None, "1", None],
+                                                     [None, None, None, "1"]],
+                               domain=[[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]))
+    errors = _check_rows_against_geometry_at(
+        log, np.array([[0.5, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 0.0], [0.0, 0.1, 0.0, 0.0],
+                       [0.8, 0.2, 0.1, 0.0]]))
+    assert [type(err) for err in errors] == [type(None), EvalDomainError, EvalDomainError,
+                                             type(None)]
+
+    # u = (1, t / a(t)) is null at t = 1 only
     doc = catalog.get_entry("flrw_open").document
     null = chart_from_dict(dict(doc, name="null_u", options={"normalize_u": True},
-                                u=["1", "1/(2 + 0.1*t^2)", "0", "0"]))
-    with pytest.raises(UnitVectorError, match="near-null"):
-        geometry_batch(null, [[1.0, 1.0, 1.2, 1.0]] * 2, order=1)
+                                u=["1", "t/(2 + 0.1*t^2)", "0", "0"]))
+    errors = _check_rows_against_geometry_at(
+        null, np.array([[2.0, 1.0, 1.2, 1.0], [1.0, 1.0, 1.2, 1.0], [1.0, 9.0, 1.2, 1.0],
+                        [0.6, 0.5, 1.0, 1.0]]), order=1)
+    assert errors[0] is None and errors[3] is None
+    assert isinstance(errors[1], UnitVectorError) and "near-null" in str(errors[1])
+    assert isinstance(errors[2], OutsideDomainError)
+
+    # on a LocallyRW chart
+    flrw = charts["flrw_open"]
+    points = domain_points(flrw, 6, seed=5)
+    points[[1, 4], 0] = [-1.0, 3.0]
+    errors = _check_rows_against_geometry_at(flrw, points)
+    assert [err is None for err in errors] == [True, False, True, True, False, True]
+
     for shape in ((0, 4), (2, 3), (4,)):
         with pytest.raises(GeometryError, match="points must have shape"):
-            geometry_batch(chart, np.full(shape, 1.0))
+            geometry_chunk(chart, np.full(shape, 1.0))
 
 
 def test_normalizing_a_non_finite_u_is_degenerate():
@@ -424,5 +487,5 @@ def test_normalizing_a_non_finite_u_is_degenerate():
     chart = chart_from_dict(doc)
     with pytest.raises(DegenerateMetricError, match="non-finite u"):
         geometry_at(chart, [7.0, 0.0, 0.0, 0.0], order=1)
-    with pytest.raises(DegenerateMetricError, match="non-finite u"):
-        geometry_batch(chart, [[6.0, 0.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]], order=1)
+    _, errors = geometry_chunk(chart, [[6.0, 0.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]], order=1)
+    assert isinstance(errors[1], DegenerateMetricError) and "non-finite u" in str(errors[1])

@@ -257,8 +257,9 @@ _READ_AHEAD_CASES = [
 def test_read_ahead_equals_the_point_path(charts, monkeypatch, name, exprs, t0, t1, steps):
     """Explicit-curve stage points evaluated in read-ahead batches give the
     table of the one-point-at-a-time path bit for bit.  That path is the
-    fallback of a batch that raises, forced here by a geometry_batch that
-    always does; the runs double until they converge."""
+    fallback of a batch with a failing row, forced here by a geometry_chunk
+    that fails every row with an ArithmeticError; the runs double until they
+    converge."""
     from rwcert import transport as transport_module
 
     chart = charts[name]
@@ -269,9 +270,9 @@ def test_read_ahead_equals_the_point_path(charts, monkeypatch, name, exprs, t0, 
 
     def refusing(chart, points, order=3):
         refused.append(len(points))
-        raise GeometryError("batch refused")
+        return None, [ArithmeticError("batch refused")] * len(points)
 
-    monkeypatch.setattr(transport_module, "geometry_batch", refusing)
+    monkeypatch.setattr(transport_module, "geometry_chunk", refusing)
     pointwise = transport(chart, curve, x0, steps=steps)
     assert refused
     for field in ("taus", "points", "tangents", "metrics", "vectors"):
@@ -311,25 +312,25 @@ def test_geodesic_fermi_equals_parallel(charts):
 
 def _count_geometry(monkeypatch, batches=None) -> list:
     """Record the order of every point the transport module evaluates, by a
-    geometry_at call or as a row of a geometry_batch call; the size of each
+    geometry_at call or as a row of a geometry_chunk call; the size of each
     batch goes to `batches` when it is given."""
     from rwcert import transport as transport_module
 
     calls = []
-    real, real_batch = transport_module.geometry_at, transport_module.geometry_batch
+    real, real_chunk = transport_module.geometry_at, transport_module.geometry_chunk
 
     def counting(chart, point, order=3):
         calls.append(order)
         return real(chart, point, order)
 
-    def counting_batch(chart, points, order=3):
+    def counting_chunk(chart, points, order=3):
         calls.extend([order] * len(points))
         if batches is not None:
             batches.append(len(points))
-        return real_batch(chart, points, order)
+        return real_chunk(chart, points, order)
 
     monkeypatch.setattr(transport_module, "geometry_at", counting)
-    monkeypatch.setattr(transport_module, "geometry_batch", counting_batch)
+    monkeypatch.setattr(transport_module, "geometry_chunk", counting_chunk)
     return calls
 
 
