@@ -20,6 +20,7 @@ time function does not exist and the quantities are meaningless.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,23 +87,45 @@ def _degenerate(margin: float, point: np.ndarray) -> DegeneracyError:
         f"|h - eps f| = {abs(margin):.3e} inside margin band at {point.tolist()}")
 
 
-def _rows(chart: ChartSpec, points: np.ndarray, tol_margin: float):
-    """The order-2 (g, u, h - eps f) at the rows of a (B, n) array, and per
-    row None or what geometry_at and the margin guard raise there.  Rows go
-    to geometry_chunk BATCH_ROWS at a time."""
+class _Rows(NamedTuple):
+    """Fields at the rows of a (B, n) array, nan where a row fails."""
+    g: np.ndarray
+    u: np.ndarray
+    h: np.ndarray
+    margin: np.ndarray       # h - eps f
+    dh_u: np.ndarray         # dh(u), order 3 only
+    errors: list             # per row None or what geometry_at and the margin guard raise
+
+
+def _rows(chart: ChartSpec, points: np.ndarray, tol_margin: float, order: int = 2) -> _Rows:
+    """The fields of _Rows at order 2 or 3, each row's equal to the one-point
+    path's (_scalars at order 3).  Rows go to geometry_chunk BATCH_ROWS at a
+    time."""
     count, n = points.shape
-    g, u, margin = (np.full((count,) + shape, np.nan) for shape in ((n, n), (n,), ()))
+    g, u, h, margin, dh_u = (np.full((count,) + shape, np.nan)
+                             for shape in ((n, n), (n,), (), (), ()))
     errors = []
     for start in range(0, count, BATCH_ROWS):
-        geom, batch_errors = geometry_chunk(chart, points[start:start + BATCH_ROWS], order=2)
+        geom, batch_errors = geometry_chunk(chart, points[start:start + BATCH_ROWS], order)
         if geom is not None:
             rows = start + np.flatnonzero([err is None for err in batch_errors])
-            f, h = trace_invariants(geom)
-            g[rows], u[rows], margin[rows] = geom.g, geom.u, h - geom.epsilon * f
+            f, h[rows], *gradients = trace_invariants(geom, gradients=order == 3)
+            g[rows], u[rows], margin[rows] = geom.g, geom.u, h[rows] - geom.epsilon * f
+            if gradients:
+                dh_u[rows] = _dot(gradients[1], geom.u)
         errors += batch_errors
     for b in np.flatnonzero(np.abs(margin) <= tol_margin):
         errors[b] = _degenerate(margin[b], points[b])
-    return g, u, margin, errors
+    return _Rows(g, u, h, margin, dh_u, errors)
+
+
+def _flow_error(err: Exception, x: np.ndarray) -> Exception:
+    """A flow's error at x: leaving the domain is a FlowDomainError."""
+    if not isinstance(err, OutsideDomainError):
+        return err
+    flow_err = FlowDomainError(f"flow left the domain at {x.tolist()}")
+    flow_err.__cause__ = err
+    return flow_err
 
 
 def _gl8(chart: ChartSpec, a: np.ndarray, b: np.ndarray, tol_margin: float) -> list:
@@ -110,7 +133,7 @@ def _gl8(chart: ChartSpec, a: np.ndarray, b: np.ndarray, tol_margin: float) -> l
     nodes in one batch: per segment its value, or its first failing node's error."""
     delta = b - a
     nodes = a[:, None, :] + _GL_T[:, None] * delta[:, None, :]
-    g, u, margin, errors = _rows(chart, nodes.reshape(-1, chart.dim), tol_margin)
+    g, u, _, margin, _, errors = _rows(chart, nodes.reshape(-1, chart.dim), tol_margin)
     omega = margin[:, None] * _apply(g, u)
     terms = (_GL_W * _dot(omega, np.repeat(delta, 8, axis=0)).reshape(-1, 8)).T
     total = sum(terms, np.zeros(len(a)))       # 0.0 + the nodes in order, as for one segment
@@ -274,13 +297,10 @@ def _flows(chart: ChartSpec, certificate: Certificate, starts: np.ndarray,
     def rhs(_, x, rows):
         k = np.full_like(x, np.nan)
         todo = [j for j, b in enumerate(rows) if errors[b] is None]
-        _, u, margin, errs = _rows(chart, x[todo], certificate.tol_margin)
+        _, u, _, margin, _, errs = _rows(chart, x[todo], certificate.tol_margin)
         k[todo] = eps * u / margin[:, None]
         for j, err in zip(todo, errs):
-            if isinstance(err, OutsideDomainError):
-                cause, err = err, FlowDomainError(f"flow left the domain at {x[j].tolist()}")
-                err.__cause__ = cause
-            errors[rows[j]] = err
+            errors[rows[j]] = None if err is None else _flow_error(err, x[j])
         return k
 
     steps = np.where(deltas == 0.0, 0, np.maximum(4, np.ceil(np.abs(deltas) * steps_per_unit)))
@@ -293,7 +313,8 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
 
     Fixed-step RK4 with the step count doubled until a(tau) moves by less than
     FLOW_A_TOL at every grid value.  The grid is processed in sorted order;
-    tau = 0 (the base slice) is always included.
+    tau = 0 (the base slice) is always included.  The levels of the doubling
+    that one request asks for are flowed together (_profile_flows).
     """
     require_locally_rw(chart, certificate)
     base = np.asarray(base, dtype=float)
@@ -302,28 +323,12 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
     eps = certificate.epsilon
     taus = np.unique(np.concatenate([[0.0], np.asarray(tau_grid, dtype=float)]))
 
-    def rhs(_, state):
-        """State = (x, log a^2, proper time); returns its tau derivative."""
-        x = state[:-2]
-        try:
-            geom, _, h, _, margin, dh_u = _scalars(chart, x, certificate.tol_margin)
-        except OutsideDomainError as err:
-            raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
-        _, psi = _slice_terms(h, eps, margin, dh_u)
-        return np.concatenate([eps * geom.u / margin, [psi, 1.0 / abs(margin)]])
-
-    def run(steps_per_unit: int) -> dict[float, np.ndarray]:
-        states: dict[float, np.ndarray] = {}
-        for direction in (1.0, -1.0):
-            grid = [t for t in taus if (t > 0 if direction > 0 else t < 0)]
-            state = np.concatenate([base, [0.0, 0.0]])
-            prev = 0.0
-            for target in sorted(grid, key=abs):
-                steps = max(4, int(np.ceil(abs(target - prev) * steps_per_unit)))
-                states[target] = state = rk4(rhs, state, prev, target, steps)
-                prev = target
-        states[0.0] = np.concatenate([base, [0.0, 0.0]])
-        return states
+    def run(counts: list[int]):
+        for states, errors in _profile_flows(chart, certificate, base, taus, counts):
+            error = _failed(*errors)        # forward before backward
+            if error is not None:
+                raise error
+            yield states
 
     def a_change(coarse, fine) -> float:
         return max(abs(np.exp(0.5 * fine[t][-2]) - np.exp(0.5 * coarse[t][-2]))
@@ -332,19 +337,16 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
     flow = doubled(run, 64, a_change, FLOW_A_TOL, 10)
     if not flow.converged:
         raise FoliationError("flow integration did not converge under step halving")
-    states = flow.value
-
-    a_vals, terms, s_vals, points = [], [], [], []
-    for t in taus:
-        state = states[float(t)]
-        x = state[:-2]
-        _, _, h_val, _, margin, dh_u = _scalars(chart, x, certificate.tol_margin)
-        a_vals.append(float(np.exp(0.5 * state[-2])))
-        terms.append(_slice_terms(h_val, eps, margin, dh_u))
-        s_vals.append(float(state[-1]))
-        points.append(x)
-    a_vals = np.array(a_vals)
-    k_vals, psi_vals = np.array(terms).T
+    states = np.array([flow.value[float(t)] for t in taus])
+    points, log_a2, s_vals = states[:, :-2], states[:, -2], states[:, -1]
+    rows = _rows(chart, points, certificate.tol_margin, order=3)
+    error = _failed(*rows.errors)
+    if error is not None:
+        raise error
+    a_vals = np.array([float(np.exp(0.5 * v)) for v in log_a2])
+    k_vals, psi_vals = np.array([_slice_terms(h, eps, margin, dh_u) for h, margin, dh_u
+                                 in zip(rows.h.tolist(), rows.margin.tolist(),
+                                        rows.dh_u.tolist())]).T
     k_hat = k_vals * a_vals**2
 
     k0 = float(k_hat[np.searchsorted(taus, 0.0)])
@@ -352,11 +354,69 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
 
     return FoliationResult(
         base_point=base, epsilon=eps, tau=taus, a=a_vals, k_slice=k_vals,
-        k_hat=k_hat, psi=np.array(psi_vals), proper_time=np.array(s_vals),
-        points=np.array(points),
+        k_hat=k_hat, psi=psi_vals, proper_time=s_vals, points=points,
         loop_residual=_diagnostic_loop(chart, certificate, base),
         curvature_sign=sign,
-        a_of_s=[(s, a) for s, a in zip(s_vals, a_vals)])
+        a_of_s=[(s, a) for s, a in zip(s_vals.tolist(), a_vals)])
+
+
+def _profile_flows(chart: ChartSpec, certificate: Certificate, base: np.ndarray,
+                   taus: np.ndarray, counts: list[int]) -> list[tuple[dict, list]]:
+    """The flow of state = (x, log a^2, proper time) from the base to every
+    grid value, at each of `counts` steps per unit tau: per count the states
+    by grid value and the (forward, backward) errors.
+
+    Each (count, direction) pair is one row.  A direction chains its targets
+    by distance from the base, a segment of max(4, ceil(steps_per_unit
+    |target - prev|)) steps each, and its rows are stepped in lockstep, one
+    rk4 call per segment index, so a stage of every row costs one order-3
+    geometry_chunk call.  A row's states and error are bit for bit those of
+    flowing it alone; a row that fails stops with its own error (a
+    FlowDomainError for leaving the domain), and the rows after it, whose
+    level the caller cannot reach past its error, stop with no error."""
+    eps, tol_margin = certificate.epsilon, certificate.tol_margin
+    paths = (np.concatenate([[0.0], taus[taus > 0]]),
+             np.concatenate([[0.0], taus[taus < 0][::-1]]))
+    rows = [(count, path) for count in counts for path in paths]
+    y = np.tile(np.concatenate([base, [0.0, 0.0]]), (len(rows), 1))
+    states = [{0.0: y[0].copy()} for _ in rows]
+    errors: list = [None] * len(rows)
+
+    def stop() -> int:
+        """The first row with an error, or len(rows): the rows before it step."""
+        return next((r for r, err in enumerate(errors) if err is not None), len(rows))
+
+    def rhs(_, state, stepping):
+        """The tau derivative of the rows `live[stepping]`."""
+        k, cut = np.full_like(state, np.nan), stop()
+        todo = [j for j, r in enumerate(live[stepping]) if r < cut]
+        if not todo:
+            return k
+        x = state[todo, :-2]
+        got = _rows(chart, x, tol_margin, order=3)
+        for j, x_j, u, h, margin, dh_u, err in zip(
+                todo, x, got.u, got.h.tolist(), got.margin.tolist(), got.dh_u.tolist(),
+                got.errors):
+            if err is not None:
+                errors[live[stepping[j]]] = _flow_error(err, x_j)
+                continue
+            _, psi = _slice_terms(h, eps, margin, dh_u)
+            k[j] = np.concatenate([eps * u / margin, [psi, 1.0 / abs(margin)]])
+        return k
+
+    for j in range(1, max(map(len, paths))):
+        live = np.array([r for r, (_, path) in enumerate(rows[:stop()]) if len(path) > j],
+                        dtype=int)
+        if not len(live):
+            break
+        t0 = np.array([rows[r][1][j - 1] for r in live])
+        t1 = np.array([rows[r][1][j] for r in live])
+        steps = [max(4, int(np.ceil(abs(b - a) * rows[r][0])))
+                 for r, a, b in zip(live, t0, t1)]
+        y[live] = rk4(rhs, y[live], t0, t1, steps)
+        for r, end in zip(live, t1.tolist()):
+            states[r][end] = y[r].copy()
+    return [({**states[r], **states[r + 1]}, errors[r:r + 2]) for r in range(0, len(rows), 2)]
 
 
 def _diagnostic_loop(chart: ChartSpec, certificate: Certificate, base) -> float:
@@ -442,7 +502,7 @@ def _shoot(chart: ChartSpec, certificate: Certificate, base, qs: np.ndarray,
         live, p, err = live[~done], p[~done], err[~done]
         if rounds == 12 or not len(live):
             break
-        _, u, margin, errors = _rows(chart, p, tol_margin)
+        _, u, _, margin, _, errors = _rows(chart, p, tol_margin)
         step = p - (err * eps)[:, None] * u / margin[:, None]
         live, p, step, err = settle(errors, p, step, err)
         steps, errors = _integrals(chart, [[a, b] for a, b in zip(p, step)], tol_margin)

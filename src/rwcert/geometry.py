@@ -149,8 +149,9 @@ def geometry_chunk(chart: ChartSpec, points, order: int = 3) -> tuple[PointGeome
     expression domain error, a zero division, an overflowing float power)
     stop the pass, and every row is evaluated alone; so is a batch of one,
     for which a pass costs several geometry_at calls.  A row of the chunk
-    (chunk_row) equals geometry_at at its point to rounding: numpy's array
-    and scalar powers may differ in the last bit.
+    (chunk_row) equals geometry_at at its point bit for bit, unless the chart
+    raises to a non-integer constant power: numpy's array power and Python's
+    float power may round that apart in the last bit.
     """
     _check_order(order)
     n = chart.dim
@@ -197,7 +198,10 @@ def stack_geometry(geoms: list[PointGeometry]) -> PointGeometry:
 def _stack(rows: list) -> np.ndarray:
     """The rows on a new leading axis, each laid out in memory as rows[0] is:
     einsum's summation order follows the memory layout of its operands, so a
-    contiguous copy of a Riemann tensor would round differently from the point."""
+    contiguous copy of a Riemann tensor would round differently from the point.
+    One row is copied in its own memory order (order="K"), a tenth of the cost."""
+    if len(rows) == 1:
+        return np.array(rows[0], order="K")[None]
     order = np.argsort(np.asarray(rows[0]).strides)[::-1]
     stacked = np.array([np.asarray(row).transpose(order) for row in rows])
     return stacked.transpose(0, *(1 + np.argsort(order)))

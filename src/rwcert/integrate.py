@@ -7,6 +7,7 @@ a caller-defined change between two runs falls below a tolerance.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,18 +71,42 @@ class Doubling(NamedTuple):
 
 def doubled(run: Callable, steps: int, change: Callable, tol: float,
             max_doublings: int) -> Doubling:
-    """run(steps), then run(2*steps), run(4*steps), ... until change(coarse,
-    fine) < tol or `max_doublings` doublings are spent.
+    """Run at steps, 2*steps, 4*steps, ... until change(coarse, fine) < tol
+    or `max_doublings` doublings are spent.
 
-    The first run is never accepted on its own when a doubling is allowed;
+    run(counts) takes a list of step counts and returns an iterator over
+    their values in order, so a caller may compute several levels at once.
+    The first request is [steps, 2*steps]: the first run is never accepted
+    on its own when a doubling is allowed.  When the levels asked for are
+    spent, the next request predicts how many more the last change needs:
+    a step-doubling estimate for RK4 shrinks by 2^4 = 16 per halving, so
+    k = ceil(log16(change / tol)) levels, at least 1, 1 for a non-finite
+    change, and no more than the doublings left.  The first consecutive
+    pair under tol is accepted, and the iterator is never advanced past it,
+    so a level that is not consumed need not be computed or raise.
     max_doublings <= 0 is one run, reported as converged.
     """
-    value = run(steps)
-    delta = None
-    for _ in range(max_doublings):
-        finer = run(2 * steps)
+    if max_doublings <= 0:
+        return Doubling(next(iter(run([steps]))), steps, None, True)
+    values = iter(run([steps, 2 * steps]))
+    value, asked, delta = next(values), 1, None
+    for spent in range(max_doublings):
+        if spent == asked:
+            more = min(_levels(delta, tol), max_doublings - spent)
+            values = iter(run([steps * 2**k for k in range(1, more + 1)]))
+            asked += more
+        finer = next(values)
         delta = change(value, finer)
         value, steps = finer, 2 * steps
         if delta < tol:
             return Doubling(value, steps, delta, True)
     return Doubling(value, steps, delta, delta is None)
+
+
+def _levels(change: float, tol: float) -> int:
+    """Doublings that bring a step-doubling change under tol at RK4's rate of
+    16 per halving: ceil(log16(change / tol)), at least 1; 1 if not finite.
+    The logarithms are taken apart, as change / tol may overflow."""
+    if not math.isfinite(change):
+        return 1
+    return max(1, math.ceil((math.log2(change) - math.log2(tol)) / 4))

@@ -33,6 +33,7 @@ and their arrays may be shared freely between concurrent evaluators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,9 +82,9 @@ class Jet3:
             x0 = np.array(x0, dtype=float)
             if x0.shape:
                 _, hess, cube = _zeros(dim, order, x0.shape)
-                return cls(x0, _batched(_units(dim)[index], x0.shape), hess, cube)
+                return cls(x0, _slots(dim, x0.shape)[0][index], hess, cube)
         _, hess, cube = _zeros(dim, order)
-        return cls(float(x0), _units(dim)[index], hess, cube)
+        return cls(float(x0), _slots(dim)[0][index], hess, cube)
 
     @classmethod
     def constant(cls, c: float, dim: int, order: int = MAX_ORDER,
@@ -187,32 +188,25 @@ def _check_shape(dim: int, order: int) -> None:
         raise ValueError(f"jet order must be 1..{MAX_ORDER}, got {order}")
 
 
-_ZERO_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+@lru_cache(maxsize=256)
+def _slots(dim: int, shape: tuple[int, ...] = ()) -> tuple[np.ndarray, ...]:
+    """Read-only arrays shared by every jet of batch shape `shape`: the
+    identity, whose rows are the seed gradients, and the zero grad, hess and
+    cube, repeated over the batch as views.  Jet operations never mutate
+    operands, so a jet program takes these without building any."""
+    if shape:
+        return tuple(_batched(slot, shape) for slot in _slots(dim))
+    slots = (np.eye(dim), np.zeros(dim), np.zeros((dim, dim)), np.zeros((dim, dim, dim)))
+    for slot in slots:
+        slot.flags.writeable = False
+    return slots
 
 
 def _zeros(dim: int, order: int = MAX_ORDER, shape: tuple[int, ...] = ()):
-    """Shared read-only zero slots up to `order`, with batch shape `shape`;
-    jet operations never mutate operands."""
-    cached = _ZERO_CACHE.get(dim)
-    if cached is None:
-        cached = (np.zeros(dim), np.zeros((dim, dim)), np.zeros((dim, dim, dim)))
-        for arr in cached:
-            arr.flags.writeable = False
-        _ZERO_CACHE[dim] = cached
-    grad, hess, cube = cached if not shape else (_batched(slot, shape) for slot in cached)
+    """The shared zero (grad, hess, cube) of batch shape `shape`, None above
+    `order`."""
+    _, grad, hess, cube = _slots(dim, shape)
     return grad, hess if order >= 2 else None, cube if order >= 3 else None
-
-
-_UNIT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _units(dim: int) -> np.ndarray:
-    """Shared read-only identity matrix: its rows are the seed gradients."""
-    units = _UNIT_CACHE.get(dim)
-    if units is None:
-        units = _UNIT_CACHE[dim] = np.eye(dim)
-        units.flags.writeable = False
-    return units
 
 
 def _batched(slot: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -255,9 +249,11 @@ def compose(a: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
 
 
 def _reciprocal(a: Jet3) -> Jet3:
-    v = a.value
-    iv = 1.0 / v
-    return compose(a, iv, -iv * iv, 2.0 * iv**3, -6.0 * iv**4)
+    # powers as products: numpy's array powers and Python's float powers may
+    # round apart, products do not, so a batch row equals its point exactly
+    iv = 1.0 / a.value
+    iv2 = iv * iv
+    return compose(a, iv, -iv2, 2.0 * (iv2 * iv), -6.0 * (iv2 * iv2))
 
 
 # -- elementary functions ----------------------------------------------------
@@ -309,7 +305,8 @@ def ln(a: Jet3) -> Jet3:
     if _any(bad):
         raise JetDomainError("ln", _offending(v, bad))
     iv = 1.0 / v
-    return compose(a, np.log(v), iv, -iv * iv, 2.0 * iv**3)
+    iv2 = iv * iv
+    return compose(a, np.log(v), iv, -iv2, 2.0 * (iv2 * iv))
 
 
 def sqrt(a: Jet3) -> Jet3:

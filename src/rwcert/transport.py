@@ -130,9 +130,9 @@ class _ExplicitCurve:
     parameter, normalized pointwise once validation finds a mild speed error.
 
     Every method that takes an array of parameter values evaluates them as one
-    batch: one order-2 jet program in tau and one geometry_chunk call.  If the
-    jets raise or a value's geometry fails, the values are evaluated one at a
-    time instead, so each raises exactly what the single-value path raises.
+    batch: one order-2 jet program in tau and one geometry_chunk call, whose
+    first failing row raises what the single-value path raises there.  If the
+    curve's jets raise, the values are evaluated one at a time instead.
     `start` is the state at t0, taken from the first speed sample."""
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec):
@@ -168,21 +168,23 @@ class _ExplicitCurve:
         try:
             geom = geometry_at(self.chart, x, order=1)
         except OutsideDomainError as err:
-            raise DomainExitError(f"curve leaves the domain at {x.tolist()}") from err
+            raise _curve_error(err, x)
         return x, xdot, xddot, geom
 
     def _points(self, taus: np.ndarray):
-        """_point at each of taus: one batch, or, if the curve's jets raise or
-        a row fails, one point at a time as the result is consumed, which
-        ends in the error _point raises."""
+        """_point at each of taus, as the result is consumed: the rows of one
+        batch up to the first that fails, which raises what _point raises
+        there, or, if the curve's jets raise, one point at a time."""
         try:
             x, xdot, xddot = self._raw(taus)
         except ArithmeticError:
-            return map(self._point, taus)
+            yield from map(self._point, taus)
+            return
         chunk, errors = geometry_chunk(self.chart, x, order=1)
-        if any(err is not None for err in errors):
-            return map(self._point, taus)
-        return zip(x, xdot, xddot, (chunk_row(chunk, b) for b in range(len(taus))))
+        for b, err in enumerate(errors):      # rows before a failure are chunk rows b
+            if err is not None:
+                raise _curve_error(err, x[b])
+            yield x[b], xdot[b], xddot[b], chunk_row(chunk, b)
 
     def states(self, taus: np.ndarray) -> list:
         """(x, unit tangent, acceleration nabla_u u, geom, speed v) at each of
@@ -221,6 +223,15 @@ class _ExplicitCurve:
                 f"violations above {REPARAM_LIMIT:.0%} are not normalized")
         self.normalize = err > UNIT_SPEED_TOL
         return start
+
+
+def _curve_error(err: Exception, x: np.ndarray) -> Exception:
+    """A curve point's error at x: leaving the domain is a DomainExitError."""
+    if not isinstance(err, OutsideDomainError):
+        return err
+    exit_err = DomainExitError(f"curve leaves the domain at {x.tolist()}")
+    exit_err.__cause__ = err
+    return exit_err
 
 
 def _generators(U, A, speed, g, gamma, eps: float) -> np.ndarray:
@@ -376,7 +387,8 @@ def _transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None,
     driver = _Driver(chart, curve)
     if check_start is not None:
         check_start(*driver.start)
-    run = doubled(lambda steps: driver.integrate(X0_rows, steps), base_steps,
+    run = doubled(lambda counts: (driver.integrate(X0_rows, steps) for steps in counts),
+                  base_steps,
                   lambda coarse, fine: float(np.abs(fine[-1][-1] - coarse[-1][-1]).max()),
                   ENDPOINT_TOL, max_halvings)
     if not run.converged:

@@ -13,6 +13,7 @@ from rwcert.foliation import (ClassificationError, DegeneracyError,
                               slice_curvature, time_value)
 from rwcert.geometry import geometry_at, trace_invariants
 
+import sequential_profile
 import sequential_shooting
 
 
@@ -195,6 +196,96 @@ def test_flow_leaving_domain_raises(flrw):
     chart, cert = flrw
     with pytest.raises((FlowDomainError, DegeneracyError)):
         scale_factor_profile(chart, cert, BASE, [5.0])
+
+
+PROFILE_BASES = {
+    "flrw_flat_linear": [2.0, 0.0, 0.0, 0.0],
+    "flrw_closed_osc": [3.0, 1.0, 1.5, 1.5],
+    "flrw_open": [1.5, 1.0, 1.5, 1.5],
+    "einstein_static": [0.0, 1.0, 1.2, 1.5],
+    "riemannian_grw": [2.2, 0.0, 0.0, 0.0],
+}
+
+
+def _acceptance_7_grid(chart, cert, base):
+    """Halfway in tau to the probes at 1/4 and 3/4 of the time range."""
+    (lo, hi), taus = chart.domain[0], []
+    for share in (0.25, 0.75):
+        probe = np.array(base, dtype=float)
+        probe[0] = lo + share * (hi - lo)
+        taus.append(0.5 * time_value(chart, cert, probe, base))
+    return [taus[0], 0.0, taus[1]]
+
+
+@pytest.mark.parametrize("several", [False, True])
+@pytest.mark.parametrize("cid", sorted(PROFILE_BASES))
+def test_profile_replays_the_sequential_loop(charts, certificates, cid, several):
+    """The batched profile's fields are array_equal to those of flowing one
+    direction and one step count at a time (the sequential_profile copy), on
+    the acceptance-7 grid and on a grid with three targets per direction
+    (on flrw_flat_linear, whose first probe is the base, mirrored)."""
+    chart, cert, base = charts[cid], certificates[cid], PROFILE_BASES[cid]
+    grid = _acceptance_7_grid(chart, cert, base)
+    if several:
+        lo, _, hi = grid
+        ends = (lo, hi) if lo * hi < 0 else (lo + hi, -(lo + hi))
+        grid = [share * end for end in ends for share in (1.0, 0.5, 0.2)]
+    got = scale_factor_profile(chart, cert, base, grid)
+    want = sequential_profile.scale_factor_profile(chart, cert, base, grid)
+    assert len(got.tau) == 7 if several else len(got.tau) >= 2
+    for name, value in want.items():
+        assert np.array_equal(getattr(got, name), value), name
+
+
+@pytest.mark.parametrize("grid, tol_margin", [
+    ([0.3], None),                  # forward: the flow leaves the domain
+    ([-0.15], 0.15),                # backward: the flow enters the margin band
+    ([0.3, -0.15], 0.15),           # both: the forward error is raised
+    ([0.1, -0.15], 0.15),           # backward fails, forward does not
+])
+def test_profile_raises_what_the_sequential_loop_raises(flrw, grid, tol_margin):
+    """t(tau) = 2/(1 + 2 tau) from t = 2 reaches the domain's end t = 1.5 at
+    tau = 1/6 and, in a 0.15 margin band (1/t^2 <= 0.15), the band at
+    tau = -0.113: the batched profile raises the type and text, and chains
+    the cause, that flowing one direction at a time does."""
+    chart, cert = flrw
+    if tol_margin is not None:
+        cert = dataclasses.replace(cert, tol_margin=tol_margin)
+    raised = []
+    for profile in (scale_factor_profile, sequential_profile.scale_factor_profile):
+        with pytest.raises(FoliationError) as info:
+            profile(chart, cert, BASE, grid)
+        err = info.value
+        raised.append((type(err), str(err), type(err.__cause__), str(err.__cause__)))
+    assert raised[0] == raised[1]
+
+
+def test_profile_rows_and_calls_on_the_acceptance_7_grid(charts, certificates, monkeypatch):
+    """On flrw_closed_osc, which needs four doublings, the acceptance-7 grid
+    evaluates the 1,163 order-3 rows of the sequential loop (1,160 RK4 stages
+    and the 3 grid values), no speculative level among them, in at most 421
+    calls instead of 1,163."""
+    chart, cert = charts["flrw_closed_osc"], certificates["flrw_closed_osc"]
+    base = PROFILE_BASES["flrw_closed_osc"]
+    grid = _acceptance_7_grid(chart, cert, base)
+    rows, calls = [0], [0]
+    real, real_chunk = foliation.geometry_at, foliation.geometry_chunk
+
+    def counting(chart, point, order=3):
+        rows[0] += order == 3
+        calls[0] += order == 3
+        return real(chart, point, order)
+
+    def counting_chunk(chart, points, order=3):
+        rows[0] += len(points) * (order == 3)
+        calls[0] += order == 3
+        return real_chunk(chart, points, order)
+
+    monkeypatch.setattr(foliation, "geometry_at", counting)
+    monkeypatch.setattr(foliation, "geometry_chunk", counting_chunk)
+    scale_factor_profile(chart, cert, base, grid)
+    assert rows[0] == 1163
+    assert calls[0] <= 421
 
 
 def test_shear_coefficient_tracks_expansion_along_flow(charts, certificates, flrw):

@@ -257,22 +257,22 @@ _READ_AHEAD_CASES = [
 def test_read_ahead_equals_the_point_path(charts, monkeypatch, name, exprs, t0, t1, steps):
     """Explicit-curve stage points evaluated in read-ahead batches give the
     table of the one-point-at-a-time path bit for bit.  That path is the
-    fallback of a batch with a failing row, forced here by a geometry_chunk
-    that fails every row with an ArithmeticError; the runs double until they
+    fallback of a batch whose curve jets raise, forced here by jets that
+    raise an ArithmeticError over every batch; the runs double until they
     converge."""
-    from rwcert import transport as transport_module
-
     chart = charts[name]
     curve = CurveSpec.explicit(exprs, t0=t0, t1=t1)
     x0 = np.random.default_rng(4).normal(size=(2, 4))
     batched = transport(chart, curve, x0, steps=steps)
-    refused = []
+    refused, raw = [], _ExplicitCurve._raw
 
-    def refusing(chart, points, order=3):
-        refused.append(len(points))
-        return None, [ArithmeticError("batch refused")] * len(points)
+    def refusing(self, taus):
+        if np.ndim(taus):
+            refused.append(len(taus))
+            raise ArithmeticError("batch refused")
+        return raw(self, taus)
 
-    monkeypatch.setattr(transport_module, "geometry_chunk", refusing)
+    monkeypatch.setattr(_ExplicitCurve, "_raw", refusing)
     pointwise = transport(chart, curve, x0, steps=steps)
     assert refused
     for field in ("taus", "points", "tangents", "metrics", "vectors"):
@@ -380,6 +380,31 @@ def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
     assert len(calls) == _SPEED_SAMPLES + 2 * steps + 4 * steps
     assert batches == ([_SPEED_SAMPLES] + [CHUNK] * 6 + [2 * steps - 6 * CHUNK]
                        + [CHUNK] * 12 + [4 * steps - 12 * CHUNK])
+
+
+def test_explicit_curve_leaving_the_domain_raises_from_its_batch(charts, monkeypatch):
+    """t = 3.4 + s leaves flrw_flat_linear's domain (t <= 3.5) during the
+    unit-speed validation: the batch's first failing row raises what the
+    one-point path raises there, and only the 58 failing rows are evaluated
+    alone, by geometry_chunk; the point path evaluates none again."""
+    from rwcert import geometry, transport as transport_module
+    from rwcert.geometry import OutsideDomainError
+
+    calls = []
+    real = geometry.geometry_at
+
+    def counting(chart, point, order=3):
+        calls.append(order)
+        return real(chart, point, order)
+
+    monkeypatch.setattr(geometry, "geometry_at", counting)
+    monkeypatch.setattr(transport_module, "geometry_at", counting)
+    curve = CurveSpec.explicit(["3.4 + s", "0", "0", "0"], t1=1.0)
+    with pytest.raises(DomainExitError) as info:
+        transport(charts["flrw_flat_linear"], curve, [0.0, 1.0, 0.0, 0.0], steps=200)
+    assert str(info.value) == "curve leaves the domain at [3.509375, 0.0, 0.0, 0.0]"
+    assert isinstance(info.value.__cause__, OutsideDomainError)
+    assert len(calls) == 58
 
 
 def test_comoving_u_curve_evaluates_two_per_step(charts, monkeypatch):
