@@ -21,8 +21,8 @@ a chunk's order-3 geometry in one pass, and one call of the battery
 array operations over a leading chunk axis.  Per point stay only the random
 draws, since each sample draws from its own child of the seed in the order
 and block sizes of one sample at a time, and eq14's (pool, pool, n, pool)
-product.  sample_point, isotropy_residuals, structure_residuals and
-adapted_frame run the same body on a chunk of one; they are on no hot path.
+product.  sample_point and isotropy_residuals run the same body on a chunk
+of one; they are on no hot path.
 
 The chunk is bounded by memory, not speed: it holds every tensor of every
 point in it.  certify(256) on flrw_closed_osc peaks at 1.69 MB of traced
@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .chart import ChartSpec
 from .geometry import (PIVOT_TOL, UNIT_TOL, Frame, FrameError, GeometryError, PointGeometry,
-                       _apply, _bilinear, _dot, _scalar, adapted_frame, adapted_frames,
+                       _apply, _bilinear, _dot, _scalar, adapted_frames,
                        chunk_row, geometry_at, geometry_chunk, stack_geometry,
                        trace_invariants)
 
@@ -307,18 +307,6 @@ def _squares(comps: np.ndarray, axes: str):
     """Largest sum of squares over the frame-component axis 'a', per row."""
     summed = np.einsum(f"...{axes},...{axes}->...{axes.replace('a', '')}", comps, comps)
     return summed.max(axis=tuple(range(1 - len(axes), 0)))
-
-
-def structure_residuals(chart: ChartSpec, point,
-                        tol_margin: float = DEFAULT_TOL_MARGIN,
-                        rng=None) -> dict[str, float | None]:
-    """The six differential residuals at one point of a chart."""
-    geom = geometry_at(chart, point, order=3)
-    frame = adapted_frame(geom, rng=np.random.default_rng(0) if rng is None else rng)
-    _, f, h = extract_invariants(geom, frame)
-    residuals = _structure_residuals(*_chunk_of_one(geom, frame), np.array([f]), np.array([h]),
-                                     tol_margin)
-    return {key: values[0] for key, values in residuals.items()}
 
 
 def _structure_residuals(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np.ndarray,

@@ -3,15 +3,22 @@
 The closed 1-form omega = (h - eps f) u-flat integrates to a time function t
 with t(base) = 0; its level sets are the constant-curvature slices.  The
 coordinate field dual to t is d_t = eps u / (h - eps f), normalized so that
-dt(d_t) = 1 exactly.  Flowing the base point along d_t while integrating the
-expansion scalar
+dt(d_t) = 1 exactly.  Flowing the base point along d_t while integrating
 
-    psi = -(d_t h) / (h - eps f)
+    psi = 2 eps e / (h - eps f),    e = div u / (n - 1),
 
 reconstructs the scale factor a(tau)^2 = exp(int_0^tau psi), a(0) = 1, and the
-slice curvature K_tau = h + eps [dh(u) / (2(h - eps f))]^2 gives the constant
-k-hat = K_tau a(tau)^2 of the spatial normal form.  Proper time accumulates as
-ds = dtau / |h - eps f|.
+slice curvature K_tau = h + eps e^2 gives the constant k-hat = K_tau a(tau)^2
+of the spatial normal form.  Proper time accumulates as ds = dtau / |h - eps f|.
+
+Both formulas read the slices' expansion e from nabla u.  In the normal form
+eps dt^2 + a(t)^2 sigma_k the field u = +-d_t has no shear or rotation, so
+nabla u = e (g - eps u u-flat) and its trace is (n - 1) e; the Gauss equation
+then gives K_tau = h + eps e^2, and d_t log a^2 = 2 eps e / (h - eps f).  The
+same e equals -dh(u) / (2(h - eps f)), which certify's shear residual checks,
+but that form needs the order-3 gradient of h.  div u needs only the
+connection and du, and h and f the curvature, so the foliation evaluates
+order-2 geometry throughout.
 
 Every operation here demands a LocallyRW certificate: on anything else the
 time function does not exist and the quantities are meaningless.
@@ -26,7 +33,7 @@ import numpy as np
 
 from .certify import Certificate, DEFAULT_TOL_MARGIN
 from .chart import ChartSpec
-from .geometry import (OutsideDomainError, _apply, _dot, adapted_frame, geometry_at,
+from .geometry import (OutsideDomainError, PointGeometry, _apply, _dot, geometry_at,
                        geometry_chunk, trace_invariants)
 from .integrate import doubled, rk4
 
@@ -93,30 +100,34 @@ class _Rows(NamedTuple):
     u: np.ndarray
     h: np.ndarray
     margin: np.ndarray       # h - eps f
-    dh_u: np.ndarray         # dh(u), order 3 only
+    expansion: np.ndarray    # div u / (n - 1)
     errors: list             # per row None or what geometry_at and the margin guard raise
 
 
-def _rows(chart: ChartSpec, points: np.ndarray, tol_margin: float, order: int = 2) -> _Rows:
-    """The fields of _Rows at order 2 or 3, each row's equal to the one-point
-    path's (_scalars at order 3).  Rows go to geometry_chunk BATCH_ROWS at a
-    time."""
+def _expansion(geom: PointGeometry):
+    """The slices' expansion e = tr(nabla u) / (n - 1), of a point or a chunk."""
+    return np.trace(geom.nabla_u(), axis1=-2, axis2=-1) / (geom.dim - 1)
+
+
+def _rows(chart: ChartSpec, points: np.ndarray, tol_margin: float) -> _Rows:
+    """The fields of _Rows from order-2 geometry, each row's equal to the
+    one-point path's (slice_curvature).  Rows go to geometry_chunk BATCH_ROWS
+    at a time."""
     count, n = points.shape
-    g, u, h, margin, dh_u = (np.full((count,) + shape, np.nan)
-                             for shape in ((n, n), (n,), (), (), ()))
+    g, u, h, margin, expansion = (np.full((count,) + shape, np.nan)
+                                  for shape in ((n, n), (n,), (), (), ()))
     errors = []
     for start in range(0, count, BATCH_ROWS):
-        geom, batch_errors = geometry_chunk(chart, points[start:start + BATCH_ROWS], order)
+        geom, batch_errors = geometry_chunk(chart, points[start:start + BATCH_ROWS], 2)
         if geom is not None:
             rows = start + np.flatnonzero([err is None for err in batch_errors])
-            f, h[rows], *gradients = trace_invariants(geom, gradients=order == 3)
+            f, h[rows] = trace_invariants(geom)
             g[rows], u[rows], margin[rows] = geom.g, geom.u, h[rows] - geom.epsilon * f
-            if gradients:
-                dh_u[rows] = _dot(gradients[1], geom.u)
+            expansion[rows] = _expansion(geom)
         errors += batch_errors
     for b in np.flatnonzero(np.abs(margin) <= tol_margin):
         errors[b] = _degenerate(margin[b], points[b])
-    return _Rows(g, u, h, margin, dh_u, errors)
+    return _Rows(g, u, h, margin, expansion, errors)
 
 
 def _flow_error(err: Exception, x: np.ndarray) -> Exception:
@@ -229,46 +240,21 @@ def loop_residual(chart: ChartSpec, certificate: Certificate, loop) -> float:
 
 # -- slice data -----------------------------------------------------------------
 
-def _scalars(chart: ChartSpec, point, tol_margin: float):
-    """(geom, f, h, eps, margin, dh(u)) with the margin guard applied."""
-    geom = geometry_at(chart, point, order=3)
-    f, h, _, dh = trace_invariants(geom, gradients=True)
-    margin = h - geom.epsilon * f
-    if abs(margin) <= tol_margin:
-        raise _degenerate(margin, geom.point)
-    return geom, f, h, geom.epsilon, margin, float(dh @ geom.u)
-
-
-def _slice_terms(h: float, eps, margin: float, dh_u: float) -> tuple[float, float]:
+def _slice_terms(h: float, eps, margin: float, expansion: float) -> tuple[float, float]:
     """(K_tau, psi) from the scalars at a point, margin = h - eps f:
-    K_tau = h + eps [dh(u) / (2 margin)]^2 and psi = -eps dh(u) / margin^2."""
-    return h + eps * (dh_u / (2.0 * margin))**2, -eps * dh_u / margin**2
-
-
-def second_fundamental_form_check(chart: ChartSpec, point,
-                                  tol_margin: float = DEFAULT_TOL_MARGIN
-                                  ) -> tuple[float, float]:
-    """Return (coefficient, residual) of the pure-trace extrinsic curvature.
-
-    The slices satisfy II(x,y) = eps dh(u)/(2(h - eps f)) g(x,y) u; the residual
-    compares that coefficient against -eps g(x, nabla_y u) over the spatial
-    frame, relative to the local curvature scale.
-    """
-    geom, f, h, eps, margin, dh_u = _scalars(chart, point, tol_margin)
-    coefficient = eps * dh_u / (2.0 * margin)
-    frame = adapted_frame(geom, rng=np.random.default_rng(0))
-    spatial = frame.spatial
-    M = (spatial @ (geom.nabla_u() @ geom.g)) @ spatial.T   # g(nabla_{e_a} u, e_b)
-    gram = spatial @ geom.g @ spatial.T
-    residual = float(np.abs(-eps * M.T - coefficient * gram).max()) / geom.residual_scale
-    return coefficient, residual
+    K_tau = h + eps e^2 and psi = 2 eps e / margin."""
+    return h + eps * expansion**2, 2.0 * eps * expansion / margin
 
 
 def slice_curvature(chart: ChartSpec, point,
                     tol_margin: float = DEFAULT_TOL_MARGIN) -> float:
-    """K_tau = h + eps [dh(u)/(2(h - eps f))]^2 at a certified sample point."""
-    _, _, h, eps, margin, dh_u = _scalars(chart, point, tol_margin)
-    return _slice_terms(h, eps, margin, dh_u)[0]
+    """K_tau = h + eps e^2 at a certified sample point, e = div u / (n - 1)."""
+    geom = geometry_at(chart, point, order=2)
+    f, h = trace_invariants(geom)
+    margin = h - geom.epsilon * f
+    if abs(margin) <= tol_margin:
+        raise _degenerate(margin, geom.point)
+    return _slice_terms(h, geom.epsilon, margin, _expansion(geom))[0]
 
 
 # -- flow of d_t and the scale factor ---------------------------------------------
@@ -339,14 +325,14 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
         raise FoliationError("flow integration did not converge under step halving")
     states = np.array([flow.value[float(t)] for t in taus])
     points, log_a2, s_vals = states[:, :-2], states[:, -2], states[:, -1]
-    rows = _rows(chart, points, certificate.tol_margin, order=3)
+    rows = _rows(chart, points, certificate.tol_margin)
     error = _failed(*rows.errors)
     if error is not None:
         raise error
     a_vals = np.array([float(np.exp(0.5 * v)) for v in log_a2])
-    k_vals, psi_vals = np.array([_slice_terms(h, eps, margin, dh_u) for h, margin, dh_u
+    k_vals, psi_vals = np.array([_slice_terms(h, eps, margin, e) for h, margin, e
                                  in zip(rows.h.tolist(), rows.margin.tolist(),
-                                        rows.dh_u.tolist())]).T
+                                        rows.expansion.tolist())]).T
     k_hat = k_vals * a_vals**2
 
     k0 = float(k_hat[np.searchsorted(taus, 0.0)])
@@ -369,7 +355,7 @@ def _profile_flows(chart: ChartSpec, certificate: Certificate, base: np.ndarray,
     Each (count, direction) pair is one row.  A direction chains its targets
     by distance from the base, a segment of max(4, ceil(steps_per_unit
     |target - prev|)) steps each, and its rows are stepped in lockstep, one
-    rk4 call per segment index, so a stage of every row costs one order-3
+    rk4 call per segment index, so a stage of every row costs one order-2
     geometry_chunk call.  A row's states and error are bit for bit those of
     flowing it alone; a row that fails stops with its own error (a
     FlowDomainError for leaving the domain), and the rows after it, whose
@@ -393,14 +379,14 @@ def _profile_flows(chart: ChartSpec, certificate: Certificate, base: np.ndarray,
         if not todo:
             return k
         x = state[todo, :-2]
-        got = _rows(chart, x, tol_margin, order=3)
-        for j, x_j, u, h, margin, dh_u, err in zip(
-                todo, x, got.u, got.h.tolist(), got.margin.tolist(), got.dh_u.tolist(),
+        got = _rows(chart, x, tol_margin)
+        for j, x_j, u, h, margin, e, err in zip(
+                todo, x, got.u, got.h.tolist(), got.margin.tolist(), got.expansion.tolist(),
                 got.errors):
             if err is not None:
                 errors[live[stepping[j]]] = _flow_error(err, x_j)
                 continue
-            _, psi = _slice_terms(h, eps, margin, dh_u)
+            _, psi = _slice_terms(h, eps, margin, e)
             k[j] = np.concatenate([eps * u / margin, [psi, 1.0 / abs(margin)]])
         return k
 

@@ -15,8 +15,9 @@ documented convention distinguishes reports, never the verdicts.
 
 All matrix-valued results carry first coordinate derivatives; with order=3 the
 lowered Riemann tensor does too, which is what the differential checks (df, dh,
-closedness, second Bianchi) consume.  Residuals are reported relative to
-1 + max |R_{rsmn}| at the point.
+closedness, second Bianchi) consume.  Only certify's residual battery evaluates
+order 3: the foliation runs on order 2 and transport on order 1.  Residuals are
+reported relative to 1 + max |R_{rsmn}| at the point.
 """
 
 from __future__ import annotations
@@ -121,9 +122,9 @@ def geometry_at(chart: ChartSpec, point, order: int = 3) -> PointGeometry:
     The metric and u are evaluated by the chart's compiled programs
     (ChartSpec.programs) over jets truncated at `order`.  order=3 (default)
     also produces the coordinate gradient of the Riemann tensor; order=2 skips
-    it and is noticeably cheaper for quadrature loops; order=1 stops at the
-    connection (enough for transport integrators).  A non-finite metric or u
-    value or derivative is a DegenerateMetricError.
+    it and is noticeably cheaper for the foliation's flows and quadrature;
+    order=1 stops at the connection (enough for transport integrators).  A
+    non-finite metric or u value or derivative is a DegenerateMetricError.
 
     This runs the evaluator that geometry_chunk runs, with no batch axis.
     """

@@ -1,6 +1,6 @@
 """The scale-factor profile flowed one direction and one step count at a time,
 kept as a replay oracle for the batched scale_factor_profile: each RK4 stage
-is one order-3 geometry_at call, the forward targets are flowed before the
+is one order-2 geometry_at call, the forward targets are flowed before the
 backward ones, and the step count doubles one run at a time until a(tau)
 moves by less than FLOW_A_TOL."""
 
@@ -12,17 +12,17 @@ from rwcert.geometry import OutsideDomainError, geometry_at, trace_invariants
 
 
 def _scalars(chart, point, tol_margin):
-    geom = geometry_at(chart, point, order=3)
-    f, h, _, dh = trace_invariants(geom, gradients=True)
+    geom = geometry_at(chart, point, order=2)
+    f, h = trace_invariants(geom)
     margin = h - geom.epsilon * f
     if abs(margin) <= tol_margin:
         raise DegeneracyError(
             f"|h - eps f| = {abs(margin):.3e} inside margin band at {geom.point.tolist()}")
-    return geom.u, h, margin, float(dh @ geom.u)
+    return geom.u, h, margin, float(np.trace(geom.nabla_u())) / (geom.dim - 1)
 
 
-def _terms(h, eps, margin, dh_u):
-    return h + eps * (dh_u / (2.0 * margin))**2, -eps * dh_u / margin**2
+def _terms(h, eps, margin, expansion):
+    return h + eps * expansion**2, 2.0 * eps * expansion / margin
 
 
 def _rk4(rhs, y, t0, t1, steps):
@@ -48,10 +48,10 @@ def scale_factor_profile(chart, cert, base, tau_grid) -> dict:
     def rhs(state):
         x = state[:-2]
         try:
-            u, h, margin, dh_u = _scalars(chart, x, tol_margin)
+            u, h, margin, expansion = _scalars(chart, x, tol_margin)
         except OutsideDomainError as err:
             raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
-        _, psi = _terms(h, eps, margin, dh_u)
+        _, psi = _terms(h, eps, margin, expansion)
         return np.concatenate([eps * u / margin, [psi, 1.0 / abs(margin)]])
 
     def run(steps_per_unit):
@@ -80,8 +80,8 @@ def scale_factor_profile(chart, cert, base, tau_grid) -> dict:
     a, k_slice, psi, proper_time, points = [], [], [], [], []
     for t in taus:
         state = value[float(t)]
-        _, h, margin, dh_u = _scalars(chart, state[:-2], tol_margin)
-        k, p = _terms(h, eps, margin, dh_u)
+        _, h, margin, expansion = _scalars(chart, state[:-2], tol_margin)
+        k, p = _terms(h, eps, margin, expansion)
         a.append(float(np.exp(0.5 * state[-2])))
         k_slice.append(k)
         psi.append(p)

@@ -9,10 +9,10 @@ from rwcert import foliation
 from rwcert.foliation import (ClassificationError, DegeneracyError,
                               FlowDomainError, FoliationError, flow_point,
                               loop_residual, same_slice_points,
-                              scale_factor_profile, second_fundamental_form_check,
-                              slice_curvature, time_value)
+                              scale_factor_profile, slice_curvature, time_value)
 from rwcert.geometry import geometry_at, trace_invariants
 
+from conftest import domain_points
 import sequential_profile
 import sequential_shooting
 
@@ -79,24 +79,49 @@ def test_foliation_refuses_non_rw(charts, certificates):
         loop_residual(charts["minkowski"], mink_cert, [[0, 0, 0, 0], [0, 0, 0, 0]])
 
 
-def test_second_fundamental_form_einstein_static(charts):
-    coefficient, residual = second_fundamental_form_check(
-        charts["einstein_static"], [0.3, 1.0, 1.2, 1.5])
-    assert coefficient == pytest.approx(0.0, abs=1e-13)
-    assert residual < 1e-12
+def _gradient_expansion(chart, point):
+    """(eps, h - eps f, -dh(u) / (2(h - eps f))) from order-3 geometry: the
+    slices' expansion from the gradient of h, which the foliation does not use."""
+    geom = geometry_at(chart, point, order=3)
+    f, h, _, dh = trace_invariants(geom, gradients=True)
+    margin = h - geom.epsilon * f
+    return geom.epsilon, margin, -float(dh @ geom.u) / (2.0 * margin)
 
 
-def test_second_fundamental_form_flrw(flrw):
+def test_expansion_equals_the_gradient_of_h(charts):
+    """On the five LocallyRW charts, with eps = -1 and eps = +1 (riemannian_grw),
+    the order-2 expansion tr(nabla u)/(n - 1) that the foliation reads equals
+    -dh(u)/(2(h - eps f)) from the order-3 gradient of h."""
+    signs = set()
+    for cid in PROFILE_BASES:
+        chart = charts[cid]
+        for point in domain_points(chart, 20, 7):
+            eps, _, want = _gradient_expansion(chart, point)
+            got = float(np.trace(geometry_at(chart, point, order=2).nabla_u())) / (chart.dim - 1)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (cid, point)
+            signs.add(eps)
+    assert signs == {-1, 1}
+
+
+def test_expansion_einstein_static(charts):
+    point = charts["einstein_static"], [0.3, 1.0, 1.2, 1.5]
+    assert _gradient_expansion(*point)[2] == pytest.approx(0.0, abs=1e-13)
+    assert foliation._expansion(geometry_at(*point, order=2)) == pytest.approx(0.0, abs=1e-13)
+
+
+def test_expansion_flrw(flrw):
+    """a = t: eps dh(u)/(2(h - eps f)) = (-1)(-1/4)/(1/2) = 1/2 = a'/a at
+    t = 2, which is e since eps = -1."""
     chart, _ = flrw
-    coefficient, residual = second_fundamental_form_check(chart, [2.0, 0.1, 0.2, 0.3])
-    # eps dh(u) / (2 (h - eps f)) = (-1)(-1/4) / (1/2) = 1/2 = a'/a
-    assert coefficient == pytest.approx(0.5, abs=1e-11)
-    assert residual < 1e-9
+    point = [2.0, 0.1, 0.2, 0.3]
+    eps, _, e = _gradient_expansion(chart, point)
+    assert -eps * e == pytest.approx(0.5, abs=1e-11)
+    assert foliation._expansion(geometry_at(chart, point, order=2)) == pytest.approx(0.5, abs=1e-11)
 
 
-def test_second_fundamental_form_refuses_constant_curvature(charts):
+def test_slice_curvature_refuses_constant_curvature(charts):
     with pytest.raises(DegeneracyError):
-        second_fundamental_form_check(charts["minkowski"], [0.0, 0.0, 0.0, 0.0])
+        slice_curvature(charts["minkowski"], [0.0, 0.0, 0.0, 0.0])
 
 
 def test_slice_curvature_values(charts, flrw):
@@ -262,35 +287,59 @@ def test_profile_raises_what_the_sequential_loop_raises(flrw, grid, tol_margin):
 
 def test_profile_rows_and_calls_on_the_acceptance_7_grid(charts, certificates, monkeypatch):
     """On flrw_closed_osc, which needs four doublings, the acceptance-7 grid
-    evaluates the 1,163 order-3 rows of the sequential loop (1,160 RK4 stages
-    and the 3 grid values), no speculative level among them, in at most 421
-    calls instead of 1,163."""
+    evaluates the 1,163 rows of the sequential loop (1,160 RK4 stages and the
+    3 grid values), no speculative level among them, and the diagnostic
+    loop's 96 quadrature rows, all at order 2, in 423 calls: none at order 3."""
     chart, cert = charts["flrw_closed_osc"], certificates["flrw_closed_osc"]
     base = PROFILE_BASES["flrw_closed_osc"]
     grid = _acceptance_7_grid(chart, cert, base)
-    rows, calls = [0], [0]
+    rows, calls = {}, {}
     real, real_chunk = foliation.geometry_at, foliation.geometry_chunk
 
+    def count(order, size):
+        rows[order] = rows.get(order, 0) + size
+        calls[order] = calls.get(order, 0) + 1
+
     def counting(chart, point, order=3):
-        rows[0] += order == 3
-        calls[0] += order == 3
+        count(order, 1)
         return real(chart, point, order)
 
     def counting_chunk(chart, points, order=3):
-        rows[0] += len(points) * (order == 3)
-        calls[0] += order == 3
+        count(order, len(points))
         return real_chunk(chart, points, order)
 
     monkeypatch.setattr(foliation, "geometry_at", counting)
     monkeypatch.setattr(foliation, "geometry_chunk", counting_chunk)
     scale_factor_profile(chart, cert, base, grid)
-    assert rows[0] == 1163
-    assert calls[0] <= 421
+    assert rows == {2: 1259}
+    assert calls == {2: 423}
+
+
+def test_foliation_evaluates_only_order_2(charts, certificates, monkeypatch):
+    """time_value, the scale-factor profile, slice shooting and the slice
+    curvature never ask for geometry of another order than 2."""
+    chart, cert = charts["flrw_closed_osc"], certificates["flrw_closed_osc"]
+    base = np.array(PROFILE_BASES["flrw_closed_osc"])
+    real, real_chunk = foliation.geometry_at, foliation.geometry_chunk
+
+    def order_2(real):
+        def evaluate(chart, points, order=3):
+            assert order == 2, f"order-{order} evaluation"
+            return real(chart, points, order)
+        return evaluate
+
+    monkeypatch.setattr(foliation, "geometry_at", order_2(real))
+    monkeypatch.setattr(foliation, "geometry_chunk", order_2(real_chunk))
+    grid = _acceptance_7_grid(chart, cert, base)
+    scale_factor_profile(chart, cert, base, grid)
+    points = same_slice_points(chart, cert, base, grid[2], 3, rng=np.random.default_rng(1))
+    assert all(np.isfinite(slice_curvature(chart, p)) for p in points)
 
 
 def test_shear_coefficient_tracks_expansion_along_flow(charts, certificates, flrw):
-    """The extrinsic-curvature coefficient must equal -(1/2) psi (h - eps f)
-    along the flow, psi being d(log a^2)/dtau of the reconstruction."""
+    """The extrinsic-curvature coefficient eps dh(u)/(2(h - eps f)), from the
+    order-3 gradient of h, must equal -(1/2) psi (h - eps f) along the flow,
+    psi being d(log a^2)/dtau of the reconstruction."""
     for cid in ("flrw_flat_linear", "flrw_open", "einstein_static"):
         chart = charts[cid]
         cert = certificates[cid]
@@ -300,11 +349,8 @@ def test_shear_coefficient_tracks_expansion_along_flow(charts, certificates, flr
         grid = np.linspace(-0.08, 0.08, 5)
         profile = scale_factor_profile(chart, cert, base, grid)
         for point, psi in zip(profile.points, profile.psi):
-            coefficient, _ = second_fundamental_form_check(chart, point)
-            geom = geometry_at(chart, point, order=2)
-            f, h = trace_invariants(geom)
-            margin = h - geom.epsilon * f
-            assert abs(coefficient + 0.5 * psi * margin) < 1e-7, (cid, point)
+            eps, margin, e = _gradient_expansion(chart, point)
+            assert abs(-eps * e + 0.5 * psi * margin) < 1e-7, (cid, point)
 
 
 POSITIVE_BASES = {
