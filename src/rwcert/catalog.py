@@ -148,8 +148,6 @@ _ENTRIES = [
 
 CATALOG = {entry.entry_id: entry for entry in sorted(_ENTRIES, key=lambda e: e.entry_id)}
 
-LOCALLY_RW_IDS = tuple(e.entry_id for e in CATALOG.values() if e.expected == "LocallyRW")
-
 
 def list_catalog() -> list[CatalogEntry]:
     """Catalog entries in stable (id-sorted) order."""

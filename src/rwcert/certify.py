@@ -13,7 +13,7 @@ shear law, closedness of (h - eps f) u-flat, and the geodesy diagnostic
 
 The algebraic residuals are measured in adapted-frame components: the model
 term is folded into the curvature once per point, and a few matmuls contract
-it with a pool of seeded spatial directions (see isotropy_residuals).
+it with a pool of seeded spatial directions (see _isotropy).
 
 certify works on chunks of CHUNK = 16 sample points: geometry_chunk evaluates
 a chunk's order-3 geometry in one pass, and one call of the battery
@@ -21,8 +21,8 @@ a chunk's order-3 geometry in one pass, and one call of the battery
 array operations over a leading chunk axis.  Per point stay only the random
 draws, since each sample draws from its own child of the seed in the order
 and block sizes of one sample at a time, and eq14's (pool, pool, n, pool)
-product.  sample_point and isotropy_residuals run the same body on a chunk
-of one; they are on no hot path.
+product.  sample_point runs the same body on a chunk of one; it is on no
+hot path.
 
 The chunk is bounded by memory, not speed: it holds every tensor of every
 point in it.  certify(256) on flrw_closed_osc peaks at 1.69 MB of traced
@@ -108,7 +108,7 @@ def extract_invariants(geom: PointGeometry, frame: Frame) -> tuple:
     over a chunk (where a failed check raises for the whole chunk).
 
     f comes from the plane (e_1, u), h from (e_1, e_2).  Cross-validation over
-    random plane choices happens in isotropy_residuals, not here.
+    random plane choices happens in _isotropy, not here.
     """
     if geom.dim < 4:
         raise CertificationInputError(f"certification needs dim >= 4, got {geom.dim}")
@@ -228,26 +228,11 @@ def _draws(geom: PointGeometry, frame: Frame, rngs: list) -> tuple:
     return pool, xs, ys, errors
 
 
-def isotropy_residuals(geom: PointGeometry, frame: Frame, f: float, h: float,
-                       rng=None) -> dict[str, float]:
-    """The five algebraic residuals, maximized over frame vectors and random
-    unit combinations orthogonal to u: _isotropy on a chunk of one."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    residuals, errors = _isotropy(*_chunk_of_one(geom, frame), np.array([f]), np.array([h]),
-                                  [rng])
-    if errors[0] is not None:
-        raise errors[0]
-    return {key: values[0] for key, values in residuals.items()}
-
-
-def _chunk_of_one(geom: PointGeometry, frame: Frame) -> tuple[PointGeometry, Frame]:
-    return stack_geometry([geom]), Frame(frame.vectors[None], frame.etas[None], frame.g[None])
-
-
 def _isotropy(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np.ndarray,
               rngs: list) -> tuple[dict, list]:
-    """isotropy_residuals over a chunk: each residual as a list over rows, and
-    each row's FrameError or None.
+    """The five algebraic residuals at each row of a chunk, maximized over
+    frame vectors and random unit combinations orthogonal to u: each residual
+    as a list over rows, and each row's FrameError or None.
 
     Every residual vector w is measured by the frame norm |M w| with
     M = diag(etas) V g (V the frame rows), so each check is a tensor in frame

@@ -1,4 +1,4 @@
-"""Metric expression language: tokenizer, parser, printer, jet compiler.
+"""Metric expression language: tokenizer, parser, jet compiler.
 
 Grammar, loosest to tightest binding:
 
@@ -233,23 +233,6 @@ def parse_expr(text: str, coords: Sequence[str], params) -> Expr:
     if not text.strip():
         raise ExprError("empty expression", 0)
     return _Parser(text, coords, params).parse()
-
-
-# -- printing ------------------------------------------------------------------
-
-def format_expr(node: Expr) -> str:
-    """Fully parenthesized rendering; reparsing yields a structurally equal AST."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (CoordRef, ParamRef)):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{format_expr(node.child)})"
-    if isinstance(node, BinOp):
-        return f"({format_expr(node.left)} {node.op} {format_expr(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({format_expr(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- compilation and evaluation ---------------------------------------------------

@@ -15,9 +15,9 @@ documented convention distinguishes reports, never the verdicts.
 
 All matrix-valued results carry first coordinate derivatives; with order=3 the
 lowered Riemann tensor does too, which is what the differential checks (df, dh,
-closedness, second Bianchi) consume.  Only certify's residual battery evaluates
-order 3: the foliation runs on order 2 and transport on order 1.  Residuals are
-reported relative to 1 + max |R_{rsmn}| at the point.
+closedness) consume.  Only certify's residual battery evaluates order 3: the
+foliation runs on order 2 and transport on order 1.  Residuals are reported
+relative to 1 + max |R_{rsmn}| at the point.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .jets import Jet3
 UNIT_TOL = 1e-8          # |g(u,u)| must be within this of 1
 PIVOT_TOL = 1e-6         # Gram-Schmidt rejects pivots with |g(v,v)| below this
 DET_TOL = 1e-10          # scaled |det g| below this is degenerate
-PLANE_TOL = 1e-10        # scaled Gram determinant below this is a degenerate plane
 MAX_PIVOT_TRIES = 32
 
 
@@ -45,10 +44,6 @@ class OutsideDomainError(GeometryError):
 
 
 class DegenerateMetricError(GeometryError):
-    pass
-
-
-class DegeneratePlaneError(GeometryError):
     pass
 
 
@@ -431,21 +426,6 @@ def _overflow(points: np.ndarray, what: str, err: OverflowError) -> DegenerateMe
     return DegenerateMetricError(f"{what} overflows at {points.tolist()}: {err}")
 
 
-def sectional_curvature(geom: PointGeometry, v, w) -> float:
-    """K(span(v, w)) = R(v,w,w,v) / (g(v,v) g(w,w) - g(v,w)^2)."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    vn = v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else v
-    wn = w / np.linalg.norm(w) if np.linalg.norm(w) > 0 else w
-    scaled_gram = geom.ip(vn, vn) * geom.ip(wn, wn) - geom.ip(vn, wn)**2
-    if abs(scaled_gram) <= PLANE_TOL:
-        raise DegeneratePlaneError(
-            f"plane degenerate (scaled Gram determinant {scaled_gram:.3e})")
-    numerator = float(np.einsum('asmn,a,s,m,n->', geom.riemann_low, v, w, v, w))
-    denominator = geom.ip(v, v) * geom.ip(w, w) - geom.ip(v, w)**2
-    return numerator / denominator
-
-
 @dataclass
 class Frame:
     """Orthonormal frame rows e_0..e_{n-1} with e_0 = u; etas[a] = g(e_a, e_a).
@@ -472,30 +452,19 @@ class Frame:
         return _scalar(np.sqrt(_dot(c, c)))
 
 
-def adapted_frame(geom: PointGeometry, rng=None) -> Frame:
-    """Complete u to an orthonormal frame by pivoted Gram-Schmidt.
+def adapted_frames(g: np.ndarray, u: np.ndarray, rngs: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """Complete u to an orthonormal frame by pivoted Gram-Schmidt at each row
+    of (B, n, n) metrics and (B, n) fields u, row b drawing from rngs[b]: the
+    frame vectors [b, a, :], their etas [b, a] and each row's exception, None
+    where the row has its frame.
 
     Pivot candidates are the coordinate axes in rng-shuffled order; a candidate
     is rejected when, after projection, its unit-coordinate-norm version has
     |g(v,v)| < PIVOT_TOL (this is what near-null directions look like).  Up to
-    MAX_PIVOT_TRIES random axis mixtures are tried afterwards.  Deterministic
-    for a given rng state.  This is adapted_frames on a chunk of one.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    vectors, etas, errors = adapted_frames(geom.g[None], geom.u[None], [rng])
-    if errors[0] is not None:
-        raise errors[0]
-    return Frame(vectors[0], etas[0], geom.g)
-
-
-def adapted_frames(g: np.ndarray, u: np.ndarray, rngs: list) -> tuple[np.ndarray, np.ndarray, list]:
-    """adapted_frame at each row of (B, n, n) metrics and (B, n) fields u, row
-    b drawing from rngs[b]: the frame vectors [b, a, :], their etas [b, a]
-    and each row's exception, None where the row has its frame.
-
-    Slot a is filled, one pivot attempt at a time, for all rows that still
-    lack it; each row keeps its own place in its shuffled axes and draws its
-    random mixtures from its own rng.
+    MAX_PIVOT_TRIES random axis mixtures are tried afterwards.  Slot a is
+    filled, one pivot attempt at a time, for all rows that still lack it; each
+    row keeps its own place in its shuffled axes and draws its random mixtures
+    from its own rng, so a row's frame is deterministic for its rng state.
     """
     rows, n = u.shape
     q = _bilinear(u, g, u)
@@ -574,42 +543,3 @@ def trace_invariants(geom: PointGeometry, gradients: bool = False) -> tuple:
           + np.einsum('...rm,...psn,...rsmn->...p', pi_up, dpi_up, geom.riemann_low)
           + np.einsum('...rm,...sn,...prsmn->...p', pi_up, pi_up, geom.driemann_low))
     return invariants + (df, ds / ((n - 1) * (n - 2)))
-
-
-# -- tensor identity residuals (engine self-checks) ----------------------------
-
-def riemann_symmetry_residuals(geom: PointGeometry) -> dict[str, float]:
-    """Relative residuals of the algebraic Riemann identities."""
-    R = geom.riemann_low
-    scale = geom.residual_scale
-    return {
-        "antisym_first_pair": float(np.abs(R + np.einsum('srmn->rsmn', R)).max()) / scale,
-        "antisym_second_pair": float(np.abs(R + np.einsum('rsnm->rsmn', R)).max()) / scale,
-        "pair_exchange": float(np.abs(R - np.einsum('mnrs->rsmn', R)).max()) / scale,
-        "first_bianchi": float(np.abs(R + np.einsum('rmns->rsmn', R)
-                                      + np.einsum('rnsm->rsmn', R)).max()) / scale,
-    }
-
-
-def covariant_riemann_derivative(geom: PointGeometry) -> np.ndarray:
-    """nabla_p R_{rsmn} from the stored gradient plus connection corrections."""
-    if geom.driemann_low is None:
-        raise GeometryError("second Bianchi requires geometry evaluated with order=3")
-    R, gamma = geom.riemann_low, geom.gamma
-    return (geom.driemann_low
-            - np.einsum('apr,asmn->prsmn', gamma, R)
-            - np.einsum('aps,ramn->prsmn', gamma, R)
-            - np.einsum('apm,rsan->prsmn', gamma, R)
-            - np.einsum('apn,rsma->prsmn', gamma, R))
-
-
-def second_bianchi_residual(geom: PointGeometry) -> float:
-    nabla_r = covariant_riemann_derivative(geom)
-    cyc = (nabla_r + np.einsum('mrsnp->prsmn', nabla_r) + np.einsum('nrspm->prsmn', nabla_r))
-    return float(np.abs(cyc).max()) / (1.0 + float(np.abs(nabla_r).max()))
-
-
-def metric_compatibility_residual(geom: PointGeometry) -> float:
-    nabla_g = (geom.dg - np.einsum('ali,aj->lij', geom.gamma, geom.g)
-               - np.einsum('alj,ia->lij', geom.gamma, geom.g))
-    return float(np.abs(nabla_g).max()) / (1.0 + float(np.abs(geom.dg).max()))

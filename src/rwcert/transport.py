@@ -27,7 +27,7 @@ import numpy as np
 
 from .chart import ChartSpec
 from .exprs import Expr, ExprError, compile_exprs, parse_expr
-from .geometry import (OutsideDomainError, PointGeometry, UNIT_TOL, chunk_row, geometry_at,
+from .geometry import (OutsideDomainError, PointGeometry, chunk_row, geometry_at,
                        geometry_chunk)
 from .integrate import doubled, rk4, stage_taus
 from .jets import Jet3
@@ -36,6 +36,7 @@ UNIT_SPEED_TOL = 1e-6
 REPARAM_LIMIT = 1e-2       # relative speed error fixable by pointwise normalization
 STEP = 1e-3                # default integration step in the curve parameter
 ENDPOINT_TOL = 1e-8        # step-halving convergence on the transported vector
+MAX_HALVINGS = 6           # step doublings before transport gives up
 _SPEED_SAMPLES = 65
 CHUNK = 64                 # steps per row fold; explicit-curve stage points per batch
 
@@ -95,19 +96,6 @@ class CurveSpec:
         if not np.isfinite(steps):
             raise CurveError(f"range [{self.t0}, {self.t1}] is too long for steps of {STEP}")
         return max(1, int(round(steps)))
-
-
-def fermi_derivative(geom: PointGeometry, u, accel, X, dX) -> np.ndarray:
-    """D_u X from the pointwise data (dX is nabla_u X)."""
-    u = np.asarray(u, dtype=float)
-    q = geom.ip(u, u)
-    if abs(abs(q) - 1.0) > UNIT_TOL:
-        raise TransportError(f"transport direction is not unit: g(u,u) = {q!r}")
-    eps = 1.0 if q > 0 else -1.0
-    X = np.asarray(X, dtype=float)
-    accel = np.asarray(accel, dtype=float)
-    return (np.asarray(dX, dtype=float)
-            + eps * geom.ip(X, accel) * u - eps * geom.ip(X, u) * accel)
 
 
 @dataclass
@@ -299,7 +287,6 @@ class _Driver:
         if abs(abs(q) - 1.0) > 1e-6:
             raise CurveError(f"curve tangent is not unit at the start: g(u,u) = {q!r}")
         self.epsilon = 1.0 if q > 0 else -1.0
-        self.start = geom0, tangent0        # (geom, tangent) at the start of the curve
 
     def _context(self, tau: float, state: np.ndarray):
         """(x, unit tangent, acceleration, geom, speed) at the current
@@ -361,23 +348,17 @@ class _Driver:
         return np.array(stages[0::2]), points, tangents, metrics, vectors
 
 
-def transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None = None,
-              max_halvings: int = 6) -> TransportResult:
+def transport(chart: ChartSpec, curve: CurveSpec, X0,
+              steps: int | None = None) -> TransportResult:
     """Fermi-transport X0 along the curve (solves D_u X = 0).
 
-    Fixed-step RK4; the step count doubles until the endpoint vector moves by
-    less than ENDPOINT_TOL, and a TransportError is raised when it still has
-    not after `max_halvings` doublings (max_halvings=0 is one fixed-step run).
-    The returned table is sampled at the requested resolution regardless of
+    X0 is one vector or a stack of rows, such as a whole frame.  Fixed-step
+    RK4; the step count doubles until the endpoint vector moves by less than
+    ENDPOINT_TOL, and a TransportError is raised when it still has not after
+    MAX_HALVINGS doublings (MAX_HALVINGS = 0 is one fixed-step run).  The
+    returned table is sampled at the requested resolution regardless of
     internal refinement.
     """
-    return _transport(chart, curve, X0, steps, max_halvings)
-
-
-def _transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None,
-               max_halvings: int, check_start=None) -> TransportResult:
-    """transport(), with check_start(geom, tangent) run at the curve start
-    before integrating."""
     X0_rows = np.atleast_2d(np.asarray(X0, dtype=float))
     if not np.all(np.isfinite(X0_rows)):
         raise TransportError("initial vector must be finite")
@@ -385,12 +366,10 @@ def _transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None,
     if base_steps < 1:
         raise CurveError(f"transport needs at least one step, got {base_steps}")
     driver = _Driver(chart, curve)
-    if check_start is not None:
-        check_start(*driver.start)
     run = doubled(lambda counts: (driver.integrate(X0_rows, steps) for steps in counts),
                   base_steps,
                   lambda coarse, fine: float(np.abs(fine[-1][-1] - coarse[-1][-1]).max()),
-                  ENDPOINT_TOL, max_halvings)
+                  ENDPOINT_TOL, MAX_HALVINGS)
     if not run.converged:
         raise TransportError(
             f"transport did not converge: the endpoint vector still moved by "
@@ -402,24 +381,6 @@ def _transport(chart: ChartSpec, curve: CurveSpec, X0, steps: int | None,
                            vectors=vectors[:, 0, :] if squeeze else vectors,
                            metrics=metrics, epsilon=driver.epsilon, steps=base_steps,
                            refined_steps=run.steps, endpoint_change=run.change)
-
-
-def fermi_frame(chart: ChartSpec, curve: CurveSpec, frame0,
-                steps: int | None = None) -> TransportResult:
-    """Transport a whole orthonormal frame whose last vector is the tangent."""
-    frame0 = np.asarray(frame0, dtype=float)
-    n = chart.dim
-    if frame0.shape != (n, n):
-        raise TransportError(f"frame must be {n}x{n}")
-
-    def check_start(geom0, tangent0):
-        gram = frame0 @ geom0.g @ frame0.T
-        if float(np.abs(np.abs(gram) - np.eye(n)).max()) > 1e-6:
-            raise TransportError("frame0 is not orthonormal at the curve start")
-        if float(np.abs(frame0[-1] - tangent0).max()) > 1e-6:
-            raise TransportError("last frame vector must equal the curve tangent")
-
-    return _transport(chart, curve, frame0, steps, 6, check_start)
 
 
 def gram_drift(chart: ChartSpec, result: TransportResult) -> float:

@@ -1,0 +1,149 @@
+"""Reference implementations kept outside the package.
+
+Nothing in rwcert calls these; the tests compare the package against them.
+The Riemann-identity residuals self-check the curvature engine,
+`sectional_curvature` restates the plane invariants from their definition,
+`adapted_frame` and `isotropy_residuals` are the batched frame and battery
+on one point, `fermi_derivative` states the transport law point by point
+for the batched generators, and `format_expr` prints an AST for the
+parser's round-trip test.
+"""
+
+import numpy as np
+
+from rwcert.catalog import CATALOG
+from rwcert.certify import _isotropy
+from rwcert.exprs import BinOp, Call, CoordRef, Expr, Neg, Num, ParamRef
+from rwcert.geometry import (UNIT_TOL, Frame, GeometryError, PointGeometry, adapted_frames,
+                             stack_geometry)
+from rwcert.transport import TransportError
+
+PLANE_TOL = 1e-10        # scaled Gram determinant below this is a degenerate plane
+
+LOCALLY_RW_IDS = tuple(e.entry_id for e in CATALOG.values() if e.expected == "LocallyRW")
+
+
+class DegeneratePlaneError(GeometryError):
+    pass
+
+
+# -- geometry ------------------------------------------------------------------
+
+def sectional_curvature(geom: PointGeometry, v, w) -> float:
+    """K(span(v, w)) = R(v,w,w,v) / (g(v,v) g(w,w) - g(v,w)^2)."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    vn = v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else v
+    wn = w / np.linalg.norm(w) if np.linalg.norm(w) > 0 else w
+    scaled_gram = geom.ip(vn, vn) * geom.ip(wn, wn) - geom.ip(vn, wn)**2
+    if abs(scaled_gram) <= PLANE_TOL:
+        raise DegeneratePlaneError(
+            f"plane degenerate (scaled Gram determinant {scaled_gram:.3e})")
+    numerator = float(np.einsum('asmn,a,s,m,n->', geom.riemann_low, v, w, v, w))
+    denominator = geom.ip(v, v) * geom.ip(w, w) - geom.ip(v, w)**2
+    return numerator / denominator
+
+
+def adapted_frame(geom: PointGeometry, rng=None) -> Frame:
+    """Complete u to an orthonormal frame by pivoted Gram-Schmidt.
+
+    Pivot candidates are the coordinate axes in rng-shuffled order; a candidate
+    is rejected when, after projection, its unit-coordinate-norm version has
+    |g(v,v)| < PIVOT_TOL (this is what near-null directions look like).  Up to
+    MAX_PIVOT_TRIES random axis mixtures are tried afterwards.  Deterministic
+    for a given rng state.  This is adapted_frames on a chunk of one.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    vectors, etas, errors = adapted_frames(geom.g[None], geom.u[None], [rng])
+    if errors[0] is not None:
+        raise errors[0]
+    return Frame(vectors[0], etas[0], geom.g)
+
+
+# -- tensor identity residuals (engine self-checks) ----------------------------
+
+def riemann_symmetry_residuals(geom: PointGeometry) -> dict[str, float]:
+    """Relative residuals of the algebraic Riemann identities."""
+    R = geom.riemann_low
+    scale = geom.residual_scale
+    return {
+        "antisym_first_pair": float(np.abs(R + np.einsum('srmn->rsmn', R)).max()) / scale,
+        "antisym_second_pair": float(np.abs(R + np.einsum('rsnm->rsmn', R)).max()) / scale,
+        "pair_exchange": float(np.abs(R - np.einsum('mnrs->rsmn', R)).max()) / scale,
+        "first_bianchi": float(np.abs(R + np.einsum('rmns->rsmn', R)
+                                      + np.einsum('rnsm->rsmn', R)).max()) / scale,
+    }
+
+
+def covariant_riemann_derivative(geom: PointGeometry) -> np.ndarray:
+    """nabla_p R_{rsmn} from the stored gradient plus connection corrections."""
+    if geom.driemann_low is None:
+        raise GeometryError("second Bianchi requires geometry evaluated with order=3")
+    R, gamma = geom.riemann_low, geom.gamma
+    return (geom.driemann_low
+            - np.einsum('apr,asmn->prsmn', gamma, R)
+            - np.einsum('aps,ramn->prsmn', gamma, R)
+            - np.einsum('apm,rsan->prsmn', gamma, R)
+            - np.einsum('apn,rsma->prsmn', gamma, R))
+
+
+def second_bianchi_residual(geom: PointGeometry) -> float:
+    nabla_r = covariant_riemann_derivative(geom)
+    cyc = (nabla_r + np.einsum('mrsnp->prsmn', nabla_r) + np.einsum('nrspm->prsmn', nabla_r))
+    return float(np.abs(cyc).max()) / (1.0 + float(np.abs(nabla_r).max()))
+
+
+def metric_compatibility_residual(geom: PointGeometry) -> float:
+    nabla_g = (geom.dg - np.einsum('ali,aj->lij', geom.gamma, geom.g)
+               - np.einsum('alj,ia->lij', geom.gamma, geom.g))
+    return float(np.abs(nabla_g).max()) / (1.0 + float(np.abs(geom.dg).max()))
+
+
+# -- certify -------------------------------------------------------------------
+
+def isotropy_residuals(geom: PointGeometry, frame: Frame, f: float, h: float,
+                       rng=None) -> dict[str, float]:
+    """The five algebraic residuals, maximized over frame vectors and random
+    unit combinations orthogonal to u: _isotropy on a chunk of one."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    residuals, errors = _isotropy(*_chunk_of_one(geom, frame), np.array([f]), np.array([h]),
+                                  [rng])
+    if errors[0] is not None:
+        raise errors[0]
+    return {key: values[0] for key, values in residuals.items()}
+
+
+def _chunk_of_one(geom: PointGeometry, frame: Frame) -> tuple[PointGeometry, Frame]:
+    return stack_geometry([geom]), Frame(frame.vectors[None], frame.etas[None], frame.g[None])
+
+
+# -- transport -----------------------------------------------------------------
+
+def fermi_derivative(geom: PointGeometry, u, accel, X, dX) -> np.ndarray:
+    """D_u X from the pointwise data (dX is nabla_u X)."""
+    u = np.asarray(u, dtype=float)
+    q = geom.ip(u, u)
+    if abs(abs(q) - 1.0) > UNIT_TOL:
+        raise TransportError(f"transport direction is not unit: g(u,u) = {q!r}")
+    eps = 1.0 if q > 0 else -1.0
+    X = np.asarray(X, dtype=float)
+    accel = np.asarray(accel, dtype=float)
+    return (np.asarray(dX, dtype=float)
+            + eps * geom.ip(X, accel) * u - eps * geom.ip(X, u) * accel)
+
+
+# -- exprs ---------------------------------------------------------------------
+
+def format_expr(node: Expr) -> str:
+    """Fully parenthesized rendering; reparsing yields a structurally equal AST."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, (CoordRef, ParamRef)):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{format_expr(node.child)})"
+    if isinstance(node, BinOp):
+        return f"({format_expr(node.left)} {node.op} {format_expr(node.right)})"
+    if isinstance(node, Call):
+        return f"{node.fn}({format_expr(node.arg)})"
+    raise TypeError(f"not an expression node: {node!r}")

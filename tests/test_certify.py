@@ -9,16 +9,16 @@ import pytest
 
 from rwcert import catalog
 from rwcert.certify import (DEFAULT_TOL_MARGIN, CertificationInputError, CertifyConfig,
-                            RESIDUAL_KEYS, certify, extract_invariants,
-                            isotropy_residuals, sample_point)
+                            RESIDUAL_KEYS, certify, extract_invariants, sample_point)
 from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError
 from rwcert.geometry import (MAX_PIVOT_TRIES, Frame, FrameError, GeometryError,
-                             UnitVectorError, adapted_frame, adapted_frames, chunk_row,
-                             geometry_at, geometry_chunk, sectional_curvature, stack_geometry)
+                             UnitVectorError, adapted_frames, chunk_row, geometry_at,
+                             geometry_chunk, stack_geometry)
 from rwcert.geometry import PIVOT_TOL as FRAME_PIVOT_TOL
 
 from conftest import domain_points
+from oracles import LOCALLY_RW_IDS, adapted_frame, isotropy_residuals, sectional_curvature
 
 certify_module = importlib.import_module("rwcert.certify")   # `rwcert.certify` is the function
 geometry_module = importlib.import_module("rwcert.geometry")
@@ -164,7 +164,7 @@ def test_normalize_u_rescues_scaled_field():
 
 def test_implication_eq13_eq14_force_consequences(charts):
     """Small eq13/eq14 must force a43/a44/skewA1 small (checked, not assumed)."""
-    for cid in catalog.LOCALLY_RW_IDS:
+    for cid in LOCALLY_RW_IDS:
         chart = charts[cid]
         for point in domain_points(chart, 5, seed=23):
             sample = sample_point(chart, point, rng=np.random.default_rng(3))
@@ -174,7 +174,7 @@ def test_implication_eq13_eq14_force_consequences(charts):
 
 
 def test_extraction_frame_independent(charts):
-    for cid in catalog.LOCALLY_RW_IDS:
+    for cid in LOCALLY_RW_IDS:
         chart = charts[cid]
         point = domain_points(chart, 1, seed=29)[0]
         values = []
@@ -190,7 +190,7 @@ def test_extraction_frame_independent(charts):
 def test_sectional_curvature_restatement(charts):
     """K of planes containing u agrees over frame vectors; same for orthogonal
     spatial pairs."""
-    for cid in catalog.LOCALLY_RW_IDS:
+    for cid in LOCALLY_RW_IDS:
         chart = charts[cid]
         point = domain_points(chart, 1, seed=31)[0]
         geom = geometry_at(chart, point)

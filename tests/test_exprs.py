@@ -7,11 +7,12 @@ import pytest
 
 from rwcert.exprs import (BinOp, Call, EvalDomainError, ExprError, Neg, Num,
                           ParamRef, UnknownIdentifierError, compile_expr,
-                          compile_exprs, eval_expr, format_expr, parse_expr)
+                          compile_exprs, eval_expr, parse_expr)
 from rwcert import jets
 from rwcert.jets import Jet3
 
 from conftest import draw_expr_case, eval_real
+from oracles import format_expr
 
 
 def test_precedence_mul_pow_call():

@@ -9,16 +9,15 @@ import pytest
 from rwcert import catalog
 from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError, eval_expr
-from rwcert.geometry import (DegenerateMetricError, DegeneratePlaneError, GeometryError,
-                             OutsideDomainError, PointGeometry, UnitVectorError,
-                             adapted_frame, chunk_row, geometry_at, geometry_chunk,
-                             metric_compatibility_residual,
-                             riemann_symmetry_residuals, second_bianchi_residual,
-                             sectional_curvature, stack_geometry,
-                             trace_invariants)
+from rwcert.geometry import (DegenerateMetricError, GeometryError, OutsideDomainError,
+                             PointGeometry, UnitVectorError, chunk_row, geometry_at,
+                             geometry_chunk, stack_geometry, trace_invariants)
 from rwcert.jets import Jet3
 
 from conftest import domain_points
+from oracles import (DegeneratePlaneError, adapted_frame, metric_compatibility_residual,
+                     riemann_symmetry_residuals, second_bianchi_residual,
+                     sectional_curvature)
 
 
 def test_minkowski_is_flat(charts):

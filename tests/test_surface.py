@@ -1,0 +1,96 @@
+"""The package's public surface is what the command line, the benchmark and
+`rwcert.__all__` reach.
+
+Every public top-level function, class and constant of `src/rwcert` must be
+referenced from outside its own definition: by code in the package, by code
+or a string constant in `bench/*.py` (the TRACED table names functions by
+string), or by `rwcert.__all__`.  Docstrings and imports do not count, and
+neither do the tests, so a reference implementation that only the tests call
+belongs in tests/oracles.py.
+"""
+
+import ast
+from pathlib import Path
+
+import rwcert
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rwcert"
+BENCH = ROOT / "bench"
+
+
+def _docstrings(tree: ast.AST) -> set:
+    """The ids of the docstring constants of a module and its defs."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                ids.add(id(body[0].value))
+    return ids
+
+
+def _references(node: ast.AST, strings: bool, skip=frozenset()) -> set:
+    """Names read, attributes taken and, with `strings`, string constants
+    other than those whose ids are in `skip`, anywhere under node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif (strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and id(sub) not in skip):
+            found.add(sub.value)
+    return found
+
+
+def _defined(statement: ast.stmt) -> list:
+    """The public names a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        names = [statement.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def _unreferenced(package: Path, bench: Path, exported) -> list:
+    """(module, name) of each public definition in package/*.py that nothing
+    outside it reaches."""
+    reached = set(exported)
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reached |= _references(tree, strings=True, skip=_docstrings(tree))
+    definitions, elsewhere = [], {}
+    for path in sorted(package.glob("*.py")):
+        for index, statement in enumerate(ast.parse(path.read_text()).body):
+            for name in _defined(statement):
+                definitions.append((path.stem, name, index))
+            for name in _references(statement, strings=False):
+                elsewhere.setdefault(name, set()).add((path.stem, index))
+    return [(module, name) for module, name, index in definitions
+            if name not in reached and elsewhere.get(name, set()) <= {(module, index)}]
+
+
+def test_every_public_definition_is_reached():
+    assert _unreferenced(PACKAGE, BENCH, rwcert.__all__) == []
+
+
+def test_the_check_sees_a_definition_only_its_own_body_reads(tmp_path):
+    """A recursive function that nothing else calls is still unreferenced,
+    and a bench docstring that names it does not reach it."""
+    package, bench = tmp_path / "src" / "rwcert", tmp_path / "bench"
+    package.mkdir(parents=True)
+    bench.mkdir()
+    (package / "mod.py").write_text(
+        "LIMIT = 3\n\n\n"
+        "def used(n):\n    return n < LIMIT\n\n\n"
+        "def walk(n):\n    return walk(n - 1) if used(n) else n\n")
+    (bench / "spans.py").write_text('"""walk"""\nTRACED = (("rwcert.mod", "used", "used"),)\n')
+    assert _unreferenced(package, bench, []) == [("mod", "walk")]
+    assert _unreferenced(package, bench, ["walk"]) == []

@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from rwcert.geometry import GeometryError, adapted_frame, geometry_at
+from rwcert import transport as transport_module
+from rwcert.geometry import geometry_at
 from rwcert.transport import (CurveError, CurveSpec, DomainExitError, TransportError,
-                              _ExplicitCurve, fermi_derivative, fermi_frame, gram_drift,
-                              transport)
+                              _ExplicitCurve, gram_drift, transport)
+
+from oracles import adapted_frame, fermi_derivative
+
+
+def _one_run(chart, curve, X0, steps):
+    """transport() as one fixed-step run, with MAX_HALVINGS patched to 0."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport_module, "MAX_HALVINGS", 0)
+        return transport(chart, curve, X0, steps=steps)
 
 
 def test_fermi_derivative_of_u_vanishes(charts):
@@ -112,7 +121,7 @@ def test_fermi_frame_constant_in_flat_space(charts):
     frame = adapted_frame(geom, rng=np.random.default_rng(0))
     rows = np.vstack([frame.spatial, [frame.vectors[0]]])   # tangent goes last
     curve = CurveSpec.geodesic([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], t1=1.0)
-    result = fermi_frame(chart, curve, rows, steps=100)
+    result = transport(chart, curve, rows, steps=100)
     assert np.abs(result.vectors - rows).max() < 1e-12
 
 
@@ -123,26 +132,14 @@ def test_fermi_frame_rindler_drift(charts):
                        [0.0, 0.0, 1.0, 0.0],
                        [0.0, 0.0, 0.0, 1.0],
                        [1.0, 0.0, 0.0, 0.0]])   # last row = tangent at s=0
-    result = fermi_frame(chart, curve, frame0, steps=1000)
+    result = transport(chart, curve, frame0, steps=1000)
     assert gram_drift(chart, result) < 1e-8
     assert np.abs(result.vectors[-1][3] - result.tangents[-1]).max() < 1e-8
 
 
-def test_fermi_frame_validation(charts):
-    chart = charts["minkowski"]
-    curve = CurveSpec.geodesic([0, 0, 0, 0], [1.0, 0, 0, 0], t1=0.5)
-    bad = np.eye(4)   # last row is d_z, not the tangent
-    with pytest.raises(TransportError, match="last frame vector"):
-        fermi_frame(chart, curve, bad, steps=10)
-    skewed = np.eye(4) * 2.0
-    with pytest.raises(TransportError, match="orthonormal"):
-        fermi_frame(chart, curve, skewed, steps=10)
-
-
 def _geodesic(chart, p, v, length, steps):
     """One fixed-step run along the geodesic from p with velocity v, carrying v."""
-    return transport(chart, CurveSpec.geodesic(p, v, t1=length), v, steps=steps,
-                     max_halvings=0)
+    return _one_run(chart, CurveSpec.geodesic(p, v, t1=length), v, steps)
 
 
 def _norm_drift(result) -> float:
@@ -222,7 +219,7 @@ def test_normalized_curve_carries_its_tangent_in_curved_space(charts, name, expr
     because the Fermi-Walker term is skew for any acceleration."""
     chart = charts[name]
     curve = CurveSpec.explicit(exprs, t0=0.0, t1=1.0)
-    start = transport(chart, curve, np.zeros(4), steps=1, max_halvings=0)
+    start = _one_run(chart, curve, np.zeros(4), 1)
     result = transport(chart, curve, start.tangents[0], steps=200)
     assert np.abs(result.vectors - result.tangents).max() < 1e-8
     assert gram_drift(chart, result) < 1e-8
@@ -314,8 +311,6 @@ def _count_geometry(monkeypatch, batches=None) -> list:
     """Record the order of every point the transport module evaluates, by a
     geometry_at call or as a row of a geometry_chunk call; the size of each
     batch goes to `batches` when it is given."""
-    from rwcert import transport as transport_module
-
     calls = []
     real, real_chunk = transport_module.geometry_at, transport_module.geometry_chunk
 
@@ -343,8 +338,7 @@ def test_geodesic_observe_needs_no_geometry(charts, monkeypatch):
     calls = _count_geometry(monkeypatch)
     curve = CurveSpec.geodesic([3.0, 1.0, 1.5, 1.5], [1.0, 0.0, 0.0, 0.0], t1=0.05)
     steps = 10
-    result = transport(charts["flrw_closed_osc"], curve, [0.0, 0.2, 0.1, -0.05],
-                       steps=steps, max_halvings=0)
+    result = _one_run(charts["flrw_closed_osc"], curve, [0.0, 0.2, 0.1, -0.05], steps)
     assert len(calls) == 1 + 2 * steps
     assert set(calls) == {1}
     assert np.allclose(result.points[:, 0], 3.0 + result.taus, atol=1e-12)   # comoving time
@@ -365,8 +359,8 @@ def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
     for exprs in (["sinh(s)", "cosh(s)", "0", "0"], ["s + 0.002*sin(s)", "0.3", "0", "0"]):
         calls.clear()
         batches.clear()
-        transport(charts["minkowski"], CurveSpec.explicit(exprs, t0=0.0, t1=1.0),
-                  [0.0, 1.0, 0.0, 0.0], steps=steps, max_halvings=0)
+        _one_run(charts["minkowski"], CurveSpec.explicit(exprs, t0=0.0, t1=1.0),
+                 [0.0, 1.0, 0.0, 0.0], steps)
         assert len(calls) == _SPEED_SAMPLES + 2 * steps, exprs
         assert batches == [_SPEED_SAMPLES, 2 * steps], exprs
 
@@ -374,8 +368,8 @@ def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
     batches.clear()
     steps = 200
     rindler = CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"])
-    result = transport(charts["minkowski"], rindler, [0.0, 1.0, 0.0, 0.0], steps=steps,
-                       max_halvings=1)
+    monkeypatch.setattr(transport_module, "MAX_HALVINGS", 1)
+    result = transport(charts["minkowski"], rindler, [0.0, 1.0, 0.0, 0.0], steps=steps)
     assert result.steps == steps
     assert len(calls) == _SPEED_SAMPLES + 2 * steps + 4 * steps
     assert batches == ([_SPEED_SAMPLES] + [CHUNK] * 6 + [2 * steps - 6 * CHUNK]
@@ -387,7 +381,7 @@ def test_explicit_curve_leaving_the_domain_raises_from_its_batch(charts, monkeyp
     unit-speed validation: the batch's first failing row raises what the
     one-point path raises there, and only the 58 failing rows are evaluated
     alone, by geometry_chunk; the point path evaluates none again."""
-    from rwcert import geometry, transport as transport_module
+    from rwcert import geometry
     from rwcert.geometry import OutsideDomainError
 
     calls = []
@@ -415,7 +409,7 @@ def test_comoving_u_curve_evaluates_two_per_step(charts, monkeypatch):
     curve = CurveSpec.integral_curve_of_u([2.0, 0.1, 0.2, 0.3], t1=0.05)
     steps = 10
     x0 = [0.0, 0.25, 0.0, 0.0]
-    transport(charts["flrw_flat_linear"], curve, x0, steps=steps, max_halvings=0)
+    _one_run(charts["flrw_flat_linear"], curve, x0, steps)
     assert len(calls) == 1 + 2 * steps
 
     calls.clear()
@@ -444,16 +438,16 @@ def test_tilted_curves_evaluate_at_most_four_per_step(charts, monkeypatch):
     plane = chart_from_dict(ROTATING_PLANE_DOC)
     calls = _count_geometry(monkeypatch)
     steps = 10
-    result = transport(plane, CurveSpec.integral_curve_of_u([0.0, 0.5], t1=0.5),
-                       [0.0, 1.0], steps=steps, max_halvings=0)
+    result = _one_run(plane, CurveSpec.integral_curve_of_u([0.0, 0.5], t1=0.5),
+                      [0.0, 1.0], steps)
     assert np.ptp(result.tangents[:, 0]) > 0.1      # the tangent does turn
     assert len(calls) == 1 + 4 * steps
 
     calls.clear()
     velocity = [np.sqrt(1.0 + 4.41 * 0.04), 0.2, 0.0, 0.0]    # unit: a(1)^2 = 4.41
-    transport(charts["flrw_open"], CurveSpec.geodesic([1.0, 1.0, 1.2, 1.0], velocity,
-                                                      t1=0.05),
-              [0.0, 1.0, 0.0, 0.0], steps=steps, max_halvings=0)
+    _one_run(charts["flrw_open"], CurveSpec.geodesic([1.0, 1.0, 1.2, 1.0], velocity,
+                                                     t1=0.05),
+             [0.0, 1.0, 0.0, 0.0], steps)
     assert len(calls) == 1 + 4 * steps
 
 
@@ -484,17 +478,17 @@ def test_gram_drift_reads_recorded_metrics(charts, plane_chart, monkeypatch):
         monkeypatch.undo()
 
 
-def test_transport_raises_when_halvings_do_not_converge(charts):
+def test_transport_raises_when_halvings_do_not_converge(charts, monkeypatch):
     """Two coarse steps on a curved geodesic move the endpoint by far more
     than ENDPOINT_TOL after one doubling: an error, not a silent table."""
     velocity = [np.sqrt(1.0 + 4.41 * 0.04), 0.2, 0.0, 0.0]
     curve = CurveSpec.geodesic([1.0, 1.0, 1.2, 1.0], velocity, t1=1.0)
+    monkeypatch.setattr(transport_module, "MAX_HALVINGS", 1)
     with pytest.raises(TransportError, match="did not converge"):
-        transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2,
-                  max_halvings=1)
+        transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2)
     for max_halvings in (0, -1):      # no doubling: one fixed-step run
-        fixed = transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2,
-                          max_halvings=max_halvings)
+        monkeypatch.setattr(transport_module, "MAX_HALVINGS", max_halvings)
+        fixed = transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2)
         assert fixed.steps == 2
 
 
@@ -527,27 +521,6 @@ def test_geodesic_transport_reuses_the_row_geometry(charts, monkeypatch):
         assert np.array_equal(path.tangents[i + 1], state[4:])
         norms.append(abs(geometry_at(chart, state[:4], order=1).ip(state[4:], state[4:])))
     assert _norm_drift(path) == float(np.abs(np.array(norms) - norms[0]).max())
-
-
-def test_fermi_frame_builds_one_driver(charts, monkeypatch):
-    """fermi_frame checks the frame at the start point of the driver it
-    integrates with, so it evaluates exactly as often as transport()."""
-    chart = charts["minkowski"]
-    curve = CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"], t1=1.0)
-    frame0 = np.array([[0.0, 1.0, 0.0, 0.0],
-                       [0.0, 0.0, 1.0, 0.0],
-                       [0.0, 0.0, 0.0, 1.0],
-                       [1.0, 0.0, 0.0, 0.0]])
-    calls = _count_geometry(monkeypatch)
-    framed = fermi_frame(chart, curve, frame0, steps=10)
-    frame_calls = len(calls)
-    calls.clear()
-    plain = transport(chart, curve, frame0, steps=10)
-    assert frame_calls == len(calls)
-    # speed samples, the first of them the start point, then runs of 10, 20,
-    # 40 and 80 steps, each starting from the kept start context
-    assert frame_calls == 65 + 2 * (10 + 20 + 40 + 80)
-    assert np.array_equal(framed.vectors, plain.vectors)
 
 
 def _joint_rk4(chart, curve, X0, steps):
@@ -652,7 +625,7 @@ def test_propagators_equal_a_joint_rk4(charts, plane_chart, case):
 
     chart, curve, x0 = _oracle_cases(charts, plane_chart)[case]
     for steps in (CHUNK - 1, CHUNK, CHUNK + 1):
-        result = transport(chart, curve, x0, steps=steps, max_halvings=0)
+        result = _one_run(chart, curve, x0, steps)
         assert result.refined_steps == steps and result.endpoint_change is None
         _assert_matches_oracle(result, _joint_rk4(chart, curve, x0, steps))
 
@@ -669,7 +642,7 @@ def test_doubled_fermi_frame_equals_a_joint_rk4(charts):
                        [0.0, 0.0, 1.0, 0.0],
                        [0.0, 0.0, 0.0, 1.0],
                        [1.0, 0.0, 0.0, 0.0]])
-    result = fermi_frame(chart, curve, frame0, steps=CHUNK + 1)
+    result = transport(chart, curve, frame0, steps=CHUNK + 1)
     factor = result.refined_steps // result.steps
     assert factor >= 2 and result.refined_steps == factor * (CHUNK + 1)
     assert result.endpoint_change < ENDPOINT_TOL
