@@ -266,31 +266,55 @@ def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: flo
     Plain RK4 with max(4, ceil(steps_per_unit |delta_tau|)) steps.
     """
     require_locally_rw(chart, certificate)
-    ends, errors = _flows(chart, certificate, np.asarray(start, dtype=float)[None],
-                          np.array([delta_tau]), steps_per_unit)
+    states, errors = _flow(chart, certificate, np.asarray(start, dtype=float)[None],
+                           [[0.0, delta_tau] if delta_tau else [0.0]], [steps_per_unit])
     if errors[0] is not None:
         raise errors[0]
-    return ends[0]
+    return states[0][-1][:-2]
 
 
-def _flows(chart: ChartSpec, certificate: Certificate, starts: np.ndarray,
-           deltas: np.ndarray, steps_per_unit: int) -> tuple[np.ndarray, list]:
-    """flow_point from each row of `starts` by deltas[b] in one lockstep rk4
-    call (no step for a delta of 0): the end points, and per row None or the
-    exception that stopped it, a FlowDomainError for leaving the domain."""
-    eps, errors = certificate.epsilon, [None] * len(starts)
+def _flow(chart: ChartSpec, certificate: Certificate, starts: np.ndarray, paths: list,
+          rates: list) -> tuple[list, list]:
+    """Flow state = (x, log a^2, proper time) along d_t from each row of
+    `starts` through its tau path, which starts at 0: per row the states at
+    its path's values, and None or the exception that stopped it (a
+    FlowDomainError for leaving the domain).
 
-    def rhs(_, x, rows):
-        k = np.full_like(x, np.nan)
-        todo = [j for j, b in enumerate(rows) if errors[b] is None]
-        _, u, _, margin, _, errs = _rows(chart, x[todo], certificate.tol_margin)
-        k[todo] = eps * u / margin[:, None]
-        for j, err in zip(todo, errs):
-            errors[rows[j]] = None if err is None else _flow_error(err, x[j])
+    A segment of row b takes max(4, ceil(rates[b] |delta tau|)) RK4 steps.
+    The rows step in lockstep, one rk4 call per segment index, so a stage of
+    every row costs one _rows batch; a row's states and error are bit for
+    bit those of flowing it alone, and a row stops at its error."""
+    eps, tol_margin = certificate.epsilon, certificate.tol_margin
+    y = np.concatenate([starts, np.zeros((len(starts), 2))], axis=1)
+    states, errors = [[row.copy()] for row in y], [None] * len(starts)
+
+    def rhs(_, state, stepping):
+        """The tau derivative of the rows live[stepping], nan at a row with an
+        error; only rows without one take part in the division."""
+        k = np.full_like(state, np.nan)
+        todo = np.array([j for j, r in enumerate(live[stepping]) if errors[r] is None], dtype=int)
+        got = _rows(chart, state[todo, :-2], tol_margin)
+        for j, err in zip(todo, got.errors):
+            if err is not None:
+                errors[live[stepping[j]]] = _flow_error(err, state[j, :-2])
+        ok = np.array([err is None for err in got.errors], dtype=bool)
+        margin = got.margin[ok]
+        _, psi = _slice_terms(got.h[ok], eps, margin, got.expansion[ok])
+        k[todo[ok]] = np.column_stack([eps * got.u[ok] / margin[:, None], psi, 1.0 / np.abs(margin)])
         return k
 
-    steps = np.where(deltas == 0.0, 0, np.maximum(4, np.ceil(np.abs(deltas) * steps_per_unit)))
-    return rk4(rhs, starts, np.zeros(len(starts)), deltas, steps.astype(int)), errors
+    for j in range(1, max(map(len, paths), default=1)):
+        live = np.array([r for r, path in enumerate(paths)
+                         if len(path) > j and errors[r] is None], dtype=int)
+        if not len(live):
+            break
+        t0 = np.array([paths[r][j - 1] for r in live])
+        t1 = np.array([paths[r][j] for r in live])
+        steps = [max(4, int(np.ceil(abs(b - a) * rates[r]))) for r, a, b in zip(live, t0, t1)]
+        y[live] = rk4(rhs, y[live], t0, t1, steps)
+        for r in live:
+            states[r].append(y[r].copy())
+    return states, errors
 
 
 def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
@@ -300,7 +324,11 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
     Fixed-step RK4 with the step count doubled until a(tau) moves by less than
     FLOW_A_TOL at every grid value.  The grid is processed in sorted order;
     tau = 0 (the base slice) is always included.  The levels of the doubling
-    that one request asks for are flowed together (_profile_flows).
+    that one request asks for are flowed together: each (step count,
+    direction) is one row of one _flow call, the forward row chaining the
+    grid values above 0 by distance from the base and the backward row those
+    below.  A failing level raises its forward row's error before its
+    backward row's, as flowing one level and direction at a time would.
     """
     require_locally_rw(chart, certificate)
     base = np.asarray(base, dtype=float)
@@ -308,13 +336,19 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
         raise FlowDomainError(f"base point {base.tolist()} outside the chart domain")
     eps = certificate.epsilon
     taus = np.unique(np.concatenate([[0.0], np.asarray(tau_grid, dtype=float)]))
+    paths = (np.concatenate([[0.0], taus[taus > 0]]),
+             np.concatenate([[0.0], taus[taus < 0][::-1]]))
 
     def run(counts: list[int]):
-        for states, errors in _profile_flows(chart, certificate, base, taus, counts):
-            error = _failed(*errors)        # forward before backward
+        states, errors = _flow(chart, certificate, np.tile(base, (2 * len(counts), 1)),
+                               [path for _ in counts for path in paths],
+                               [count for count in counts for _ in paths])
+        for r in range(0, len(states), 2):
+            error = _failed(*errors[r:r + 2])       # forward before backward
             if error is not None:
                 raise error
-            yield states
+            yield {tau: state for path, row in zip(paths, states[r:r + 2])
+                   for tau, state in zip(path.tolist(), row)}
 
     def a_change(coarse, fine) -> float:
         return max(abs(np.exp(0.5 * fine[t][-2]) - np.exp(0.5 * coarse[t][-2]))
@@ -344,65 +378,6 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
         loop_residual=_diagnostic_loop(chart, certificate, base),
         curvature_sign=sign,
         a_of_s=[(s, a) for s, a in zip(s_vals.tolist(), a_vals)])
-
-
-def _profile_flows(chart: ChartSpec, certificate: Certificate, base: np.ndarray,
-                   taus: np.ndarray, counts: list[int]) -> list[tuple[dict, list]]:
-    """The flow of state = (x, log a^2, proper time) from the base to every
-    grid value, at each of `counts` steps per unit tau: per count the states
-    by grid value and the (forward, backward) errors.
-
-    Each (count, direction) pair is one row.  A direction chains its targets
-    by distance from the base, a segment of max(4, ceil(steps_per_unit
-    |target - prev|)) steps each, and its rows are stepped in lockstep, one
-    rk4 call per segment index, so a stage of every row costs one order-2
-    geometry_chunk call.  A row's states and error are bit for bit those of
-    flowing it alone; a row that fails stops with its own error (a
-    FlowDomainError for leaving the domain), and the rows after it, whose
-    level the caller cannot reach past its error, stop with no error."""
-    eps, tol_margin = certificate.epsilon, certificate.tol_margin
-    paths = (np.concatenate([[0.0], taus[taus > 0]]),
-             np.concatenate([[0.0], taus[taus < 0][::-1]]))
-    rows = [(count, path) for count in counts for path in paths]
-    y = np.tile(np.concatenate([base, [0.0, 0.0]]), (len(rows), 1))
-    states = [{0.0: y[0].copy()} for _ in rows]
-    errors: list = [None] * len(rows)
-
-    def stop() -> int:
-        """The first row with an error, or len(rows): the rows before it step."""
-        return next((r for r, err in enumerate(errors) if err is not None), len(rows))
-
-    def rhs(_, state, stepping):
-        """The tau derivative of the rows `live[stepping]`."""
-        k, cut = np.full_like(state, np.nan), stop()
-        todo = [j for j, r in enumerate(live[stepping]) if r < cut]
-        if not todo:
-            return k
-        x = state[todo, :-2]
-        got = _rows(chart, x, tol_margin)
-        for j, x_j, u, h, margin, e, err in zip(
-                todo, x, got.u, got.h.tolist(), got.margin.tolist(), got.expansion.tolist(),
-                got.errors):
-            if err is not None:
-                errors[live[stepping[j]]] = _flow_error(err, x_j)
-                continue
-            _, psi = _slice_terms(h, eps, margin, e)
-            k[j] = np.concatenate([eps * u / margin, [psi, 1.0 / abs(margin)]])
-        return k
-
-    for j in range(1, max(map(len, paths))):
-        live = np.array([r for r, (_, path) in enumerate(rows[:stop()]) if len(path) > j],
-                        dtype=int)
-        if not len(live):
-            break
-        t0 = np.array([rows[r][1][j - 1] for r in live])
-        t1 = np.array([rows[r][1][j] for r in live])
-        steps = [max(4, int(np.ceil(abs(b - a) * rows[r][0])))
-                 for r, a, b in zip(live, t0, t1)]
-        y[live] = rk4(rhs, y[live], t0, t1, steps)
-        for r, end in zip(live, t1.tolist()):
-            states[r][end] = y[r].copy()
-    return [({**states[r], **states[r + 1]}, errors[r:r + 2]) for r in range(0, len(rows), 2)]
 
 
 def _diagnostic_loop(chart: ChartSpec, certificate: Certificate, base) -> float:
@@ -477,7 +452,10 @@ def _shoot(chart: ChartSpec, certificate: Certificate, base, qs: np.ndarray,
 
     t_q, errors = _integrals(chart, [[base, q] for q in qs], tol_margin)
     live, t_q, q = settle(errors, t_q, qs)
-    p, errors = _flows(chart, certificate, q, target_tau - t_q, 16)
+    states, errors = _flow(chart, certificate, q, [[0.0, delta] if delta else [0.0]
+                                                   for delta in (target_tau - t_q).tolist()],
+                           [16] * len(q))
+    p = np.array([row[-1][:-2] for row in states]).reshape(q.shape)
     live, t_q, q, p = settle(errors, t_q, q, p)
     steps, errors = _integrals(chart, [[a, b] for a, b in zip(q, p)], tol_margin)
     live, p, err = settle(errors, p, t_q + np.array(steps) - target_tau)
@@ -489,8 +467,8 @@ def _shoot(chart: ChartSpec, certificate: Certificate, base, qs: np.ndarray,
         if rounds == 12 or not len(live):
             break
         _, u, _, margin, _, errors = _rows(chart, p, tol_margin)
+        live, p, u, margin, err = settle(errors, p, u, margin, err)
         step = p - (err * eps)[:, None] * u / margin[:, None]
-        live, p, step, err = settle(errors, p, step, err)
         steps, errors = _integrals(chart, [[a, b] for a, b in zip(p, step)], tol_margin)
         live, p, err = settle(errors, step, err + np.array(steps))
     for c in live:

@@ -140,14 +140,13 @@ def geometry_chunk(chart: ChartSpec, points, order: int = 3) -> tuple[PointGeome
     type and with the same text.  The jets carry the batch as a trailing axis
     and the tensor algebra runs over a leading one, so B points cost one jet
     program and one set of einsums.  A row that fails a check of geometry_at
-    is set aside, and geometry_at alone gives its exception: a failing row
-    costs one point evaluation, its neighbours nothing.  Jets that raise (an
-    expression domain error, a zero division, an overflowing float power)
-    stop the pass, and every row is evaluated alone; so is a batch of one,
-    for which a pass costs several geometry_at calls.  A row of the chunk
-    (chunk_row) equals geometry_at at its point bit for bit, unless the chart
-    raises to a non-integer constant power: numpy's array power and Python's
-    float power may round that apart in the last bit.
+    is dropped from the pass with its exception, and costs its neighbours
+    nothing.  Jets that raise (an expression domain error, a zero division,
+    an overflowing float power) stop the pass, and every row is evaluated
+    alone; so is a batch of one, for which a pass costs more than geometry_at.
+    A row of the chunk (chunk_row) equals geometry_at at its point bit for
+    bit, unless the chart raises to a non-integer constant power: numpy's
+    array power and Python's float power may round that apart in the last bit.
     """
     _check_order(order)
     n = chart.dim
@@ -155,26 +154,19 @@ def geometry_chunk(chart: ChartSpec, points, order: int = 3) -> tuple[PointGeome
     if points.ndim != 2 or points.shape[1] != n or not len(points):
         raise GeometryError(f"points must have shape (B, {n}) with B >= 1, "
                             f"got shape {points.shape}")
-    chunk, rows = None, []
     if len(points) > 1:
         try:
-            fields, rows = _evaluate(chart, points, order)
-            chunk = _point_geometry(fields, order) if len(rows) else None
+            fields, rows, errors = _evaluate(chart, points, order)
+            return (_point_geometry(fields, order) if len(rows) else None), errors
         except (GeometryError, ArithmeticError):     # the jets stopped the pass
             pass
-    errors = [None] * len(points)
-    if len(rows) == len(points):
-        return chunk, errors
-    alone = {}
-    for b in sorted(set(range(len(points))).difference(rows)):
+    geoms, errors = [], [None] * len(points)
+    for b, point in enumerate(points):
         try:
-            alone[b] = geometry_at(chart, points[b], order)
+            geoms.append(geometry_at(chart, point, order))
         except (GeometryError, ArithmeticError) as err:
             errors[b] = err
-    if alone:       # rows that evaluate only alone join the chunk in their places
-        alone.update((b, chunk_row(chunk, k)) for k, b in enumerate(rows))
-        chunk = stack_geometry([alone[b] for b in sorted(alone)])
-    return chunk, errors
+    return (stack_geometry(geoms) if geoms else None), errors
 
 
 def chunk_row(chunk: PointGeometry, b: int) -> PointGeometry:
@@ -219,14 +211,16 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
     """The geometry of points of shape (n,) or (B, n) as arrays with the same
     leading batch shape: one body for geometry_at and geometry_chunk.  Returns
     the arrays, in PointGeometry's field order up to du (_point_geometry
-    derives u_norm2), and over a batch the indices of the rows they hold.
+    derives u_norm2), and over a batch the indices of the rows they hold and
+    per row None or its exception.
 
     The checks come in one order: the domain, a finite and non-degenerate
     metric, then a u that can be normalized and is finite.  At a point a
-    failed check raises; over a batch it drops the rows that fail it, so a
-    row outside the domain never reaches the jets and only rows that pass
-    every check reach the curvature, which comes last.  Jets that raise stop
-    a batch too.
+    failed check raises; over a batch it drops the rows that fail it (_keep)
+    and records for each the exception that geometry_at raises at its point,
+    so a row outside the domain never reaches the jets and only rows that
+    pass every check reach the curvature, which comes last.  Jets that raise
+    stop a batch too.
 
     Jets hold the batch as a trailing axis (see jets), so the metric slots are
     gathered with it last and moved to the front once; after that every
@@ -234,11 +228,16 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
     """
     n = chart.dim
     lead = points.ndim - 1          # 1 over a batch
-    rows = np.arange(len(points)) if lead else None
+    rows, errors = (np.arange(len(points)), [None] * len(points)) if lead else (None, None)
     listed = points.tolist()        # the domain test is cheaper on floats
     inside = np.array([chart.contains(p) for p in listed]) if lead else chart.contains(listed)
-    rows, points = _keep(inside, lambda: OutsideDomainError(
-        f"point {listed} outside domain of chart {chart.name!r}"), rows, points)
+
+    def at(k):
+        """The point of kept row k (k = () at a point) as the messages show it."""
+        return listed[rows[k]] if lead else listed
+
+    rows, points = _keep(inside, lambda k: OutsideDomainError(
+        f"point {at(k)} outside domain of chart {chart.name!r}"), errors, rows, points)
     programs = chart.programs
     env = _variables(chart, points, order)
     batch = points.shape[:-1]
@@ -263,18 +262,18 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
         if lead:
             g, dg, d2g, d3g = (_batch_first(a) for a in (g, dg, d2g, d3g))
         rows, points, g, dg, d2g, d3g = _keep(
-            _finite(lead, g, dg, d2g, d3g), lambda: DegenerateMetricError(
-                f"non-finite metric value or derivative at {listed}"),
-            rows, points, g, dg, d2g, d3g)
+            _finite(lead, g, dg, d2g, d3g), lambda k: DegenerateMetricError(
+                f"non-finite metric value or derivative at {at(k)}"),
+            errors, rows, points, g, dg, d2g, d3g)
 
         # numpy powers overflow to inf instead of raising; an overflowing
         # determinant gives nan, which is degenerate too
         scale = np.abs(g).max(axis=(-2, -1), initial=1e-300)
         scaled_det = abs(np.linalg.det(g)) / scale**n
         rows, points, g, dg, d2g, d3g = _keep(
-            scaled_det > DET_TOL, lambda: DegenerateMetricError(
-                f"metric degenerate at {listed} (scaled |det g| = {scaled_det:.3e})"),
-            rows, points, g, dg, d2g, d3g)
+            scaled_det > DET_TOL, lambda k: DegenerateMetricError(
+                f"metric degenerate at {at(k)} (scaled |det g| = {scaled_det[k]:.3e})"),
+            errors, rows, points, g, dg, d2g, d3g)
 
         if points.shape[:-1] != batch:      # rows were dropped
             batch = points.shape[:-1]
@@ -295,9 +294,9 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
             q = _bilinear(u, g, u)
             # a nan q fails the finite check below instead
             rows, points, u, du, q, g, dg, d2g, d3g = _keep(
-                ~(np.abs(q) < 1e-12), lambda: UnitVectorError(
-                    f"cannot normalize a near-null u (g(u,u) = {q:.3e})"),
-                rows, points, u, du, q, g, dg, d2g, d3g)
+                ~(np.abs(q) < 1e-12), lambda k: UnitVectorError(
+                    f"cannot normalize a near-null u (g(u,u) = {q[k]:.3e})"),
+                errors, rows, points, u, du, q, g, dg, d2g, d3g)
             dq = (np.einsum('...lab,...a,...b->...l', dg, u, u)
                   + 2.0 * _apply(du, _apply(g, u)))
             root = np.sqrt(np.abs(q))
@@ -305,9 +304,9 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
                      du / root[..., None, None]
                      - (0.5 * dq / (q * root)[..., None])[..., :, None] * u[..., None, :])
         rows, points, u, du, g, dg, d2g, d3g = _keep(
-            _finite(lead, u, du), lambda: DegenerateMetricError(
-                f"non-finite u value or derivative at {listed}"),
-            rows, points, u, du, g, dg, d2g, d3g)
+            _finite(lead, u, du), lambda k: DegenerateMetricError(
+                f"non-finite u value or derivative at {at(k)}"),
+            errors, rows, points, u, du, g, dg, d2g, d3g)
 
     g_inv = np.linalg.inv(g)
     g_inv = 0.5 * (g_inv + g_inv.swapaxes(-1, -2))
@@ -355,16 +354,20 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
                         + np.einsum('...ar,...prsmn->...pasmn', g, driemann_up))
 
     return (points, g, dg, g_inv, dg_inv, gamma, dgamma,
-            riemann_up, riemann_low, driemann_up, driemann_low, u, du), rows
+            riemann_up, riemann_low, driemann_up, driemann_low, u, du), rows, errors
 
 
-def _keep(ok, error, *arrays):
-    """The arrays at the rows where `ok` holds.  At a point `ok` is one bool,
-    and error() is raised where it does not hold."""
+def _keep(ok, error, errors, *arrays):
+    """The arrays, the row indices first, at the rows where `ok` holds.  At a
+    point `ok` is one bool, and error(()) is raised where it does not hold;
+    over a batch each row k that it drops gets errors[arrays[0][k]] =
+    error(k), the exception geometry_at raises at its point."""
     if not isinstance(ok, np.ndarray):
         if not ok:
-            raise error()
+            raise error(())
         return arrays
+    for k in np.flatnonzero(~ok):
+        errors[arrays[0][k]] = error(k)
     return arrays if ok.all() else tuple(None if a is None else a[ok] for a in arrays)
 
 

@@ -65,31 +65,28 @@ def rk4(rhs: Callable, y: np.ndarray, t0, t1, steps, row: Callable | None = None
 class Doubling(NamedTuple):
     value: object            # run(steps) of the last run
     steps: int               # step count of the last run
-    change: float | None     # change(coarse, fine) of the last doubling; None for one run
+    change: float            # change(coarse, fine) of the last doubling
     converged: bool          # False when doublings ran out with change >= tol
 
 
 def doubled(run: Callable, steps: int, change: Callable, tol: float,
             max_doublings: int) -> Doubling:
     """Run at steps, 2*steps, 4*steps, ... until change(coarse, fine) < tol
-    or `max_doublings` doublings are spent.
+    or `max_doublings` >= 1 doublings are spent.
 
     run(counts) takes a list of step counts and returns an iterator over
     their values in order, so a caller may compute several levels at once.
     The first request is [steps, 2*steps]: the first run is never accepted
-    on its own when a doubling is allowed.  When the levels asked for are
-    spent, the next request predicts how many more the last change needs:
-    a step-doubling estimate for RK4 shrinks by 2^4 = 16 per halving, so
-    k = ceil(log16(change / tol)) levels, at least 1, 1 for a non-finite
-    change, and no more than the doublings left.  The first consecutive
-    pair under tol is accepted, and the iterator is never advanced past it,
-    so a level that is not consumed need not be computed or raise.
-    max_doublings <= 0 is one run, reported as converged.
+    on its own.  When the levels asked for are spent, the next request
+    predicts how many more the last change needs: a step-doubling estimate
+    for RK4 shrinks by 2^4 = 16 per halving, so k = ceil(log16(change /
+    tol)) levels, at least 1, 1 for a non-finite change, and no more than
+    the doublings left.  The first consecutive pair under tol is accepted,
+    and the iterator is never advanced past it, so a level that is not
+    consumed need not be computed or raise.
     """
-    if max_doublings <= 0:
-        return Doubling(next(iter(run([steps]))), steps, None, True)
     values = iter(run([steps, 2 * steps]))
-    value, asked, delta = next(values), 1, None
+    value, asked = next(values), 1
     for spent in range(max_doublings):
         if spent == asked:
             more = min(_levels(delta, tol), max_doublings - spent)
@@ -100,7 +97,7 @@ def doubled(run: Callable, steps: int, change: Callable, tol: float,
         value, steps = finer, 2 * steps
         if delta < tol:
             return Doubling(value, steps, delta, True)
-    return Doubling(value, steps, delta, delta is None)
+    return Doubling(value, steps, delta, False)
 
 
 def _levels(change: float, tol: float) -> int:

@@ -108,7 +108,7 @@ class TransportResult:
     epsilon: float
     steps: int
     refined_steps: int              # step count of the accepted internal run
-    endpoint_change: float | None   # endpoint move at its last doubling; None for one run
+    endpoint_change: float          # endpoint move at its last doubling
 
 
 # -- curve engines -----------------------------------------------------------------
@@ -355,9 +355,8 @@ def transport(chart: ChartSpec, curve: CurveSpec, X0,
     X0 is one vector or a stack of rows, such as a whole frame.  Fixed-step
     RK4; the step count doubles until the endpoint vector moves by less than
     ENDPOINT_TOL, and a TransportError is raised when it still has not after
-    MAX_HALVINGS doublings (MAX_HALVINGS = 0 is one fixed-step run).  The
-    returned table is sampled at the requested resolution regardless of
-    internal refinement.
+    MAX_HALVINGS doublings.  The returned table is sampled at the requested
+    resolution regardless of internal refinement.
     """
     X0_rows = np.atleast_2d(np.asarray(X0, dtype=float))
     if not np.all(np.isfinite(X0_rows)):

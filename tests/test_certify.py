@@ -683,11 +683,11 @@ def test_one_battery_call_per_chunk(monkeypatch):
     assert any(failing) and len(samples) == sum(map(len, calls))
 
 
-def test_a_failing_point_costs_one_geometry_at_call(monkeypatch):
+def test_failing_points_cost_no_geometry_at_call(monkeypatch):
     """certify(256, seed 3) on the overflow chart makes one geometry_chunk call
-    per chunk, and geometry_at calls only for its 193 degenerate points (143
-    with a degenerate metric, 50 with a non-finite one), whose reasons are
-    those of a sample_point loop."""
+    per chunk and no geometry_at call: its 193 degenerate points (143 with a
+    degenerate metric, 50 with a non-finite one) get their reasons, those of
+    a sample_point loop, from the chunk's own pass."""
     chart = chart_from_dict(_MIXED_CHARTS["overflow"])
     config = CertifyConfig(samples=256, seed=3)
     _, degenerate = _sample_point_loop(chart, config)
@@ -700,7 +700,7 @@ def test_a_failing_point_costs_one_geometry_at_call(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     cert = certify(chart, config)
-    assert calls == {"geometry_chunk": 16, "geometry_at": 193}
+    assert calls == {"geometry_chunk": 16, "geometry_at": 0}
     assert cert.degenerate_points == degenerate
     reasons = Counter(reason.split(" at ")[0] for _, reason in degenerate)
     assert reasons == {"metric degenerate": 143, "non-finite metric value or derivative": 50}

@@ -195,9 +195,10 @@ def test_scale_factor_positive_and_normalized(flrw):
     assert (result.a > 0).all()
 
 
-def test_flow_point_is_plain_rk4(flrw):
+def test_flow_point_is_plain_rk4(flrw, monkeypatch):
     """flow_point equals classic four-stage RK4 on dx/dtau = eps u / (h - eps f)
-    with max(4, ceil(128 |delta|)) steps at the default rate, bit for bit."""
+    with max(4, ceil(128 |delta|)) steps at the default rate, bit for bit; a
+    delta of 0 takes no step and returns the start, evaluating no geometry."""
     chart, cert = flrw
     start, delta = np.array([2.0, 0.1, -0.2, 0.3]), -0.15
     steps = 20
@@ -215,6 +216,41 @@ def test_flow_point_is_plain_rk4(flrw):
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert np.array_equal(flow_point(chart, cert, start, delta), y)
+
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("geometry evaluated")
+
+    for name in ("geometry_at", "geometry_chunk"):
+        monkeypatch.setattr(foliation, name, no_geometry)
+    assert np.array_equal(flow_point(chart, cert, start, 0.0), start)
+
+
+def test_flow_point_on_a_zero_margin_raises_degeneracy(charts, certificates):
+    """On minkowski, h - eps f is exactly 0 everywhere: under a forged
+    LocallyRW certificate flow_point raises DegeneracyError instead of
+    dividing by the zero margin."""
+    cert = dataclasses.replace(certificates["minkowski"], classification="LocallyRW")
+    with pytest.raises(DegeneracyError, match="inside margin band"):
+        flow_point(charts["minkowski"], cert, [0.0, 0.1, 0.2, 0.3], 0.1)
+
+
+def test_a_wave_failing_in_quadrature_flows_no_row(flrw, monkeypatch):
+    """Candidates whose time from the base all meet a 0.15 margin band
+    (1/t^2 <= 0.15 for t >= 2.58) end with their own DegeneracyError, and
+    the coarse flow gets no row."""
+    chart, cert = flrw
+    cert = dataclasses.replace(cert, tol_margin=0.15)
+    flowed, real = [], foliation.rk4
+
+    def counting(rhs, y, *args, **kwargs):
+        flowed.append(len(y))
+        return real(rhs, y, *args, **kwargs)
+
+    monkeypatch.setattr(foliation, "rk4", counting)
+    qs = np.array([[3.0, 0.1, 0.0, 0.0], [3.4, -0.2, 0.3, 0.1]])
+    outcomes = foliation._shoot(chart, cert, BASE, qs, 0.1)
+    assert [type(outcome) for outcome in outcomes] == [DegeneracyError] * 2
+    assert not any(flowed)
 
 
 def test_flow_leaving_domain_raises(flrw):

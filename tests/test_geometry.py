@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rwcert import catalog
+from rwcert import geometry as geometry_module
 from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError, eval_expr
 from rwcert.geometry import (DegenerateMetricError, GeometryError, OutsideDomainError,
@@ -408,11 +409,16 @@ def test_geometry_matches_the_symbolic_oracle(charts, symbolic_geometry, chart_i
             assert error <= ORACLE_TOL, (name, geom.point.tolist(), error)
 
 
-def _check_rows_against_geometry_at(chart, points, order=3) -> list:
+def _check_rows_against_geometry_at(chart, points, order=3) -> tuple[list, int]:
     """geometry_chunk at points against geometry_at at each: an evaluating
     row is array_equal to it field by field and a failing row has its
-    exception, of the same type and with the same text.  The errors."""
-    chunk, errors = geometry_chunk(chart, points, order)
+    exception, of the same type and with the same text.  The errors, and the
+    number of geometry_at calls geometry_chunk made."""
+    alone = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry_module, "geometry_at",
+                      lambda *args: alone.append(args) or geometry_at(*args))
+        chunk, errors = geometry_chunk(chart, points, order)
     rows = iter(range(0 if chunk is None else len(chunk.point)))
     for point, error in zip(points, errors):
         try:
@@ -426,7 +432,7 @@ def _check_rows_against_geometry_at(chart, points, order=3) -> list:
             a, b = getattr(row, field.name), getattr(want, field.name)
             assert (a is None and b is None) or np.array_equal(a, b), (point, field.name)
     assert next(rows, None) is None
-    return errors
+    return errors, len(alone)
 
 
 def test_each_row_gets_its_own_error(charts):
@@ -434,12 +440,15 @@ def test_each_row_gets_its_own_error(charts):
     gives every row what geometry_at gives at its point: rows outside the
     domain, with a non-finite metric, with a scaled determinant below DET_TOL
     (exp(exp(t)) for 2.04 < t < 6.56), with a near-null u and in a batch
-    whose jets raise; the good rows are the geometry_at rows bit for bit."""
+    whose jets raise; the good rows are the geometry_at rows bit for bit.
+    A failing row gets its error from the batch's pass, with no geometry_at
+    call, except in a batch whose jets raise or a batch of one."""
     chart = chart_from_dict(dict(OVERFLOW_DOC, domain=[[0.0, 8.0], [-1.0, 1.0],
                                                        [-1.0, 1.0], [-1.0, 1.0]]))
     good, bad, outside = [1.0, 0.0, 0.0, 0.0], [7.0, 0.5, 0.0, 0.0], [9.0, 0.0, 0.0, 0.0]
-    errors = _check_rows_against_geometry_at(
+    errors, alone = _check_rows_against_geometry_at(
         chart, np.array([good, outside, bad, [1.5, 0.2, -0.3, 0.1], [4.0, 0.0, 0.0, 0.0], good]))
+    assert alone == 0
     assert [type(err) for err in errors] == [type(None), OutsideDomainError,
                                              DegenerateMetricError, type(None),
                                              DegenerateMetricError, type(None)]
@@ -447,6 +456,9 @@ def test_each_row_gets_its_own_error(charts):
     assert re.search(r"non-finite metric .* at \[7.0, 0.5", str(errors[2]))
     assert re.search(r"metric degenerate at \[4.0, 0.0, 0.0, 0.0\] \(scaled", str(errors[4]))
     assert geometry_chunk(chart, np.array([bad, outside, bad]))[0] is None
+    for one in (bad, outside):      # a batch of one is geometry_at's
+        errors, alone = _check_rows_against_geometry_at(chart, np.array([one]))
+        assert errors[0] is not None and alone == 1
 
     # ln(t) raises for t <= 0, which stops the batch's jets: every row is
     # then evaluated alone and still gets its own result
@@ -455,20 +467,21 @@ def test_each_row_gets_its_own_error(charts):
                                                      [None, None, "1", None],
                                                      [None, None, None, "1"]],
                                domain=[[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]))
-    errors = _check_rows_against_geometry_at(
+    errors, alone = _check_rows_against_geometry_at(
         log, np.array([[0.5, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 0.0], [0.0, 0.1, 0.0, 0.0],
                        [0.8, 0.2, 0.1, 0.0]]))
     assert [type(err) for err in errors] == [type(None), EvalDomainError, EvalDomainError,
                                              type(None)]
+    assert alone == 4
 
     # u = (1, t / a(t)) is null at t = 1 only
     doc = catalog.get_entry("flrw_open").document
     null = chart_from_dict(dict(doc, name="null_u", options={"normalize_u": True},
                                 u=["1", "t/(2 + 0.1*t^2)", "0", "0"]))
-    errors = _check_rows_against_geometry_at(
+    errors, alone = _check_rows_against_geometry_at(
         null, np.array([[2.0, 1.0, 1.2, 1.0], [1.0, 1.0, 1.2, 1.0], [1.0, 9.0, 1.2, 1.0],
                         [0.6, 0.5, 1.0, 1.0]]), order=1)
-    assert errors[0] is None and errors[3] is None
+    assert errors[0] is None and errors[3] is None and alone == 0
     assert isinstance(errors[1], UnitVectorError) and "near-null" in str(errors[1])
     assert isinstance(errors[2], OutsideDomainError)
 
@@ -476,8 +489,9 @@ def test_each_row_gets_its_own_error(charts):
     flrw = charts["flrw_open"]
     points = domain_points(flrw, 6, seed=5)
     points[[1, 4], 0] = [-1.0, 3.0]
-    errors = _check_rows_against_geometry_at(flrw, points)
+    errors, alone = _check_rows_against_geometry_at(flrw, points)
     assert [err is None for err in errors] == [True, False, True, True, False, True]
+    assert alone == 0
 
     for shape in ((0, 4), (2, 3), (4,)):
         with pytest.raises(GeometryError, match="points must have shape"):

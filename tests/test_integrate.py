@@ -109,13 +109,6 @@ def test_doubled_takes_a_change_too_large_for_its_ratio_to_tol():
     assert result == (8, 8, 1e305, False)
 
 
-@pytest.mark.parametrize("max_doublings", [0, -1])
-def test_doubled_without_doublings_is_one_run(max_doublings):
-    run, change, requests = _scripted({})
-    assert doubled(run, 5, change, 1e-8, max_doublings) == (5, 5, None, True)
-    assert requests == [[5]]
-
-
 def test_doubled_never_consumes_a_level_past_the_accepted_pair():
     """A run that would raise at its third level returns after a first pair
     under tol, and one that would raise past the accepted pair of a larger
