@@ -18,11 +18,11 @@ it with a pool of seeded spatial directions (see _isotropy).
 certify works on chunks of CHUNK = 16 sample points: geometry_chunk evaluates
 a chunk's order-3 geometry in one pass, and one call of the battery
 (_battery) computes the frames, invariants and residuals of all its points as
-array operations over a leading chunk axis.  Per point stay only the random
-draws, since each sample draws from its own child of the seed in the order
-and block sizes of one sample at a time, and eq14's (pool, pool, n, pool)
-product.  sample_point runs the same body on a chunk of one; it is on no
-hot path.
+array operations over a leading chunk axis.  Each sample draws its random
+directions from its own child of the seed, in rounds of one block per point
+(see _draws), so a point's draws do not depend on its neighbours; per point
+stays only eq14's (pool, pool, n, pool) product.  sample_point runs the
+same body on a chunk of one; it is on no hot path.
 
 The chunk is bounded by memory, not speed: it holds every tensor of every
 point in it.  certify(256) on flrw_closed_osc peaks at 1.69 MB of traced
@@ -41,10 +41,9 @@ import numpy as np
 
 from . import __version__
 from .chart import ChartSpec
-from .geometry import (PIVOT_TOL, UNIT_TOL, Frame, FrameError, GeometryError, PointGeometry,
-                       _apply, _bilinear, _dot, _scalar, adapted_frames,
-                       chunk_row, geometry_at, geometry_chunk, stack_geometry,
-                       trace_invariants)
+from .geometry import (PIVOT_TOL, Frame, FrameError, PointGeometry, _apply, _bilinear,
+                       _dot, _scalar, adapted_frames, chunk_row, geometry_at, geometry_chunk,
+                       stack_geometry, trace_invariants)
 
 RESIDUAL_KEYS = ("eq13", "eq14", "a43", "a44", "skewA1",
                  "bianchi31", "bianchi32", "bianchi33",
@@ -105,17 +104,12 @@ class Certificate:
 
 def extract_invariants(geom: PointGeometry, frame: Frame) -> tuple:
     """Read (epsilon, f, h) off the first adapted frame vectors, at a point or
-    over a chunk (where a failed check raises for the whole chunk).
+    over a chunk.
 
-    f comes from the plane (e_1, u), h from (e_1, e_2).  Cross-validation over
-    random plane choices happens in _isotropy, not here.
+    f comes from the plane (e_1, u), h from (e_1, e_2).  The frame comes from
+    adapted_frames, which builds e_0 from u and rejects a non-unit u row by
+    row.  Cross-validation over random plane choices happens in _isotropy.
     """
-    if geom.dim < 4:
-        raise CertificationInputError(f"certification needs dim >= 4, got {geom.dim}")
-    if np.any(np.abs(np.abs(geom.u_norm2) - 1.0) > UNIT_TOL):
-        raise UnitFieldError(geom.u_norm2)
-    if not np.allclose(frame.vectors[..., 0, :], geom.u, atol=1e-8):
-        raise FrameError("frame is not adapted to u (e_0 != u)")
     u, R = geom.u, geom.riemann_up
     e1, e2 = frame.vectors[..., 1, :], frame.vectors[..., 2, :]
     eta1, eta2 = frame.etas[..., 1], frame.etas[..., 2]
@@ -123,12 +117,6 @@ def extract_invariants(geom: PointGeometry, frame: Frame) -> tuple:
     h = eta1 * eta2 * _bilinear(np.einsum('...rsmn,...s,...m,...n->...r', R, e2, e1, e2),
                                 geom.g, e1)
     return geom.epsilon, _scalar(f), _scalar(h)
-
-
-class UnitFieldError(GeometryError):
-    def __init__(self, norm2: float):
-        super().__init__(f"u is not a unit field at the sample point: g(u,u) = {norm2!r} "
-                         "(set options.normalize_u to rescale pointwise)")
 
 
 def _unit_rows(v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,86 +134,48 @@ def _unit_rows(v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w / np.sqrt(np.where(ok, q, 1.0))[..., None], ok
 
 
-def _pair_rows(x: np.ndarray, raw: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """raw made g-orthogonal to the unit rows x, then unit: y and which y are accepted."""
-    eta_x = np.where(((x @ g) * x).sum(axis=-1) > 0, 1.0, -1.0)
-    return _unit_rows(raw - (eta_x * ((raw @ g) * x).sum(axis=-1))[..., None] * x, g)
-
-
-def _random_unit_spatial(geom: PointGeometry, frame: Frame, rng, count: int) -> np.ndarray:
-    """Seeded unit-norm combinations of the spatial frame vectors, one draw at
-    a time (the chunk battery draws blocks, and comes here for a row that
-    rejects a candidate).
-
-    When the complement of u is indefinite these mix causal characters freely;
-    near-null draws are rejected and redrawn, at most 64 * count draws in all.
-    """
-    out = []
-    for _ in range(64 * count):
-        unit, ok = _unit_rows(rng.normal(size=(1, frame.dim - 1)) @ frame.spatial, geom.g)
-        if ok[0]:
-            out.append(unit[0])
-            if len(out) == count:
-                return np.array(out)
-    raise FrameError("could not draw enough non-null unit combinations")
-
-
-def _orthonormal_pairs(geom: PointGeometry, frame: Frame, rng,
-                       count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frame pairs (e_i, e_j), i < j, plus up to `count` random orthonormal
-    pairs spanning planes orthogonal to u, one draw at a time.
-
-    An attempt draws a unit x (redrawn while near-null, at most 64 times) and
-    then a raw y, which is made orthogonal to x and unit, or rejected; at most
-    64 * count attempts.
-    """
-    i, j = np.triu_indices(frame.dim - 1, 1)
-    xs, ys = list(frame.spatial[i]), list(frame.spatial[j])
-    for _ in range(64 * count):
-        if len(xs) == len(i) + count:
-            break
-        x = _random_unit_spatial(geom, frame, rng, 1)
-        y, ok = _pair_rows(x, rng.normal(size=(1, frame.dim - 1)) @ frame.spatial, geom.g)
-        if ok[0]:
-            xs.append(x[0])
-            ys.append(y[0])
-    return np.array(xs), np.array(ys)
-
-
-def _draws(geom: PointGeometry, frame: Frame, rngs: list) -> tuple:
+def _draws(frame: Frame, rngs: list) -> tuple:
     """Per row of a chunk: its pool (spatial frame vectors, then random unit
-    combinations), its pairs, and its FrameError or None.
+    combinations), its pairs (frame pairs, then random orthonormal pairs)
+    and its FrameError or None.
 
-    Each row draws as one block what a row that rejects nothing draws, the
-    pool's normal(count, n-1) and then the pairs' normal(2 count, n-1), which
-    are the numbers of that many draws of size n-1.  A row that rejects a
-    candidate draws again from its saved rng state through the one-row
-    loops, and repeats its last pair if it gets fewer.
+    A round draws normal(3 count, n-1) from each row's rng: count pool
+    candidates, then count (x, y) pairs, y made g-orthogonal to x.  A row
+    takes its first candidates and pairs that are not near-null, in draw
+    order; rounds are drawn while some row is short, at most 64.  A row
+    still short of pool candidates gets a FrameError, one short of pairs
+    repeats its last pair.  Only rows that rejected something are gathered.
     """
     count, spatial, g = RANDOM_COMBINATIONS, frame.spatial, frame.g
     k = spatial.shape[-2]
-    states = [rng.bit_generator.state for rng in rngs]
-    blocks = np.array([rng.normal(size=(3 * count, k)) for rng in rngs])
-    raw = np.concatenate([blocks[:, :count] @ spatial, blocks[:, count:] @ spatial], axis=1)
-    unit, ok = _unit_rows(raw, g)
-    y, ok_y = _pair_rows(unit[:, count::2], raw[:, count + 1::2], g)
+    draws = []
+    for _ in range(64):
+        blocks = np.array([rng.normal(size=(3 * count, k)) for rng in rngs])
+        raw = np.concatenate([blocks[:, :count] @ spatial, blocks[:, count:] @ spatial], axis=1)
+        unit, ok = _unit_rows(raw, g)
+        x, raw_y = unit[:, count::2], raw[:, count + 1::2]
+        eta_x = np.where(((x @ g) * x).sum(axis=-1) > 0, 1.0, -1.0)
+        y, ok_y = _unit_rows(raw_y - (eta_x * ((raw_y @ g) * x).sum(axis=-1))[..., None] * x, g)
+        draws.append((unit[:, :count], ok[:, :count], x, y, ok[:, count::2] & ok_y))
+        units, kept, xs, ys, paired = (np.concatenate(part, axis=1) for part in zip(*draws))
+        if (kept.sum(axis=1) >= count).all() and (paired.sum(axis=1) >= count).all():
+            break
     i, j = np.triu_indices(k, 1)
-    pool = np.concatenate([spatial, unit[:, :count]], axis=1)
-    xs = np.concatenate([spatial[:, i], unit[:, count::2]], axis=1)
-    ys = np.concatenate([spatial[:, j], y], axis=1)
+    pool = np.concatenate([spatial, units[:, :count]], axis=1)
+    pair_x = np.concatenate([spatial[:, i], xs[:, :count]], axis=1)
+    pair_y = np.concatenate([spatial[:, j], ys[:, :count]], axis=1)
     errors = [None] * len(rngs)
-    for b in np.flatnonzero(~(ok[:, :count].all(1) & ok[:, count::2].all(1) & ok_y.all(1))):
-        rngs[b].bit_generator.state = states[b]
-        one, row = chunk_row(geom, b), Frame(frame.vectors[b], frame.etas[b], g[b])
-        try:
-            pool[b, k:] = _random_unit_spatial(one, row, rngs[b], count)
-            x, y = _orthonormal_pairs(one, row, rngs[b], count)
-        except FrameError as err:
-            errors[b] = err
+    for b in np.flatnonzero(~(kept[:, :count].all(axis=1) & paired[:, :count].all(axis=1))):
+        take = np.flatnonzero(kept[b])[:count]
+        if len(take) < count:
+            errors[b] = FrameError("could not draw enough non-null unit combinations")
             continue
-        last = np.minimum(np.arange(xs.shape[1]), len(x) - 1)
-        xs[b], ys[b] = x[last], y[last]
-    return pool, xs, ys, errors
+        pool[b, k:] = units[b, take]
+        rows = np.concatenate([np.arange(len(i)), len(i) + np.flatnonzero(paired[b])[:count]])
+        rows = rows[np.minimum(np.arange(pair_x.shape[1]), len(rows) - 1)]
+        pair_x[b] = np.concatenate([spatial[b, i], xs[b]])[rows]
+        pair_y[b] = np.concatenate([spatial[b, j], ys[b]])[rows]
+    return pool, pair_x, pair_y, errors
 
 
 def _isotropy(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np.ndarray,
@@ -248,7 +198,7 @@ def _isotropy(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np.ndarray,
     whole chunk it would raise peak memory by about 15%.
     """
     n = geom.dim
-    pool, xs, ys, errors = _draws(geom, frame, rngs)
+    pool, xs, ys, errors = _draws(frame, rngs)
     size = pool.shape[1]
     u, g = geom.u, geom.g
     M = frame.etas[..., None] * (frame.vectors @ g)
@@ -349,9 +299,16 @@ def _structure_residuals(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np
 
 # -- sampling and classification ---------------------------------------------------
 
+def _require_dim4(chart: ChartSpec) -> None:
+    if chart.dim < 4:
+        raise CertificationInputError(
+            f"chart {chart.name!r} has dim {chart.dim}; certification needs dim >= 4")
+
+
 def sample_point(chart: ChartSpec, point, rng=None,
                  tol_margin: float = DEFAULT_TOL_MARGIN) -> IsotropySample:
     """Full residual evaluation at one point: the battery on a chunk of one."""
+    _require_dim4(chart)
     rng = np.random.default_rng(0) if rng is None else rng
     result = _battery(stack_geometry([geometry_at(chart, point, order=3)]), [rng], tol_margin)[0]
     if isinstance(result, Exception):
@@ -371,7 +328,6 @@ def _battery(chunk: PointGeometry, rngs: list, tol_margin: float) -> list:
         chunk = stack_geometry([chunk_row(chunk, b) for b in live])
         rngs, vectors, etas = [rngs[b] for b in live], vectors[live], etas[live]
     frame = Frame(vectors, etas, chunk.g)
-    # adapted_frames checked what extract_invariants checks, row by row
     eps, f, h = extract_invariants(chunk, frame)
     residuals, errors = _isotropy(chunk, frame, f, h, rngs)
     residuals.update(_structure_residuals(chunk, frame, f, h, tol_margin))
@@ -400,16 +356,13 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
     index; config.threads is ignored.
     """
     config = config or CertifyConfig()
-    if chart.dim < 4:
-        raise CertificationInputError(
-            f"chart {chart.name!r} has dim {chart.dim}; certification needs dim >= 4")
+    _require_dim4(chart)
     if config.samples < 1:
         raise CertificationInputError("sample count must be >= 1")
 
     seed_seq = np.random.SeedSequence(config.seed)
     point_rng = np.random.default_rng(seed_seq)
-    lows = np.array([lo for lo, _ in chart.domain])
-    highs = np.array([hi for _, hi in chart.domain])
+    lows, highs = np.array(chart.domain, dtype=float).T
     points = point_rng.uniform(lows, highs, size=(config.samples, chart.dim))
     children = seed_seq.spawn(config.samples)
 
@@ -428,17 +381,14 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
                 samples.append(result)
             else:
                 degenerate.append((point.tolist(), str(result)))
-    cc_values = [s.cc_residual for s in samples]
 
     notes: list[str] = []
-    residual_max: dict[str, float | None] = {}
-    for key in RESIDUAL_KEYS:
-        values = [s.residuals[key] for s in samples if s.residuals[key] is not None]
-        residual_max[key] = max(values) if values else None
+    residual_max = {key: max((s.residuals[key] for s in samples
+                              if s.residuals[key] is not None), default=None)
+                    for key in RESIDUAL_KEYS}
     margins = [s.nondegeneracy for s in samples]
-    min_margin = min(margins) if margins else None
-    max_margin = max(margins) if margins else None
-    cc_max = max(cc_values) if cc_values else None
+    min_margin, max_margin = min(margins, default=None), max(margins, default=None)
+    cc_max = max((s.cc_residual for s in samples), default=None)
     epsilons = {s.epsilon for s in samples}
     epsilon = samples[0].epsilon if len(epsilons) == 1 else None
     if len(epsilons) > 1:

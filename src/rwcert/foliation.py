@@ -89,6 +89,14 @@ def require_locally_rw(chart: ChartSpec, certificate: Certificate):
             f"{certificate.classification}: foliation not applicable")
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """value as floats, or a FoliationError if any of it is not finite."""
+    values = np.asarray(value, dtype=float)
+    if not np.isfinite(values).all():
+        raise FoliationError(f"{name} must be finite, got {values.tolist()!r}")
+    return values
+
+
 def _degenerate(margin: float, point: np.ndarray) -> DegeneracyError:
     return DegeneracyError(
         f"|h - eps f| = {abs(margin):.3e} inside margin band at {point.tolist()}")
@@ -266,6 +274,7 @@ def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: flo
     Plain RK4 with max(4, ceil(steps_per_unit |delta_tau|)) steps.
     """
     require_locally_rw(chart, certificate)
+    _finite("delta_tau", delta_tau)
     states, errors = _flow(chart, certificate, np.asarray(start, dtype=float)[None],
                            [[0.0, delta_tau] if delta_tau else [0.0]], [steps_per_unit])
     if errors[0] is not None:
@@ -335,7 +344,7 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
     if not chart.contains(base):
         raise FlowDomainError(f"base point {base.tolist()} outside the chart domain")
     eps = certificate.epsilon
-    taus = np.unique(np.concatenate([[0.0], np.asarray(tau_grid, dtype=float)]))
+    taus = np.unique(np.concatenate([[0.0], _finite("tau_grid", tau_grid)]))
     paths = (np.concatenate([[0.0], taus[taus > 0]]),
              np.concatenate([[0.0], taus[taus < 0][::-1]]))
 
@@ -407,10 +416,10 @@ def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
     in draw order.
     """
     require_locally_rw(chart, certificate)
+    _finite("target_tau", target_tau)
     rng = np.random.default_rng(0) if rng is None else rng
     base = np.asarray(base, dtype=float)
-    lows = np.array([lo for lo, _ in chart.domain])
-    highs = np.array([hi for _, hi in chart.domain])
+    lows, highs = np.array(chart.domain, dtype=float).T
     points: list[np.ndarray] = []
     rejects = {"flow or step left the domain": 0, "hit the margin band": 0,
                "evaluated outside the domain": 0}

@@ -471,7 +471,8 @@ def adapted_frames(g: np.ndarray, u: np.ndarray, rngs: list) -> tuple[np.ndarray
     """
     rows, n = u.shape
     q = _bilinear(u, g, u)
-    errors = [UnitVectorError(f"u is not unit: g(u,u) = {x!r}")
+    errors = [UnitVectorError(f"u is not unit: g(u,u) = {x!r} "
+                              "(set options.normalize_u to rescale pointwise)")
               if abs(abs(x) - 1.0) > UNIT_TOL else None for x in q.tolist()]
     live = np.array([err is None for err in errors])
     axes = np.array([rng.permutation(n) if ok else np.arange(n) for rng, ok in zip(rngs, live)])

@@ -51,10 +51,8 @@ def test_extract_desitter(charts):
 
 
 def test_extract_requires_dim4(plane_chart):
-    geom = geometry_at(plane_chart, [0.0, 0.0])
-    frame = adapted_frame(geom, rng=np.random.default_rng(0))
-    with pytest.raises(CertificationInputError):
-        extract_invariants(geom, frame)
+    with pytest.raises(CertificationInputError, match="needs dim >= 4"):
+        sample_point(plane_chart, [0.0, 0.0])
 
 
 def test_isotropy_residuals_flrw_small(charts):
@@ -255,7 +253,8 @@ def test_certify_all_points_degenerate_has_no_margins():
 
 
 def _reference_unit_spatial(geom, frame, rng, count):
-    """One candidate per draw, as the battery's block draws must replay."""
+    """One candidate per draw: with _reference_pairs, the draws of a point
+    that rejects no candidate."""
     out = []
     attempts = 0
     while len(out) < count and attempts < 64 * count:
@@ -297,6 +296,43 @@ def _reference_pairs(geom, frame, rng, count):
     return np.array(xs), np.array(ys)
 
 
+def _unit_or_none(geom, v):
+    """v made unit, or None where _unit_rows rejects it."""
+    norm = np.linalg.norm(v)
+    if norm < 1e-12:
+        return None
+    v = v / norm
+    q = geom.ip(v, v)
+    return None if abs(q) < certify_module.PIVOT_TOL else v / np.sqrt(abs(q))
+
+
+def _reference_rounds(geom, frame, rng, count):
+    """The redraw rule at one point, a candidate at a time: rounds of
+    normal(3 count, n - 1), count pool candidates and then count (x, y)
+    pairs, until count of each are kept or 64 rounds are drawn.  The pool,
+    the pairs padded with the last one, the number of random pairs kept and
+    the number of rounds."""
+    pool, pairs, rounds = [], [], 0
+    while (len(pool) < count or len(pairs) < count) and rounds < 64:
+        rounds += 1
+        block = rng.normal(size=(3 * count, frame.dim - 1)) @ frame.spatial
+        pool += [w for w in (_unit_or_none(geom, v) for v in block[:count]) if w is not None]
+        for a, b in zip(block[count::2], block[count + 1::2]):
+            x = _unit_or_none(geom, a)
+            y = None if x is None else _unit_or_none(
+                geom, b - (1.0 if geom.ip(x, x) > 0 else -1.0) * geom.ip(b, x) * x)
+            if y is not None:
+                pairs.append((x, y))
+    if len(pool) < count:
+        raise FrameError("could not draw enough non-null unit combinations")
+    kept = min(len(pairs), count)
+    fixed = [(frame.vectors[i], frame.vectors[j])
+             for i in range(1, frame.dim) for j in range(i + 1, frame.dim)]
+    pairs = fixed + pairs[:kept] + [(fixed + pairs)[len(fixed) + kept - 1]] * (count - kept)
+    xs, ys = (np.array(side) for side in zip(*pairs))
+    return np.vstack([frame.spatial, pool[:count]]), xs, ys, kept, rounds
+
+
 def _apply(R, x, y, z):
     """(R(x,y)z)^r = R^r_{smn} z^s x^m y^n by coordinate loops (on Python
     floats, which round as numpy's scalars do but loop faster)."""
@@ -336,55 +372,6 @@ def test_isotropy_residuals_match_coordinate_loops(charts, monkeypatch):
             assert got.keys() == want.keys()
             for key in want:
                 assert abs(got[key] - want[key]) <= 1e-12, (cid, key, got[key], want[key])
-
-
-def _outcome(draw, *args):
-    try:
-        return draw(*args)
-    except FrameError:
-        return None
-
-
-def test_block_draws_replay_one_at_a_time_rejections(charts, monkeypatch):
-    """With PIVOT_TOL raised so that many candidates are near-null, the block
-    draws accept the same directions, give up at the same attempt, and leave
-    the rng in the same state."""
-    geom, frame, _ = _extract(charts["schwarzschild_static_observer"], [0.0, 10.0, 1.2, 0.7])
-    probe = np.random.default_rng(5).normal(size=(400, 3)) @ frame.spatial
-    probe /= np.linalg.norm(probe, axis=1)[:, None]
-    q = np.abs(np.einsum('ai,ij,aj->a', probe, geom.g, probe))
-    gave_up = 0
-    for quantile in (0.3, 0.7, 0.97):
-        monkeypatch.setattr(certify_module, "PIVOT_TOL", float(np.quantile(q, quantile)))
-        for seed in range(4):
-            block, one = np.random.default_rng(seed), np.random.default_rng(seed)
-            for draw, reference in ((certify_module._random_unit_spatial, _reference_unit_spatial),
-                                    (certify_module._orthonormal_pairs, _reference_pairs)):
-                got = _outcome(draw, geom, frame, block, 16)
-                want = _outcome(reference, geom, frame, one, 16)
-                assert (got is None) == (want is None), (quantile, seed, draw.__name__)
-                gave_up += got is None
-                if got is not None:
-                    np.testing.assert_allclose(np.asarray(got), np.asarray(want),
-                                               rtol=1e-13, atol=1e-15)
-                assert block.bit_generator.state == one.bit_generator.state, (quantile, seed)
-    assert gave_up   # the near-null cap was exercised too
-
-
-def test_block_draws_give_up_where_one_at_a_time_does(charts, monkeypatch):
-    geom, frame, _ = _extract(charts["schwarzschild_static_observer"], [0.0, 10.0, 1.2, 0.7])
-    monkeypatch.setattr(certify_module, "PIVOT_TOL", 1e6)     # every candidate near-null
-    block, one = np.random.default_rng(2), np.random.default_rng(2)
-    with pytest.raises(FrameError):
-        certify_module._random_unit_spatial(geom, frame, block, 16)
-    with pytest.raises(FrameError):
-        _reference_unit_spatial(geom, frame, one, 16)
-    assert block.bit_generator.state == one.bit_generator.state
-    with pytest.raises(FrameError):
-        certify_module._orthonormal_pairs(geom, frame, block, 16)
-    with pytest.raises(FrameError):
-        _reference_pairs(geom, frame, one, 16)
-    assert block.bit_generator.state == one.bit_generator.state
 
 
 _MIXED_CHARTS = {
@@ -593,12 +580,11 @@ def _same(got, want) -> bool:
                 want.residuals))
 
 
-def test_chunk_draws_replay_one_at_a_time_rejections(charts, monkeypatch):
-    """PIVOT_TOL raised as in test_block_draws_replay_one_at_a_time_rejections,
-    over a chunk mixing rows that reject candidates (Schwarzschild) with rows
-    that cannot (a spatial metric of 400): every row gets the pool, pairs and
-    rng state of the one-at-a-time loops, and the residuals of a chunk of
-    one; a row that gives up gets the same FrameError text."""
+def _rejecting_chunk(charts):
+    """16 rows: 12 Schwarzschild points, where a raised PIVOT_TOL rejects
+    random directions, and 4 of a chart whose spatial metric is 400, where
+    none is rejected; and the quantiles of |g(w,w)| over coordinate-unit
+    spatial directions at a Schwarzschild point, for raising PIVOT_TOL."""
     wide = chart_from_dict({
         "name": "wide", "dim": 4, "coords": ["t", "x", "y", "z"],
         "metric": [["-1", None, None, None], [None, "400", None, None],
@@ -608,46 +594,83 @@ def test_chunk_draws_replay_one_at_a_time_rejections(charts, monkeypatch):
     schwarzschild = charts["schwarzschild_static_observer"]
     geoms = ([geometry_at(schwarzschild, p) for p in domain_points(schwarzschild, 12, seed=47)]
              + [geometry_at(wide, p) for p in domain_points(wide, 4, seed=47)])
-    chunk = stack_geometry(geoms)
     geom, frame, _ = _extract(schwarzschild, [0.0, 10.0, 1.2, 0.7])
     probe = np.random.default_rng(5).normal(size=(400, 3)) @ frame.spatial
     probe /= np.linalg.norm(probe, axis=1)[:, None]
     q = np.abs(np.einsum('ai,ij,aj->a', probe, geom.g, probe))
+    return geoms, {quantile: float(np.quantile(q, quantile)) for quantile in (0.3, 0.7, 0.97)}
+
+
+def test_draws_take_the_first_kept_candidates(charts, monkeypatch):
+    """With PIVOT_TOL raised so that many candidates are near-null, every row
+    of a chunk gets the pool and pairs of the redraw rule drawn one
+    candidate at a time, or its FrameError text; every random direction is
+    unit and not near-null, and every pair is g-orthogonal."""
+    geoms, tolerances = _rejecting_chunk(charts)
+    chunk = stack_geometry(geoms)
     kinds = set()
-    for quantile in (0.3, 0.7, 0.97):
-        monkeypatch.setattr(certify_module, "PIVOT_TOL", float(np.quantile(q, quantile)))
+    for quantile, tol in tolerances.items():
+        monkeypatch.setattr(certify_module, "PIVOT_TOL", tol)
         seeds = [[int(100 * quantile), k] for k in range(16)]
         rngs = [np.random.default_rng(seed) for seed in seeds]
         vectors, etas, _ = adapted_frames(chunk.g, chunk.u, rngs)
-        pool, xs, ys, errors = certify_module._draws(chunk, Frame(vectors, etas, chunk.g), rngs)
-        results = certify_module._battery(chunk, [np.random.default_rng(s) for s in seeds],
-                                          DEFAULT_TOL_MARGIN)
+        pool, xs, ys, errors = certify_module._draws(Frame(vectors, etas, chunk.g), rngs)
         for k, row in enumerate(geoms):
-            one, clean = np.random.default_rng(seeds[k]), np.random.default_rng(seeds[k])
+            one = np.random.default_rng(seeds[k])
             frame = adapted_frame(row, rng=one)
-            adapted_frame(row, rng=clean)
-            clean.normal(size=(48, 3))        # the draws of a row that rejects nothing
             try:
-                want_pool = _reference_unit_spatial(row, frame, one, 16)
-                want_xs, want_ys = _reference_pairs(row, frame, one, 16)
+                want_pool, want_xs, want_ys, kept, rounds = _reference_rounds(row, frame, one, 16)
             except FrameError as err:
                 assert str(errors[k]) == str(err), (quantile, k)
                 kinds.add("gave up")
-            else:
-                assert errors[k] is None, (quantile, k)
-                np.testing.assert_allclose(pool[k, 3:], want_pool, rtol=1e-13, atol=1e-15)
-                m = len(want_xs)
-                np.testing.assert_allclose(xs[k, :m], want_xs, rtol=1e-13, atol=1e-15)
-                np.testing.assert_allclose(ys[k, :m], want_ys, rtol=1e-13, atol=1e-15)
-                assert (xs[k, m:] == xs[k, m - 1]).all() and (ys[k, m:] == ys[k, m - 1]).all()
-                replayed = one.bit_generator.state != clean.bit_generator.state
-                kinds.add("replayed" if replayed else "clean")
-            assert rngs[k].bit_generator.state == one.bit_generator.state, (quantile, k)
+                continue
+            assert errors[k] is None, (quantile, k)
+            for got, want in ((pool[k], want_pool), (xs[k], want_xs), (ys[k], want_ys)):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+            kinds.add("one round" if rounds == 1 else "more rounds")
+            kinds.update(["padded"] if kept < 16 else [])
+            drawn = np.vstack([pool[k, 3:], xs[k, 3:3 + kept], ys[k, 3:3 + kept]])
+            q = np.einsum('ai,ij,aj->a', drawn, row.g, drawn)
+            np.testing.assert_allclose(np.abs(q), 1.0, rtol=0, atol=1e-12)
+            assert (np.abs(q) / np.linalg.norm(drawn, axis=1)**2 >= tol).all(), (quantile, k)
+            np.testing.assert_allclose(np.einsum('ai,ij,aj->a', xs[k], row.g, ys[k]), 0.0,
+                                       rtol=0, atol=1e-12)
+    assert kinds == {"one round", "more rounds", "padded", "gave up"}
+
+
+def test_a_row_draws_as_it_would_alone(charts, monkeypatch):
+    """Rows that force extra rounds change nothing for their neighbours:
+    each row's battery result in the chunk is that row's as a chunk of one."""
+    geoms, tolerances = _rejecting_chunk(charts)
+    chunk = stack_geometry(geoms)
+    for quantile, tol in tolerances.items():
+        monkeypatch.setattr(certify_module, "PIVOT_TOL", tol)
+        seeds = [[int(100 * quantile), k] for k in range(16)]
+        results = certify_module._battery(chunk, [np.random.default_rng(s) for s in seeds],
+                                          DEFAULT_TOL_MARGIN)
+        for k, row in enumerate(geoms):
             single = certify_module._battery(stack_geometry([row]),
                                              [np.random.default_rng(seeds[k])],
                                              DEFAULT_TOL_MARGIN)[0]
             assert _same(results[k], single), (quantile, k)
-    assert kinds == {"clean", "replayed", "gave up"}
+
+
+def test_draws_give_up_after_64_rounds(charts, monkeypatch):
+    """With every candidate near-null each row draws 64 rounds, then gets
+    the FrameError that makes its point Degenerate."""
+    monkeypatch.setattr(certify_module, "PIVOT_TOL", 1e6)
+    geoms, _ = _rejecting_chunk(charts)
+    chunk = stack_geometry(geoms)
+    rngs = [np.random.default_rng([2, k]) for k in range(16)]
+    results = certify_module._battery(chunk, rngs, DEFAULT_TOL_MARGIN)
+    for k, (row, rng) in enumerate(zip(geoms, rngs)):
+        assert isinstance(results[k], FrameError), k
+        assert str(results[k]) == "could not draw enough non-null unit combinations"
+        clean = np.random.default_rng([2, k])
+        adapted_frame(row, rng=clean)
+        for _ in range(64):
+            clean.normal(size=(48, 3))
+        assert rng.bit_generator.state == clean.bit_generator.state, k
 
 
 def test_one_battery_call_per_chunk(monkeypatch):
@@ -737,6 +760,7 @@ def test_a_failing_row_leaves_its_neighbours_alone(charts, monkeypatch):
     assert len(cert.degenerate_points) == 1
     point, reason = cert.degenerate_points[0]
     assert point == samples[5].point.tolist() and reason.startswith("u is not unit")
+    assert reason.endswith("(set options.normalize_u to rescale pointwise)")
     del samples[5]
     assert cert.residual_max == {key: max((s.residuals[key] for s in samples
                                            if s.residuals[key] is not None), default=None)

@@ -259,6 +259,21 @@ def test_flow_leaving_domain_raises(flrw):
         scale_factor_profile(chart, cert, BASE, [5.0])
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda chart, cert, tau: flow_point(chart, cert, BASE, tau), float("nan")),
+    (lambda chart, cert, tau: flow_point(chart, cert, BASE, tau), float("inf")),
+    (lambda chart, cert, tau: scale_factor_profile(chart, cert, BASE, [0.1, tau]), float("nan")),
+    (lambda chart, cert, tau: scale_factor_profile(chart, cert, BASE, [tau]), float("inf")),
+    (lambda chart, cert, tau: same_slice_points(chart, cert, BASE, tau, 2), float("nan")),
+    (lambda chart, cert, tau: same_slice_points(chart, cert, BASE, tau, 2), float("-inf")),
+], ids=["flow_point-nan", "flow_point-inf", "profile-nan", "profile-inf",
+        "same_slice-nan", "same_slice-inf"])
+def test_non_finite_tau_raises_foliation_error(flrw, call, value):
+    chart, cert = flrw
+    with pytest.raises(FoliationError, match="must be finite"):
+        call(chart, cert, value)
+
+
 PROFILE_BASES = {
     "flrw_flat_linear": [2.0, 0.0, 0.0, 0.0],
     "flrw_closed_osc": [3.0, 1.0, 1.5, 1.5],

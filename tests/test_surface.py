@@ -1,12 +1,13 @@
-"""The package's public surface is what the command line, the benchmark and
+"""The package's surface is what the command line, the benchmark and
 `rwcert.__all__` reach.
 
-Every public top-level function, class and constant of `src/rwcert` must be
-referenced from outside its own definition: by code in the package, by code
-or a string constant in `bench/*.py` (the TRACED table names functions by
-string), or by `rwcert.__all__`.  Docstrings and imports do not count, and
-neither do the tests, so a reference implementation that only the tests call
-belongs in tests/oracles.py.
+Every top-level function, class and constant of `src/rwcert`, public or
+private (dunder names aside), must be referenced from outside its own
+definition: by code in the package, by code or a string constant in
+`bench/*.py` (the TRACED table names functions by string), or by
+`rwcert.__all__`.  Docstrings and imports do not count, and neither do the
+tests, so a reference implementation or a `_helper` that only the tests call
+belongs in tests/oracles.py, and one that nothing calls is dead.
 """
 
 import ast
@@ -47,7 +48,7 @@ def _references(node: ast.AST, strings: bool, skip=frozenset()) -> set:
 
 
 def _defined(statement: ast.stmt) -> list:
-    """The public names a top-level statement defines."""
+    """The names other than dunders that a top-level statement defines."""
     if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [statement.name]
     elif isinstance(statement, ast.Assign):
@@ -56,12 +57,12 @@ def _defined(statement: ast.stmt) -> list:
         names = [statement.target.id]
     else:
         names = []
-    return [name for name in names if not name.startswith("_")]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
 def _unreferenced(package: Path, bench: Path, exported) -> list:
-    """(module, name) of each public definition in package/*.py that nothing
-    outside it reaches."""
+    """(module, name) of each definition in package/*.py that nothing outside
+    it reaches."""
     reached = set(exported)
     for path in sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -83,14 +84,16 @@ def test_every_public_definition_is_reached():
 
 def test_the_check_sees_a_definition_only_its_own_body_reads(tmp_path):
     """A recursive function that nothing else calls is still unreferenced,
-    and a bench docstring that names it does not reach it."""
+    and a bench docstring that names it does not reach it; a private helper
+    is held to the same rule, and a dunder is not."""
     package, bench = tmp_path / "src" / "rwcert", tmp_path / "bench"
     package.mkdir(parents=True)
     bench.mkdir()
     (package / "mod.py").write_text(
-        "LIMIT = 3\n\n\n"
-        "def used(n):\n    return n < LIMIT\n\n\n"
+        "__version__ = '0'\n_LIMIT = 3\n\n\n"
+        "def used(n):\n    return n < _LIMIT\n\n\n"
+        "def _left_over(n):\n    return n\n\n\n"
         "def walk(n):\n    return walk(n - 1) if used(n) else n\n")
     (bench / "spans.py").write_text('"""walk"""\nTRACED = (("rwcert.mod", "used", "used"),)\n')
-    assert _unreferenced(package, bench, []) == [("mod", "walk")]
-    assert _unreferenced(package, bench, ["walk"]) == []
+    assert _unreferenced(package, bench, []) == [("mod", "_left_over"), ("mod", "walk")]
+    assert _unreferenced(package, bench, ["walk"]) == [("mod", "_left_over")]
