@@ -311,7 +311,7 @@ def cmd_transport(args) -> int:
     x0 = np.array(_floats(args.x0, "--x0", chart.dim))
     try:
         result = transport(chart, curve, x0, steps=args.steps)
-        drift = gram_drift(chart, result)
+        drift = gram_drift(result)
     except CurveError:
         raise
     except TransportError as err:

@@ -43,6 +43,8 @@ FLOW_A_TOL = 1e-8         # step halving stops when a(tau) moves less than this
 SLICE_TOL = 1e-9          # same-slice time agreement
 FLAT_BAND = 1e-6          # |k-hat| below this reports flat spatial sections
 BATCH_ROWS = 64           # rows per geometry_chunk call, which bounds a batch's memory
+FLOW_STEPS_PER_UNIT = 128  # flow_point's RK4 steps per unit tau
+MAX_FLOW_STEPS = 1_000_000  # RK4 steps of one flow segment; rk4 keeps 2 floats per step
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
@@ -267,16 +269,15 @@ def slice_curvature(chart: ChartSpec, point,
 
 # -- flow of d_t and the scale factor ---------------------------------------------
 
-def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: float,
-               steps_per_unit: int = 128) -> np.ndarray:
+def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: float) -> np.ndarray:
     """Advance `start` by delta_tau along d_t (position only, cheap).
 
-    Plain RK4 with max(4, ceil(steps_per_unit |delta_tau|)) steps.
+    Plain RK4 with max(4, ceil(FLOW_STEPS_PER_UNIT |delta_tau|)) steps.
     """
     require_locally_rw(chart, certificate)
     _finite("delta_tau", delta_tau)
     states, errors = _flow(chart, certificate, np.asarray(start, dtype=float)[None],
-                           [[0.0, delta_tau] if delta_tau else [0.0]], [steps_per_unit])
+                           [[0.0, delta_tau] if delta_tau else [0.0]], [FLOW_STEPS_PER_UNIT])
     if errors[0] is not None:
         raise errors[0]
     return states[0][-1][:-2]
@@ -292,7 +293,14 @@ def _flow(chart: ChartSpec, certificate: Certificate, starts: np.ndarray, paths:
     A segment of row b takes max(4, ceil(rates[b] |delta tau|)) RK4 steps.
     The rows step in lockstep, one rk4 call per segment index, so a stage of
     every row costs one _rows batch; a row's states and error are bit for
-    bit those of flowing it alone, and a row stops at its error."""
+    bit those of flowing it alone, and a row stops at its error.  A segment
+    that would take more than MAX_FLOW_STEPS steps raises a FoliationError
+    before any row is flowed."""
+    for path, rate in zip(paths, rates):
+        for a, b in zip(path[:-1], path[1:]):
+            if abs(b - a) > MAX_FLOW_STEPS / rate:
+                raise FoliationError(f"the flow from tau = {a} to {b} would take more than "
+                                     f"the limit of {MAX_FLOW_STEPS} RK4 steps")
     eps, tol_margin = certificate.epsilon, certificate.tol_margin
     y = np.concatenate([starts, np.zeros((len(starts), 2))], axis=1)
     states, errors = [[row.copy()] for row in y], [None] * len(starts)

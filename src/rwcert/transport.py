@@ -11,34 +11,32 @@ rejected: the eps-weighted decomposition behind the law needs |g(u,u)| = 1.
 
 Curves come in three kinds: integral curves of the chart's u field, explicit
 coordinate expressions of one parameter, and geodesics shot from a point.
-Every curve is integrated in its own parameter: RK4 over the curve alone,
-then the rows (dX/dtau = X M is linear) by each step's RK4 propagator.
-Explicit curves should be unit speed; within a sub-percent speed error
-v = |g(c',c')|^1/2 the tangent and acceleration are normalized pointwise and
-the transport rate is scaled by v (D_{c'} X = v D_u X, so the transported
-field does not depend on the parametrization); a larger error is rejected.
+Every curve is integrated in its own parameter: RK4 over the curve alone (an
+explicit curve is read where RK4 would step), then the rows (dX/dtau = X M is
+linear) by each step's RK4 propagator.  An explicit curve is normalized
+pointwise by its speed v = |g(c',c')|^1/2, and the transport rate is scaled
+by v (D_{c'} X = v D_u X, so the transported field does not depend on the
+parametrization); a speed more than REPARAM_LIMIT from 1 is rejected.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chart import ChartSpec
 from .exprs import Expr, ExprError, compile_exprs, parse_expr
-from .geometry import (OutsideDomainError, PointGeometry, chunk_row, geometry_at,
-                       geometry_chunk)
+from .geometry import OutsideDomainError, geometry_at, geometry_chunk
 from .integrate import doubled, rk4, stage_taus
 from .jets import Jet3
 
-UNIT_SPEED_TOL = 1e-6
 REPARAM_LIMIT = 1e-2       # relative speed error fixable by pointwise normalization
 STEP = 1e-3                # default integration step in the curve parameter
 ENDPOINT_TOL = 1e-8        # step-halving convergence on the transported vector
 MAX_HALVINGS = 6           # step doublings before transport gives up
-_SPEED_SAMPLES = 65
-CHUNK = 64                 # steps per row fold; explicit-curve stage points per batch
+CHUNK = 64                 # steps per row fold and per explicit-curve read
 
 
 class TransportError(ValueError):
@@ -113,23 +111,19 @@ class TransportResult:
 
 # -- curve engines -----------------------------------------------------------------
 
+# An explicit curve's contexts, a row per parameter value
+_Contexts = namedtuple("_Contexts", "x U A speed g gamma")
+
+
 class _ExplicitCurve:
     """Point, unit tangent and acceleration of an explicit curve in its own
-    parameter, normalized pointwise once validation finds a mild speed error.
-
-    Every method that takes an array of parameter values evaluates them as one
-    batch: one order-2 jet program in tau and one geometry_chunk call, whose
-    first failing row raises what the single-value path raises there.  If the
-    curve's jets raise, the values are evaluated one at a time instead.
-    `start` is the state at t0, taken from the first speed sample."""
+    parameter, read at arrays of parameter values (contexts)."""
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec):
         self.chart = chart
         self.curve = curve
-        self.normalize = False
         self.programs = compile_exprs(curve.exprs, {},
                                       curve.expr_texts or [""] * len(curve.exprs))
-        self.start = self._state(*self._validate())
 
     def _raw(self, taus):
         """Position, velocity and acceleration from order-2 jets in tau, at
@@ -150,74 +144,61 @@ class _ExplicitCurve:
                 xddot[..., k] = jet.hess[0, 0]
         return x, xdot, xddot
 
-    def _point(self, tau: float):
-        """(x, c', c'', geom) at parameter tau."""
-        x, xdot, xddot = self._raw(tau)
-        try:
-            geom = geometry_at(self.chart, x, order=1)
-        except OutsideDomainError as err:
-            raise _curve_error(err, x)
-        return x, xdot, xddot, geom
-
-    def _points(self, taus: np.ndarray):
-        """_point at each of taus, as the result is consumed: the rows of one
-        batch up to the first that fails, which raises what _point raises
-        there, or, if the curve's jets raise, one point at a time."""
+    def contexts(self, taus: np.ndarray) -> _Contexts:
+        """Position, unit tangent, acceleration nabla_U U, speed v, metric and
+        connection at an array of parameter values, from one order-2 jet
+        program in tau and one order-1 geometry_chunk.  The values are checked
+        in order, each for jets that raise, a point outside the domain (a
+        DomainExitError) and |v - 1| > REPARAM_LIMIT (a CurveError); the first
+        failure raises.  If the jets raise over the batch, the values are
+        evaluated one at a time up to the one that raises."""
+        failure = None
         try:
             x, xdot, xddot = self._raw(taus)
         except ArithmeticError:
-            yield from map(self._point, taus)
-            return
+            rows = []
+            for tau in taus:
+                try:
+                    rows.append(self._raw(tau))
+                except ArithmeticError as err:
+                    failure = err
+                    break
+            if not rows:
+                raise failure
+            x, xdot, xddot = map(np.array, zip(*rows))
         chunk, errors = geometry_chunk(self.chart, x, order=1)
-        for b, err in enumerate(errors):      # rows before a failure are chunk rows b
-            if err is not None:
-                raise _curve_error(err, x[b])
-            yield x[b], xdot[b], xddot[b], chunk_row(chunk, b)
-
-    def states(self, taus: np.ndarray) -> list:
-        """(x, unit tangent, acceleration nabla_u u, geom, speed v) at each of
-        taus; v is 1.0 on a unit-speed curve."""
-        return [self._state(*point) for point in self._points(taus)]
-
-    def _state(self, x, xdot, xddot, geom: PointGeometry):
-        v = 1.0
-        if self.normalize:
-            w = geom.ip(xdot, xdot)
-            v = np.sqrt(abs(w))
-            wdot = (np.einsum('mab,m,a,b->', geom.dg, xdot, xdot, xdot)
-                    + 2.0 * geom.ip(xddot, xdot))
-            vdot = wdot / (2.0 * v) * (1.0 if w > 0 else -1.0)
-            xdot, xddot = xdot / v, xddot / v**2 - xdot * vdot / v**3
-        accel = xddot + np.einsum('kij,i,j->k', geom.gamma, xdot, xdot)
-        return x, xdot, accel, geom, v
-
-    def _validate(self):
-        """Check the speed at _SPEED_SAMPLES parameter values from t0 to t1,
-        set `normalize`, and return the first sample's (x, c', c'', geom)."""
-        taus = np.linspace(self.curve.t0, self.curve.t1, _SPEED_SAMPLES)
-        speeds, start = [], None
-        for tau, point in zip(taus, self._points(taus)):
-            _, xdot, _, geom = point
-            w = geom.ip(xdot, xdot)
-            if abs(w) < 0.5:
-                raise CurveError(
-                    f"curve is null or nearly null at tau = {tau}: g(c',c') = {w!r}")
-            speeds.append(np.sqrt(abs(w)))
-            start = point if start is None else start
-        err = float(np.abs(np.array(speeds) - 1.0).max())
-        if err > REPARAM_LIMIT:
+        good = next((b for b, err in enumerate(errors) if err is not None), len(x))
+        if good < len(x):               # the values after a failing point are not read
+            failure = _curve_error(errors[good], x[good])
+        if good == 0:
+            raise failure
+        x, xdot, xddot = x[:good], xdot[:good], xddot[:good]
+        g, dg, gamma = chunk.g[:good], chunk.dg[:good], chunk.gamma[:good]
+        w = np.einsum('sa,sab,sb->s', xdot, g, xdot)
+        v = np.sqrt(np.abs(w))
+        slow = np.flatnonzero(~(np.abs(v - 1.0) <= REPARAM_LIMIT))
+        if len(slow):
+            b = slow[0]
             raise CurveError(
-                f"curve is not unit speed (max | |g(c',c')|^1/2 - 1 | = {err:.3e}); "
-                f"violations above {REPARAM_LIMIT:.0%} are not normalized")
-        self.normalize = err > UNIT_SPEED_TOL
-        return start
+                f"curve is not unit speed at tau = {float(taus[b])}: |g(c',c')|^1/2 = "
+                f"{v[b]:.6g} is more than {REPARAM_LIMIT:.0%} from 1, too far to normalize "
+                f"(a null or nearly null curve has speed near 0)")
+        if failure is not None:
+            raise failure
+        wdot = (np.einsum('smab,sm,sa,sb->s', dg, xdot, xdot, xdot)
+                + 2.0 * np.einsum('sa,sab,sb->s', xddot, g, xdot))
+        vdot = (wdot / (2.0 * v) * np.sign(w))[:, None]
+        U = xdot / v[:, None]
+        A = (xddot / v[:, None]**2 - xdot * vdot / v[:, None]**3
+             + np.einsum('skij,si,sj->sk', gamma, U, U))
+        return _Contexts(x, U, A, v, g, gamma)
 
 
 def _curve_error(err: Exception, x: np.ndarray) -> Exception:
     """A curve point's error at x: leaving the domain is a DomainExitError."""
     if not isinstance(err, OutsideDomainError):
         return err
-    exit_err = DomainExitError(f"curve leaves the domain at {x.tolist()}")
+    exit_err = DomainExitError(f"curve left the domain at {x.tolist()}")
     exit_err.__cause__ = err
     return exit_err
 
@@ -242,108 +223,117 @@ def _propagators(M: np.ndarray, h: float) -> np.ndarray:
     return (h / 6.0) * (M1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-class _Driver:
-    """Transport over [curve.t0, curve.t1]: rk4 integrates the curve state
-    alone (x on a u-curve, x and velocity on a geodesic, none on an explicit
-    curve), so it visits the points a joint integration would, bit for bit.
-    The context (x, tangent, acceleration, geom, speed) of each stage is kept
-    and, every CHUNK steps, folded into step propagators for the rows and dropped.
+def _fold(vectors: np.ndarray, first: int, stages, eps: float, h: float) -> None:
+    """Carry the rows vectors[first] across the steps whose stage contexts
+    (U, A, speed, g, Gamma: k1..k4 of each step) are given."""
+    X = vectors[first]
+    for j, D in enumerate(_propagators(_generators(*stages, eps), h), first + 1):
+        vectors[j] = X = X + X @ D
 
-    An explicit curve's context depends on tau alone, and every tau a run
-    visits (integrate.stage_taus) is known before it starts, so the driver
-    evaluates them CHUNK at a time ahead of the integrator; the start context,
-    the curve's first speed sample, seeds each run's first window.  Other
-    curves keep the context of the last point in a one-entry memo keyed by the
-    exact position: a table row and the next step's k1 share one evaluation,
-    and so do k2/k3 and k4/next k1 wherever the coordinate tangent is constant.
+
+class _Driver:
+    """Transport over [curve.t0, curve.t1]: the stage contexts are folded
+    into step propagators for the rows (_fold) every CHUNK steps.
+
+    rk4 integrates a u-curve's or a geodesic's state alone, visiting the
+    points a joint integration would, bit for bit; a one-entry memo keyed by
+    the exact position lets a table row and the next k1 share one
+    evaluation, and so do k2/k3 and k4/next k1 where the coordinate tangent
+    is constant.  An explicit curve has no state: the 2 CHUNK stage values
+    (integrate.stage_taus) a block of steps adds are read in one contexts
+    call, after the start context, read once at t0, or the last block's row.
     """
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec):
         self.chart = chart
         self.curve = curve
-        self._memo = None   # (x, context) of the last point evaluated, off explicit curves
+        self._memo = None   # (x, context) of the last point of a u-curve or geodesic
         n = chart.dim
         if curve.kind == "explicit":
             if curve.exprs is None or len(curve.exprs) != n:
                 raise CurveError(f"explicit curve needs {n} component expressions")
             self.engine = _ExplicitCurve(chart, curve)
-            self.y0 = np.empty(0)
-            self._window = {curve.t0: self.engine.start}   # tau -> context, read ahead
-        elif curve.kind == "u_integral":
-            if curve.start is None or len(curve.start) != n:
-                raise CurveError("integral-curve transport needs a start point")
-            self.y0 = np.asarray(curve.start, dtype=float)
-        elif curve.kind == "geodesic":
-            if (curve.start is None or curve.velocity is None
-                    or len(curve.start) != n or len(curve.velocity) != n):
-                raise CurveError("geodesic transport needs a start point and velocity")
-            self.y0 = np.asarray(curve.start + curve.velocity, dtype=float)
+            self.start = self.engine.contexts(np.array([curve.t0]))
+            tangent0, g0 = self.start.U[0], self.start.g[0]
         else:
-            raise CurveError(f"unknown curve kind {curve.kind!r}")
-        _, tangent0, _, geom0, _ = self._context(curve.t0, self.y0)
-        if curve.kind == "u_integral" and abs(abs(geom0.u_norm2) - 1.0) > 1e-6:
-            raise CurveError(f"chart u is not unit at the start: g(u,u) = {geom0.u_norm2!r}")
-        q = geom0.ip(tangent0, tangent0)
+            if curve.kind == "u_integral":
+                if curve.start is None or len(curve.start) != n:
+                    raise CurveError("integral-curve transport needs a start point")
+                self.y0 = np.asarray(curve.start, dtype=float)
+            elif curve.kind == "geodesic":
+                if (curve.start is None or curve.velocity is None
+                        or len(curve.start) != n or len(curve.velocity) != n):
+                    raise CurveError("geodesic transport needs a start point and velocity")
+                self.y0 = np.asarray(curve.start + curve.velocity, dtype=float)
+            else:
+                raise CurveError(f"unknown curve kind {curve.kind!r}")
+            _, tangent0, _, geom0 = self._context(self.y0)
+            if curve.kind == "u_integral" and abs(abs(geom0.u_norm2) - 1.0) > 1e-6:
+                raise CurveError(f"chart u is not unit at the start: g(u,u) = {geom0.u_norm2!r}")
+            g0 = geom0.g
+        q = float(tangent0 @ g0 @ tangent0)
         if abs(abs(q) - 1.0) > 1e-6:
             raise CurveError(f"curve tangent is not unit at the start: g(u,u) = {q!r}")
         self.epsilon = 1.0 if q > 0 else -1.0
 
-    def _context(self, tau: float, state: np.ndarray):
-        """(x, unit tangent, acceleration, geom, speed) at the current
-        integration point; the speed is 1.0 except on a normalized explicit
-        curve."""
+    def _context(self, state: np.ndarray):
+        """(x, unit tangent, acceleration, geom) at a u-curve's or a geodesic's
+        integration state."""
         n = self.chart.dim
-        if self.curve.kind == "explicit":
-            if tau not in self._window:     # tau heads the queue: read CHUNK stages
-                chunk, self._ahead = self._ahead[:CHUNK], self._ahead[CHUNK:]
-                self._window = dict(zip(chunk, self.engine.states(np.array(chunk))))
-            return self._window[tau]
         x = state[:n]
         if self._memo is None or not np.array_equal(self._memo[0], x):
             try:
                 geom = geometry_at(self.chart, x, order=1)
             except OutsideDomainError as err:
-                raise DomainExitError(f"curve left the domain at {x.tolist()}") from err
+                raise _curve_error(err, x)
             x = x.copy()
             A = geom.acceleration() if self.curve.kind == "u_integral" else np.zeros(n)
-            self._memo = (x, (x, geom.u, A, geom, 1.0))
-        x, U, A, geom, speed = self._memo[1]
+            self._memo = (x, (x, geom.u, A, geom))
+        x, U, A, geom = self._memo[1]
         if self.curve.kind == "geodesic":
             U = state[n:2 * n]
-        return x, U, A, geom, speed
+        return x, U, A, geom
 
     def integrate(self, X0_rows: np.ndarray, steps: int):
         n = self.chart.dim
         t0, t1 = self.curve.t0, self.curve.t1
         stages, h = stage_taus(t0, t1, steps), (t1 - t0) / steps
-        if self.curve.kind == "explicit":
-            self._window = {stages[0]: self.engine.start}
-            self._ahead = stages[1:]                       # stage taus not yet evaluated
         points, tangents = np.empty((2, steps + 1, n))
         metrics = np.empty((steps + 1, n, n))
         vectors = np.empty((steps + 1, *X0_rows.shape))
         vectors[0] = X0_rows
+        if self.curve.kind == "explicit":
+            last = self.start
+            for first in range(0, steps, CHUNK):
+                end = min(first + CHUNK, steps)
+                new = self.engine.contexts(np.array(stages[2 * first + 1:2 * end + 1]))
+                x, U, A, speed, g, gamma = (np.concatenate([before[-1:], after])
+                                            for before, after in zip(last, new))
+                rows = slice(first, end + 1)
+                points[rows], tangents[rows], metrics[rows] = x[0::2], U[0::2], g[0::2]
+                k = (2 * np.arange(end - first)[:, None] + [0, 1, 1, 2]).ravel()
+                _fold(vectors, first, (U[k], A[k], speed[k], g[k], gamma[k]), self.epsilon, h)
+                last = new
+            return np.array(stages[0::2]), points, tangents, metrics, vectors
+
         pending = []        # (U, A, speed, g, Gamma) of each stage since the last fold
 
         def rhs(tau, y):
-            _, U, A, geom, speed = self._context(tau, y)
-            pending.append((U, A, speed, geom.g, geom.gamma))
+            _, U, A, geom = self._context(y)
+            pending.append((U, A, 1.0, geom.g, geom.gamma))
             if self.curve.kind == "geodesic":
                 return np.concatenate([U, -np.einsum('kij,i,j->k', geom.gamma, U, U)])
-            return U if self.curve.kind == "u_integral" else y     # explicit: no state
+            return U
 
         def row(i, tau, y):
-            points[i], tangents[i], _, geom, _ = self._context(tau, y)
+            points[i], tangents[i], _, geom = self._context(y)
             metrics[i] = geom.g
             if len(pending) == 4 * CHUNK or i == steps:
-                first = i - len(pending) // 4
-                M = _generators(*map(np.array, zip(*pending)), self.epsilon)
-                X = vectors[first]
-                for j, D in enumerate(_propagators(M, h), first + 1):
-                    vectors[j] = X = X + X @ D
+                _fold(vectors, i - len(pending) // 4, map(np.array, zip(*pending)),
+                      self.epsilon, h)
                 pending.clear()
 
-        row(0, stages[0], self.y0)
+        row(0, t0, self.y0)
         rk4(rhs, self.y0, t0, t1, steps, row)
         return np.array(stages[0::2]), points, tangents, metrics, vectors
 
@@ -382,11 +372,11 @@ def transport(chart: ChartSpec, curve: CurveSpec, X0,
                            refined_steps=run.steps, endpoint_change=run.change)
 
 
-def gram_drift(chart: ChartSpec, result: TransportResult) -> float:
+def gram_drift(result: TransportResult) -> float:
     """Max |g(X_i, X_j)(tau) - g(X_i, X_j)(0)| over the transported table.
 
     Reads the metric the integrator recorded at each row, so it evaluates no
-    geometry; `chart` is the chart the result was transported in."""
+    geometry."""
     vectors = result.vectors if result.vectors.ndim == 3 else result.vectors[:, None, :]
     grams = vectors @ result.metrics @ vectors.transpose(0, 2, 1)
     return float(np.abs(grams - grams[0]).max())

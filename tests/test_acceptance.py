@@ -306,7 +306,7 @@ def test_criterion_09_fermi_conservation(charts100, plane_chart):
     worst = 0.0
     for label, chart, curve, x0 in battery:
         result = transport(chart, curve, x0, steps=1000)
-        drift = gram_drift(chart, result)
+        drift = gram_drift(result)
         assert drift < 1e-8, (label, drift)
         worst = max(worst, drift)
 

@@ -136,6 +136,17 @@ def test_slice_quadrature_that_does_not_converge_exits_1(capsys, monkeypatch):
     assert "quadrature did not converge" in err and "Traceback" not in err
 
 
+def test_slice_flow_beyond_the_step_limit_exits_1(capsys):
+    code, out, err = run_cli(["slice", "flrw_open", "--base", "1.5,1,1.5,1.5",
+                              "--tau-grid", "0,1e300"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "[rwcert] slice reconstruction failed: the flow from tau = 0.0 to 1e+300 would "
+        "take more than the limit of 1000000 RK4 steps")
+    assert "Traceback" not in err
+
+
 def test_slice_refuses_constant_curvature(capsys):
     code, out, err = run_cli(["slice", "minkowski", "--base", "0,0,0,0",
                               "--tau-grid", "0:1:0.5", "--points", "8"], capsys)
@@ -339,10 +350,10 @@ def test_expression_domain_error_exits_two(capsys):
 
 
 @pytest.mark.parametrize("exprs, says", [
-    # fails at the 46th of the 65 speed samples, before the run
+    # fails at the stage value 0.7000000000000001, in the run's first batch
     ("sinh(s),cosh(s),0*sqrt(0.7-s),0",
-     "sqrt undefined at value -0.0031250000000000444 in 'sqrt(0.7-s)' (span 2:13)"),
-    # fails only between speed samples, at a stage point inside a read-ahead chunk
+     "sqrt undefined at value -1.1102230246251565e-16 in 'sqrt(0.7-s)' (span 2:13)"),
+    # fails on (0.5068, 0.5088) only, at the stage value 0.5075 inside a batch
     ("sinh(s),cosh(s),0*sqrt((s-0.5078125)^2-0.000001),0",
      "sqrt undefined at value -9.023437499999694e-07 in "
      "'sqrt((s-0.5078125)^2-0.000001)' (span 2:32)"),
@@ -359,10 +370,9 @@ def test_curve_component_failing_partway_exits_two(capsys, exprs, says):
 
 
 @pytest.mark.parametrize("chart_id, curve_args, x0, says", [
-    # a narrow bump in z between two speed samples carries the curve past z = 3
-    ("minkowski", ["--curve", "explicit",
-                   "--exprs", "sinh(s),cosh(s),10*exp(-1000000*(s-0.5078125)^2),0"],
-     "0,1,0,0", "curve leaves the domain at "),
+    # x = cosh(s) passes x = 3 at s = 1.76
+    ("minkowski", ["--curve", "explicit", "--exprs", "sinh(s),cosh(s),0,0", "--range", "0,2"],
+     "0,1,0,0", "curve left the domain at "),
     ("flrw_flat_linear", ["--curve", "u", "--start", "3.4,0.1,0.2,0.3"],
      "0,0.25,0,0", "curve left the domain at "),
     ("flrw_closed_osc", ["--curve", "geodesic", "--start", "5.9,1.0,1.5,1.5",
@@ -382,6 +392,20 @@ def test_transport_leaving_the_domain_mid_run_exits_one(capsys, chart_id, curve_
     assert line.startswith(f"[rwcert] transport failed: {says}")
     point = json.loads(line[len(f"[rwcert] transport failed: {says}"):])
     assert not catalog.get_chart(chart_id).contains(point)
+
+
+def test_transport_speed_leaving_the_band_mid_run_exits_two(capsys):
+    """A narrow bump in z carries this curve past z = 3 on (0.5067, 0.5089),
+    but its speed leaves the 1% band first, at the stage value 0.505: the
+    curve is rejected as an input there (exit 2), before any point outside
+    the domain is read.  Its speed is checked at every value the run reads."""
+    code, out, err = run_cli(["transport", "minkowski", "--curve", "explicit", "--exprs",
+                              "sinh(s),cosh(s),10*exp(-1000000*(s-0.5078125)^2),0",
+                              "--x0", "0,1,0,0", "--steps", "200"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: curve is not unit speed at tau = 0.505: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("chart_id, curve_args, says", [

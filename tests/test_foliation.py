@@ -197,11 +197,12 @@ def test_scale_factor_positive_and_normalized(flrw):
 
 def test_flow_point_is_plain_rk4(flrw, monkeypatch):
     """flow_point equals classic four-stage RK4 on dx/dtau = eps u / (h - eps f)
-    with max(4, ceil(128 |delta|)) steps at the default rate, bit for bit; a
+    with max(4, ceil(FLOW_STEPS_PER_UNIT |delta|)) steps, bit for bit; a
     delta of 0 takes no step and returns the start, evaluating no geometry."""
     chart, cert = flrw
     start, delta = np.array([2.0, 0.1, -0.2, 0.3]), -0.15
     steps = 20
+    assert steps == np.ceil(foliation.FLOW_STEPS_PER_UNIT * abs(delta))
 
     def rhs(x):
         geom = geometry_at(chart, x, order=2)
@@ -272,6 +273,24 @@ def test_non_finite_tau_raises_foliation_error(flrw, call, value):
     chart, cert = flrw
     with pytest.raises(FoliationError, match="must be finite"):
         call(chart, cert, value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda chart, cert: flow_point(chart, cert, BASE, 1e300),
+    lambda chart, cert: scale_factor_profile(chart, cert, BASE, [0.1, 1e300]),
+    lambda chart, cert: same_slice_points(chart, cert, BASE, 1e300, 2),
+], ids=["flow_point", "profile", "same_slice"])
+def test_flow_beyond_the_step_limit_raises_foliation_error(flrw, monkeypatch, call):
+    """A tau so far that its RK4 tables could not be allocated is a plain
+    FoliationError, raised before rk4 runs: not a FlowDomainError or a
+    DegeneracyError, so same_slice_points raises it instead of redrawing."""
+    chart, cert = flrw
+    flowed = []
+    monkeypatch.setattr(foliation, "rk4", lambda *args: flowed.append(args))
+    with pytest.raises(FoliationError, match="more than the limit of 1000000 RK4 steps") as info:
+        call(chart, cert)
+    assert type(info.value) is FoliationError
+    assert flowed == []
 
 
 PROFILE_BASES = {

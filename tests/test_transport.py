@@ -77,7 +77,7 @@ def test_rindler_transport_matches_boost(charts):
             ch, sh = np.cosh(k * tau), np.sinh(k * tau)
             boosted = [x0[0] * ch + x0[1] * sh, x0[0] * sh + x0[1] * ch, x0[2], x0[3]]
             assert np.abs(vec - boosted).max() < 1e-10, (k, tau)
-        assert gram_drift(charts["minkowski"], result) < 1e-8
+        assert gram_drift(result) < 1e-8
 
 
 def test_plane_circle_fermi_rotation(plane_chart):
@@ -89,7 +89,7 @@ def test_plane_circle_fermi_rotation(plane_chart):
     for tau, vec in zip(result.taus[::100], result.vectors[::100]):
         rot = np.array([[np.cos(tau), -np.sin(tau)], [np.sin(tau), np.cos(tau)]])
         assert np.abs(vec - rot @ x0).max() < 1e-8
-    assert gram_drift(plane_chart, result) < 1e-8
+    assert gram_drift(result) < 1e-8
 
 
 def test_flrw_comoving_orthogonality_and_covariant_constancy(charts):
@@ -116,7 +116,7 @@ def test_conservation_of_inner_products(charts):
     rng = np.random.default_rng(8)
     x0 = rng.normal(size=(2, 4))
     result = transport(chart, curve, x0, steps=250)
-    assert gram_drift(chart, result) < 1e-8
+    assert gram_drift(result) < 1e-8
 
 
 def test_fermi_frame_constant_in_flat_space(charts):
@@ -137,7 +137,7 @@ def test_fermi_frame_rindler_drift(charts):
                        [0.0, 0.0, 0.0, 1.0],
                        [1.0, 0.0, 0.0, 0.0]])   # last row = tangent at s=0
     result = transport(chart, curve, frame0, steps=1000)
-    assert gram_drift(chart, result) < 1e-8
+    assert gram_drift(result) < 1e-8
     assert np.abs(result.vectors[-1][3] - result.tangents[-1]).max() < 1e-8
 
 
@@ -201,7 +201,7 @@ def test_mild_speed_violation_resampled(plane_chart):
     the transported result still conserves inner products."""
     curve = CurveSpec.explicit(["s + 0.002*sin(s)", "0.3"], t0=0.0, t1=1.0)
     result = transport(plane_chart, curve, np.array([0.0, 1.0]), steps=100)
-    assert gram_drift(plane_chart, result) < 1e-8
+    assert gram_drift(result) < 1e-8
     speeds = []
     for i in range(0, result.steps, 10):
         geom = geometry_at(plane_chart, result.points[i], order=1)
@@ -226,21 +226,27 @@ def test_normalized_curve_carries_its_tangent_in_curved_space(charts, name, expr
     start = _one_run(chart, curve, np.zeros(4), 1)
     result = transport(chart, curve, start.tangents[0], steps=200)
     assert np.abs(result.vectors - result.tangents).max() < 1e-8
-    assert gram_drift(chart, result) < 1e-8
+    assert gram_drift(result) < 1e-8
 
 
-@pytest.mark.parametrize("name, exprs", _CURVED_MILD)
+@pytest.mark.parametrize("name, exprs", _CURVED_MILD + [
+    ("minkowski", ["sinh(s)", "cosh(s)", "0", "0"]),
+])
 def test_normalized_acceleration_is_normal_to_the_tangent(charts, name, exprs):
-    """The d_m g(c',c') term of v' only moves the acceleration along u, which
-    the Fermi-Walker law cancels, so no transported vector shows it; it is
-    pinned here by g(A, u) = 0 on the normalized state."""
+    """Every explicit curve is normalized pointwise, a unit-speed one too: the
+    tangent has g(U, U) = eps and the acceleration g(A, U) = 0, to rounding.
+    The d_m g(c',c') term of v' only moves the acceleration along u, which
+    the Fermi-Walker law cancels, so no transported vector shows it; g(A, U)
+    pins it."""
     chart = charts[name]
-    engine = _ExplicitCurve(chart, CurveSpec.explicit(exprs, t0=0.0, t1=1.0))
-    assert engine.normalize
-    for _, U, A, geom, v in engine.states(np.linspace(0.0, 1.0, 5)):
-        assert v != 1.0
-        assert abs(geom.ip(U, U) + 1.0) < 1e-12
-        assert abs(geom.ip(A, U)) < 1e-12
+    curve = CurveSpec.explicit(exprs, t0=0.0, t1=1.0)
+    eps = transport_module._Driver(chart, curve).epsilon
+    contexts = _ExplicitCurve(chart, curve).contexts(np.linspace(0.0, 1.0, 65))
+    if name != "minkowski":
+        assert np.abs(contexts.speed - 1.0).max() > 1e-3
+    U, A, g = contexts.U, contexts.A, contexts.g
+    assert np.abs(np.einsum('sa,sab,sb->s', U, g, U) - eps).max() <= 1e-15
+    assert np.abs(np.einsum('sa,sab,sb->s', A, g, U)).max() <= 1e-15
 
 
 _READ_AHEAD_CASES = [
@@ -256,11 +262,10 @@ _READ_AHEAD_CASES = [
 
 @pytest.mark.parametrize("name, exprs, t0, t1, steps", _READ_AHEAD_CASES)
 def test_read_ahead_equals_the_point_path(charts, monkeypatch, name, exprs, t0, t1, steps):
-    """Explicit-curve stage points evaluated in read-ahead batches give the
-    table of the one-point-at-a-time path bit for bit.  That path is the
-    fallback of a batch whose curve jets raise, forced here by jets that
-    raise an ArithmeticError over every batch; the runs double until they
-    converge."""
+    """Explicit-curve stage values read in batches give the table of jets
+    evaluated one value at a time bit for bit.  That is the fallback of a
+    batch whose curve jets raise, forced here by jets that raise an
+    ArithmeticError over every batch; the runs double until they converge."""
     chart = charts[name]
     curve = CurveSpec.explicit(exprs, t0=t0, t1=t1)
     x0 = np.random.default_rng(4).normal(size=(2, 4))
@@ -350,12 +355,11 @@ def test_geodesic_observe_needs_no_geometry(charts, monkeypatch):
 
 def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
     """k2 and k3 share one tau, and k4, the next row and the next k1 share
-    another; the start cost is the unit-speed validation, whose first sample
-    is the start data.  A curve with a mild speed error costs the same: it is
-    normalized pointwise, with no extra evaluations.  The speed samples are
-    one batch and a run's stage points are read ahead in batches of CHUNK; a
-    doubled run starts from the start context it kept."""
-    from rwcert.transport import _SPEED_SAMPLES, CHUNK
+    another: after the start context, one read at t0, a run of N steps reads
+    its 2N stage values in batches of at most 2 CHUNK, and a doubled run
+    starts from the start context it kept.  A curve with a mild speed error
+    costs the same as a unit-speed one: every curve is normalized."""
+    from rwcert.transport import CHUNK
 
     batches = []
     calls = _count_geometry(monkeypatch, batches)
@@ -365,8 +369,8 @@ def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
         batches.clear()
         _one_run(charts["minkowski"], CurveSpec.explicit(exprs, t0=0.0, t1=1.0),
                  [0.0, 1.0, 0.0, 0.0], steps)
-        assert len(calls) == _SPEED_SAMPLES + 2 * steps, exprs
-        assert batches == [_SPEED_SAMPLES, 2 * steps], exprs
+        assert len(calls) == 1 + 2 * steps, exprs
+        assert batches == [1, 2 * steps], exprs
 
     calls.clear()
     batches.clear()
@@ -375,16 +379,17 @@ def test_explicit_curve_evaluates_two_per_step(charts, monkeypatch):
     monkeypatch.setattr(transport_module, "MAX_HALVINGS", 1)
     result = transport(charts["minkowski"], rindler, [0.0, 1.0, 0.0, 0.0], steps=steps)
     assert result.steps == steps
-    assert len(calls) == _SPEED_SAMPLES + 2 * steps + 4 * steps
-    assert batches == ([_SPEED_SAMPLES] + [CHUNK] * 6 + [2 * steps - 6 * CHUNK]
-                       + [CHUNK] * 12 + [4 * steps - 12 * CHUNK])
+    assert len(calls) == 1 + 2 * steps + 4 * steps
+    assert batches == ([1] + [2 * CHUNK] * 3 + [2 * steps - 6 * CHUNK]
+                       + [2 * CHUNK] * 6 + [4 * steps - 12 * CHUNK])
 
 
 def test_explicit_curve_leaving_the_domain_raises_from_its_batch(charts, monkeypatch):
-    """t = 3.4 + s leaves flrw_flat_linear's domain (t <= 3.5) during the
-    unit-speed validation: the batch's first failing row raises what the
-    one-point path raises there, and no row is evaluated alone: the 58
-    failing rows get their errors from the batch's own pass."""
+    """t = 3.4 + s leaves flrw_flat_linear's domain (t <= 3.5) in the run's
+    first batch: the batch's first failing row raises what the one-point
+    path raises there, and the failing rows get their errors from the
+    batch's own pass.  The only geometry_at call is the start context's, a
+    batch of one."""
     from rwcert import geometry
     from rwcert.geometry import OutsideDomainError
 
@@ -400,9 +405,9 @@ def test_explicit_curve_leaving_the_domain_raises_from_its_batch(charts, monkeyp
     curve = CurveSpec.explicit(["3.4 + s", "0", "0", "0"], t1=1.0)
     with pytest.raises(DomainExitError) as info:
         transport(charts["flrw_flat_linear"], curve, [0.0, 1.0, 0.0, 0.0], steps=200)
-    assert str(info.value) == "curve leaves the domain at [3.509375, 0.0, 0.0, 0.0]"
+    assert str(info.value) == "curve left the domain at [3.5025, 0.0, 0.0, 0.0]"
     assert isinstance(info.value.__cause__, OutsideDomainError)
-    assert len(calls) == 0
+    assert calls == [1]
 
 
 def test_comoving_u_curve_evaluates_two_per_step(charts, monkeypatch):
@@ -477,7 +482,7 @@ def test_gram_drift_reads_recorded_metrics(charts, plane_chart, monkeypatch):
                           for x, rows in zip(result.points, vectors)])
         expected = float(np.abs(grams - grams[0]).max())
         calls = _count_geometry(monkeypatch)
-        assert gram_drift(chart, result) == expected
+        assert gram_drift(result) == expected
         assert calls == []
         monkeypatch.undo()
 
@@ -535,8 +540,8 @@ def _joint_rk4(chart, curve, X0, steps):
     if curve.kind == "explicit":
         taus = np.empty(2 * steps + 1)
         taus[0::2], taus[1::2] = grid, grid[:-1] + 0.5 * h
-        states = _ExplicitCurve(chart, curve).states(taus)
-        lookup = dict(zip(taus.tolist(), states))
+        c = _ExplicitCurve(chart, curve).contexts(taus)
+        lookup = dict(zip(taus.tolist(), zip(c.x, c.U, c.A, c.g, c.gamma, c.speed)))
         y = X0.ravel()
         m = 0
 
@@ -549,26 +554,26 @@ def _joint_rk4(chart, curve, X0, steps):
         def context(tau, curve_state):
             geom = geometry_at(chart, curve_state[:n], order=1)
             if curve.kind == "geodesic":
-                return curve_state[:n], curve_state[n:], np.zeros(n), geom, 1.0
-            return curve_state, geom.u, geom.acceleration(), geom, 1.0
+                return (curve_state[:n], curve_state[n:], np.zeros(n), geom.g, geom.gamma,
+                        1.0)
+            return curve_state, geom.u, geom.acceleration(), geom.g, geom.gamma, 1.0
 
-    _, U0, _, geom0, _ = context(t0, y[:m])
-    eps = 1.0 if geom0.ip(U0, U0) > 0 else -1.0
+    _, U0, _, g0, _, _ = context(t0, y[:m])
+    eps = 1.0 if U0 @ g0 @ U0 > 0 else -1.0
 
     def rhs(tau, y):
-        _, U, A, geom, v = context(tau, y[:m])
+        _, U, A, g, gamma, v = context(tau, y[:m])
         X = y[m:].reshape(X0.shape)
-        dX = v * (-np.einsum('kij,i,rj->rk', geom.gamma, U, X)
-                  - eps * np.outer(X @ geom.g @ A, U) + eps * np.outer(X @ geom.g @ U, A))
+        dX = v * (-np.einsum('kij,i,rj->rk', gamma, U, X)
+                  - eps * np.outer(X @ g @ A, U) + eps * np.outer(X @ g @ U, A))
         if curve.kind == "geodesic":
-            return np.concatenate([U, -np.einsum('kij,i,j->k', geom.gamma, U, U),
-                                   dX.ravel()])
+            return np.concatenate([U, -np.einsum('kij,i,j->k', gamma, U, U), dX.ravel()])
         return np.concatenate([U if curve.kind == "u_integral" else [], dX.ravel()])
 
     table = []
     for i in range(steps + 1):
-        x, U, _, geom, _ = context(grid[i], y[:m])
-        table.append((x, U, geom.g, y[m:].reshape(X0.shape)))
+        x, U, _, g, _, _ = context(grid[i], y[:m])
+        table.append((x, U, g, y[m:].reshape(X0.shape)))
         if i == steps:
             break
         t, mid, end = grid[i], grid[i] + 0.5 * h, grid[i + 1]
@@ -660,7 +665,9 @@ def test_generators_satisfy_the_pointwise_law(charts, plane_chart):
     contexts = []
     for name in ("rindler", "normalized plane curve", "normalized curved"):
         chart, curve, _ = cases[name]
-        contexts += _ExplicitCurve(chart, curve).states(np.linspace(0.0, 1.0, 7))
+        c = _ExplicitCurve(chart, curve).contexts(np.linspace(0.0, 1.0, 7))
+        contexts += [(x, U, A, geometry_at(chart, x, order=1), v)
+                     for x, U, A, v in zip(c.x, c.U, c.A, c.speed)]
     chart, curve, _ = cases["rotating plane u-curve"]
     for x in ([0.0, 0.5], [0.4, -0.3], [-1.0, 1.2]):
         geom = geometry_at(chart, x, order=1)
