@@ -27,7 +27,7 @@ from .certify import (CertificationInputError, CertifyConfig, certify,
 from .chart import ChartError, ChartSpec, load_chart
 from .exprs import EvalDomainError
 from .foliation import FoliationError, scale_factor_profile
-from .geometry import GeometryError
+from .geometry import GeometryError, geometry_at
 from .transport import CurveError, CurveSpec, TransportError, gram_drift, transport
 
 EXIT_PASS = 0
@@ -265,11 +265,22 @@ def cmd_slice(args) -> int:
                                    certificate=report.certificate_payload(certificate),
                                    foliation=report.foliation_payload(result))
     _emit(args, document)
-    sign = {1: "+1 (spherical)", 0: "0 (flat)", -1: "-1 (hyperbolic)"}[result.curvature_sign]
+    sign = _curvature_sign(chart, result)
     print(f"[rwcert] {chart.name}: spatial curvature sign {sign}", file=sys.stderr)
     if args.expect is not None and certificate.classification != args.expect:
         return EXIT_FAIL
     return EXIT_PASS
+
+
+def _curvature_sign(chart: ChartSpec, result) -> str:
+    """The sign of k-hat, named spherical, flat or hyperbolic only when the
+    fibre u^perp is positive definite, else with its signature (positive, negative)."""
+    signs = np.sign(np.linalg.eigvalsh(geometry_at(chart, result.base_point, order=1).g)).tolist()
+    signs.remove(result.epsilon)        # u's own direction; the rest is the fibre
+    k = result.curvature_sign + 1
+    label = (f"fibre signature ({signs.count(1)}, {signs.count(-1)})" if -1 in signs
+             else ("hyperbolic", "flat", "spherical")[k])
+    return f"{('-1', '0', '+1')[k]} ({label})"
 
 
 def _curve_from_args(args, chart: ChartSpec) -> tuple[CurveSpec, dict]:

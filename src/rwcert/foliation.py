@@ -44,7 +44,7 @@ SLICE_TOL = 1e-9          # same-slice time agreement
 FLAT_BAND = 1e-6          # |k-hat| below this reports flat spatial sections
 BATCH_ROWS = 64           # rows per geometry_chunk call, which bounds a batch's memory
 FLOW_STEPS_PER_UNIT = 128  # flow_point's RK4 steps per unit tau
-MAX_FLOW_STEPS = 1_000_000  # RK4 steps of one flow segment; rk4 keeps 2 floats per step
+MAX_FLOW_STEPS = 1_000_000  # RK4 steps of a flow segment; without it a 1e300 tau steps forever
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
@@ -305,7 +305,7 @@ def _flow(chart: ChartSpec, certificate: Certificate, starts: np.ndarray, paths:
     y = np.concatenate([starts, np.zeros((len(starts), 2))], axis=1)
     states, errors = [[row.copy()] for row in y], [None] * len(starts)
 
-    def rhs(_, state, stepping):
+    def rhs(state, stepping):
         """The tau derivative of the rows live[stepping], nan at a row with an
         error; only rows without one take part in the division."""
         k = np.full_like(state, np.nan)
@@ -325,10 +325,9 @@ def _flow(chart: ChartSpec, certificate: Certificate, starts: np.ndarray, paths:
                          if len(path) > j and errors[r] is None], dtype=int)
         if not len(live):
             break
-        t0 = np.array([paths[r][j - 1] for r in live])
-        t1 = np.array([paths[r][j] for r in live])
-        steps = [max(4, int(np.ceil(abs(b - a) * rates[r]))) for r, a, b in zip(live, t0, t1)]
-        y[live] = rk4(rhs, y[live], t0, t1, steps)
+        delta = np.array([paths[r][j] - paths[r][j - 1] for r in live])
+        steps = [max(4, int(np.ceil(abs(d) * rates[r]))) for r, d in zip(live, delta)]
+        y[live] = rk4(rhs, y[live], delta / steps, steps)
         for r in live:
             states[r].append(y[r].copy())
     return states, errors

@@ -1,7 +1,8 @@
 """Fixed-step RK4 and step doubling: the package's one ODE integrator.
 
-The flow of d_t (`foliation`) and Fermi transport (`transport`) both integrate
-with classic RK4 on a uniform grid and refine by doubling the step count until
+Both ODEs are autonomous: the flow of d_t (`foliation`, rows of (x, log a^2,
+s) in tau) and a u-curve's or a geodesic's state (`transport`, one row in its
+own parameter).  Both step RK4 at fixed widths and double the step count until
 a caller-defined change between two runs falls below a tolerance.
 """
 
@@ -13,52 +14,30 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
-def stage_taus(t0: float, t1: float, steps: int) -> list[float]:
-    """The 2*steps + 1 values rk4 visits, in order: linspace(t0, t1, steps + 1)
-    at even places, t + 0.5*(t1 - t0)/steps between them.  Step i takes k1 at
-    [2i], k2 and k3 at [2i + 1], k4 at [2i + 2]."""
-    stages = np.empty(2 * steps + 1)
-    stages[0::2] = np.linspace(t0, t1, steps + 1)
-    stages[1::2] = stages[0:-1:2] + 0.5 * ((t1 - t0) / steps)
-    return stages.tolist()
+def rk4(rhs: Callable, y, h, steps, row: Callable | None = None) -> np.ndarray:
+    """Integrate the autonomous y' = rhs(y) by classic RK4; return the end rows.
 
-
-def rk4(rhs: Callable, y: np.ndarray, t0, t1, steps, row: Callable | None = None):
-    """Integrate y' = rhs(t, y) from t0 to t1 in `steps` RK4 steps; return y(t1).
-
-    rhs runs at the values of stage_taus(t0, t1, steps), so a caller keying
-    work on them sees the same floats.  `row(i, tau, y)` runs after step i
-    (1..steps) with the grid value and state it reached.
-
-    With arrays of B values for t0, t1 and steps, y holds B rows stepped in
-    lockstep, row b steps[b] >= 0 times over [t0[b], t1[b]] (bit for bit as
-    alone); rhs and row see the rows still stepping, rhs(t, y, rows) by index."""
-    if np.ndim(steps) == 0:          # one state: float taus and steps
-        stages, width = stage_taus(t0, t1, steps), (t1 - t0) / steps
-        plan = ((None, rhs, *stages[2 * i:2 * i + 3], width) for i in range(steps))
-    else:
-        steps = np.asarray(steps)
-        width = ((np.asarray(t1, dtype=float) - t0) / np.maximum(steps, 1))[:, None]
-        taus = np.zeros((len(steps), 2 * steps.max(initial=0) + 1))
-        for b, (start, stop, count) in enumerate(zip(t0, t1, steps.tolist())):
-            taus[b, :2 * count + 1] = stage_taus(start, stop, count) if count else start
-        plan = ((rows, lambda t, x, rows=rows: rhs(t, x, rows), *taus[rows, 2 * i:2 * i + 3].T,
-                 width[rows]) for i in range(steps.max(initial=0))
-                for rows in [np.flatnonzero(steps > i)])
-        y = np.array(y, dtype=float)
-    for i, (rows, f, t, mid, end, h) in enumerate(plan):
-        x = y if rows is None else y[rows]
-        k1 = f(t, x)
-        k2 = f(mid, x + 0.5 * h * k1)
-        k3 = f(mid, x + 0.5 * h * k2)
-        k4 = f(end, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if rows is None:
-            y = x
-        else:
-            y[rows] = x
-        if row is not None:
-            row(i + 1, end, x)
+    y holds B rows stepped in lockstep: row b takes steps[b] >= 0 steps of
+    width h[b], bit for bit as alone.  rhs(x, rows) gets the rows still
+    stepping, x = their states and rows = their indices, and returns their
+    derivatives; `row(i, x)` runs after step i (1..max(steps)) with the
+    states it reached.  The widths are scaled once per set of stepping rows.
+    """
+    y, steps = np.array(y, dtype=float), np.asarray(steps)
+    h = np.asarray(h, dtype=float)[:, None]
+    done = 0
+    while len(rows := np.flatnonzero(steps > done)):
+        x, half, full, sixth = y[rows], 0.5 * h[rows], h[rows], h[rows] / 6.0
+        until = int(steps[rows].min())
+        for i in range(done, until):
+            k1 = rhs(x, rows)
+            k2 = rhs(x + half * k1, rows)
+            k3 = rhs(x + half * k2, rows)
+            k4 = rhs(x + full * k3, rows)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if row is not None:
+                row(i + 1, x)
+        y[rows], done = x, until
     return y
 
 

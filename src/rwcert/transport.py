@@ -29,7 +29,7 @@ import numpy as np
 from .chart import ChartSpec
 from .exprs import Expr, ExprError, compile_exprs, parse_expr
 from .geometry import OutsideDomainError, geometry_at, geometry_chunk
-from .integrate import doubled, rk4, stage_taus
+from .integrate import doubled, rk4
 from .jets import Jet3
 
 REPARAM_LIMIT = 1e-2       # relative speed error fixable by pointwise normalization
@@ -130,9 +130,7 @@ class _ExplicitCurve:
         one parameter value (shape (n,)) or along an array of them (rows)."""
         env = {self.curve.param: Jet3.variable(0, taus, 1, order=2)}
         shape = np.shape(taus) + (self.chart.dim,)
-        x = np.empty(shape)
-        xdot = np.zeros(shape)
-        xddot = np.zeros(shape)
+        x, xdot, xddot = np.zeros((3, *shape))
         with np.errstate(over="ignore", invalid="ignore"):   # inf/nan leave the domain
             for k, program in enumerate(self.programs):
                 if isinstance(program, float):
@@ -203,6 +201,17 @@ def _curve_error(err: Exception, x: np.ndarray) -> Exception:
     return exit_err
 
 
+def stage_taus(t0: float, t1: float, steps: int) -> np.ndarray:
+    """The 2*steps + 1 parameter values of RK4's stages, in order: the table's
+    linspace(t0, t1, steps + 1) at even places, t + 0.5*(t1 - t0)/steps
+    between them.  Step i takes k1 at [2i], k2 and k3 at [2i + 1], k4 at
+    [2i + 2]; an explicit curve is read at these values."""
+    stages = np.empty(2 * steps + 1)
+    stages[0::2] = np.linspace(t0, t1, steps + 1)
+    stages[1::2] = stages[0:-1:2] + 0.5 * ((t1 - t0) / steps)
+    return stages
+
+
 def _generators(U, A, speed, g, gamma, eps: float) -> np.ndarray:
     """The Fermi generator at each of a stack of stage contexts: dX/dtau = X M
     for a row X, M = v (-(Gamma.U)^T - eps (gA) U^T + eps (gU) A^T)."""
@@ -235,19 +244,19 @@ class _Driver:
     """Transport over [curve.t0, curve.t1]: the stage contexts are folded
     into step propagators for the rows (_fold) every CHUNK steps.
 
-    rk4 integrates a u-curve's or a geodesic's state alone, visiting the
-    points a joint integration would, bit for bit; a one-entry memo keyed by
-    the exact position lets a table row and the next k1 share one
-    evaluation, and so do k2/k3 and k4/next k1 where the coordinate tangent
-    is constant.  An explicit curve has no state: the 2 CHUNK stage values
-    (integrate.stage_taus) a block of steps adds are read in one contexts
-    call, after the start context, read once at t0, or the last block's row.
+    rk4 integrates a u-curve's or a geodesic's state alone, as one row,
+    visiting the points a joint integration would, bit for bit; a one-entry
+    memo keyed by the exact position lets a table row and the next k1 share
+    one evaluation, and so do k2/k3 and k4/next k1 where the coordinate
+    tangent is constant.  An explicit curve has no state: the 2 CHUNK stage
+    values (stage_taus) a block of steps adds are read in one contexts call,
+    after the start context, read once at t0, or the last block's row.
     """
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec):
         self.chart = chart
         self.curve = curve
-        self._memo = None   # (x, context) of the last point of a u-curve or geodesic
+        self._memo = None   # (x as a tuple, context) of a u-curve's or geodesic's last point
         n = chart.dim
         if curve.kind == "explicit":
             if curve.exprs is None or len(curve.exprs) != n:
@@ -259,12 +268,12 @@ class _Driver:
             if curve.kind == "u_integral":
                 if curve.start is None or len(curve.start) != n:
                     raise CurveError("integral-curve transport needs a start point")
-                self.y0 = np.asarray(curve.start, dtype=float)
+                self.y0 = np.array([curve.start], dtype=float)
             elif curve.kind == "geodesic":
                 if (curve.start is None or curve.velocity is None
                         or len(curve.start) != n or len(curve.velocity) != n):
                     raise CurveError("geodesic transport needs a start point and velocity")
-                self.y0 = np.asarray(curve.start + curve.velocity, dtype=float)
+                self.y0 = np.array([curve.start + curve.velocity], dtype=float)
             else:
                 raise CurveError(f"unknown curve kind {curve.kind!r}")
             _, tangent0, _, geom0 = self._context(self.y0)
@@ -278,20 +287,20 @@ class _Driver:
 
     def _context(self, state: np.ndarray):
         """(x, unit tangent, acceleration, geom) at a u-curve's or a geodesic's
-        integration state."""
+        integration state, the one row of `state`."""
         n = self.chart.dim
-        x = state[:n]
-        if self._memo is None or not np.array_equal(self._memo[0], x):
+        key = tuple(state[0, :n].tolist())
+        if self._memo is None or self._memo[0] != key:
+            x = state[0, :n].copy()
             try:
                 geom = geometry_at(self.chart, x, order=1)
             except OutsideDomainError as err:
                 raise _curve_error(err, x)
-            x = x.copy()
             A = geom.acceleration() if self.curve.kind == "u_integral" else np.zeros(n)
-            self._memo = (x, (x, geom.u, A, geom))
+            self._memo = (key, (x, geom.u, A, geom))
         x, U, A, geom = self._memo[1]
         if self.curve.kind == "geodesic":
-            U = state[n:2 * n]
+            U = state[0, n:2 * n]
         return x, U, A, geom
 
     def integrate(self, X0_rows: np.ndarray, steps: int):
@@ -306,7 +315,7 @@ class _Driver:
             last = self.start
             for first in range(0, steps, CHUNK):
                 end = min(first + CHUNK, steps)
-                new = self.engine.contexts(np.array(stages[2 * first + 1:2 * end + 1]))
+                new = self.engine.contexts(stages[2 * first + 1:2 * end + 1])
                 x, U, A, speed, g, gamma = (np.concatenate([before[-1:], after])
                                             for before, after in zip(last, new))
                 rows = slice(first, end + 1)
@@ -314,18 +323,19 @@ class _Driver:
                 k = (2 * np.arange(end - first)[:, None] + [0, 1, 1, 2]).ravel()
                 _fold(vectors, first, (U[k], A[k], speed[k], g[k], gamma[k]), self.epsilon, h)
                 last = new
-            return np.array(stages[0::2]), points, tangents, metrics, vectors
+            return stages[0::2], points, tangents, metrics, vectors
 
         pending = []        # (U, A, speed, g, Gamma) of each stage since the last fold
 
-        def rhs(tau, y):
+        def rhs(y, _):
+            """The derivative of the one row y; its 1-D value broadcasts."""
             _, U, A, geom = self._context(y)
             pending.append((U, A, 1.0, geom.g, geom.gamma))
             if self.curve.kind == "geodesic":
                 return np.concatenate([U, -np.einsum('kij,i,j->k', geom.gamma, U, U)])
             return U
 
-        def row(i, tau, y):
+        def row(i, y):
             points[i], tangents[i], _, geom = self._context(y)
             metrics[i] = geom.g
             if len(pending) == 4 * CHUNK or i == steps:
@@ -333,9 +343,9 @@ class _Driver:
                       self.epsilon, h)
                 pending.clear()
 
-        row(0, t0, self.y0)
-        rk4(rhs, self.y0, t0, t1, steps, row)
-        return np.array(stages[0::2]), points, tangents, metrics, vectors
+        row(0, self.y0)
+        rk4(rhs, self.y0, [h], [steps], row)
+        return stages[0::2], points, tangents, metrics, vectors
 
 
 def transport(chart: ChartSpec, curve: CurveSpec, X0,

@@ -125,6 +125,38 @@ def test_slice_flat_chart_reports_flat_sign(capsys):
     assert max(abs(s["k_hat"]) for s in doc["foliation"]["samples"]) < 1e-6
 
 
+DS3_FIBRE = {
+    "name": "ds3_fibre", "dim": 4, "coords": ["t", "chi", "theta", "phi"],
+    "metric": [["-1", None, None, None], [None, "-(t/2)^2", None, None],
+               [None, None, "(t/2)^2*cosh(chi)^2", None],
+               [None, None, None, "(t/2)^2*cosh(chi)^2*sin(theta)^2"]],
+    "u": ["1", "0", "0", "0"], "params": {},
+    "domain": [[1, 4], [-1, 1], [0.5, 2.5], [0, 6]], "options": {},
+}
+
+
+@pytest.mark.parametrize("chart, base, sign", [
+    (None, "3,0.2,1.5,1", "+1 (fibre signature (2, 1))"),
+    ("flrw_open", "1.5,1,1.5,1.5", "-1 (hyperbolic)"),
+], ids=["de-sitter-3-fibre", "catalog"])
+def test_slice_names_the_curvature_only_for_a_definite_fibre(tmp_path, capsys, chart, base,
+                                                             sign):
+    """Spherical and hyperbolic name a positive definite fibre u^perp; the
+    de Sitter-3 fibre of -dt^2 + (t/2)^2 (-dchi^2 + cosh^2 chi dOmega^2), with
+    eps = -1 and k-hat = 4/9, gets its signature instead."""
+    if chart is None:
+        chart = tmp_path / "ds3.chart.json"
+        chart.write_text(json.dumps(DS3_FIBRE))
+    code, out, err = run_cli(["slice", str(chart), "--base", base,
+                              "--tau-grid=-0.2,0,0.2", "--points", "16"], capsys)
+    assert code == 0
+    assert err.splitlines()[0].endswith(f": spatial curvature sign {sign}")
+    if sign.startswith("+1 (fibre"):
+        fol = json.loads(out)["foliation"]
+        assert fol["epsilon"] == -1 and fol["curvature_sign"] == 1
+        assert max(abs(s["k_hat"] - 4 / 9) for s in fol["samples"]) < 1e-9
+
+
 def test_slice_quadrature_that_does_not_converge_exits_1(capsys, monkeypatch):
     from rwcert import foliation
 

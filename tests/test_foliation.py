@@ -281,7 +281,7 @@ def test_non_finite_tau_raises_foliation_error(flrw, call, value):
     lambda chart, cert: same_slice_points(chart, cert, BASE, 1e300, 2),
 ], ids=["flow_point", "profile", "same_slice"])
 def test_flow_beyond_the_step_limit_raises_foliation_error(flrw, monkeypatch, call):
-    """A tau so far that its RK4 tables could not be allocated is a plain
+    """A tau so far that its RK4 steps would run for ever is a plain
     FoliationError, raised before rk4 runs: not a FlowDomainError or a
     DegeneracyError, so same_slice_points raises it instead of redrawing."""
     chart, cert = flrw

@@ -8,7 +8,7 @@ import pytest
 from rwcert import transport as transport_module
 from rwcert.geometry import geometry_at
 from rwcert.transport import (CurveError, CurveSpec, DomainExitError, TransportError,
-                              _ExplicitCurve, gram_drift, transport)
+                              _ExplicitCurve, gram_drift, stage_taus, transport)
 
 from oracles import adapted_frame, fermi_derivative
 
@@ -526,6 +526,16 @@ def test_geodesic_transport_reuses_the_row_geometry(charts, monkeypatch):
         assert np.array_equal(path.tangents[i + 1], state[4:])
         norms.append(abs(geometry_at(chart, state[:4], order=1).ip(state[4:], state[4:])))
     assert _norm_drift(path) == float(np.abs(np.array(norms) - norms[0]).max())
+
+
+@pytest.mark.parametrize("t0, t1, steps", [(0.0, 1.0, 7), (1.0, 0.0, 5), (0.3, -1.1, 3)])
+def test_stage_taus_hold_the_grid_and_the_mid_stages(t0, t1, steps):
+    """The grid rows linspace(t0, t1, steps + 1) at even places and each
+    step's mid stage between them, on increasing and decreasing ranges."""
+    stages = stage_taus(t0, t1, steps)
+    assert len(stages) == 2 * steps + 1
+    assert stages[0::2].tolist() == np.linspace(t0, t1, steps + 1).tolist()
+    assert np.allclose(stages[1::2], 0.5 * (stages[0:-1:2] + stages[2::2]), rtol=0, atol=1e-15)
 
 
 def _joint_rk4(chart, curve, X0, steps):
