@@ -21,8 +21,10 @@ a chunk's order-3 geometry in one pass, and one call of the battery
 array operations over a leading chunk axis.  Each sample draws its random
 directions from its own child of the seed, in rounds of one block per point
 (see _draws), so a point's draws do not depend on its neighbours; per point
-stays only eq14's (pool, pool, n, pool) product.  sample_point runs the
-same body on a chunk of one; it is on no hot path.
+stays only eq14's (pool, pool, n, pool) product.  Rows whose frame fails
+leave the chunk by take_rows, whose rows round as the chunk's did.
+sample_point runs the same body on a chunk of one, which geometry_chunk
+builds from its point's own arrays; it is on no hot path.
 
 The chunk is bounded by memory, not speed: it holds every tensor of every
 point in it.  certify(256) on flrw_closed_osc peaks at 1.69 MB of traced
@@ -42,8 +44,8 @@ import numpy as np
 from . import __version__
 from .chart import ChartSpec
 from .geometry import (PIVOT_TOL, Frame, FrameError, PointGeometry, _apply, _bilinear,
-                       _dot, _scalar, adapted_frames, chunk_row, geometry_at, geometry_chunk,
-                       stack_geometry, trace_invariants)
+                       _dot, _scalar, adapted_frames, geometry_chunk, take_rows,
+                       trace_invariants)
 
 RESIDUAL_KEYS = ("eq13", "eq14", "a43", "a44", "skewA1",
                  "bianchi31", "bianchi32", "bianchi33",
@@ -310,7 +312,8 @@ def sample_point(chart: ChartSpec, point, rng=None,
     """Full residual evaluation at one point: the battery on a chunk of one."""
     _require_dim4(chart)
     rng = np.random.default_rng(0) if rng is None else rng
-    result = _battery(stack_geometry([geometry_at(chart, point, order=3)]), [rng], tol_margin)[0]
+    chunk, errors = geometry_chunk(chart, [point], order=3)
+    result = errors[0] or _battery(chunk, [rng], tol_margin)[0]
     if isinstance(result, Exception):
         raise result
     return result
@@ -325,7 +328,7 @@ def _battery(chunk: PointGeometry, rngs: list, tol_margin: float) -> list:
     if not live:
         return results
     if len(live) < len(results):
-        chunk = stack_geometry([chunk_row(chunk, b) for b in live])
+        chunk = take_rows(chunk, live)
         rngs, vectors, etas = [rngs[b] for b in live], vectors[live], etas[live]
     frame = Frame(vectors, etas, chunk.g)
     eps, f, h = extract_invariants(chunk, frame)

@@ -22,6 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
+import numpy as np
+
 from . import jets
 from .jets import Jet3
 
@@ -364,10 +366,13 @@ def _fold(build, *constants: float) -> Program:
     """Apply a compiled operation to constants through order-1 jets of
     dimension 1, whose value slot is computed exactly as at any order.  An
     arithmetic failure is kept for run time: the unfolded program is returned
-    and raises the same error whenever it runs."""
+    and raises the same error whenever it runs.  A constant that overflows
+    folds to inf or nan quietly, as it would evaluate at run time, and makes
+    every point degenerate."""
     program = build(*(_constant_program(c) for c in constants))
     try:
-        return float(program(None).value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(program(None).value)
     except ArithmeticError:
         return program
 

@@ -18,6 +18,11 @@ lowered Riemann tensor does too, which is what the differential checks (df, dh,
 closedness) consume.  Only certify's residual battery evaluates order 3: the
 foliation runs on order 2 and transport on order 1.  Residuals are reported
 relative to 1 + max |R_{rsmn}| at the point.
+
+geometry_at evaluates one point and geometry_chunk a batch of them, both in
+one evaluator body (_evaluate).  A chunk's arrays carry a leading chunk axis;
+a batch of one is its point's arrays viewed with that axis, and take_rows
+selects rows.  Every row equals geometry_at at its point bit for bit.
 """
 
 from __future__ import annotations
@@ -63,9 +68,9 @@ class PointGeometry:
     derivative, e.g. dg[l, i, j] = d_l g_ij and dgamma[l, k, i, j] = d_l
     Gamma^k_ij.  riemann_up is R^r_{smn} indexed [r, s, m, n]; riemann_low has
     the first index lowered.  driemann_* are None when built with order=2.
-    stack_geometry puts several points into one PointGeometry whose arrays,
-    and u_norm2, carry a leading chunk axis; the properties below, nabla_u
-    and the trace invariants serve a point and a chunk alike.
+    From geometry_chunk the arrays, and u_norm2, carry a leading chunk axis;
+    the properties below, nabla_u and the trace invariants serve a point and
+    a chunk alike.
     """
 
     point: np.ndarray
@@ -141,12 +146,11 @@ def geometry_chunk(chart: ChartSpec, points, order: int = 3) -> tuple[PointGeome
     and the tensor algebra runs over a leading one, so B points cost one jet
     program and one set of einsums.  A row that fails a check of geometry_at
     is dropped from the pass with its exception, and costs its neighbours
-    nothing.  Jets that raise (an expression domain error, a zero division,
-    an overflowing float power) stop the pass, and every row is evaluated
-    alone; so is a batch of one, for which a pass costs more than geometry_at.
-    A row of the chunk (chunk_row) equals geometry_at at its point bit for
-    bit, unless the chart raises to a non-integer constant power: numpy's
-    array power and Python's float power may round that apart in the last bit.
+    nothing.  A batch of one is its point's pass, the arrays viewed with a
+    leading axis.  Jets that raise (an expression domain error, a zero
+    division) stop the pass: each row then gets its error from a pass of its
+    own, and one pass runs over the rows that have none.  Every row of the
+    chunk equals geometry_at at its point bit for bit.
     """
     _check_order(order)
     n = chart.dim
@@ -160,39 +164,28 @@ def geometry_chunk(chart: ChartSpec, points, order: int = 3) -> tuple[PointGeome
             return (_point_geometry(fields, order) if len(rows) else None), errors
         except (GeometryError, ArithmeticError):     # the jets stopped the pass
             pass
-    geoms, errors = [], [None] * len(points)
+    errors = [None] * len(points)
     for b, point in enumerate(points):
         try:
-            geoms.append(geometry_at(chart, point, order))
+            fields = _evaluate(chart, point, order)[0]
         except (GeometryError, ArithmeticError) as err:
             errors[b] = err
-    return (stack_geometry(geoms) if geoms else None), errors
+    passed = [b for b, err in enumerate(errors) if err is None]
+    if not passed:
+        return None, errors
+    if len(passed) == 1:        # the fields of the one point that passed
+        fields = tuple(None if a is None else a[None] for a in fields)
+    else:
+        fields = _evaluate(chart, points[passed], order)[0]
+    return _point_geometry(fields, order), errors
 
 
-def chunk_row(chunk: PointGeometry, b: int) -> PointGeometry:
-    """Row b of a chunk, its arrays views into the chunk's."""
-    arrays = (getattr(chunk, f.name) for f in fields(PointGeometry)[:-2])
-    return PointGeometry(*(None if a is None else a[b] for a in arrays),
-                         float(chunk.u_norm2[b]), chunk.order)
-
-
-def stack_geometry(geoms: list[PointGeometry]) -> PointGeometry:
-    """The geometries of several points as one chunk: the inverse of chunk_row."""
-    values = [[getattr(geom, f.name) for geom in geoms] for f in fields(PointGeometry)[:-1]]
-    return PointGeometry(*(None if v[0] is None else _stack(v) for v in values),
-                         geoms[0].order)
-
-
-def _stack(rows: list) -> np.ndarray:
-    """The rows on a new leading axis, each laid out in memory as rows[0] is:
-    einsum's summation order follows the memory layout of its operands, so a
-    contiguous copy of a Riemann tensor would round differently from the point.
-    One row is copied in its own memory order (order="K"), a tenth of the cost."""
-    if len(rows) == 1:
-        return np.array(rows[0], order="K")[None]
-    order = np.argsort(np.asarray(rows[0]).strides)[::-1]
-    stacked = np.array([np.asarray(row).transpose(order) for row in rows])
-    return stacked.transpose(0, *(1 + np.argsort(order)))
+def take_rows(chunk: PointGeometry, rows) -> PointGeometry:
+    """The chunk at `rows` (indices or a mask), each array indexed on its
+    chunk axis.  numpy's indexing keeps an array's memory order, which
+    einsum's summation order follows, so the rows round as they did."""
+    arrays = (getattr(chunk, f.name) for f in fields(PointGeometry)[:-1])
+    return PointGeometry(*(None if a is None else a[rows] for a in arrays), chunk.order)
 
 
 def _check_order(order) -> None:
@@ -248,17 +241,14 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
     # an overflowing chart leaves inf or nan, which is rejected below as a
     # degenerate point; numpy's warnings about it would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for i, j, program in programs.metric_varying:
-                jet = program(env)
-                g[i, j] = g[j, i] = jet.value
-                dg[:, i, j] = dg[:, j, i] = jet.grad
-                if order >= 2:
-                    d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
-                if order >= 3:
-                    d3g[:, :, :, i, j] = d3g[:, :, :, j, i] = jet.cube
-        except OverflowError as err:
-            raise _overflow(points, "metric", err) from err
+        for i, j, program in programs.metric_varying:
+            jet = program(env)
+            g[i, j] = g[j, i] = jet.value
+            dg[:, i, j] = dg[:, j, i] = jet.grad
+            if order >= 2:
+                d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
+            if order >= 3:
+                d3g[:, :, :, i, j] = d3g[:, :, :, j, i] = jet.cube
         if lead:
             g, dg, d2g, d3g = (_batch_first(a) for a in (g, dg, d2g, d3g))
         rows, points, g, dg, d2g, d3g = _keep(
@@ -280,13 +270,10 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
             env = _variables(chart, points, order)
         u = _spread(programs.u_constant, batch)
         du = np.zeros((n, n) + batch)
-        try:
-            for k, program in programs.u_varying:
-                jet = program(env)
-                u[k] = jet.value
-                du[:, k] = jet.grad
-        except OverflowError as err:
-            raise _overflow(points, "u", err) from err
+        for k, program in programs.u_varying:
+            jet = program(env)
+            u[k] = jet.value
+            du[:, k] = jet.grad
         if lead:
             u, du = _batch_first(u), _batch_first(du)
         if chart.normalize_u:
@@ -422,11 +409,6 @@ def _dot(v: np.ndarray, w: np.ndarray):
 def _scalar(value):
     """A float for a point, the array over a chunk."""
     return float(value) if getattr(value, "ndim", 0) == 0 else value
-
-
-def _overflow(points: np.ndarray, what: str, err: OverflowError) -> DegenerateMetricError:
-    """Python float powers inside the jets raise where numpy would give inf."""
-    return DegenerateMetricError(f"{what} overflows at {points.tolist()}: {err}")
 
 
 @dataclass

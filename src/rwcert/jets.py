@@ -339,8 +339,13 @@ def pow_const(a: Jet3, r: float) -> Jet3:
     bad = v <= 0.0
     if _any(bad):
         raise JetDomainError(f"pow({r})", _offending(v, bad))
-    f0 = v**r
-    return compose(a, f0, r * f0 / v, r * (r - 1.0) * f0 / v**2, r * (r - 1.0) * (r - 2.0) * f0 / v**3)
+    # numpy's power of a float64 scalar equals its array power bit for bit,
+    # and overflows to inf where Python's float power would raise; the
+    # denominators are products, so a point and a batch round alike
+    f0 = np.power(v, r)
+    v2 = v * v
+    return compose(a, f0, r * f0 / v, r * (r - 1.0) * f0 / v2,
+                   r * (r - 1.0) * (r - 2.0) * f0 / (v2 * v))
 
 
 def _int_pow(a: Jet3, n: int) -> Jet3:

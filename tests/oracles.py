@@ -9,13 +9,15 @@ for the batched generators, and `format_expr` prints an AST for the
 parser's round-trip test.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from rwcert.catalog import CATALOG
 from rwcert.certify import _isotropy
 from rwcert.exprs import BinOp, Call, CoordRef, Expr, Neg, Num, ParamRef
 from rwcert.geometry import (UNIT_TOL, Frame, GeometryError, PointGeometry, adapted_frames,
-                             stack_geometry)
+                             take_rows)
 from rwcert.transport import TransportError
 
 PLANE_TOL = 1e-10        # scaled Gram determinant below this is a degenerate plane
@@ -28,6 +30,23 @@ class DegeneratePlaneError(GeometryError):
 
 
 # -- geometry ------------------------------------------------------------------
+
+def chunk_rows(chunk: PointGeometry) -> list[PointGeometry]:
+    """Each row of a geometry_chunk chunk as a point's geometry, its arrays
+    views into the chunk's."""
+    return [take_rows(chunk, b) for b in range(len(chunk.point))]
+
+
+def stack(geoms: list[PointGeometry]) -> PointGeometry:
+    """geometry_at results as one chunk, the rows in order.  np.concatenate
+    keeps the points' memory order, which einsum's summation order follows,
+    so each row rounds as its point does."""
+    def rows(values):
+        return None if values[0] is None else np.concatenate([np.asarray(v)[None] for v in values])
+
+    return PointGeometry(*(rows([getattr(geom, f.name) for geom in geoms])
+                           for f in fields(PointGeometry)[:-1]), geoms[0].order)
+
 
 def sectional_curvature(geom: PointGeometry, v, w) -> float:
     """K(span(v, w)) = R(v,w,w,v) / (g(v,v) g(w,w) - g(v,w)^2)."""
@@ -114,7 +133,7 @@ def isotropy_residuals(geom: PointGeometry, frame: Frame, f: float, h: float,
 
 
 def _chunk_of_one(geom: PointGeometry, frame: Frame) -> tuple[PointGeometry, Frame]:
-    return stack_geometry([geom]), Frame(frame.vectors[None], frame.etas[None], frame.g[None])
+    return stack([geom]), Frame(frame.vectors[None], frame.etas[None], frame.g[None])
 
 
 # -- transport -----------------------------------------------------------------

@@ -8,8 +8,9 @@ import numpy as np
 
 from rwcert import foliation, geometry
 from rwcert.foliation import DegeneracyError, FlowDomainError, FoliationError
-from rwcert.geometry import (GeometryError, OutsideDomainError, chunk_row, geometry_at,
-                             trace_invariants)
+from rwcert.geometry import GeometryError, OutsideDomainError, geometry_at, trace_invariants
+
+from oracles import chunk_rows
 
 
 def geometry_batch(chart, points, order):
@@ -18,7 +19,7 @@ def geometry_batch(chart, points, order):
     chunk, errors = geometry.geometry_chunk(chart, points, order)
     if any(err is not None for err in errors):
         raise GeometryError("a row of the batch failed")
-    return [chunk_row(chunk, b) for b in range(len(points))]
+    return chunk_rows(chunk)
 
 
 def _guarded(chart, point, tol_margin):

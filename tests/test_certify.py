@@ -13,12 +13,13 @@ from rwcert.certify import (DEFAULT_TOL_MARGIN, CertificationInputError, Certify
 from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError
 from rwcert.geometry import (MAX_PIVOT_TRIES, Frame, FrameError, GeometryError,
-                             UnitVectorError, adapted_frames, chunk_row, geometry_at,
-                             geometry_chunk, stack_geometry)
+                             UnitVectorError, adapted_frames, geometry_at, geometry_chunk,
+                             take_rows)
 from rwcert.geometry import PIVOT_TOL as FRAME_PIVOT_TOL
 
 from conftest import domain_points
-from oracles import LOCALLY_RW_IDS, adapted_frame, isotropy_residuals, sectional_curvature
+from oracles import (LOCALLY_RW_IDS, adapted_frame, isotropy_residuals, sectional_curvature,
+                     stack)
 
 certify_module = importlib.import_module("rwcert.certify")   # `rwcert.certify` is the function
 geometry_module = importlib.import_module("rwcert.geometry")
@@ -411,50 +412,30 @@ def _sample_point_loop(chart, config):
     return samples, degenerate
 
 
-def _close(got, want, tol, relative):
-    if want is None:
-        return got is None
-    return abs(got - want) <= tol * (abs(want) if relative else 1.0)
-
-
 @pytest.mark.parametrize("samples", [1, 15, 16, 17, 33])
 def test_chunked_certify_equals_a_sample_point_loop(charts, monkeypatch, samples):
     """Chunks of CHUNK points through geometry_chunk give the certificate of
-    one sample_point per point, whatever the sample count's remainder, and a
-    point that fails inside a chunk keeps its own reason while its
-    neighbours keep their results.  Residual maxima agree to 1e-14 and the
-    margins and constant-curvature residual to 1e-13 relative (numpy's array
-    powers may differ from its scalar powers in the last bit)."""
+    chunks of one point, and that of one sample_point per point, exactly,
+    whatever the sample count's remainder; a point that fails inside a chunk
+    keeps its own reason while its neighbours keep their results."""
     assert certify_module.CHUNK == 16
     cases = dict(charts)
     cases.update({name: chart_from_dict(doc) for name, doc in _MIXED_CHARTS.items()})
-
-    def no_batch(chart, points, order=3):
-        """geometry_chunk one point at a time: batches of one go to geometry_at."""
-        alone = [geometry_chunk(chart, point[None], order) for point in points]
-        geoms = [chunk_row(chunk, 0) for chunk, _ in alone if chunk is not None]
-        return (stack_geometry(geoms) if geoms else None), [errors[0] for _, errors in alone]
-
     for chart_id, chart in cases.items():
         config = CertifyConfig(samples=samples, seed=samples)
         cert = certify(chart, config)
         with monkeypatch.context() as patch:
-            patch.setattr(certify_module, "geometry_chunk", no_batch)
-            unbatched = certify(chart, config)
+            patch.setattr(certify_module, "CHUNK", 1)
+            assert certify(chart, config) == cert, chart_id
         ref, degenerate = _sample_point_loop(chart, config)
         assert cert.degenerate_points == degenerate, chart_id
-        assert (cert.classification, cert.epsilon, cert.notes) == \
-            (unbatched.classification, unbatched.epsilon, unbatched.notes), chart_id
         for key in RESIDUAL_KEYS:
             values = [s.residuals[key] for s in ref if s.residuals[key] is not None]
-            assert _close(cert.residual_max[key], max(values) if values else None,
-                          1e-14, False), (chart_id, key)
+            assert cert.residual_max[key] == max(values, default=None), (chart_id, key)
         margins = [s.nondegeneracy for s in ref]
-        cc = [s.cc_residual for s in ref]
-        for got, want in ((cert.min_margin, min(margins, default=None)),
-                          (cert.max_margin, max(margins, default=None)),
-                          (cert.constant_curvature_max, max(cc, default=None))):
-            assert _close(got, want, 1e-13, True), chart_id
+        assert (cert.min_margin, cert.max_margin, cert.constant_curvature_max) == \
+            (min(margins, default=None), max(margins, default=None),
+             max((s.cc_residual for s in ref), default=None)), chart_id
         if chart_id == "overflow" and samples == 33:     # chunks mixing both kinds
             assert 0 < len(degenerate) < samples
 
@@ -555,7 +536,7 @@ def test_chunk_battery_matches_the_per_sample_formulas(charts, monkeypatch):
                                           DEFAULT_TOL_MARGIN)
         assert errors == [None] * 16, cid
         for k, got in enumerate(results):
-            geom, rng = chunk_row(chunk, k), np.random.default_rng(k)
+            geom, rng = take_rows(chunk, k), np.random.default_rng(k)
             frame = _reference_frame(geom, rng)
             np.testing.assert_array_equal(vectors[k], frame.vectors)
             np.testing.assert_array_equal(etas[k], frame.etas)
@@ -607,7 +588,7 @@ def test_draws_take_the_first_kept_candidates(charts, monkeypatch):
     candidate at a time, or its FrameError text; every random direction is
     unit and not near-null, and every pair is g-orthogonal."""
     geoms, tolerances = _rejecting_chunk(charts)
-    chunk = stack_geometry(geoms)
+    chunk = stack(geoms)
     kinds = set()
     for quantile, tol in tolerances.items():
         monkeypatch.setattr(certify_module, "PIVOT_TOL", tol)
@@ -642,14 +623,14 @@ def test_a_row_draws_as_it_would_alone(charts, monkeypatch):
     """Rows that force extra rounds change nothing for their neighbours:
     each row's battery result in the chunk is that row's as a chunk of one."""
     geoms, tolerances = _rejecting_chunk(charts)
-    chunk = stack_geometry(geoms)
+    chunk = stack(geoms)
     for quantile, tol in tolerances.items():
         monkeypatch.setattr(certify_module, "PIVOT_TOL", tol)
         seeds = [[int(100 * quantile), k] for k in range(16)]
         results = certify_module._battery(chunk, [np.random.default_rng(s) for s in seeds],
                                           DEFAULT_TOL_MARGIN)
         for k, row in enumerate(geoms):
-            single = certify_module._battery(stack_geometry([row]),
+            single = certify_module._battery(take_rows(chunk, [k]),
                                              [np.random.default_rng(seeds[k])],
                                              DEFAULT_TOL_MARGIN)[0]
             assert _same(results[k], single), (quantile, k)
@@ -660,7 +641,7 @@ def test_draws_give_up_after_64_rounds(charts, monkeypatch):
     the FrameError that makes its point Degenerate."""
     monkeypatch.setattr(certify_module, "PIVOT_TOL", 1e6)
     geoms, _ = _rejecting_chunk(charts)
-    chunk = stack_geometry(geoms)
+    chunk = stack(geoms)
     rngs = [np.random.default_rng([2, k]) for k in range(16)]
     results = certify_module._battery(chunk, rngs, DEFAULT_TOL_MARGIN)
     for k, (row, rng) in enumerate(zip(geoms, rngs)):
@@ -708,22 +689,26 @@ def test_one_battery_call_per_chunk(monkeypatch):
 
 def test_failing_points_cost_no_geometry_at_call(monkeypatch):
     """certify(256, seed 3) on the overflow chart makes one geometry_chunk call
-    per chunk and no geometry_at call: its 193 degenerate points (143 with a
-    degenerate metric, 50 with a non-finite one) get their reasons, those of
-    a sample_point loop, from the chunk's own pass."""
+    per chunk, each one evaluator pass over its 16 rows, and no geometry_at
+    call: its 193 degenerate points (143 with a degenerate metric, 50 with a
+    non-finite one) get their reasons, those of a sample_point loop, from
+    the chunk's own pass."""
     chart = chart_from_dict(_MIXED_CHARTS["overflow"])
     config = CertifyConfig(samples=256, seed=3)
     _, degenerate = _sample_point_loop(chart, config)
     calls = {"geometry_chunk": 0, "geometry_at": 0}
-    for module, name in ((certify_module, "geometry_chunk"), (certify_module, "geometry_at"),
-                         (geometry_module, "geometry_at")):
+    for module, name in ((certify_module, "geometry_chunk"), (geometry_module, "geometry_at")):
         def counting(*args, real=getattr(module, name), name=name, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
+    passes, evaluate = [], geometry_module._evaluate
+    monkeypatch.setattr(geometry_module, "_evaluate", lambda chart, points, order: (
+        passes.append(points.shape) or evaluate(chart, points, order)))
     cert = certify(chart, config)
     assert calls == {"geometry_chunk": 16, "geometry_at": 0}
+    assert passes == [(16, 4)] * 16
     assert cert.degenerate_points == degenerate
     reasons = Counter(reason.split(" at ")[0] for _, reason in degenerate)
     assert reasons == {"metric degenerate": 143, "non-finite metric value or derivative": 50}
@@ -744,7 +729,7 @@ def test_a_failing_row_leaves_its_neighbours_alone(charts, monkeypatch):
 
     chunk, _ = doubled_u(chart, points)
     with pytest.raises(UnitVectorError) as want:
-        adapted_frame(chunk_row(chunk, 5))
+        adapted_frame(take_rows(chunk, 5))
     results = certify_module._battery(chunk, [np.random.default_rng(k) for k in range(16)],
                                       DEFAULT_TOL_MARGIN)
     assert _same(results[5], want.value)

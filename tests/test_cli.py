@@ -325,6 +325,25 @@ def test_overflowing_chart_reports_degenerate(tmp_path, capsys):
     assert json.loads(out)["certificate"]["classification"] == "Degenerate"
 
 
+def test_an_overflowing_constant_folds_quietly(tmp_path, capsys):
+    """(1e300)^1.5 overflows as the chart's constants are folded: every point
+    is Degenerate with a non-finite metric, and no warning is shown."""
+    path = tmp_path / "constant.chart.json"
+    path.write_text(json.dumps({
+        "name": "constant", "dim": 4, "coords": ["t", "x", "y", "z"],
+        "metric": [["-1", None, None, None], [None, "1 + t*(1e300)^1.5", None, None],
+                   [None, None, "1", None], [None, None, None, "1"]],
+        "u": ["1", "0", "0", "0"],
+        "domain": [[0.5, 1], [-1, 1], [-1, 1], [-1, 1]]}))
+    code, out, err = run_cli(["check", str(path), "--points", "8"], capsys)
+    assert code == 0
+    assert "RuntimeWarning" not in err
+    cert = json.loads(out)["certificate"]
+    assert cert["classification"] == "Degenerate"
+    assert {p["reason"].split(" at ")[0] for p in cert["degenerate_points"]} == \
+        {"non-finite metric value or derivative"}
+
+
 def test_all_points_degenerate_reports_null_margins(tmp_path, capsys):
     path = tmp_path / "nonunit.chart.json"
     path.write_text(json.dumps({

@@ -11,14 +11,14 @@ from rwcert import geometry as geometry_module
 from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError, eval_expr
 from rwcert.geometry import (DegenerateMetricError, GeometryError, OutsideDomainError,
-                             PointGeometry, UnitVectorError, chunk_row, geometry_at,
-                             geometry_chunk, stack_geometry, trace_invariants)
+                             PointGeometry, UnitVectorError, geometry_at, geometry_chunk,
+                             take_rows, trace_invariants)
 from rwcert.jets import Jet3
 
 from conftest import domain_points
-from oracles import (DegeneratePlaneError, adapted_frame, metric_compatibility_residual,
-                     riemann_symmetry_residuals, second_bianchi_residual,
-                     sectional_curvature)
+from oracles import (DegeneratePlaneError, adapted_frame, chunk_rows,
+                     metric_compatibility_residual, riemann_symmetry_residuals,
+                     second_bianchi_residual, sectional_curvature)
 
 
 def test_minkowski_is_flat(charts):
@@ -318,22 +318,27 @@ FRACTIONAL_DOC = dict(catalog.get_entry("flrw_open").document, name="fractional_
                               [None, None, None, "(1 + t)^-1.5*sin(theta)^2"]])
 
 
+EXTRA_DOCS = {"scaled_u": SCALED_U_DOC, "fractional_powers": FRACTIONAL_DOC}
+
+
+def _chart(charts, chart_id):
+    """A catalog chart, or one of EXTRA_DOCS."""
+    return chart_from_dict(EXTRA_DOCS[chart_id]) if chart_id in EXTRA_DOCS else charts[chart_id]
+
+
 def _rows(chart, points, order=3) -> list:
     """The rows of geometry_chunk at points that all evaluate."""
     chunk, errors = geometry_chunk(chart, points, order)
     assert errors == [None] * len(points)
-    return [chunk_row(chunk, b) for b in range(len(points))]
+    return chunk_rows(chunk)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-@pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG) + ["scaled_u", "fractional_powers"])
+@pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG) + sorted(EXTRA_DOCS))
 def test_batch_rows_equal_geometry_at(charts, chart_id, order):
-    """Row b of geometry_chunk is geometry_at at points[b], field by field, to
-    1e-13 of the field's size (numpy's array power may round a non-integer
-    power differently from Python's float power); a batch of one gives the
-    same rows."""
-    docs = {"scaled_u": SCALED_U_DOC, "fractional_powers": FRACTIONAL_DOC}
-    chart = chart_from_dict(docs[chart_id]) if chart_id in docs else charts[chart_id]
+    """Row b of geometry_chunk is geometry_at at points[b], field by field,
+    bit for bit; a batch of one gives the same rows."""
+    chart = _chart(charts, chart_id)
     points = domain_points(chart, 5, seed=23)
     rows = _rows(chart, points, order)
     assert len(rows) == len(points)
@@ -343,21 +348,19 @@ def test_batch_rows_equal_geometry_at(charts, chart_id, order):
         for got in (row, single):
             for field in dataclasses.fields(PointGeometry):
                 a, b = getattr(got, field.name), getattr(want, field.name)
-                if b is None or isinstance(b, (int, tuple)):
-                    assert a == b, field.name
-                else:
-                    assert np.abs(np.asarray(a) - b).max() <= 1e-13 * np.abs(b).max(), field.name
+                assert (a is None and b is None) or np.array_equal(a, b), field.name
 
 
 @pytest.mark.parametrize("size", [2, 8, 64])
-@pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG))
+@pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG) + sorted(EXTRA_DOCS))
 def test_batch_rows_equal_geometry_at_bit_for_bit(charts, chart_id, size):
-    """On every catalog chart, every field of every geometry_chunk row is
+    """On every catalog chart, and on a normalize_u chart and one with
+    non-integer powers, every field of every geometry_chunk row is
     array_equal to geometry_at at its point, at orders 1-3 and batch sizes 2,
     8 and 64.  The batched foliation paths (slice shooting, quadrature,
     flows, the scale-factor profile) reproduce one-point results exactly
     only because of this."""
-    chart = charts[chart_id]
+    chart = _chart(charts, chart_id)
     points = domain_points(chart, size, seed=size)
     for order in (1, 2, 3):
         for point, row in zip(points, _rows(chart, points, order)):
@@ -369,24 +372,24 @@ def test_batch_rows_equal_geometry_at_bit_for_bit(charts, chart_id, size):
 
 def test_chunks_round_as_their_points_do(charts):
     """The trace invariants and their gradients over a chunk equal those of
-    its rows, exactly: stack_geometry keeps each point's memory layout, which
-    einsum's summation order follows (goedel's metric is not diagonal, so a
-    contiguous copy would round differently), and geometry_chunk's rows are
-    its own arrays.  chunk_row and stack_geometry undo each other."""
+    its points, exactly, and so do those over the rows that take_rows keeps,
+    by indices or by a mask: numpy's indexing keeps each array's memory
+    order, which einsum's summation order follows (goedel's metric is not
+    diagonal, so a contiguous copy would round differently)."""
     chart = charts["goedel"]
     points = domain_points(chart, 16, seed=1)
     singles = [geometry_at(chart, p) for p in points]
-    for chunk, rows in ((stack_geometry(singles), singles),
-                        (geometry_chunk(chart, points)[0], _rows(chart, points))):
-        for got, want in zip(trace_invariants(chunk, gradients=True),
-                             zip(*(trace_invariants(r, gradients=True)
-                                   for r in rows))):
-            np.testing.assert_array_equal(got, np.array(want))
-        again = stack_geometry([chunk_row(chunk, b) for b in range(len(points))])
-        for field in dataclasses.fields(PointGeometry):
-            a, b = getattr(again, field.name), getattr(chunk, field.name)
-            assert a == b if field.name == "order" else np.array_equal(a, b), field.name
-            assert field.name == "order" or a.strides == b.strides, field.name
+    chunk = geometry_chunk(chart, points)[0]
+    keep = [0, 3, 4, 9, 15]
+    mask = np.isin(np.arange(len(points)), keep)
+    for got, rows in ((chunk, singles), (take_rows(chunk, keep), [singles[k] for k in keep]),
+                      (take_rows(chunk, mask), [singles[k] for k in keep])):
+        for field in dataclasses.fields(PointGeometry)[:-1]:
+            a, b = getattr(got, field.name), getattr(chunk, field.name)
+            assert (a is None and b is None) or a.strides == b.strides, field.name
+        for values, want in zip(trace_invariants(got, gradients=True),
+                                zip(*(trace_invariants(r, gradients=True) for r in rows))):
+            np.testing.assert_array_equal(values, np.array(want))
 
 
 ORACLE_TOL = 1e-10      # relative to 1 + the largest oracle component of each field
@@ -409,17 +412,20 @@ def test_geometry_matches_the_symbolic_oracle(charts, symbolic_geometry, chart_i
             assert error <= ORACLE_TOL, (name, geom.point.tolist(), error)
 
 
-def _check_rows_against_geometry_at(chart, points, order=3) -> tuple[list, int]:
+def _check_rows_against_geometry_at(chart, points, order=3) -> tuple[list, list]:
     """geometry_chunk at points against geometry_at at each: an evaluating
     row is array_equal to it field by field and a failing row has its
     exception, of the same type and with the same text.  The errors, and the
-    number of geometry_at calls geometry_chunk made."""
-    alone = []
+    number of rows of each evaluator pass geometry_chunk made (0 for a pass
+    at a single point)."""
+    passes = []
+    evaluate = geometry_module._evaluate
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry_module, "geometry_at",
-                      lambda *args: alone.append(args) or geometry_at(*args))
+        patch.setattr(geometry_module, "_evaluate", lambda chart, points, order: (
+            passes.append(len(points) if points.ndim > 1 else 0)
+            or evaluate(chart, points, order)))
         chunk, errors = geometry_chunk(chart, points, order)
-    rows = iter(range(0 if chunk is None else len(chunk.point)))
+    rows = iter(chunk_rows(chunk) if chunk is not None else [])
     for point, error in zip(points, errors):
         try:
             want = geometry_at(chart, point, order)
@@ -427,12 +433,12 @@ def _check_rows_against_geometry_at(chart, points, order=3) -> tuple[list, int]:
             assert (type(error), str(error)) == (type(exc), str(exc)), point
             continue
         assert error is None, point
-        row = chunk_row(chunk, next(rows))
+        row = next(rows)
         for field in dataclasses.fields(PointGeometry):
             a, b = getattr(row, field.name), getattr(want, field.name)
             assert (a is None and b is None) or np.array_equal(a, b), (point, field.name)
     assert next(rows, None) is None
-    return errors, len(alone)
+    return errors, passes
 
 
 def test_each_row_gets_its_own_error(charts):
@@ -441,14 +447,16 @@ def test_each_row_gets_its_own_error(charts):
     domain, with a non-finite metric, with a scaled determinant below DET_TOL
     (exp(exp(t)) for 2.04 < t < 6.56), with a near-null u and in a batch
     whose jets raise; the good rows are the geometry_at rows bit for bit.
-    A failing row gets its error from the batch's pass, with no geometry_at
-    call, except in a batch whose jets raise or a batch of one."""
+    A failing row gets its error from the batch's one pass, except in a
+    batch whose jets raise: there each row gets its error from a pass of its
+    own, and then one pass runs over the rows that evaluate.  A batch of one
+    is one pass at its point."""
     chart = chart_from_dict(dict(OVERFLOW_DOC, domain=[[0.0, 8.0], [-1.0, 1.0],
                                                        [-1.0, 1.0], [-1.0, 1.0]]))
     good, bad, outside = [1.0, 0.0, 0.0, 0.0], [7.0, 0.5, 0.0, 0.0], [9.0, 0.0, 0.0, 0.0]
-    errors, alone = _check_rows_against_geometry_at(
+    errors, passes = _check_rows_against_geometry_at(
         chart, np.array([good, outside, bad, [1.5, 0.2, -0.3, 0.1], [4.0, 0.0, 0.0, 0.0], good]))
-    assert alone == 0
+    assert passes == [6]
     assert [type(err) for err in errors] == [type(None), OutsideDomainError,
                                              DegenerateMetricError, type(None),
                                              DegenerateMetricError, type(None)]
@@ -456,32 +464,33 @@ def test_each_row_gets_its_own_error(charts):
     assert re.search(r"non-finite metric .* at \[7.0, 0.5", str(errors[2]))
     assert re.search(r"metric degenerate at \[4.0, 0.0, 0.0, 0.0\] \(scaled", str(errors[4]))
     assert geometry_chunk(chart, np.array([bad, outside, bad]))[0] is None
-    for one in (bad, outside):      # a batch of one is geometry_at's
-        errors, alone = _check_rows_against_geometry_at(chart, np.array([one]))
-        assert errors[0] is not None and alone == 1
+    for one in (good, bad, outside):      # a batch of one is its point's pass
+        errors, passes = _check_rows_against_geometry_at(chart, np.array([one]))
+        assert (errors[0] is None) == (one is good) and passes == [0]
 
     # ln(t) raises for t <= 0, which stops the batch's jets: every row is
-    # then evaluated alone and still gets its own result
+    # then evaluated alone for its error, and the two rows that evaluate
+    # share one more pass
     log = chart_from_dict(dict(OVERFLOW_DOC, metric=[["-1", None, None, None],
                                                      [None, "2 + ln(t)", None, None],
                                                      [None, None, "1", None],
                                                      [None, None, None, "1"]],
                                domain=[[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]))
-    errors, alone = _check_rows_against_geometry_at(
+    errors, passes = _check_rows_against_geometry_at(
         log, np.array([[0.5, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 0.0], [0.0, 0.1, 0.0, 0.0],
                        [0.8, 0.2, 0.1, 0.0]]))
     assert [type(err) for err in errors] == [type(None), EvalDomainError, EvalDomainError,
                                              type(None)]
-    assert alone == 4
+    assert passes == [4, 0, 0, 0, 0, 2]
 
     # u = (1, t / a(t)) is null at t = 1 only
     doc = catalog.get_entry("flrw_open").document
     null = chart_from_dict(dict(doc, name="null_u", options={"normalize_u": True},
                                 u=["1", "t/(2 + 0.1*t^2)", "0", "0"]))
-    errors, alone = _check_rows_against_geometry_at(
+    errors, passes = _check_rows_against_geometry_at(
         null, np.array([[2.0, 1.0, 1.2, 1.0], [1.0, 1.0, 1.2, 1.0], [1.0, 9.0, 1.2, 1.0],
                         [0.6, 0.5, 1.0, 1.0]]), order=1)
-    assert errors[0] is None and errors[3] is None and alone == 0
+    assert errors[0] is None and errors[3] is None and passes == [4]
     assert isinstance(errors[1], UnitVectorError) and "near-null" in str(errors[1])
     assert isinstance(errors[2], OutsideDomainError)
 
@@ -489,13 +498,38 @@ def test_each_row_gets_its_own_error(charts):
     flrw = charts["flrw_open"]
     points = domain_points(flrw, 6, seed=5)
     points[[1, 4], 0] = [-1.0, 3.0]
-    errors, alone = _check_rows_against_geometry_at(flrw, points)
+    errors, passes = _check_rows_against_geometry_at(flrw, points)
     assert [err is None for err in errors] == [True, False, True, True, False, True]
-    assert alone == 0
+    assert passes == [6]
 
     for shape in ((0, 4), (2, 3), (4,)):
         with pytest.raises(GeometryError, match="points must have shape"):
             geometry_chunk(chart, np.full(shape, 1.0))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fractional_powers_of_huge_bases_evaluate_alike(order):
+    """(1e120 (2 + t))^0.01 is about 16 although the cube of its base
+    overflows a float: geometry_at evaluates it at orders 1 and 2 (at order
+    3 the cube of its gradient is inf), bit for bit as a chunk's row.  t^1.5 at t = 1e210 overflows to inf: a non-finite metric at a
+    point and in a batch, with the same text."""
+    doc = dict(OVERFLOW_DOC, metric=[["-1", None, None, None],
+                                     [None, "(1e120*(2 + t))^0.01", None, None],
+                                     [None, None, "1", None], [None, None, None, "1"]],
+               domain=[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    point = [0.5, 0.5, 0.5, 0.5]
+    errors, _ = _check_rows_against_geometry_at(chart_from_dict(doc),
+                                                np.array([point, [0.7, 0.1, 0.2, 0.3]]), order)
+    assert errors == [None, None]
+    assert geometry_at(chart_from_dict(doc), point, order).g[1, 1] == pytest.approx(15.99, abs=0.01)
+
+    doc = dict(doc, metric=[["-1", None, None, None], [None, "t^1.5", None, None],
+                            [None, None, "1", None], [None, None, None, "1"]],
+               domain=[[1.0, 1e211], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    chart = chart_from_dict(doc)
+    for points in ([[2.0, 0.5, 0.5, 0.5], [1e210, 0.5, 0.5, 0.5]], [[1e210, 0.5, 0.5, 0.5]]):
+        errors, _ = _check_rows_against_geometry_at(chart, np.array(points), order)
+        assert "non-finite metric value or derivative" in str(errors[-1])
 
 
 def test_normalizing_a_non_finite_u_is_degenerate():

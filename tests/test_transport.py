@@ -388,26 +388,24 @@ def test_explicit_curve_leaving_the_domain_raises_from_its_batch(charts, monkeyp
     """t = 3.4 + s leaves flrw_flat_linear's domain (t <= 3.5) in the run's
     first batch: the batch's first failing row raises what the one-point
     path raises there, and the failing rows get their errors from the
-    batch's own pass.  The only geometry_at call is the start context's, a
-    batch of one."""
+    batch's own pass.  The run makes two evaluator passes: the start
+    context's, a batch of one evaluated at its point, and the batch's."""
     from rwcert import geometry
     from rwcert.geometry import OutsideDomainError
 
-    calls = []
-    real = geometry.geometry_at
+    passes, evaluate = [], geometry._evaluate
 
-    def counting(chart, point, order=3):
-        calls.append(order)
-        return real(chart, point, order)
+    def counting(chart, points, order):
+        passes.append((points.ndim, order))
+        return evaluate(chart, points, order)
 
-    monkeypatch.setattr(geometry, "geometry_at", counting)
-    monkeypatch.setattr(transport_module, "geometry_at", counting)
+    monkeypatch.setattr(geometry, "_evaluate", counting)
     curve = CurveSpec.explicit(["3.4 + s", "0", "0", "0"], t1=1.0)
     with pytest.raises(DomainExitError) as info:
         transport(charts["flrw_flat_linear"], curve, [0.0, 1.0, 0.0, 0.0], steps=200)
     assert str(info.value) == "curve left the domain at [3.5025, 0.0, 0.0, 0.0]"
     assert isinstance(info.value.__cause__, OutsideDomainError)
-    assert calls == [1]
+    assert passes == [(1, 1), (2, 1)]
 
 
 def test_comoving_u_curve_evaluates_two_per_step(charts, monkeypatch):
