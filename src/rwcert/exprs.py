@@ -395,29 +395,28 @@ def _compile_call(impl, arg: Program, span, source: str) -> Program:
     return run
 
 
+def _operand(program: Program):
+    """A program to run: a constant's returns the float itself, so that jet
+    arithmetic still sees a scale, a shift or a constant exponent."""
+    return (lambda env: program) if isinstance(program, float) else program
+
+
 def _compile_pow(left: Program, right: Program, span, source: str) -> Program:
     if isinstance(left, float) and isinstance(right, float):
         return _fold(lambda a: _compile_pow(a, right, span, source), left)
-    if isinstance(right, float):
-        def run(env):
-            base = left(env)
-            try:
-                return jets.pow_const(base, right)
-            except (jets.JetDomainError, ZeroDivisionError) as err:
-                raise EvalDomainError(str(err), source, span) from err
-        return run
+    left, right = _operand(left), _operand(right)
 
-    def run_general(env):
-        # a^b = exp(b ln a); a constant base becomes a constant jet
-        base = None if isinstance(left, float) else left(env)
-        power = right(env)
-        if base is None:
-            base = Jet3.constant(left, power.dim, power.order, power.shape)
+    def run(env):
+        base, power = left(env), right(env)
         try:
+            if isinstance(power, float):
+                return jets.pow_const(base, power)
+            if isinstance(base, float):     # a^b = exp(b ln a) with a constant jet a
+                base = Jet3.constant(base, power.dim, power.order, power.shape)
             return jets.exp(power * jets.ln(base))
         except (jets.JetDomainError, ZeroDivisionError) as err:
             raise EvalDomainError(str(err), source, span) from err
-    return run_general
+    return run
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -427,33 +426,12 @@ def _compile_arith(op: str, left: Program, right: Program, span, source: str) ->
     """A jet combined with a constant operand is a scale or a shift (jets.Jet3)."""
     if isinstance(left, float) and isinstance(right, float):
         return _fold(lambda a, b: _compile_arith(op, a, b, span, source), left, right)
-    apply = _ARITH[op]
-
-    def fail(err):
-        return EvalDomainError(str(err), source, span)
-
-    if isinstance(right, float):
-        def run_constant_right(env):
-            a = left(env)
-            try:
-                return apply(a, right)
-            except ZeroDivisionError as err:
-                raise fail(err) from err
-        return run_constant_right
-    if isinstance(left, float):
-        def run_constant_left(env):
-            b = right(env)
-            try:
-                return apply(left, b)
-            except ZeroDivisionError as err:
-                raise fail(err) from err
-        return run_constant_left
+    apply, left, right = _ARITH[op], _operand(left), _operand(right)
 
     def run(env):
-        a = left(env)
-        b = right(env)
+        a, b = left(env), right(env)
         try:
             return apply(a, b)
         except ZeroDivisionError as err:
-            raise fail(err) from err
+            raise EvalDomainError(str(err), source, span) from err
     return run

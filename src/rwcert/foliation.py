@@ -45,6 +45,7 @@ FLAT_BAND = 1e-6          # |k-hat| below this reports flat spatial sections
 BATCH_ROWS = 64           # rows per geometry_chunk call, which bounds a batch's memory
 FLOW_STEPS_PER_UNIT = 128  # flow_point's RK4 steps per unit tau
 MAX_FLOW_STEPS = 1_000_000  # RK4 steps of a flow segment; without it a 1e300 tau steps forever
+MAX_REJECTS = 200         # failed same-slice candidates before the shooting gives up
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
@@ -405,8 +406,7 @@ def _diagnostic_loop(chart: ChartSpec, certificate: Certificate, base) -> float:
 
 
 def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
-                      target_tau: float, count: int, rng=None,
-                      max_rejects: int = 200) -> list[np.ndarray]:
+                      target_tau: float, count: int, rng=None) -> list[np.ndarray]:
     """Sample `count` domain points and shoot each onto the slice t = target_tau.
 
     Each candidate q is flowed coarsely (16 RK4 steps per unit tau) by
@@ -417,7 +417,7 @@ def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
     time_value(p).  A candidate whose flow or step leaves the domain or meets
     the margin band is redrawn; one that does not converge within 12 Newton
     steps raises.  Candidates are shot together (_shoot) in waves of
-    min(count - placed, max_rejects + 1 - failed) rng.uniform(lows, highs)
+    min(count - placed, MAX_REJECTS + 1 - failed) rng.uniform(lows, highs)
     draws, which one-at-a-time shooting would all make too: the points,
     reject counts and rng state are its own.  Any other exception is raised
     in draw order.
@@ -433,13 +433,13 @@ def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
     kinds = dict(zip((FlowDomainError, DegeneracyError, OutsideDomainError), rejects))
     while len(points) < count:
         failed = sum(rejects.values())
-        if failed > max_rejects:
+        if failed > MAX_REJECTS:
             reasons = ", ".join(f"{n} {why}" for why, n in rejects.items())
             raise FoliationError(
                 f"could not place {count} points on slice {target_tau}; "
                 f"{failed} candidates failed ({reasons})")
         wave = [rng.uniform(lows, highs)
-                for _ in range(min(count - len(points), max_rejects + 1 - failed))]
+                for _ in range(min(count - len(points), MAX_REJECTS + 1 - failed))]
         for outcome in _shoot(chart, certificate, base, np.array(wave), target_tau):
             if isinstance(outcome, np.ndarray):
                 points.append(outcome)

@@ -2,8 +2,10 @@
 
 Both ODEs are autonomous: the flow of d_t (`foliation`, rows of (x, log a^2,
 s) in tau) and a u-curve's or a geodesic's state (`transport`, one row in its
-own parameter).  Both step RK4 at fixed widths and double the step count until
-a caller-defined change between two runs falls below a tolerance.
+own parameter, a block of steps per call).  Both step RK4 at fixed widths and
+double the step count until a caller-defined change between two runs falls
+below a tolerance.  rk4 takes rows in and gives rows out; a caller that needs
+the states in between reads them from what rhs is given (each step's k1).
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
-def rk4(rhs: Callable, y, h, steps, row: Callable | None = None) -> np.ndarray:
+def rk4(rhs: Callable, y, h, steps) -> np.ndarray:
     """Integrate the autonomous y' = rhs(y) by classic RK4; return the end rows.
 
     y holds B rows stepped in lockstep: row b takes steps[b] >= 0 steps of
     width h[b], bit for bit as alone.  rhs(x, rows) gets the rows still
     stepping, x = their states and rows = their indices, and returns their
-    derivatives; `row(i, x)` runs after step i (1..max(steps)) with the
-    states it reached.  The widths are scaled once per set of stepping rows.
+    derivatives, so it sees every stage in order.  The widths are scaled once
+    per set of stepping rows.
     """
     y, steps = np.array(y, dtype=float), np.asarray(steps)
     h = np.asarray(h, dtype=float)[:, None]
@@ -29,14 +31,12 @@ def rk4(rhs: Callable, y, h, steps, row: Callable | None = None) -> np.ndarray:
     while len(rows := np.flatnonzero(steps > done)):
         x, half, full, sixth = y[rows], 0.5 * h[rows], h[rows], h[rows] / 6.0
         until = int(steps[rows].min())
-        for i in range(done, until):
+        for _ in range(done, until):
             k1 = rhs(x, rows)
             k2 = rhs(x + half * k1, rows)
             k3 = rhs(x + half * k2, rows)
             k4 = rhs(x + full * k3, rows)
             x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if row is not None:
-                row(i + 1, x)
         y[rows], done = x, until
     return y
 

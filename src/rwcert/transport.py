@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -111,7 +112,8 @@ class TransportResult:
 
 # -- curve engines -----------------------------------------------------------------
 
-# An explicit curve's contexts, a row per parameter value
+# A curve's contexts, a row per point: position, unit tangent, acceleration
+# nabla_U U, speed v (1 on a stepped curve), metric and connection
 _Contexts = namedtuple("_Contexts", "x U A speed g gamma")
 
 
@@ -241,16 +243,20 @@ def _fold(vectors: np.ndarray, first: int, stages, eps: float, h: float) -> None
 
 
 class _Driver:
-    """Transport over [curve.t0, curve.t1]: the stage contexts are folded
-    into step propagators for the rows (_fold) every CHUNK steps.
+    """Transport over [curve.t0, curve.t1] in one loop over blocks of at most
+    CHUNK steps: a block's contexts give its table rows, and its steps' k1..k4
+    stage contexts are folded into step propagators for the rows (_fold).
 
-    rk4 integrates a u-curve's or a geodesic's state alone, as one row,
-    visiting the points a joint integration would, bit for bit; a one-entry
-    memo keyed by the exact position lets a table row and the next k1 share
-    one evaluation, and so do k2/k3 and k4/next k1 where the coordinate
-    tangent is constant.  An explicit curve has no state: the 2 CHUNK stage
-    values (stage_taus) a block of steps adds are read in one contexts call,
-    after the start context, read once at t0, or the last block's row.
+    An explicit curve has no state: a block's 2 count stage values (stage_taus)
+    are read in one contexts call and follow the last block's row (at first the
+    start context, read once at t0); rows are every second context, step i's
+    stages 2i + [0, 1, 1, 2].  rk4 steps a u-curve's or a geodesic's state
+    alone, as one row, through the points a joint integration visits, bit for
+    bit, and rhs records each stage's context: rows are the k1 contexts and
+    the end state's.  A one-entry memo keyed by the exact position lets that
+    end context and the next block's k1 share one evaluation, as k2/k3 and
+    k4/next k1 do where the coordinate tangent is constant.  Every kind's
+    start is a one-row context, checked once for a unit tangent.
     """
 
     def __init__(self, chart: ChartSpec, curve: CurveSpec):
@@ -261,9 +267,8 @@ class _Driver:
         if curve.kind == "explicit":
             if curve.exprs is None or len(curve.exprs) != n:
                 raise CurveError(f"explicit curve needs {n} component expressions")
-            self.engine = _ExplicitCurve(chart, curve)
+            self.engine, self.y0 = _ExplicitCurve(chart, curve), None
             self.start = self.engine.contexts(np.array([curve.t0]))
-            tangent0, g0 = self.start.U[0], self.start.g[0]
         else:
             if curve.kind == "u_integral":
                 if curve.start is None or len(curve.start) != n:
@@ -276,18 +281,16 @@ class _Driver:
                 self.y0 = np.array([curve.start + curve.velocity], dtype=float)
             else:
                 raise CurveError(f"unknown curve kind {curve.kind!r}")
-            _, tangent0, _, geom0 = self._context(self.y0)
-            if curve.kind == "u_integral" and abs(abs(geom0.u_norm2) - 1.0) > 1e-6:
-                raise CurveError(f"chart u is not unit at the start: g(u,u) = {geom0.u_norm2!r}")
-            g0 = geom0.g
-        q = float(tangent0 @ g0 @ tangent0)
+            self.start = _Contexts._make(np.array([a]) for a in self._context(self.y0))
+        U, g = self.start.U[0], self.start.g[0]
+        q = float(U @ g @ U)
         if abs(abs(q) - 1.0) > 1e-6:
             raise CurveError(f"curve tangent is not unit at the start: g(u,u) = {q!r}")
         self.epsilon = 1.0 if q > 0 else -1.0
 
-    def _context(self, state: np.ndarray):
-        """(x, unit tangent, acceleration, geom) at a u-curve's or a geodesic's
-        integration state, the one row of `state`."""
+    def _context(self, state: np.ndarray) -> tuple:
+        """The context (x, U, A, speed 1, g, Gamma) at a u-curve's or a
+        geodesic's integration state, the one row of `state`."""
         n = self.chart.dim
         key = tuple(state[0, :n].tolist())
         if self._memo is None or self._memo[0] != key:
@@ -297,55 +300,47 @@ class _Driver:
             except OutsideDomainError as err:
                 raise _curve_error(err, x)
             A = geom.acceleration() if self.curve.kind == "u_integral" else np.zeros(n)
-            self._memo = (key, (x, geom.u, A, geom))
-        x, U, A, geom = self._memo[1]
+            self._memo = (key, (x, geom.u, A, 1.0, geom.g, geom.gamma))
+        x, U, A, speed, g, gamma = self._memo[1]
         if self.curve.kind == "geodesic":
             U = state[0, n:2 * n]
-        return x, U, A, geom
+        return x, U, A, speed, g, gamma
+
+    def _rate(self, visited: list, state: np.ndarray, _rows) -> np.ndarray:
+        """rk4's rhs for a u-curve's or a geodesic's one-row state, whose
+        context goes to `visited`; its 1-D value broadcasts."""
+        visited.append(context := self._context(state))
+        _, U, _, _, _, gamma = context
+        if self.curve.kind == "geodesic":
+            return np.concatenate([U, -np.einsum('kij,i,j->k', gamma, U, U)])
+        return U
 
     def integrate(self, X0_rows: np.ndarray, steps: int):
         n = self.chart.dim
         t0, t1 = self.curve.t0, self.curve.t1
-        stages, h = stage_taus(t0, t1, steps), (t1 - t0) / steps
+        taus, h = stage_taus(t0, t1, steps), (t1 - t0) / steps
         points, tangents = np.empty((2, steps + 1, n))
         metrics = np.empty((steps + 1, n, n))
         vectors = np.empty((steps + 1, *X0_rows.shape))
         vectors[0] = X0_rows
-        if self.curve.kind == "explicit":
-            last = self.start
-            for first in range(0, steps, CHUNK):
-                end = min(first + CHUNK, steps)
-                new = self.engine.contexts(stages[2 * first + 1:2 * end + 1])
-                x, U, A, speed, g, gamma = (np.concatenate([before[-1:], after])
-                                            for before, after in zip(last, new))
-                rows = slice(first, end + 1)
-                points[rows], tangents[rows], metrics[rows] = x[0::2], U[0::2], g[0::2]
-                k = (2 * np.arange(end - first)[:, None] + [0, 1, 1, 2]).ravel()
-                _fold(vectors, first, (U[k], A[k], speed[k], g[k], gamma[k]), self.epsilon, h)
-                last = new
-            return stages[0::2], points, tangents, metrics, vectors
-
-        pending = []        # (U, A, speed, g, Gamma) of each stage since the last fold
-
-        def rhs(y, _):
-            """The derivative of the one row y; its 1-D value broadcasts."""
-            _, U, A, geom = self._context(y)
-            pending.append((U, A, 1.0, geom.g, geom.gamma))
-            if self.curve.kind == "geodesic":
-                return np.concatenate([U, -np.einsum('kij,i,j->k', geom.gamma, U, U)])
-            return U
-
-        def row(i, y):
-            points[i], tangents[i], _, geom = self._context(y)
-            metrics[i] = geom.g
-            if len(pending) == 4 * CHUNK or i == steps:
-                _fold(vectors, i - len(pending) // 4, map(np.array, zip(*pending)),
-                      self.epsilon, h)
-                pending.clear()
-
-        row(0, self.y0)
-        rk4(rhs, self.y0, [h], [steps], row)
-        return stages[0::2], points, tangents, metrics, vectors
+        last, y = self.start, self.y0
+        for first in range(0, steps, CHUNK):
+            count = min(CHUNK, steps - first)
+            if self.curve.kind == "explicit":
+                new = self.engine.contexts(taus[2 * first + 1:2 * (first + count) + 1])
+                block = _Contexts._make(np.concatenate([before[-1:], after])
+                                        for before, after in zip(last, new))
+                last, stride, k = new, 2, (2 * np.arange(count)[:, None] + [0, 1, 1, 2]).ravel()
+            else:
+                visited = []
+                y = rk4(partial(self._rate, visited), y, [h], [count])
+                block = _Contexts._make(map(np.array, zip(*visited, self._context(y))))
+                stride, k = 4, slice(0, -1)
+            rows = _Contexts._make(a[0::stride] for a in block)
+            table = slice(first, first + count + 1)
+            points[table], tangents[table], metrics[table] = rows.x, rows.U, rows.g
+            _fold(vectors, first, (a[k] for a in block[1:]), self.epsilon, h)
+        return taus[0::2], points, tangents, metrics, vectors
 
 
 def transport(chart: ChartSpec, curve: CurveSpec, X0,
@@ -386,7 +381,13 @@ def gram_drift(result: TransportResult) -> float:
     """Max |g(X_i, X_j)(tau) - g(X_i, X_j)(0)| over the transported table.
 
     Reads the metric the integrator recorded at each row, so it evaluates no
-    geometry."""
+    geometry.  Finite rows can still have Gram matrices that overflow: a
+    drift that is not finite raises a TransportError."""
     vectors = result.vectors if result.vectors.ndim == 3 else result.vectors[:, None, :]
-    grams = vectors @ result.metrics @ vectors.transpose(0, 2, 1)
-    return float(np.abs(grams - grams[0]).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = vectors @ result.metrics @ vectors.transpose(0, 2, 1)
+        drift = float(np.abs(grams - grams[0]).max())
+    if not np.isfinite(drift):
+        raise TransportError(f"the Gram drift is {drift}: the transported vectors' "
+                             "inner products overflow")
+    return drift

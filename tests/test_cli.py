@@ -344,14 +344,17 @@ def test_an_overflowing_constant_folds_quietly(tmp_path, capsys):
         {"non-finite metric value or derivative"}
 
 
+NONUNIT_CHART = {
+    "name": "nonunit", "dim": 4, "coords": ["t", "x", "y", "z"],
+    "metric": [["-1", None, None, None], [None, "1", None, None],
+               [None, None, "1", None], [None, None, None, "1"]],
+    "u": ["2", "0", "0", "0"],
+    "domain": [[-1, 1], [-1, 1], [-1, 1], [-1, 1]]}
+
+
 def test_all_points_degenerate_reports_null_margins(tmp_path, capsys):
     path = tmp_path / "nonunit.chart.json"
-    path.write_text(json.dumps({
-        "name": "nonunit", "dim": 4, "coords": ["t", "x", "y", "z"],
-        "metric": [["-1", None, None, None], [None, "1", None, None],
-                   [None, None, "1", None], [None, None, None, "1"]],
-        "u": ["2", "0", "0", "0"],
-        "domain": [[-1, 1], [-1, 1], [-1, 1], [-1, 1]]}))
+    path.write_text(json.dumps(NONUNIT_CHART))
     code, out, err = run_cli(["check", str(path), "--points", "4"], capsys)
     assert code == 0
     assert "Traceback" not in err
@@ -473,6 +476,38 @@ def test_transport_domain_exit_partway_names_the_point(capsys, chart_id, curve_a
     assert code == 1
     assert out == ""
     assert err.splitlines()[0] == f"[rwcert] transport failed: {says}"
+
+
+@pytest.mark.parametrize("curve_args", [
+    ["--curve", "u", "--start", "0,0,0,0"],
+    ["--curve", "geodesic", "--start", "0,0,0,0", "--velocity", "2,0,0,0"],
+])
+def test_transport_tangent_not_unit_at_the_start_exits_two(tmp_path, capsys, curve_args):
+    """A u-curve on a chart whose u is (2, 0, 0, 0), and a geodesic shot with
+    that velocity, fail the one start check every curve kind shares."""
+    path = tmp_path / "nonunit.chart.json"
+    path.write_text(json.dumps(NONUNIT_CHART))
+    chart = str(path) if curve_args[1] == "u" else "minkowski"
+    code, out, err = run_cli(["transport", chart, *curve_args, "--x0", "0,1,0,0",
+                              "--steps", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: curve tangent is not unit at the start: g(u,u) = -4.0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--curve", "u", "--start", "0,0,0,0", "--x0", "1e155,0,0,0"],
+    ["--curve", "explicit", "--exprs", "s,0,0,0", "--x0", "1e308,1e308,0,0"],
+])
+def test_transport_overflowing_gram_drift_exits_one(capsys, argv):
+    """The transported vectors stay finite, but their Gram matrices overflow:
+    a failed transport on one line, with no report and no traceback."""
+    code, out, err = run_cli(["transport", "minkowski", *argv, "--steps", "10"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[0] == ("[rwcert] transport failed: the Gram drift is nan: "
+                                   "the transported vectors' inner products overflow")
+    assert "Traceback" not in err
 
 
 def test_transport_report_shows_the_refinement(capsys):

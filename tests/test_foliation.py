@@ -1,6 +1,7 @@
 """Time function, slice data and scale-factor reconstruction."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -510,14 +511,15 @@ def test_shooting_that_does_not_converge_raises(flrw, monkeypatch):
     assert rng.draws == 1
 
 
-def test_give_up_counts_failures_by_reason(flrw):
+def test_give_up_counts_failures_by_reason(flrw, monkeypatch):
     """t = 1/x0 - 1/2 spans [-0.21, 0.17] on the domain, so every flow toward
     t = 5 leaves it; the error says how many candidates failed for which
     reason."""
     chart, cert = flrw
     rng = _CountingRng(4)
+    monkeypatch.setattr(foliation, "MAX_REJECTS", 5)
     with pytest.raises(FoliationError) as info:
-        same_slice_points(chart, cert, BASE, 5.0, 1, rng=rng, max_rejects=5)
+        same_slice_points(chart, cert, BASE, 5.0, 1, rng=rng)
     assert rng.draws == 6
     assert str(info.value) == (
         "could not place 1 points on slice 5.0; 6 candidates failed "
@@ -574,10 +576,12 @@ def test_give_up_replays_one_at_a_time_shooting(charts, certificates, monkeypatc
                     return real(chart, points, order)
 
                 monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(foliation, "MAX_REJECTS", 30)
+    oracle = functools.partial(sequential_shooting.same_slice_points, max_rejects=30)
     errors, rngs = [], [_CountingRng(3), _CountingRng(3)]
-    for shoot, rng in zip((same_slice_points, sequential_shooting.same_slice_points), rngs):
+    for shoot, rng in zip((same_slice_points, oracle), rngs):
         with pytest.raises(FoliationError, match="could not place") as info:
-            shoot(chart, cert, BASE, 1.0 / 1.5 - 0.5, 8, rng=rng, max_rejects=30)
+            shoot(chart, cert, BASE, 1.0 / 1.5 - 0.5, 8, rng=rng)
         errors.append(str(info.value))
     assert rows[0] == rows[1] > 0
     assert errors[0] == errors[1]

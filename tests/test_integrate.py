@@ -11,29 +11,28 @@ from rwcert.integrate import doubled, rk4
 def test_rk4_rows_equal_lone_calls():
     """Rows with their own widths and step counts (0 included) stepped in
     lockstep end bit for bit where a one-row call for each ends; rhs sees only
-    the rows still stepping, and row(i, x) runs after each step with the
-    states those rows reached."""
+    the rows still stepping, and its k1 argument at step i holds the states
+    one-row calls of i steps reach."""
     def field(y, rows):
         return np.stack([np.sin(3.0 * y[:, 1]) + y[:, 0] ** 2, -y[:, 0] * np.cos(y[:, 1])], axis=-1)
 
     starts = np.array([[0.3, -0.2], [1.0, 0.5], [-0.7, 0.1], [0.2, 0.2]])
     h, steps = [0.25, -0.043, 0.122, 0.3], [4, 21, 9, 0]
-    stepping, after = [], []
+    seen = []
 
     def rows_rhs(y, rows):
-        stepping.append(rows.tolist())
+        seen.append((rows.tolist(), y.copy()))
         return field(y, rows)
 
     given = starts.copy()
-    ends = rk4(rows_rhs, starts, h, steps, lambda i, x: after.append((i, x)))
+    ends = rk4(rows_rhs, starts, h, steps)
     assert np.array_equal(starts, given)
     for b in range(len(starts)):
         lone = rk4(field, starts[b:b + 1], h[b:b + 1], steps[b:b + 1])
         assert np.array_equal(ends[b], lone[0]), b
     live = [[b for b in range(4) if steps[b] > i] for i in range(21)]
-    assert stepping == [rows for rows in live for _ in range(4)]
-    assert [i for i, _ in after] == list(range(1, 22))
-    for (i, x), rows in zip(after, live):
+    assert [rows for rows, _ in seen] == [rows for rows in live for _ in range(4)]
+    for i, (rows, x) in enumerate(seen[0::4]):
         alone = [rk4(field, starts[b:b + 1], h[b:b + 1], [i])[0] for b in rows]
         assert np.array_equal(x, alone), i
 
