@@ -20,9 +20,9 @@ foliation runs on order 2 and transport on order 1.  Residuals are reported
 relative to 1 + max |R_{rsmn}| at the point.
 
 geometry_at evaluates one point and geometry_chunk a batch of them, both in
-one evaluator body (_evaluate).  A chunk's arrays carry a leading chunk axis;
-a batch of one is its point's arrays viewed with that axis, and take_rows
-selects rows.  Every row equals geometry_at at its point bit for bit.
+one evaluator body (_evaluate), with the batch shape first: () at a point,
+(B,) over a chunk.  A batch of one is its point's arrays viewed with a chunk
+axis, and take_rows selects rows.  Every row equals geometry_at bit for bit.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ class PointGeometry:
             raise GeometryError("curvature requires geometry evaluated with order >= 2")
         return _scalar(1.0 + np.abs(self.riemann_low).max(axis=(-4, -3, -2, -1)))
 
-    def ip(self, v: np.ndarray, w: np.ndarray) -> float:
-        return float(v @ self.g @ w)
-
     def nabla_u(self) -> np.ndarray:
         """(nabla_mu u)^nu = d_mu u^nu + Gamma^nu_{mu lam} u^lam, indexed [mu, nu]."""
         return self.du + np.einsum('...nml,...l->...mn', self.gamma, self.u)
@@ -142,8 +139,8 @@ def geometry_chunk(chart: ChartSpec, points, order: int = 3) -> tuple[PointGeome
     Returns the geometry of the rows that evaluate, in order, as one
     PointGeometry with a leading chunk axis (None if no row evaluates), and
     per row None or the exception that geometry_at raises there, of the same
-    type and with the same text.  The jets carry the batch as a trailing axis
-    and the tensor algebra runs over a leading one, so B points cost one jet
+    type and with the same text.  The jets' slots are written with the batch
+    axis first, and the tensor algebra runs over it, so B points cost one jet
     program and one set of einsums.  A row that fails a check of geometry_at
     is dropped from the pass with its exception, and costs its neighbours
     nothing.  A batch of one is its point's pass, the arrays viewed with a
@@ -215,9 +212,11 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
     pass every check reach the curvature, which comes last.  Jets that raise
     stop a batch too.
 
-    Jets hold the batch as a trailing axis (see jets), so the metric slots are
-    gathered with it last and moved to the front once; after that every
-    contraction names its axes relative to the end.
+    Jets hold the batch as a trailing axis (see jets); each slot is written
+    once as its .T, which puts that axis first at a point and over a batch
+    alike, and every contraction names its axes relative to the end.  .T also
+    reverses a slot's derivative indices, and the slots are symmetric only to
+    rounding, so hess and cube go through views of d2g and d3g that reverse them.
     """
     n = chart.dim
     lead = points.ndim - 1          # 1 over a batch
@@ -234,23 +233,24 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
     programs = chart.programs
     env = _variables(chart, points, order)
     batch = points.shape[:-1]
-    g = _spread(programs.metric_constant, batch)
-    dg = np.zeros((n, n, n) + batch)
-    d2g = np.zeros((n, n, n, n) + batch) if order >= 2 else None
-    d3g = np.zeros((n, n, n, n, n) + batch) if order >= 3 else None
+    g = np.empty(batch + (n, n))
+    g[...] = programs.metric_constant
+    dg = np.zeros(batch + (n, n, n))
+    d2g = np.zeros(batch + (n, n, n, n)) if order >= 2 else None
+    d3g = np.zeros(batch + (n, n, n, n, n)) if order >= 3 else None
+    d2g_rev = None if d2g is None else d2g.swapaxes(-4, -3)
+    d3g_rev = None if d3g is None else d3g.swapaxes(-5, -3)
     # an overflowing chart leaves inf or nan, which is rejected below as a
     # degenerate point; numpy's warnings about it would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for i, j, program in programs.metric_varying:
             jet = program(env)
-            g[i, j] = g[j, i] = jet.value
-            dg[:, i, j] = dg[:, j, i] = jet.grad
+            g[..., i, j] = g[..., j, i] = jet.value
+            dg[..., i, j] = dg[..., j, i] = jet.grad.T
             if order >= 2:
-                d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
+                d2g_rev[..., i, j] = d2g_rev[..., j, i] = jet.hess.T
             if order >= 3:
-                d3g[:, :, :, i, j] = d3g[:, :, :, j, i] = jet.cube
-        if lead:
-            g, dg, d2g, d3g = (_batch_first(a) for a in (g, dg, d2g, d3g))
+                d3g_rev[..., i, j] = d3g_rev[..., j, i] = jet.cube.T
         rows, points, g, dg, d2g, d3g = _keep(
             _finite(lead, g, dg, d2g, d3g), lambda k: DegenerateMetricError(
                 f"non-finite metric value or derivative at {at(k)}"),
@@ -268,14 +268,13 @@ def _evaluate(chart: ChartSpec, points: np.ndarray, order: int) -> tuple:
         if points.shape[:-1] != batch:      # rows were dropped
             batch = points.shape[:-1]
             env = _variables(chart, points, order)
-        u = _spread(programs.u_constant, batch)
-        du = np.zeros((n, n) + batch)
+        u = np.empty(batch + (n,))
+        u[...] = programs.u_constant
+        du = np.zeros(batch + (n, n))
         for k, program in programs.u_varying:
             jet = program(env)
-            u[k] = jet.value
-            du[:, k] = jet.grad
-        if lead:
-            u, du = _batch_first(u), _batch_first(du)
+            u[..., k] = jet.value
+            du[..., k] = jet.grad.T
         if chart.normalize_u:
             # u / sqrt|q| with q = g(u,u); du follows from d_l q = d_l g(u,u) + 2 g(d_l u, u)
             q = _bilinear(u, g, u)
@@ -353,9 +352,11 @@ def _keep(ok, error, errors, *arrays):
         if not ok:
             raise error(())
         return arrays
+    if ok.all():
+        return arrays
     for k in np.flatnonzero(~ok):
         errors[arrays[0][k]] = error(k)
-    return arrays if ok.all() else tuple(None if a is None else a[ok] for a in arrays)
+    return tuple(None if a is None else a[ok] for a in arrays)
 
 
 def _variables(chart: ChartSpec, points: np.ndarray, order: int) -> dict:
@@ -376,16 +377,6 @@ def _finite(lead: int, *arrays):
             elif not np.isfinite(a).all():
                 return False
     return ok
-
-
-def _spread(a: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
-    """A writable copy of `a`, repeated over a trailing batch axis."""
-    return np.repeat(a[..., None], batch[0], axis=-1) if batch else a.copy()
-
-
-def _batch_first(a: np.ndarray | None) -> np.ndarray | None:
-    """Move a trailing batch axis, as the jets carry it, to the front."""
-    return None if a is None else np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:

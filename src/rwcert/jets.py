@@ -10,11 +10,12 @@ differentials of the derived scalar fields.  The slots a jet does carry are
 computed by the same operations at every order, so an order-1 or order-2 jet
 equals the leading slots of the order-3 jet bit for bit.
 
-Storage is dense and kept exactly symmetric (``hess`` under index swap,
-``cube`` under all six permutations); at dimension <= 8 density is cheaper
-than any packing.  A jet combined with a plain number is a scale or a shift,
-without a product rule over zero slots.  Combining jets of two orders gives a
-jet of the lower order.
+Storage is dense and symmetric to rounding only (``hess`` under index
+swap, ``cube`` under all six permutations): a product adds its mirrored
+terms in a fixed order, so mirrored entries may differ in the last bits.
+At dimension <= 8 density is cheaper than any packing.  A jet combined with
+a plain number is a scale or a shift, without a product rule over zero
+slots.  Combining jets of two orders gives a jet of the lower order.
 
 A jet may also carry a trailing batch shape S: the value then has shape S,
 the gradient (n,)+S, the Hessian (n,n)+S and the cube (n,n,n)+S, so one jet
@@ -55,8 +56,8 @@ class Jet3:
 
     value: float | np.ndarray        # shape S
     grad: np.ndarray                 # shape (n,) + S
-    hess: np.ndarray | None = None   # shape (n, n) + S, symmetric; None below order 2
-    cube: np.ndarray | None = None   # shape (n, n, n) + S, totally symmetric; None below order 3
+    hess: np.ndarray | None = None   # shape (n, n) + S, symmetric to rounding; None below order 2
+    cube: np.ndarray | None = None   # shape (n, n, n) + S, likewise; None below order 3
 
     @property
     def dim(self) -> int:

@@ -35,7 +35,7 @@ from .jets import Jet3
 
 REPARAM_LIMIT = 1e-2       # relative speed error fixable by pointwise normalization
 STEP = 1e-3                # default integration step in the curve parameter
-ENDPOINT_TOL = 1e-8        # step-halving convergence on the transported vector
+ENDPOINT_TOL = 1e-8        # step-halving convergence, relative to max(1, max|X0|)
 MAX_HALVINGS = 6           # step doublings before transport gives up
 CHUNK = 64                 # steps per row fold and per explicit-curve read
 
@@ -349,8 +349,9 @@ def transport(chart: ChartSpec, curve: CurveSpec, X0,
 
     X0 is one vector or a stack of rows, such as a whole frame.  Fixed-step
     RK4; the step count doubles until the endpoint vector moves by less than
-    ENDPOINT_TOL, and a TransportError is raised when it still has not after
-    MAX_HALVINGS doublings.  The returned table is sampled at the requested
+    ENDPOINT_TOL times max(1, max|X0|), as the Fermi law is linear in X0, and
+    a TransportError is raised when it still has not after MAX_HALVINGS
+    doublings.  The returned table is sampled at the requested
     resolution regardless of internal refinement.
     """
     X0_rows = np.atleast_2d(np.asarray(X0, dtype=float))
@@ -360,14 +361,16 @@ def transport(chart: ChartSpec, curve: CurveSpec, X0,
     if base_steps < 1:
         raise CurveError(f"transport needs at least one step, got {base_steps}")
     driver = _Driver(chart, curve)
+    tol = ENDPOINT_TOL * max(1.0, float(np.abs(X0_rows).max()))
     run = doubled(lambda counts: (driver.integrate(X0_rows, steps) for steps in counts),
                   base_steps,
                   lambda coarse, fine: float(np.abs(fine[-1][-1] - coarse[-1][-1]).max()),
-                  ENDPOINT_TOL, MAX_HALVINGS)
+                  tol, MAX_HALVINGS)
     if not run.converged:
         raise TransportError(
             f"transport did not converge: the endpoint vector still moved by "
-            f"{run.change:.3e} (tolerance {ENDPOINT_TOL:.0e}) at {run.steps} steps")
+            f"{run.change:.3e} (tolerance {tol:.3g} = {ENDPOINT_TOL:.0e} x max(1, max|X0|)) "
+            f"at {run.steps} steps")
     factor = run.steps // base_steps
     taus, points, tangents, metrics, vectors = (arr[::factor] for arr in run.value)
     squeeze = np.asarray(X0, dtype=float).ndim == 1

@@ -1,12 +1,12 @@
 """Reference implementations kept outside the package.
 
 Nothing in rwcert calls these; the tests compare the package against them.
-The Riemann-identity residuals self-check the curvature engine,
-`sectional_curvature` restates the plane invariants from their definition,
-`adapted_frame` and `isotropy_residuals` are the batched frame and battery
-on one point, `fermi_derivative` states the transport law point by point
-for the batched generators, and `format_expr` prints an AST for the
-parser's round-trip test.
+The Riemann-identity residuals self-check the curvature engine, `ip` is
+g(v, w) at a point, `sectional_curvature` restates the plane invariants from
+their definition, `adapted_frame` and `isotropy_residuals` are the batched
+frame and battery on one point, `fermi_derivative` states the transport law
+point by point for the batched generators, and `format_expr` prints an AST
+for the parser's round-trip test.
 """
 
 from dataclasses import fields
@@ -48,18 +48,23 @@ def stack(geoms: list[PointGeometry]) -> PointGeometry:
                            for f in fields(PointGeometry)[:-1]), geoms[0].order)
 
 
+def ip(geom: PointGeometry, v, w) -> float:
+    """g(v, w) at a point."""
+    return float(v @ geom.g @ w)
+
+
 def sectional_curvature(geom: PointGeometry, v, w) -> float:
     """K(span(v, w)) = R(v,w,w,v) / (g(v,v) g(w,w) - g(v,w)^2)."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     vn = v / np.linalg.norm(v) if np.linalg.norm(v) > 0 else v
     wn = w / np.linalg.norm(w) if np.linalg.norm(w) > 0 else w
-    scaled_gram = geom.ip(vn, vn) * geom.ip(wn, wn) - geom.ip(vn, wn)**2
+    scaled_gram = ip(geom, vn, vn) * ip(geom, wn, wn) - ip(geom, vn, wn)**2
     if abs(scaled_gram) <= PLANE_TOL:
         raise DegeneratePlaneError(
             f"plane degenerate (scaled Gram determinant {scaled_gram:.3e})")
     numerator = float(np.einsum('asmn,a,s,m,n->', geom.riemann_low, v, w, v, w))
-    denominator = geom.ip(v, v) * geom.ip(w, w) - geom.ip(v, w)**2
+    denominator = ip(geom, v, v) * ip(geom, w, w) - ip(geom, v, w)**2
     return numerator / denominator
 
 
@@ -141,14 +146,14 @@ def _chunk_of_one(geom: PointGeometry, frame: Frame) -> tuple[PointGeometry, Fra
 def fermi_derivative(geom: PointGeometry, u, accel, X, dX) -> np.ndarray:
     """D_u X from the pointwise data (dX is nabla_u X)."""
     u = np.asarray(u, dtype=float)
-    q = geom.ip(u, u)
+    q = ip(geom, u, u)
     if abs(abs(q) - 1.0) > UNIT_TOL:
         raise TransportError(f"transport direction is not unit: g(u,u) = {q!r}")
     eps = 1.0 if q > 0 else -1.0
     X = np.asarray(X, dtype=float)
     accel = np.asarray(accel, dtype=float)
     return (np.asarray(dX, dtype=float)
-            + eps * geom.ip(X, accel) * u - eps * geom.ip(X, u) * accel)
+            + eps * ip(geom, X, accel) * u - eps * ip(geom, X, u) * accel)
 
 
 # -- exprs ---------------------------------------------------------------------

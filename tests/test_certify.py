@@ -18,8 +18,8 @@ from rwcert.geometry import (MAX_PIVOT_TRIES, Frame, FrameError, GeometryError,
 from rwcert.geometry import PIVOT_TOL as FRAME_PIVOT_TOL
 
 from conftest import domain_points
-from oracles import (LOCALLY_RW_IDS, adapted_frame, isotropy_residuals, sectional_curvature,
-                     stack)
+from oracles import (LOCALLY_RW_IDS, adapted_frame, ip, isotropy_residuals,
+                     sectional_curvature, stack)
 
 certify_module = importlib.import_module("rwcert.certify")   # `rwcert.certify` is the function
 geometry_module = importlib.import_module("rwcert.geometry")
@@ -265,7 +265,7 @@ def _reference_unit_spatial(geom, frame, rng, count):
         if norm < 1e-12:
             continue
         v = v / norm
-        q = geom.ip(v, v)
+        q = ip(geom, v, v)
         if abs(q) < certify_module.PIVOT_TOL:
             continue
         out.append(v / np.sqrt(abs(q)))
@@ -282,13 +282,13 @@ def _reference_pairs(geom, frame, rng, count):
         attempts += 1
         x = _reference_unit_spatial(geom, frame, rng, 1)[0]
         raw = rng.normal(size=frame.dim - 1) @ frame.spatial
-        eta_x = 1.0 if geom.ip(x, x) > 0 else -1.0
-        y = raw - eta_x * geom.ip(raw, x) * x
+        eta_x = 1.0 if ip(geom, x, x) > 0 else -1.0
+        y = raw - eta_x * ip(geom, raw, x) * x
         norm = np.linalg.norm(y)
         if norm < 1e-12:
             continue
         y = y / norm
-        q = geom.ip(y, y)
+        q = ip(geom, y, y)
         if abs(q) < certify_module.PIVOT_TOL:
             continue
         xs.append(x)
@@ -303,7 +303,7 @@ def _unit_or_none(geom, v):
     if norm < 1e-12:
         return None
     v = v / norm
-    q = geom.ip(v, v)
+    q = ip(geom, v, v)
     return None if abs(q) < certify_module.PIVOT_TOL else v / np.sqrt(abs(q))
 
 
@@ -321,7 +321,7 @@ def _reference_rounds(geom, frame, rng, count):
         for a, b in zip(block[count::2], block[count + 1::2]):
             x = _unit_or_none(geom, a)
             y = None if x is None else _unit_or_none(
-                geom, b - (1.0 if geom.ip(x, x) > 0 else -1.0) * geom.ip(b, x) * x)
+                geom, b - (1.0 if ip(geom, x, x) > 0 else -1.0) * ip(geom, b, x) * x)
             if y is not None:
                 pairs.append((x, y))
     if len(pool) < count:
@@ -346,12 +346,12 @@ def _apply(R, x, y, z):
 
 def _oracle_battery(geom, frame, f, h, pool, xs, ys):
     R = geom.riemann_up.tolist()
-    u, eps, ip = geom.u, geom.epsilon, geom.ip
+    u, eps = geom.u, geom.epsilon
     eq13 = max(frame.norm(_apply(R, x, u, u) - f * x) for x in pool)
-    eq14 = max(frame.norm(_apply(R, x, y, z) - h * (ip(y, z) * x - ip(x, z) * y))
+    eq14 = max(frame.norm(_apply(R, x, y, z) - h * (ip(geom, y, z) * x - ip(geom, x, z) * y))
                for x in pool for y in pool for z in pool)
     a43 = max(frame.norm(_apply(R, x, y, u)) for x in pool for y in pool)
-    a44 = max(frame.norm(_apply(R, x, u, y) + eps * f * ip(x, y) * u)
+    a44 = max(frame.norm(_apply(R, x, u, y) + eps * f * ip(geom, x, y) * u)
               for x in pool for y in pool)
     skew = max(frame.norm(_apply(R, x, u, y) + _apply(R, y, u, x)) for x, y in zip(xs, ys))
     scale = geom.residual_scale
@@ -446,8 +446,8 @@ def test_chunked_certify_equals_a_sample_point_loop(charts, monkeypatch, samples
 def _reference_frame(geom, rng):
     """adapted_frame's pivoted Gram-Schmidt one candidate at a time, as the
     per-sample code ran it."""
-    n, ip = geom.dim, geom.ip
-    q = ip(geom.u, geom.u)
+    n = geom.dim
+    q = ip(geom, geom.u, geom.u)
     vectors, etas = [geom.u / np.sqrt(abs(q))], [1 if q > 0 else -1]
     candidates = [np.eye(n)[k] for k in rng.permutation(n)]
     for _ in range(n - 1):
@@ -458,16 +458,16 @@ def _reference_frame(geom, rng):
                 mix = rng.normal(size=n)
                 v = mix / np.linalg.norm(mix)
             for e, eta in zip(vectors, etas):
-                v = v - eta * ip(v, e) * e
+                v = v - eta * ip(geom, v, e) * e
             norm = np.linalg.norm(v)
             if norm < 1e-12:
                 continue
             v = v / norm
-            q_v = ip(v, v)
+            q_v = ip(geom, v, v)
             if abs(q_v) < FRAME_PIVOT_TOL:
                 continue
             vectors.append(v / np.sqrt(abs(q_v)))
-            etas.append(1 if ip(vectors[-1], vectors[-1]) > 0 else -1)
+            etas.append(1 if ip(geom, vectors[-1], vectors[-1]) > 0 else -1)
             break
         else:
             raise FrameError(f"Gram-Schmidt failed after {MAX_PIVOT_TRIES} pivot candidates")
@@ -481,8 +481,8 @@ def _reference_sample(geom, frame, tol_margin):
     R, R_low = geom.riemann_up, geom.riemann_low
     e1, e2 = frame.vectors[1], frame.vectors[2]
     eta1, eta2 = frame.etas[1], frame.etas[2]
-    f = float(eta1 * geom.ip(np.einsum('rsmn,s,m,n->r', R, u, e1, u), e1))
-    h = float(eta1 * eta2 * geom.ip(np.einsum('rsmn,s,m,n->r', R, e2, e1, e2), e1))
+    f = float(eta1 * ip(geom, np.einsum('rsmn,s,m,n->r', R, u, e1, u), e1))
+    h = float(eta1 * eta2 * ip(geom, np.einsum('rsmn,s,m,n->r', R, e2, e1, e2), e1))
     scale = 1.0 + float(np.abs(R_low).max())
     model = h * (np.einsum('rm,sn->rsmn', g, g) - np.einsum('rn,sm->rsmn', g, g))
     cc = float(np.abs(R_low - model).max()) / scale

@@ -8,7 +8,7 @@ import pytest
 
 from rwcert import catalog
 from rwcert import geometry as geometry_module
-from rwcert.chart import chart_from_dict
+from rwcert.chart import ChartPrograms, chart_from_dict
 from rwcert.exprs import EvalDomainError, eval_expr
 from rwcert.geometry import (DegenerateMetricError, GeometryError, OutsideDomainError,
                              PointGeometry, UnitVectorError, geometry_at, geometry_chunk,
@@ -16,7 +16,7 @@ from rwcert.geometry import (DegenerateMetricError, GeometryError, OutsideDomain
 from rwcert.jets import Jet3
 
 from conftest import domain_points
-from oracles import (DegeneratePlaneError, adapted_frame, chunk_rows,
+from oracles import (DegeneratePlaneError, adapted_frame, chunk_rows, ip,
                      metric_compatibility_residual, riemann_symmetry_residuals,
                      second_bianchi_residual, sectional_curvature)
 
@@ -151,7 +151,7 @@ def test_schwarzschild_static_acceleration(charts):
     point = [0.0, 10.0, 1.2, 0.7]
     geom = geometry_at(chart, point)
     accel = geom.acceleration()
-    norm = np.sqrt(geom.ip(accel, accel))
+    norm = np.sqrt(ip(geom, accel, accel))
     # closed form M / (r^2 sqrt(1 - 2M/r)) at M=1, r=10
     assert norm == pytest.approx(1.0 / (100.0 * np.sqrt(0.8)), abs=1e-8)
 
@@ -293,7 +293,7 @@ def test_normalize_u_gives_unit_u_and_matching_du():
     h = 1e-5
     for point in domain_points(chart, 5, seed=17):
         geom = geometry_at(chart, point, order=1)
-        assert abs(abs(geom.ip(geom.u, geom.u)) - 1.0) < 1e-12
+        assert abs(abs(ip(geom, geom.u, geom.u)) - 1.0) < 1e-12
         for l in range(chart.dim):
             step = h * np.eye(chart.dim)[l]
             central = (geometry_at(chart, point + step, order=1).u
@@ -318,7 +318,20 @@ FRACTIONAL_DOC = dict(catalog.get_entry("flrw_open").document, name="fractional_
                               [None, None, None, "(1 + t)^-1.5*sin(theta)^2"]])
 
 
-EXTRA_DOCS = {"scaled_u": SCALED_U_DOC, "fractional_powers": FRACTIONAL_DOC}
+# sums of products whose jets round their mirrored hess and cube entries apart
+ASYMMETRIC_JETS_DOC = {
+    "name": "asymmetric_jets", "dim": 4, "coords": ["t", "x", "y", "z"],
+    "metric": [["-1", "0.1*sin(t*x)*cos(t+x)", None, None],
+               [None, "3 + sin(t*x)*cos(t+x)", None, None],
+               [None, None, "2 + (1 + t*x)^3*(2 + y)^2*(1 + z)/40", None],
+               [None, None, None, "2 + cosh(t)^2*(1 + x*y)^3/10"]],
+    "u": ["1", "0", "0", "0"], "params": {}, "domain": [[0.0, 1.0]] * 4,
+    "options": {"normalize_u": True},
+}
+
+
+EXTRA_DOCS = {"scaled_u": SCALED_U_DOC, "fractional_powers": FRACTIONAL_DOC,
+              "asymmetric_jets": ASYMMETRIC_JETS_DOC}
 
 
 def _chart(charts, chart_id):
@@ -354,12 +367,12 @@ def test_batch_rows_equal_geometry_at(charts, chart_id, order):
 @pytest.mark.parametrize("size", [2, 8, 64])
 @pytest.mark.parametrize("chart_id", sorted(catalog.CATALOG) + sorted(EXTRA_DOCS))
 def test_batch_rows_equal_geometry_at_bit_for_bit(charts, chart_id, size):
-    """On every catalog chart, and on a normalize_u chart and one with
-    non-integer powers, every field of every geometry_chunk row is
-    array_equal to geometry_at at its point, at orders 1-3 and batch sizes 2,
-    8 and 64.  The batched foliation paths (slice shooting, quadrature,
-    flows, the scale-factor profile) reproduce one-point results exactly
-    only because of this."""
+    """On every catalog chart, and on a normalize_u chart, one with
+    non-integer powers and one whose jets are not exactly symmetric, every
+    field of every geometry_chunk row is array_equal to geometry_at at its
+    point, at orders 1-3 and batch sizes 2, 8 and 64.  The batched foliation
+    paths (slice shooting, quadrature, flows, the scale-factor profile)
+    reproduce one-point results exactly only because of this."""
     chart = _chart(charts, chart_id)
     points = domain_points(chart, size, seed=size)
     for order in (1, 2, 3):
@@ -390,6 +403,95 @@ def test_chunks_round_as_their_points_do(charts):
         for values, want in zip(trace_invariants(got, gradients=True),
                                 zip(*(trace_invariants(r, gradients=True) for r in rows))):
             np.testing.assert_array_equal(values, np.array(want))
+
+
+def _curvature_from_derivatives(g, dg, d2g, d3g) -> dict:
+    """dgamma, riemann_* and driemann_* at a point from the formulas in the
+    geometry module's docstring, fed the metric's coordinate derivatives
+    dg[l, i, j] = d_l g_ij, d2g[l, m, i, j] = d_l d_m g_ij and d3g[p, l, m,
+    i, j] = d_p d_l d_m g_ij, with the outer derivative first.  Like the
+    evaluator, it keeps d_p d_l g^-1 symmetric in (p, l)."""
+    g_inv = np.linalg.inv(g)
+    dg_inv = -np.einsum('ka,lab,bm->lkm', g_inv, dg, g_inv)
+    d2g_sym = 0.5 * (d2g + d2g.swapaxes(0, 1))
+    d2g_inv = -(np.einsum('pka,lab,bm->plkm', dg_inv, dg, g_inv)
+                + np.einsum('ka,plab,bm->plkm', g_inv, d2g_sym, g_inv)
+                + np.einsum('ka,lab,pbm->plkm', g_inv, dg, dg_inv))
+    # T[m, i, j] = g_mj,i + g_mi,j - g_ij,m, and its derivatives
+    T = np.einsum('imj->mij', dg) + np.einsum('jmi->mij', dg) - dg
+    dT = np.einsum('limj->lmij', d2g) + np.einsum('ljmi->lmij', d2g) - d2g
+    d2T = np.einsum('plimj->plmij', d3g) + np.einsum('pljmi->plmij', d3g) - d3g
+    gamma = 0.5 * np.einsum('km,mij->kij', g_inv, T)
+    dgamma = 0.5 * (np.einsum('lkm,mij->lkij', dg_inv, T) + np.einsum('km,lmij->lkij', g_inv, dT))
+    d2gamma = 0.5 * (np.einsum('plkm,mij->plkij', d2g_inv, T)
+                     + np.einsum('lkm,pmij->plkij', dg_inv, dT)
+                     + np.einsum('pkm,lmij->plkij', dg_inv, dT)
+                     + np.einsum('km,plmij->plkij', g_inv, d2T))
+    riemann_up = (np.einsum('mrns->rsmn', dgamma) - np.einsum('nrms->rsmn', dgamma)
+                  + np.einsum('rml,lns->rsmn', gamma, gamma)
+                  - np.einsum('rnl,lms->rsmn', gamma, gamma))
+    driemann_up = (np.einsum('pmrns->prsmn', d2gamma) - np.einsum('pnrms->prsmn', d2gamma)
+                   + np.einsum('prml,lns->prsmn', dgamma, gamma)
+                   + np.einsum('rml,plns->prsmn', gamma, dgamma)
+                   - np.einsum('prnl,lms->prsmn', dgamma, gamma)
+                   - np.einsum('rnl,plms->prsmn', gamma, dgamma))
+    return {"dgamma": dgamma, "riemann_up": riemann_up,
+            "riemann_low": np.einsum('ar,rsmn->asmn', g, riemann_up),
+            "driemann_up": driemann_up,
+            "driemann_low": (np.einsum('par,rsmn->pasmn', dg, riemann_up)
+                             + np.einsum('ar,prsmn->pasmn', g, driemann_up))}
+
+
+def test_derivative_slots_keep_their_index_order():
+    """Metric programs whose jets have hess and cube far from symmetric (a
+    test double, no expression gives them) reach the curvature with d2g[l, m,
+    i, j] = hess[l, m] and d3g[p, l, m, i, j] = cube[p, l, m], at a point and
+    in every row of a chunk.  Symmetric slots cannot tell a transposed layout
+    from this one."""
+    rng = np.random.default_rng(3)
+    n = 4
+    slots = {entry: (rng.normal(size=n), rng.normal(size=(n, n)), rng.normal(size=(n, n, n)))
+             for entry in ((1, 1), (0, 1))}
+
+    def program(entry, base):
+        grad, hess, cube = slots[entry]
+
+        def run(env):
+            x = env["x"].value
+            w = 1.0 + np.asarray(x)        # a weight per point
+            return Jet3(base + 0.1 * x, np.multiply.outer(grad, w),
+                        np.multiply.outer(hess, w), np.multiply.outer(cube, w))
+        return run
+
+    chart = chart_from_dict(dict(catalog.get_entry("minkowski").document, name="layout",
+                                 domain=[[0.0, 1.0]] * n))
+    vars(chart)["programs"] = ChartPrograms(
+        np.diag([-1.0, 0.0, 2.0, 2.0]),
+        ((0, 1, program((0, 1), 0.2)), (1, 1, program((1, 1), 3.0))),
+        np.array([1.0, 0.0, 0.0, 0.0]), ())
+
+    def derivatives(x):
+        """g, dg, d2g and d3g of the programs at a point with coordinate x."""
+        w = 1.0 + x
+        g = np.diag([-1.0, 3.0 + 0.1 * x, 2.0, 2.0])
+        g[0, 1] = g[1, 0] = 0.2 + 0.1 * x
+        dg, d2g, d3g = np.zeros((n,) * 3), np.zeros((n,) * 4), np.zeros((n,) * 5)
+        for (i, j), (grad, hess, cube) in slots.items():
+            for (a, b) in {(i, j), (j, i)}:
+                dg[..., a, b], d2g[..., a, b], d3g[..., a, b] = grad * w, hess * w, cube * w
+        return g, dg, d2g, d3g
+
+    points = domain_points(chart, 3, seed=5)
+    for order in (2, 3):
+        keys = (("dgamma", "riemann_up", "riemann_low")
+                + ("driemann_up", "driemann_low") * (order == 3))
+        chunk = _rows(chart, points, order)
+        for point, row in zip(points, chunk):
+            want = _curvature_from_derivatives(*derivatives(point[1]))
+            for got in (geometry_at(chart, point, order), row):
+                for key in keys:
+                    scale = 1.0 + np.abs(want[key]).max()
+                    assert np.abs(getattr(got, key) - want[key]).max() < 1e-12 * scale, (order, key)
 
 
 ORACLE_TOL = 1e-10      # relative to 1 + the largest oracle component of each field

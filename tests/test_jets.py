@@ -1,5 +1,6 @@
 """Jet arithmetic against finite differences and hand values."""
 
+import itertools
 import math
 
 import numpy as np
@@ -144,16 +145,29 @@ def test_mul_commutative_associative_value_slot():
 
 
 def test_symmetry_invariants_after_random_ops():
+    """hess is symmetric under index swap and cube under all six permutations
+    to rounding, at a point and over a batch: within 1e-13 of each slot's
+    largest entry.  Not exactly: a product adds its mirrored terms in a fixed
+    order, and some of these trees show it."""
     rng = np.random.default_rng(11)
-    x = Jet3.variable(0, 0.7, 3)
-    y = Jet3.variable(1, -0.4, 3)
-    z = Jet3.variable(2, 1.2, 3)
-    expr = jets.sin(x * y) + jets.exp(z) / (2.0 + y * y) - jets.pow_const(x + z, 3)
-    assert np.allclose(expr.hess, expr.hess.T, atol=0)
-    for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
-        assert np.allclose(expr.cube, expr.cube.transpose(perm), atol=0)
-    assert np.all(np.isfinite(expr.cube))
-    del rng
+    asymmetric = 0
+    for _ in range(100):
+        text, node, names, point = draw_expr_case(rng)
+        program = compile_expr(node, {})
+        if isinstance(program, float):
+            continue
+        n = len(names)
+        batch = [[point[name] + 0.01 * k for k in range(3)] for name in names]
+        for env in ({name: Jet3.variable(k, point[name], n) for k, name in enumerate(names)},
+                    {name: Jet3.variable(k, batch[k], n) for k, name in enumerate(names)}):
+            jet = program(env)
+            for rank, slot in ((2, jet.hess), (3, jet.cube)):
+                tol = 1e-13 * np.abs(slot).max()
+                for perm in itertools.permutations(range(rank)):
+                    moved = slot.transpose(perm + tuple(range(rank, slot.ndim)))
+                    assert np.abs(slot - moved).max() <= tol, (text, perm)
+                    asymmetric += not np.array_equal(slot, moved)
+    assert asymmetric
 
 
 def test_identity_expression_returns_seed():
@@ -226,8 +240,7 @@ def test_scalar_operands_scale_and_shift():
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_jets_equal_scalar_jets_per_point(seed):
     """A program run on jets with a trailing batch axis gives, at each point,
-    the slots the scalar jets give there (to rounding: numpy's array powers
-    may differ from scalar powers in the last bit)."""
+    the slots the scalar jets give there, bit for bit."""
     rng = np.random.default_rng(5000 + seed)
     for _ in range(20):
         text, node, names, point = draw_expr_case(rng)
@@ -243,7 +256,7 @@ def test_batched_jets_equal_scalar_jets_per_point(seed):
                            for k, name in enumerate(names)})
             for got, want in ((batch.value[b], jet.value), (batch.grad[..., b], jet.grad),
                               (batch.hess[..., b], jet.hess), (batch.cube[..., b], jet.cube)):
-                assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max()), text
+                assert np.array_equal(got, want), text
 
 
 def test_batched_domain_errors_name_the_first_offending_value():

@@ -10,7 +10,7 @@ from rwcert.geometry import geometry_at
 from rwcert.transport import (CurveError, CurveSpec, DomainExitError, TransportError,
                               _ExplicitCurve, gram_drift, stage_taus, transport)
 
-from oracles import adapted_frame, fermi_derivative
+from oracles import adapted_frame, fermi_derivative, ip
 
 
 def _one_run(chart, curve, X0, steps):
@@ -102,7 +102,7 @@ def test_flrw_comoving_orthogonality_and_covariant_constancy(charts):
     h = result.taus[1] - result.taus[0]
     for i in range(0, result.steps, 20):
         geom = geometry_at(chart, result.points[i], order=1)
-        assert abs(geom.ip(result.vectors[i], geom.u)) < 1e-8
+        assert abs(ip(geom, result.vectors[i], geom.u)) < 1e-8
     for i in range(1, result.steps - 1, 20):
         geom = geometry_at(chart, result.points[i], order=1)
         dx = (result.vectors[i + 1] - result.vectors[i - 1]) / (2 * h)
@@ -205,7 +205,7 @@ def test_mild_speed_violation_resampled(plane_chart):
     speeds = []
     for i in range(0, result.steps, 10):
         geom = geometry_at(plane_chart, result.points[i], order=1)
-        speeds.append(geom.ip(result.tangents[i], result.tangents[i]))
+        speeds.append(ip(geom, result.tangents[i], result.tangents[i]))
     assert np.abs(np.array(speeds) - 1.0).max() < 1e-6
 
 
@@ -491,8 +491,34 @@ def test_transport_raises_when_halvings_do_not_converge(charts, monkeypatch):
     velocity = [np.sqrt(1.0 + 4.41 * 0.04), 0.2, 0.0, 0.0]
     curve = CurveSpec.geodesic([1.0, 1.0, 1.2, 1.0], velocity, t1=1.0)
     monkeypatch.setattr(transport_module, "MAX_HALVINGS", 1)
-    with pytest.raises(TransportError, match="did not converge"):
+    with pytest.raises(TransportError, match=r"did not converge: .* \(tolerance 1e-08 = "
+                                              r"1e-08 x max\(1, max\|X0\|\)\) at 4 steps"):
         transport(charts["flrw_open"], curve, [0.0, 1.0, 0.0, 0.0], steps=2)
+
+
+@pytest.mark.parametrize("kind", ["explicit", "geodesic"])
+def test_endpoint_tolerance_scales_with_the_transported_vector(charts, kind):
+    """The Fermi law is linear in X0, so a huge X0 converges where X0 does:
+    the same refined_steps, and an endpoint_change that scales with X0, to
+    rounding for 1e100 and exactly for a power of two (every rounding then
+    scales with it)."""
+    if kind == "explicit":
+        chart, curve = charts["minkowski"], CurveSpec.explicit(["sinh(s)", "cosh(s)", "0", "0"])
+        x0, steps = np.array([0.0, 1.0, 0.3, 0.0]), 100
+    else:
+        chart, x0, steps = charts["flrw_open"], np.array([0.0, 1.0, 0.0, 0.0]), 20
+        curve = CurveSpec.geodesic([1.0, 1.0, 1.2, 1.0],
+                                   [np.sqrt(1.0 + 4.41 * 0.04), 0.2, 0.0, 0.0], t1=1.0)
+    small = transport(chart, curve, x0, steps=steps)
+    assert small.refined_steps > steps
+    for scale in (1e100, 2.0**332):
+        big = transport(chart, curve, scale * x0, steps=steps)
+        assert big.refined_steps == small.refined_steps
+        error = abs(big.endpoint_change / scale - small.endpoint_change)
+        assert error <= 1e-14 * np.abs(small.vectors[-1]).max()
+        if scale == 2.0**332:
+            assert big.endpoint_change == scale * small.endpoint_change
+            assert np.array_equal(big.vectors, scale * small.vectors)
 
 
 def test_geodesic_transport_reuses_the_row_geometry(charts, monkeypatch):
@@ -513,7 +539,7 @@ def test_geodesic_transport_reuses_the_row_geometry(charts, monkeypatch):
         return np.concatenate([s[4:], -np.einsum('kij,i,j->k', g.gamma, s[4:], s[4:])])
 
     state, h = np.concatenate([start, velocity]), 2.0 / steps
-    norms = [abs(geometry_at(chart, start, order=1).ip(velocity, velocity))]
+    norms = [abs(ip(geometry_at(chart, start, order=1), velocity, velocity))]
     for i in range(steps):
         k1 = rhs(state)
         k2 = rhs(state + 0.5 * h * k1)
@@ -522,7 +548,7 @@ def test_geodesic_transport_reuses_the_row_geometry(charts, monkeypatch):
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert np.array_equal(path.points[i + 1], state[:4])
         assert np.array_equal(path.tangents[i + 1], state[4:])
-        norms.append(abs(geometry_at(chart, state[:4], order=1).ip(state[4:], state[4:])))
+        norms.append(abs(ip(geometry_at(chart, state[:4], order=1), state[4:], state[4:])))
     assert _norm_drift(path) == float(np.abs(np.array(norms) - norms[0]).max())
 
 
@@ -684,7 +710,7 @@ def test_generators_satisfy_the_pointwise_law(charts, plane_chart):
     geom = geometry_at(chart, curve.start, order=1)
     contexts.append((curve.start, np.array(curve.velocity), np.zeros(4), geom, 1.0))
     for _, U, A, geom, v in contexts:
-        eps = 1.0 if geom.ip(U, U) > 0 else -1.0
+        eps = 1.0 if ip(geom, U, U) > 0 else -1.0
         M = _generators(U[None], A[None], np.array([v]), geom.g[None], geom.gamma[None],
                         eps)[0]
         for X in rng.normal(size=(3, len(U))):
