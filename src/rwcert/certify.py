@@ -109,8 +109,10 @@ def extract_invariants(geom: PointGeometry, frame: Frame) -> tuple:
     over a chunk.
 
     f comes from the plane (e_1, u), h from (e_1, e_2).  The frame comes from
-    adapted_frames, which builds e_0 from u and rejects a non-unit u row by
-    row.  Cross-validation over random plane choices happens in _isotropy.
+    adapted_frames: e_0 is u, the spatial vectors are the metric's
+    eigenvectors on u's orthogonal complement, and a row with a non-unit u
+    or a near-null complement is rejected.  Cross-validation over random
+    plane choices happens in _isotropy.
     """
     u, R = geom.u, geom.riemann_up
     e1, e2 = frame.vectors[..., 1, :], frame.vectors[..., 2, :]
@@ -320,10 +322,11 @@ def sample_point(chart: ChartSpec, point, rng=None,
 
 
 def _battery(chunk: PointGeometry, rngs: list, tol_margin: float) -> list:
-    """The residual battery at each point of a chunk, point b drawing from
-    rngs[b]: per point its IsotropySample, or the GeometryError that makes it
+    """The residual battery at each point of a chunk, point b drawing its
+    random directions from rngs[b] (its frame involves no random choice):
+    per point its IsotropySample, or the GeometryError that makes it
     Degenerate."""
-    vectors, etas, results = adapted_frames(chunk.g, chunk.u, rngs)
+    vectors, etas, results = adapted_frames(chunk.g, chunk.u)
     live = [b for b, err in enumerate(results) if err is None]
     if not live:
         return results
@@ -351,12 +354,12 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
     """Sample the domain and classify the chart.
 
     Draws config.samples points uniformly (seeded).  Points where the
-    preconditions fail (degenerate metric, non-unit u, expression domain
-    errors) make the verdict Degenerate.  Points are evaluated CHUNK at a
-    time (see the module docstring); geometry_chunk gives each point of a
-    chunk its own geometry or reason, and only the points that evaluate go
-    on to the battery.  Aggregation is an ordered reduction over sample
-    index; config.threads is ignored.
+    preconditions fail (degenerate metric, non-unit u, a near-null direction
+    orthogonal to u, expression domain errors) make the verdict Degenerate.
+    Points are evaluated CHUNK at a time (see the module docstring);
+    geometry_chunk gives each point of a chunk its own geometry or reason,
+    and only the points that evaluate go on to the battery.  Aggregation is
+    an ordered reduction over sample index; config.threads is ignored.
     """
     config = config or CertifyConfig()
     _require_dim4(chart)

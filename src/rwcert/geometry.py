@@ -35,9 +35,8 @@ from .chart import ChartSpec
 from .jets import Jet3
 
 UNIT_TOL = 1e-8          # |g(u,u)| must be within this of 1
-PIVOT_TOL = 1e-6         # Gram-Schmidt rejects pivots with |g(v,v)| below this
+PIVOT_TOL = 1e-6         # a coordinate-unit direction w with |g(w,w)| below this is near-null
 DET_TOL = 1e-10          # scaled |det g| below this is degenerate
-MAX_PIVOT_TRIES = 32
 
 
 class GeometryError(ValueError):
@@ -428,57 +427,37 @@ class Frame:
         return _scalar(np.sqrt(_dot(c, c)))
 
 
-def adapted_frames(g: np.ndarray, u: np.ndarray, rngs: list) -> tuple[np.ndarray, np.ndarray, list]:
-    """Complete u to an orthonormal frame by pivoted Gram-Schmidt at each row
-    of (B, n, n) metrics and (B, n) fields u, row b drawing from rngs[b]: the
-    frame vectors [b, a, :], their etas [b, a] and each row's exception, None
-    where the row has its frame.
+def adapted_frames(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Complete u to an orthonormal frame at each row of (B, n, n) metrics
+    and (B, n) fields u: the frame vectors [b, a, :], their etas [b, a] and
+    each row's exception, None where the row has its frame.
 
-    Pivot candidates are the coordinate axes in rng-shuffled order; a candidate
-    is rejected when, after projection, its unit-coordinate-norm version has
-    |g(v,v)| < PIVOT_TOL (this is what near-null directions look like).  Up to
-    MAX_PIVOT_TRIES random axis mixtures are tried afterwards.  Slot a is
-    filled, one pivot attempt at a time, for all rows that still lack it; each
-    row keeps its own place in its shuffled axes and draws its random mixtures
-    from its own rng, so a row's frame is deterministic for its rng state.
+    e_0 = u / sqrt|g(u,u)|.  The last n - 1 columns of a complete QR of g u
+    are a Euclidean-orthonormal basis of u's g-orthogonal complement; the
+    eigenvectors of the metric restricted to it, w = basis Q, are still
+    Euclidean-unit and diagonalize g, so the spatial frame is w / sqrt|lam|
+    with etas sign(lam).  A row whose complement holds a direction with
+    |g(w,w)| = |lam| < PIVOT_TOL is near-null and gets a FrameError.  numpy's
+    qr and eigh factor each matrix on its own, so a row's frame does not
+    depend on its neighbours.
     """
-    rows, n = u.shape
     q = _bilinear(u, g, u)
     errors = [UnitVectorError(f"u is not unit: g(u,u) = {x!r} "
                               "(set options.normalize_u to rescale pointwise)")
               if abs(abs(x) - 1.0) > UNIT_TOL else None for x in q.tolist()]
+    basis = np.linalg.qr(_apply(g, u)[..., None], mode="complete")[0][..., 1:]
+    lam, Q = np.linalg.eigh(basis.swapaxes(-1, -2) @ g @ basis)
+    weight = np.abs(lam).min(axis=-1)
+    for b in np.flatnonzero(weight < PIVOT_TOL):
+        errors[b] = errors[b] or FrameError(
+            f"near-null direction orthogonal to u (|g(w,w)| = {weight[b]:.3e} "
+            "for a coordinate-unit w)")
     live = np.array([err is None for err in errors])
-    axes = np.array([rng.permutation(n) if ok else np.arange(n) for rng, ok in zip(rngs, live)])
-    vectors = np.zeros((rows, n, n))
-    vectors[:, 0] = u / np.sqrt(np.where(live, np.abs(q), 1.0))[:, None]
-    etas = np.ones((rows, n))
-    etas[:, 0] = np.where(q > 0, 1.0, -1.0)
-    tried = np.zeros(rows, dtype=int)
-    for a in range(1, n):
-        pending = live.copy()
-        for _ in range(MAX_PIVOT_TRIES):
-            idx = np.flatnonzero(pending)
-            if not len(idx):
-                break
-            v = np.eye(n)[axes[idx, np.minimum(tried[idx], n - 1)]]
-            for i in np.flatnonzero(tried[idx] >= n):
-                mix = rngs[idx[i]].normal(size=n)
-                v[i] = mix / np.linalg.norm(mix)
-            tried[idx] += 1
-            G = g[idx]
-            for e, eta in zip(vectors[idx, :a].swapaxes(0, 1), etas[idx, :a].T):
-                v = v - (eta * _bilinear(v, G, e))[:, None] * e
-            norm = np.sqrt(_dot(v, v))
-            v = v / np.where(norm < 1e-12, 1.0, norm)[:, None]
-            q_v = _bilinear(v, G, v)
-            ok = (norm >= 1e-12) & (np.abs(q_v) >= PIVOT_TOL)
-            accepted = v[ok] / np.sqrt(np.abs(q_v[ok]))[:, None]
-            vectors[idx[ok], a] = accepted
-            etas[idx[ok], a] = np.where(_bilinear(accepted, G[ok], accepted) > 0, 1.0, -1.0)
-            pending[idx[ok]] = False
-        for b in np.flatnonzero(pending):
-            errors[b] = FrameError(f"Gram-Schmidt failed after {MAX_PIVOT_TRIES} pivot candidates")
-        live &= ~pending
+    e0 = u / np.sqrt(np.where(live, np.abs(q), 1.0))[:, None]
+    scale = np.sqrt(np.where(live[:, None], np.abs(lam), 1.0))
+    spatial = (basis @ Q).swapaxes(-1, -2) / scale[..., None]
+    vectors = np.concatenate([e0[:, None], spatial], axis=1)
+    etas = np.where(np.concatenate([q[:, None], lam], axis=1) > 0, 1.0, -1.0)
     return vectors, etas, errors
 
 

@@ -245,7 +245,9 @@ def compose(a: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
     hess = f1 * H + f2 * gg
     if a.cube is None:
         return Jet3(f0, f1 * g, hess)
-    cube = f1 * a.cube + f2 * _sym_outer(H, g) + f3 * (g[:, None, None] * gg)
+    # f3 scales g before the three gradients multiply: a huge gradient under
+    # a tiny f3 would overflow as g g g but not as ((f3 g) g) g
+    cube = f1 * a.cube + f2 * _sym_outer(H, g) + ((f3 * g)[:, None, None] * g[:, None]) * g
     return Jet3(f0, f1 * g, hess, cube)
 
 

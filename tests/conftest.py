@@ -145,6 +145,59 @@ def _symbolic_geometry(sympy, chart):
     return at
 
 
+# -- charts in generic coordinates ------------------------------------------------
+
+# catalog chart id -> the map phi, one expression per coordinate, that it is
+# pulled back by; each mixes time and space, so u is no coordinate vector
+PULL_BACK_MAPS = {
+    "flrw_flat_linear": ["t + x*y/10", "x + t/20", "y", "z + x^2/50"],
+    "flrw_closed_osc": ["t + sin(chi)/20", "chi + 0.03*t", "theta", "phi"],
+    "riemannian_grw": ["r", "x + sin(y)/20", "y", "z"],
+}
+
+
+@pytest.fixture(scope="session")
+def pulled_back_charts():
+    """The PULL_BACK_MAPS charts, keyed by the catalog id they come from.
+
+    A chart's metric is J^T g(phi) J and its u is J^-1 u(phi), with J the
+    Jacobian of phi, built with sympy from the catalog source and printed
+    back in the chart language; its domain is the catalog one shrunk by 15 %
+    of each width at both ends, which phi maps inside the catalog domain.
+    The geometry is the catalog chart's, so are its verdict and epsilon.
+    """
+    sympy = pytest.importorskip("sympy")
+    return {cid: _pull_back(sympy, catalog.get_entry(cid).document, phi)
+            for cid, phi in PULL_BACK_MAPS.items()}
+
+
+def _pull_back(sympy, doc, phi_text):
+    n = doc["dim"]
+    xs = sympy.symbols(doc["coords"], real=True)
+    names = dict(zip(doc["coords"], xs))
+
+    def parse(text):
+        return sympy.sympify(re.sub(r"\bln\(", "log(", text.replace("^", "**")), locals=names)
+
+    def text(expr):
+        return re.sub(r"\blog\(", "ln(", sympy.sstr(expr).replace("**", "^"))
+
+    phi = [parse(t) for t in phi_text]
+    at_phi = dict(zip(xs, phi))
+    entries = doc["metric"]
+    g = sympy.Matrix(n, n, lambda i, j: parse(entries[i][j] or entries[j][i] or "0"))
+    J = sympy.Matrix(n, n, lambda i, j: sympy.diff(phi[i], xs[j]))
+    g = (J.T * g.subs(at_phi, simultaneous=True) * J).applyfunc(sympy.expand)
+    u = sympy.Matrix([parse(t) for t in doc["u"]]).subs(at_phi, simultaneous=True)
+    u = J.LUsolve(u).applyfunc(sympy.simplify)
+    return chart_from_dict(dict(
+        doc, name=doc["name"] + "_pulled_back",
+        metric=[[text(g[i, j]) if j >= i and g[i, j] != 0 else None for j in range(n)]
+                for i in range(n)],
+        u=[text(c) for c in u],
+        domain=[[lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo)] for lo, hi in doc["domain"]]))
+
+
 # -- random expression trees ---------------------------------------------------
 
 _SAFE_FUNCTIONS = ("sin", "cos", "tanh", "sinh", "exp", "cosh")

@@ -68,17 +68,11 @@ def sectional_curvature(geom: PointGeometry, v, w) -> float:
     return numerator / denominator
 
 
-def adapted_frame(geom: PointGeometry, rng=None) -> Frame:
-    """Complete u to an orthonormal frame by pivoted Gram-Schmidt.
-
-    Pivot candidates are the coordinate axes in rng-shuffled order; a candidate
-    is rejected when, after projection, its unit-coordinate-norm version has
-    |g(v,v)| < PIVOT_TOL (this is what near-null directions look like).  Up to
-    MAX_PIVOT_TRIES random axis mixtures are tried afterwards.  Deterministic
-    for a given rng state.  This is adapted_frames on a chunk of one.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    vectors, etas, errors = adapted_frames(geom.g[None], geom.u[None], [rng])
+def adapted_frame(geom: PointGeometry) -> Frame:
+    """Complete u to an orthonormal frame: e_0 = u / sqrt|g(u,u)|, then the
+    eigenvectors of the metric on u's orthogonal complement, each scaled to
+    |g(e,e)| = 1.  This is adapted_frames on a chunk of one."""
+    vectors, etas, errors = adapted_frames(geom.g[None], geom.u[None])
     if errors[0] is not None:
         raise errors[0]
     return Frame(vectors[0], etas[0], geom.g)

@@ -136,7 +136,7 @@ def test_criterion_03_positive_certification(charts100, certs100):
         oracle = ORACLES[cid]
         for point in domain_points(chart, 20, seed=303):
             geom = geometry_at(chart, point)
-            frame = adapted_frame(geom, rng=np.random.default_rng(5))
+            frame = adapted_frame(geom)
             eps, f, h = extract_invariants(geom, frame)
             f_ref, h_ref = oracle(point[0])
             assert abs(f - f_ref) < 1e-8, (cid, point)

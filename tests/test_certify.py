@@ -2,6 +2,7 @@
 
 import importlib
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -12,10 +13,8 @@ from rwcert.certify import (DEFAULT_TOL_MARGIN, CertificationInputError, Certify
                             RESIDUAL_KEYS, certify, extract_invariants, sample_point)
 from rwcert.chart import chart_from_dict
 from rwcert.exprs import EvalDomainError
-from rwcert.geometry import (MAX_PIVOT_TRIES, Frame, FrameError, GeometryError,
-                             UnitVectorError, adapted_frames, geometry_at, geometry_chunk,
-                             take_rows)
-from rwcert.geometry import PIVOT_TOL as FRAME_PIVOT_TOL
+from rwcert.geometry import (Frame, FrameError, GeometryError, UnitVectorError, adapted_frames,
+                             geometry_at, geometry_chunk, take_rows)
 
 from conftest import domain_points
 from oracles import (LOCALLY_RW_IDS, adapted_frame, ip, isotropy_residuals,
@@ -25,9 +24,9 @@ certify_module = importlib.import_module("rwcert.certify")   # `rwcert.certify` 
 geometry_module = importlib.import_module("rwcert.geometry")
 
 
-def _extract(chart, point, seed=0):
+def _extract(chart, point):
     geom = geometry_at(chart, point)
-    frame = adapted_frame(geom, rng=np.random.default_rng(seed))
+    frame = adapted_frame(geom)
     return geom, frame, extract_invariants(geom, frame)
 
 
@@ -173,12 +172,19 @@ def test_implication_eq13_eq14_force_consequences(charts):
 
 
 def test_extraction_frame_independent(charts):
+    """f and h read off the adapted frame equal those read off the frame's
+    spatial vectors turned by random rotations (the fibres of these charts
+    are definite, so any rotation keeps the frame orthonormal)."""
+    rng = np.random.default_rng(29)
     for cid in LOCALLY_RW_IDS:
         chart = charts[cid]
         point = domain_points(chart, 1, seed=29)[0]
-        values = []
-        for seed in range(10):
-            _, _, (eps, f, h) = _extract(chart, point, seed=seed)
+        geom, frame, (_, f, h) = _extract(chart, point)
+        values = [(f, h)]
+        for _ in range(10):
+            turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            vectors = np.vstack([frame.vectors[:1], turn @ frame.spatial])
+            _, f, h = extract_invariants(geom, Frame(vectors, frame.etas, geom.g))
             values.append((f, h))
         fs = [v[0] for v in values]
         hs = [v[1] for v in values]
@@ -193,7 +199,7 @@ def test_sectional_curvature_restatement(charts):
         chart = charts[cid]
         point = domain_points(chart, 1, seed=31)[0]
         geom = geometry_at(chart, point)
-        frame = adapted_frame(geom, rng=np.random.default_rng(4))
+        frame = adapted_frame(geom)
         with_u = [sectional_curvature(geom, e, geom.u) for e in frame.spatial]
         assert max(with_u) - min(with_u) < 1e-9, cid
         spatial = [sectional_curvature(geom, frame.spatial[i], frame.spatial[j])
@@ -364,7 +370,7 @@ def test_isotropy_residuals_match_coordinate_loops(charts, monkeypatch):
     for cid in catalog.CATALOG:
         chart = charts[cid]
         for index, point in enumerate(domain_points(chart, 2, seed=37)):
-            geom, frame, (eps, f, h) = _extract(chart, point, seed=index)
+            geom, frame, (eps, f, h) = _extract(chart, point)
             got = isotropy_residuals(geom, frame, f, h, rng=np.random.default_rng(index))
             rng = np.random.default_rng(index)
             pool = np.vstack([frame.spatial, _reference_unit_spatial(geom, frame, rng, 3)])
@@ -443,35 +449,15 @@ def test_chunked_certify_equals_a_sample_point_loop(charts, monkeypatch, samples
 # -- the chunk battery against the per-sample code ---------------------------------
 
 
-def _reference_frame(geom, rng):
-    """adapted_frame's pivoted Gram-Schmidt one candidate at a time, as the
-    per-sample code ran it."""
-    n = geom.dim
-    q = ip(geom, geom.u, geom.u)
-    vectors, etas = [geom.u / np.sqrt(abs(q))], [1 if q > 0 else -1]
-    candidates = [np.eye(n)[k] for k in rng.permutation(n)]
-    for _ in range(n - 1):
-        for _ in range(MAX_PIVOT_TRIES):
-            if candidates:
-                v = candidates.pop(0)
-            else:
-                mix = rng.normal(size=n)
-                v = mix / np.linalg.norm(mix)
-            for e, eta in zip(vectors, etas):
-                v = v - eta * ip(geom, v, e) * e
-            norm = np.linalg.norm(v)
-            if norm < 1e-12:
-                continue
-            v = v / norm
-            q_v = ip(geom, v, v)
-            if abs(q_v) < FRAME_PIVOT_TOL:
-                continue
-            vectors.append(v / np.sqrt(abs(q_v)))
-            etas.append(1 if ip(geom, vectors[-1], vectors[-1]) > 0 else -1)
-            break
-        else:
-            raise FrameError(f"Gram-Schmidt failed after {MAX_PIVOT_TRIES} pivot candidates")
-    return Frame(np.array(vectors), np.array(etas, dtype=float), geom.g)
+def _assert_frames(chunk, vectors, etas, label):
+    """Every row's frame is adapted to its u and orthonormal: e_0 = u/sqrt|q|
+    with q = g(u,u), max|V g V^T - diag etas| <= 1e-13, and as many etas of
+    each sign as g has eigenvalues of that sign."""
+    for k, (g, u, V, eta) in enumerate(zip(chunk.g, chunk.u, vectors, etas)):
+        np.testing.assert_allclose(V[0], u / np.sqrt(abs(u @ g @ u)), rtol=1e-14, atol=0,
+                                   err_msg=f"{label} row {k}")
+        assert np.abs(V @ g @ V.T - np.diag(eta)).max() <= 1e-13, (label, k)
+        assert sorted(eta) == sorted(np.sign(np.linalg.eigvalsh(g))), (label, k)
 
 
 def _reference_sample(geom, frame, tol_margin):
@@ -523,23 +509,22 @@ def _reference_sample(geom, frame, tol_margin):
 
 def test_chunk_battery_matches_the_per_sample_formulas(charts, monkeypatch):
     """One battery call over 16 points of each catalog chart, row by row: the
-    frames, f, h, margin, constant-curvature and structure residuals equal
-    the per-sample formulas (the arithmetic is the same), and the algebraic
-    residuals match the coordinate loops of _oracle_battery to 1e-12."""
+    frames are adapted and orthonormal, f, h, margin, constant-curvature and
+    structure residuals read off each row's frame equal the per-sample
+    formulas (the arithmetic is the same), and the algebraic residuals match
+    the coordinate loops of _oracle_battery to 1e-12."""
     monkeypatch.setattr(certify_module, "RANDOM_COMBINATIONS", 3)
     for cid in catalog.CATALOG:
         chart = charts[cid]
         chunk, _ = geometry_chunk(chart, domain_points(chart, 16, seed=41))
-        vectors, etas, errors = adapted_frames(chunk.g, chunk.u,
-                                               [np.random.default_rng(k) for k in range(16)])
+        vectors, etas, errors = adapted_frames(chunk.g, chunk.u)
         results = certify_module._battery(chunk, [np.random.default_rng(k) for k in range(16)],
                                           DEFAULT_TOL_MARGIN)
         assert errors == [None] * 16, cid
+        _assert_frames(chunk, vectors, etas, cid)
         for k, got in enumerate(results):
             geom, rng = take_rows(chunk, k), np.random.default_rng(k)
-            frame = _reference_frame(geom, rng)
-            np.testing.assert_array_equal(vectors[k], frame.vectors)
-            np.testing.assert_array_equal(etas[k], frame.etas)
+            frame = Frame(vectors[k], etas[k], geom.g)
             pool = np.vstack([frame.spatial, _reference_unit_spatial(geom, frame, rng, 3)])
             xs, ys = _reference_pairs(geom, frame, rng, 3)
             f, h, margin, cc, structure = _reference_sample(geom, frame, DEFAULT_TOL_MARGIN)
@@ -549,6 +534,61 @@ def test_chunk_battery_matches_the_per_sample_formulas(charts, monkeypatch):
             want = _oracle_battery(geom, frame, f, h, pool, xs, ys)
             for key in want:
                 assert abs(got.residuals[key] - want[key]) <= 1e-12, (cid, k, key)
+
+
+# a warped product of signature (2,2): its fibre -t^2 dx^2 + t^2 (dy^2 + dz^2) is indefinite
+_NEUTRAL_DOC = {
+    "name": "neutral_warped", "dim": 4, "coords": ["t", "x", "y", "z"],
+    "metric": [["-1", None, None, None], [None, "-t^2", None, None],
+               [None, None, "t^2", None], [None, None, None, "t^2"]],
+    "u": ["1", "0", "0", "0"],
+    "domain": [[1.5, 3.5], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]}
+
+
+def test_frames_are_adapted_and_orthonormal(pulled_back_charts):
+    """adapted_frames on 64 points of each chart in generic coordinates and
+    of a (2,2) warped product (the battery test checks the catalog's)."""
+    cases = {f"{cid} pulled back": chart for cid, chart in pulled_back_charts.items()}
+    cases["neutral"] = chart_from_dict(_NEUTRAL_DOC)
+    for label, chart in cases.items():
+        chunk, _ = geometry_chunk(chart, domain_points(chart, 64, seed=53))
+        vectors, etas, errors = adapted_frames(chunk.g, chunk.u)
+        assert errors == [None] * len(chunk.g), label
+        _assert_frames(chunk, vectors, etas, label)
+
+
+def test_pulled_back_charts_certify_as_the_catalog_does(pulled_back_charts, certificates):
+    """The verdict is coordinate-free: each catalog chart pulled back by a map
+    that mixes time and space is LocallyRW with the catalog epsilon at 256
+    points for seeds 0-3, and every residual stays at rounding."""
+    for cid, chart in pulled_back_charts.items():
+        for seed in range(4):
+            cert = certify(chart, CertifyConfig(samples=256, seed=seed))
+            assert (cert.classification, cert.epsilon) == \
+                ("LocallyRW", certificates[cid].epsilon), (cid, seed)
+            assert max(cert.residual_max.values()) <= 1e-12, (cid, seed, cert.residual_max)
+
+
+def test_a_neutral_signature_chart_is_locally_rw():
+    chart = chart_from_dict(_NEUTRAL_DOC)
+    for seed in range(3):
+        cert = certify(chart, CertifyConfig(samples=256, seed=seed))
+        assert (cert.classification, cert.epsilon) == ("LocallyRW", -1), seed
+
+
+def test_a_near_null_complement_is_degenerate():
+    """g_zz = 1e-8 passes the determinant check, but u's complement holds a
+    near-null direction: every point is Degenerate with the FrameError text,
+    and the rows that fail warn of nothing."""
+    doc = dict(_NEUTRAL_DOC, name="thin_z",
+               metric=[["-1", None, None, None], [None, "1", None, None],
+                       [None, None, "1", None], [None, None, None, "1e-8"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify(chart_from_dict(doc), CertifyConfig(samples=16))
+    assert cert.classification == "Degenerate"
+    assert {reason for _, reason in cert.degenerate_points} == {
+        "near-null direction orthogonal to u (|g(w,w)| = 1.000e-08 for a coordinate-unit w)"}
 
 
 def _same(got, want) -> bool:
@@ -594,11 +634,11 @@ def test_draws_take_the_first_kept_candidates(charts, monkeypatch):
         monkeypatch.setattr(certify_module, "PIVOT_TOL", tol)
         seeds = [[int(100 * quantile), k] for k in range(16)]
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        vectors, etas, _ = adapted_frames(chunk.g, chunk.u, rngs)
+        vectors, etas, _ = adapted_frames(chunk.g, chunk.u)
         pool, xs, ys, errors = certify_module._draws(Frame(vectors, etas, chunk.g), rngs)
         for k, row in enumerate(geoms):
             one = np.random.default_rng(seeds[k])
-            frame = adapted_frame(row, rng=one)
+            frame = adapted_frame(row)
             try:
                 want_pool, want_xs, want_ys, kept, rounds = _reference_rounds(row, frame, one, 16)
             except FrameError as err:
@@ -648,7 +688,6 @@ def test_draws_give_up_after_64_rounds(charts, monkeypatch):
         assert isinstance(results[k], FrameError), k
         assert str(results[k]) == "could not draw enough non-null unit combinations"
         clean = np.random.default_rng([2, k])
-        adapted_frame(row, rng=clean)
         for _ in range(64):
             clean.normal(size=(48, 3))
         assert rng.bit_generator.state == clean.bit_generator.state, k

@@ -101,7 +101,7 @@ def test_sectional_curvature_plane_invariance(charts):
 
 def test_adapted_frame_minkowski(charts):
     geom = geometry_at(charts["minkowski"], [0.0, 0.0, 0.0, 0.0])
-    frame = adapted_frame(geom, rng=np.random.default_rng(0))
+    frame = adapted_frame(geom)
     assert np.array_equal(frame.vectors[0], geom.u)
     gram = frame.vectors @ geom.g @ frame.vectors.T
     assert np.abs(gram - np.diag([-1.0, 1.0, 1.0, 1.0])).max() < 1e-10
@@ -109,7 +109,7 @@ def test_adapted_frame_minkowski(charts):
 
 def test_adapted_frame_flrw_gram(charts):
     geom = geometry_at(charts["flrw_flat_linear"], [2.0, 0.1, 0.2, 0.3])
-    frame = adapted_frame(geom, rng=np.random.default_rng(1))
+    frame = adapted_frame(geom)
     gram = frame.vectors @ geom.g @ frame.vectors.T
     assert np.abs(gram - np.diag(frame.etas)).max() < 1e-10
     # spatial frame vectors have coordinate magnitude 1/a = 1/2 up to rotation
@@ -125,8 +125,8 @@ def test_adapted_frame_requires_unit_u(charts):
 
 def test_adapted_frame_deterministic(charts):
     geom = geometry_at(charts["goedel"], [0.0, 0.2, 0.1, -0.3])
-    f1 = adapted_frame(geom, rng=np.random.default_rng(9))
-    f2 = adapted_frame(geom, rng=np.random.default_rng(9))
+    f1 = adapted_frame(geom)
+    f2 = adapted_frame(geom)
     assert np.array_equal(f1.vectors, f2.vectors)
 
 
@@ -140,7 +140,7 @@ def test_covariant_derivative_u_examples(charts):
     geom = geometry_at(chart, point)
     nabla, accel = geom.nabla_u(), geom.acceleration()
     assert np.abs(accel).max() < 1e-14
-    frame = adapted_frame(geom, rng=np.random.default_rng(2))
+    frame = adapted_frame(geom)
     for e in frame.spatial:
         expansion = e @ (nabla @ geom.g) @ e
         assert expansion == pytest.approx(0.5, abs=1e-12)
@@ -609,12 +609,14 @@ def test_each_row_gets_its_own_error(charts):
             geometry_chunk(chart, np.full(shape, 1.0))
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
 def test_fractional_powers_of_huge_bases_evaluate_alike(order):
     """(1e120 (2 + t))^0.01 is about 16 although the cube of its base
-    overflows a float: geometry_at evaluates it at orders 1 and 2 (at order
-    3 the cube of its gradient is inf), bit for bit as a chunk's row.  t^1.5 at t = 1e210 overflows to inf: a non-finite metric at a
-    point and in a batch, with the same text."""
+    overflows a float: geometry_at evaluates it at every order (at order 3
+    the chain rule scales the cube of its gradient, 1e360, by the tiny third
+    derivative first), bit for bit as a chunk's row.  t^1.5 at t = 1e210
+    overflows to inf: a non-finite metric at a point and in a batch, with
+    the same text."""
     doc = dict(OVERFLOW_DOC, metric=[["-1", None, None, None],
                                      [None, "(1e120*(2 + t))^0.01", None, None],
                                      [None, None, "1", None], [None, None, None, "1"]],
