@@ -1,4 +1,4 @@
-"""Pointwise isotropy extraction, residual battery and chart classification.
+"""Residual battery and chart classification.
 
 Eleven named residuals are evaluated per sample point.  Five are algebraic
 curvature checks against the split form
@@ -9,28 +9,27 @@ together with its consequences R(x,y)u = 0, R(x,u)y = -eps f g(x,y) u and the
 skew symmetry of (x,y) -> R(x,u)y.  Six more are differential: the directional
 derivative identities for f and h, symmetry of g(nabla_. u, .), the pure-trace
 shear law, closedness of (h - eps f) u-flat, and the geodesy diagnostic
-|nabla_u u|.  All residuals are relative to 1 + max |R_{rsmn}| at the point.
+|nabla_u u|.  f and h are the frame-free trace invariants.  All residuals
+are relative to 1 + max |R_{rsmn}| at the point.
 
-The algebraic residuals are measured in adapted-frame components: the model
-term is folded into the curvature once per point, and a few matmuls contract
-it with a pool of seeded spatial directions (see _isotropy).
+The algebraic residuals are Frobenius norms of their deviation tensors in
+the components of the adapted frame (see _isotropy).  A multilinear form
+vanishes exactly when its components in a basis do, so no random direction
+is drawn: the battery makes no random choice, and on a definite fibre no
+residual depends on which orthonormal spatial frame it is read in.
 
 certify works on chunks of CHUNK = 16 sample points: geometry_chunk evaluates
 a chunk's order-3 geometry in one pass, and one call of the battery
 (_battery) computes the frames, invariants and residuals of all its points as
-array operations over a leading chunk axis.  Each sample draws its random
-directions from its own child of the seed, in rounds of one block per point
-(see _draws), so a point's draws do not depend on its neighbours; per point
-stays only eq14's (pool, pool, n, pool) product.  Rows whose frame fails
-leave the chunk by take_rows, whose rows round as the chunk's did.
-sample_point runs the same body on a chunk of one, which geometry_chunk
-builds from its point's own arrays; it is on no hot path.
+array operations over a leading chunk axis.  Rows whose frame fails leave
+the chunk by take_rows, whose rows round as the chunk's did.  sample_point
+runs the same body on a chunk of one, which geometry_chunk builds from its
+point's own arrays; it is on no hot path.
 
 The chunk is bounded by memory, not speed: it holds every tensor of every
-point in it.  certify(256) on flrw_closed_osc peaks at 1.69 MB of traced
-allocations, against 1.72 MB one sample at a time; eq14's product formed for
-a whole chunk would add about 14 MB.  Chunks of 32 or 256 points were no
-faster than 16 in the geometry and held 2x and 9x its memory.
+point in it.  certify(256) on flrw_closed_osc peaks at 1.72 MB of traced
+allocations.  Chunks of 32 or 256 points were no faster than 16 in the
+geometry and held 2x and 9x its memory.
 
 Classification is sampled evidence, never proof: the certificate records the
 sample count and seed it was computed from.
@@ -43,9 +42,8 @@ import numpy as np
 
 from . import __version__
 from .chart import ChartSpec
-from .geometry import (PIVOT_TOL, Frame, FrameError, PointGeometry, _apply, _bilinear,
-                       _dot, _scalar, adapted_frames, geometry_chunk, take_rows,
-                       trace_invariants)
+from .geometry import (Frame, PointGeometry, _apply, _dot, adapted_frames, geometry_chunk,
+                       take_rows, trace_invariants)
 
 RESIDUAL_KEYS = ("eq13", "eq14", "a43", "a44", "skewA1",
                  "bianchi31", "bianchi32", "bianchi33",
@@ -55,7 +53,6 @@ CLASSIFICATIONS = ("LocallyRW", "ConstantCurvature", "NotIsotropic", "Degenerate
 
 DEFAULT_TOL_PASS = 1e-7
 DEFAULT_TOL_MARGIN = 1e-6
-RANDOM_COMBINATIONS = 16
 CHUNK = 16               # sample points per geometry_chunk call; see the module docstring
 
 
@@ -102,155 +99,66 @@ class Certificate:
     tool_version: str = __version__
 
 
-# -- extraction -----------------------------------------------------------------
+# -- residuals ---------------------------------------------------------------------
 
-def extract_invariants(geom: PointGeometry, frame: Frame) -> tuple:
-    """Read (epsilon, f, h) off the first adapted frame vectors, at a point or
-    over a chunk.
+def _isotropy(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np.ndarray) -> dict:
+    """The five algebraic residuals at each row of a chunk, as lists over rows.
 
-    f comes from the plane (e_1, u), h from (e_1, e_2).  The frame comes from
-    adapted_frames: e_0 is u, the spatial vectors are the metric's
-    eigenvectors on u's orthogonal complement, and a row with a non-unit u
-    or a near-null complement is rejected.  Cross-validation over random
-    plane choices happens in _isotropy.
-    """
-    u, R = geom.u, geom.riemann_up
-    e1, e2 = frame.vectors[..., 1, :], frame.vectors[..., 2, :]
-    eta1, eta2 = frame.etas[..., 1], frame.etas[..., 2]
-    f = eta1 * _bilinear(np.einsum('...rsmn,...s,...m,...n->...r', R, u, e1, u), geom.g, e1)
-    h = eta1 * eta2 * _bilinear(np.einsum('...rsmn,...s,...m,...n->...r', R, e2, e1, e2),
-                                geom.g, e1)
-    return geom.epsilon, _scalar(f), _scalar(h)
+    Each is the Frobenius norm of a deviation tensor in adapted-frame
+    components.  M = diag(etas) V g takes a vector to its frame components,
+    and with W the frame rows with u in place of e_0,
 
+        C[a,s,m,n] = (M R)(W_s; W_m, W_n),  the a-th component of R(W_m,W_n)W_s.
 
-def _unit_rows(v: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of v made unit, and which are accepted (also over a chunk).
+    With the spatial indices i, j, k over e_1..e_{n-1}, where the metric is
+    G = diag(eta_1..eta_{n-1}), the deviations are
 
-    A candidate is rejected when its coordinate norm is below 1e-12 or its
-    coordinate-unit version w has |g(w,w)| < PIVOT_TOL (near-null); the unit
-    version is rescaled to |g(v,v)| = 1.
-    """
-    norm = np.linalg.norm(v, axis=-1)
-    long = norm >= 1e-12
-    w = v / np.where(long, norm, 1.0)[..., None]
-    q = np.abs(((w @ g) * w).sum(axis=-1))
-    ok = long & (q >= PIVOT_TOL)
-    return w / np.sqrt(np.where(ok, q, 1.0))[..., None], ok
+        eq13    R(e_i,u)u - f e_i
+        eq14    R(e_i,e_j)e_k - h (G_jk e_i - G_ik e_j)
+        a43     R(e_i,e_j)u
+        a44     R(e_i,u)e_j + eps f G_ij u
+        skewA1  the G-traceless part of S_ij = R(e_i,u)e_j + R(e_j,u)e_i.
 
-
-def _draws(frame: Frame, rngs: list) -> tuple:
-    """Per row of a chunk: its pool (spatial frame vectors, then random unit
-    combinations), its pairs (frame pairs, then random orthonormal pairs)
-    and its FrameError or None.
-
-    A round draws normal(3 count, n-1) from each row's rng: count pool
-    candidates, then count (x, y) pairs, y made g-orthogonal to x.  A row
-    takes its first candidates and pairs that are not near-null, in draw
-    order; rounds are drawn while some row is short, at most 64.  A row
-    still short of pool candidates gets a FrameError, one short of pairs
-    repeats its last pair.  Only rows that rejected something are gathered.
-    """
-    count, spatial, g = RANDOM_COMBINATIONS, frame.spatial, frame.g
-    k = spatial.shape[-2]
-    draws = []
-    for _ in range(64):
-        blocks = np.array([rng.normal(size=(3 * count, k)) for rng in rngs])
-        raw = np.concatenate([blocks[:, :count] @ spatial, blocks[:, count:] @ spatial], axis=1)
-        unit, ok = _unit_rows(raw, g)
-        x, raw_y = unit[:, count::2], raw[:, count + 1::2]
-        eta_x = np.where(((x @ g) * x).sum(axis=-1) > 0, 1.0, -1.0)
-        y, ok_y = _unit_rows(raw_y - (eta_x * ((raw_y @ g) * x).sum(axis=-1))[..., None] * x, g)
-        draws.append((unit[:, :count], ok[:, :count], x, y, ok[:, count::2] & ok_y))
-        units, kept, xs, ys, paired = (np.concatenate(part, axis=1) for part in zip(*draws))
-        if (kept.sum(axis=1) >= count).all() and (paired.sum(axis=1) >= count).all():
-            break
-    i, j = np.triu_indices(k, 1)
-    pool = np.concatenate([spatial, units[:, :count]], axis=1)
-    pair_x = np.concatenate([spatial[:, i], xs[:, :count]], axis=1)
-    pair_y = np.concatenate([spatial[:, j], ys[:, :count]], axis=1)
-    errors = [None] * len(rngs)
-    for b in np.flatnonzero(~(kept[:, :count].all(axis=1) & paired[:, :count].all(axis=1))):
-        take = np.flatnonzero(kept[b])[:count]
-        if len(take) < count:
-            errors[b] = FrameError("could not draw enough non-null unit combinations")
-            continue
-        pool[b, k:] = units[b, take]
-        rows = np.concatenate([np.arange(len(i)), len(i) + np.flatnonzero(paired[b])[:count]])
-        rows = rows[np.minimum(np.arange(pair_x.shape[1]), len(rows) - 1)]
-        pair_x[b] = np.concatenate([spatial[b, i], xs[b]])[rows]
-        pair_y[b] = np.concatenate([spatial[b, j], ys[b]])[rows]
-    return pool, pair_x, pair_y, errors
-
-
-def _isotropy(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np.ndarray,
-              rngs: list) -> tuple[dict, list]:
-    """The five algebraic residuals at each row of a chunk, maximized over
-    frame vectors and random unit combinations orthogonal to u: each residual
-    as a list over rows, and each row's FrameError or None.
-
-    Every residual vector w is measured by the frame norm |M w| with
-    M = diag(etas) V g (V the frame rows), so each check is a tensor in frame
-    components contracted with the pool.  The model term of the split form is
-    folded into the curvature once,
-
-        D[a,s,m,n] = (M R)[a,s,m,n] - h (g_ns M_am - g_ms M_an),
-
-    and D, (M R) with u, and f M are stacked with the x slot leading, so three
-    matmuls contract the pool into x, then y, then z (eq14 only).  Each
-    maximum is taken over sums of squares, with one square root at the end.
-    eq14's (pool, pool, n, pool) product is formed one row at a time: for a
-    whole chunk it would raise peak memory by about 15%.
+    A multilinear form vanishes exactly when its components in a basis do, so
+    no choice of directions could see more; on a definite fibre each norm
+    bounds the form's value at any unit directions (skewA1, S's value at any
+    orthonormal pair).
     """
     n = geom.dim
-    pool, xs, ys, errors = _draws(frame, rngs)
-    size = pool.shape[1]
-    u, g = geom.u, geom.g
+    g, u = geom.g, geom.u
     M = frame.etas[..., None] * (frame.vectors @ g)
+    W = np.concatenate([u[:, None], frame.spatial], axis=1)
     MR = (M @ geom.riemann_up.reshape(-1, n, n**3)).reshape(-1, n, n, n, n)    # [b,a,s,m,n]
-    D = MR - h[:, None, None, None, None] * (g[:, None, :, None, :] * M[:, :, None, :, None]
-                                             - g[:, None, :, :, None] * M[:, :, None, None, :])
-    MR_u = _apply(MR, u[:, None, None])                                      # [b,a,s,m]
-    u_MR = (u[:, None, None] @ MR.reshape(-1, n, n, n * n)).reshape(-1, n, n, n)  # [b,a,m,n]
-    eps_f = (geom.epsilon * f)[:, None, None, None]
-
-    # x slot (m) leading; the y slot is last in each of the first three blocks
-    with_x = pool @ np.concatenate([                                         # [b,x,...]
-        D.transpose(0, 3, 2, 1, 4).reshape(-1, n, n**3),                     # eq14 [m,s,a,n]
-        u_MR.transpose(0, 2, 1, 3).reshape(-1, n, n * n),                    # a43  [m,a,n]
-        (MR_u + eps_f * _apply(M, u)[:, :, None, None] * g[:, None])
-        .transpose(0, 3, 1, 2).reshape(-1, n, n * n),                        # a44  [m,a,s]
-        (_apply(u_MR, u[:, None]) - f[:, None, None] * M).swapaxes(1, 2),    # eq13 [m,a]
-    ], axis=2)
-    eq13 = _squares(with_x[..., -n:], 'xa')
-    eq14 = np.empty(len(pool))
-    for b, (row, p) in enumerate(zip(with_x[..., :n**3], pool)):
-        xy = (row.reshape(-1, n) @ p.T).reshape(size, n, n, size).transpose(1, 0, 2, 3)  # [s,x,a,y]
-        eq14[b] = _squares((p @ xy.reshape(n, -1)).reshape(size, size, n, size), 'zxay')
-    with_xy = (with_x[..., n**3:-n].reshape(len(pool), -1, n) @ pool.swapaxes(1, 2))
-    with_xy = with_xy.reshape(len(pool), size, 2 * n, size)
-    a43, a44 = _squares(with_xy[:, :, :n], 'xay'), _squares(with_xy[:, :, n:], 'xay')
-
-    # R(x,u)y + R(y,u)x vanishes only for orthogonal unit pairs (its symmetric
-    # part carries the -eps f g(x,y) u term), so pair up orthonormally.
-    sym = (MR_u + MR_u.swapaxes(-1, -2)).reshape(-1, n, n * n)
-    skew = _squares((ys[..., :, None] * xs[..., None, :]).reshape(len(xs), -1, n * n)
-                    @ sym.swapaxes(1, 2), 'pa')
-
+    C = W[:, None, None] @ (MR @ W.swapaxes(-1, -2)[:, None, None])           # m and n
+    C = (W[:, None] @ C.reshape(-1, n, n, n * n)).reshape(-1, n, n, n, n)     # then s
+    eta = frame.etas[:, 1:]
+    G = eta[:, :, None] * np.eye(n - 1)                                       # [b,i,j]
+    E = np.eye(n)[:, 1:]                                                      # [a,i]: e_i
+    S = C[:, :, 1:, 1:, 0]                                                    # [b,a,j,i]
+    S = S + S.swapaxes(-1, -2)
+    trace = (S.diagonal(axis1=-2, axis2=-1) * eta[:, None]).sum(axis=-1)
+    deviations = {
+        "eq13": C[:, :, 0, 1:, 0] - f[:, None, None] * E,
+        "eq14": C[:, :, 1:, 1:, 1:] - h[:, None, None, None, None] * (
+            E[:, None, :, None] * G[:, None, :, None, :]
+            - E[:, None, None, :] * G[:, None, :, :, None]),                  # [b,a,k,i,j]
+        "a43": C[:, :, 0, 1:, 1:],
+        "a44": C[:, :, 1:, 1:, 0] + (geom.epsilon * f)[:, None, None, None]
+        * _apply(M, u)[:, :, None, None] * G[:, None],
+        "skewA1": S - (trace / (n - 1))[:, :, None, None] * G[:, None],
+    }
     scale = geom.residual_scale
-    return {key: (np.sqrt(value) / scale).tolist() for key, value in
-            (("eq13", eq13), ("eq14", eq14), ("a43", a43), ("a44", a44),
-             ("skewA1", skew))}, errors
-
-
-def _squares(comps: np.ndarray, axes: str):
-    """Largest sum of squares over the frame-component axis 'a', per row."""
-    summed = np.einsum(f"...{axes},...{axes}->...{axes.replace('a', '')}", comps, comps)
-    return summed.max(axis=tuple(range(1 - len(axes), 0)))
+    return {key: (np.linalg.norm(value.reshape(len(value), -1), axis=1) / scale).tolist()
+            for key, value in deviations.items()}
 
 
 def _structure_residuals(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np.ndarray,
-                         tol_margin: float) -> dict[str, list]:
-    """The six differential residuals over a chunk, as lists over rows."""
+                         df: np.ndarray, dh: np.ndarray, tol_margin: float) -> dict[str, list]:
+    """The six differential residuals over a chunk, as lists over rows, from
+    the trace invariants f, h and their gradients.  The first four are
+    Frobenius norms of spatial frame components, so like the algebraic ones
+    they do not depend on the choice of the spatial frame on a definite
+    fibre."""
     eps = geom.epsilon
     u, g = geom.u, geom.g
     scale = geom.residual_scale
@@ -259,38 +167,36 @@ def _structure_residuals(geom: PointGeometry, frame: Frame, f: np.ndarray, h: np
 
     nabla = geom.nabla_u()
     accel = (u[:, None] @ nabla)[:, 0]
-    f_tr, h_tr, df, dh = trace_invariants(geom, gradients=True)
     margin = h - eps * f
 
     # df(x) = -(h - eps f) g(x, nabla_u u) for x | u
     df_x = _apply(spatial, df)
     acc_x = _apply(spatial @ g, accel)
-    bianchi31 = np.abs(df_x + margin[:, None] * acc_x).max(axis=-1)
+    bianchi31 = np.linalg.norm(df_x + margin[:, None] * acc_x, axis=-1)
 
     # g(nabla_x u, y) symmetric on the orthogonal complement
     B = nabla @ g                          # B[m, s] = g(nabla_m u, d_s)
     M = (spatial @ B) @ spatial_T          # M[a, b] = g(nabla_{e_a} u, e_b)
     M_T = M.swapaxes(-1, -2)
-    bianchi32 = np.abs(M - M_T).max(axis=(-2, -1))
+    bianchi32 = np.linalg.norm(M - M_T, axis=(-2, -1))
 
     # dh(x) = 0 for x | u
-    bianchi33 = np.abs(_apply(spatial, dh)).max(axis=-1)
+    bianchi33 = np.linalg.norm(_apply(spatial, dh), axis=-1)
 
     # pure-trace expansion: g(x, nabla_y u) = -dh(u)/(2(h - eps f)) g(x, y),
     # checked only outside the margin band
     band = np.abs(margin) > tol_margin
     coeff = _dot(dh, u) / (2.0 * np.where(band, margin, 1.0))
     gram = spatial @ g @ spatial_T
-    shear = np.abs(M_T + coeff[:, None, None] * gram).max(axis=(-2, -1)) / scale
+    shear = np.linalg.norm(M_T + coeff[:, None, None] * gram, axis=(-2, -1)) / scale
 
-    # d[ (h - eps f) u-flat ] = 0, using the differentiable trace fields
-    margin_tr = h_tr - eps * f_tr
+    # d[ (h - eps f) u-flat ] = 0
     dmargin = dh - eps[:, None] * df
     u_flat = _apply(g, u)
     du_flat = (np.einsum('...mns,...s->...mn', geom.dg, u)
                + np.einsum('...ns,...ms->...mn', g, geom.du))
     domega = (np.einsum('...m,...n->...mn', dmargin, u_flat)
-              + margin_tr[:, None, None] * du_flat)
+              + margin[:, None, None] * du_flat)
     closedness = np.abs(domega - domega.swapaxes(-1, -2)).max(axis=(-2, -1))
 
     geodesy = frame.norm(accel)
@@ -311,39 +217,41 @@ def _require_dim4(chart: ChartSpec) -> None:
 
 def sample_point(chart: ChartSpec, point, rng=None,
                  tol_margin: float = DEFAULT_TOL_MARGIN) -> IsotropySample:
-    """Full residual evaluation at one point: the battery on a chunk of one."""
+    """Full residual evaluation at one point: the battery on a chunk of one.
+
+    rng is accepted and unused, since the battery makes no random choice;
+    bench/baseline.py still passes one.
+    """
     _require_dim4(chart)
-    rng = np.random.default_rng(0) if rng is None else rng
     chunk, errors = geometry_chunk(chart, [point], order=3)
-    result = errors[0] or _battery(chunk, [rng], tol_margin)[0]
+    result = errors[0] or _battery(chunk, tol_margin)[0]
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def _battery(chunk: PointGeometry, rngs: list, tol_margin: float) -> list:
-    """The residual battery at each point of a chunk, point b drawing its
-    random directions from rngs[b] (its frame involves no random choice):
-    per point its IsotropySample, or the GeometryError that makes it
-    Degenerate."""
+def _battery(chunk: PointGeometry, tol_margin: float) -> list:
+    """The residual battery at each point of a chunk: per point its
+    IsotropySample, or the GeometryError that makes it Degenerate."""
     vectors, etas, results = adapted_frames(chunk.g, chunk.u)
     live = [b for b, err in enumerate(results) if err is None]
     if not live:
         return results
     if len(live) < len(results):
         chunk = take_rows(chunk, live)
-        rngs, vectors, etas = [rngs[b] for b in live], vectors[live], etas[live]
+        vectors, etas = vectors[live], etas[live]
     frame = Frame(vectors, etas, chunk.g)
-    eps, f, h = extract_invariants(chunk, frame)
-    residuals, errors = _isotropy(chunk, frame, f, h, rngs)
-    residuals.update(_structure_residuals(chunk, frame, f, h, tol_margin))
+    eps = chunk.epsilon
+    f, h, df, dh = trace_invariants(chunk, gradients=True)
+    residuals = _isotropy(chunk, frame, f, h)
+    residuals.update(_structure_residuals(chunk, frame, f, h, df, dh, tol_margin))
     # the constant-curvature residual |R_{rsmn} - h (g_rm g_sn - g_rn g_sm)|, relative
     g = chunk.g
     model = h[:, None, None, None, None] * (np.einsum('...rm,...sn->...rsmn', g, g)
                                             - np.einsum('...rn,...sm->...rsmn', g, g))
     cc = np.abs(chunk.riemann_low - model).max(axis=(1, 2, 3, 4)) / chunk.residual_scale
     for i, b in enumerate(live):
-        results[b] = errors[i] or IsotropySample(
+        results[b] = IsotropySample(
             point=chunk.point[i], epsilon=int(eps[i]), f=float(f[i]), h=float(h[i]),
             nondegeneracy=float(abs(h[i] - eps[i] * f[i])), cc_residual=float(cc[i]),
             residuals={key: residuals[key][i] for key in RESIDUAL_KEYS})
@@ -366,11 +274,9 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
     if config.samples < 1:
         raise CertificationInputError("sample count must be >= 1")
 
-    seed_seq = np.random.SeedSequence(config.seed)
-    point_rng = np.random.default_rng(seed_seq)
     lows, highs = np.array(chart.domain, dtype=float).T
-    points = point_rng.uniform(lows, highs, size=(config.samples, chart.dim))
-    children = seed_seq.spawn(config.samples)
+    points = np.random.default_rng(config.seed).uniform(lows, highs,
+                                                        size=(config.samples, chart.dim))
 
     samples: list[IsotropySample] = []
     degenerate: list[tuple[list[float], str]] = []
@@ -379,8 +285,7 @@ def certify(chart: ChartSpec, config: CertifyConfig | None = None) -> Certificat
         geoms, results = geometry_chunk(chart, chunk, order=3)
         evaluated = [k for k, err in enumerate(results) if err is None]
         if evaluated:
-            rngs = [np.random.default_rng(children[start + k]) for k in evaluated]
-            for k, result in zip(evaluated, _battery(geoms, rngs, config.tol_margin)):
+            for k, result in zip(evaluated, _battery(geoms, config.tol_margin)):
                 results[k] = result
         for point, result in zip(chunk, results):
             if isinstance(result, IsotropySample):

@@ -3,8 +3,9 @@
 Nothing in rwcert calls these; the tests compare the package against them.
 The Riemann-identity residuals self-check the curvature engine, `ip` is
 g(v, w) at a point, `sectional_curvature` restates the plane invariants from
-their definition, `adapted_frame` and `isotropy_residuals` are the batched
-frame and battery on one point, `fermi_derivative` states the transport law
+their definition, `extract_invariants` reads them off two frame planes,
+`adapted_frame` and `isotropy_residuals` are the batched frame and algebraic
+residuals on one point, `fermi_derivative` states the transport law
 point by point for the batched generators, and `format_expr` prints an AST
 for the parser's round-trip test.
 """
@@ -16,8 +17,8 @@ import numpy as np
 from rwcert.catalog import CATALOG
 from rwcert.certify import _isotropy
 from rwcert.exprs import BinOp, Call, CoordRef, Expr, Neg, Num, ParamRef
-from rwcert.geometry import (UNIT_TOL, Frame, GeometryError, PointGeometry, adapted_frames,
-                             take_rows)
+from rwcert.geometry import (UNIT_TOL, Frame, GeometryError, PointGeometry, _bilinear, _scalar,
+                             adapted_frames, take_rows)
 from rwcert.transport import TransportError
 
 PLANE_TOL = 1e-10        # scaled Gram determinant below this is a degenerate plane
@@ -78,6 +79,20 @@ def adapted_frame(geom: PointGeometry) -> Frame:
     return Frame(vectors[0], etas[0], geom.g)
 
 
+def extract_invariants(geom: PointGeometry, frame: Frame) -> tuple:
+    """Read (epsilon, f, h) off the first adapted frame vectors, at a point or
+    over a chunk: f from the plane (e_1, u), h from (e_1, e_2).  On a chart
+    of the RW form these are the trace invariants; elsewhere they depend on
+    the frame."""
+    u, R = geom.u, geom.riemann_up
+    e1, e2 = frame.vectors[..., 1, :], frame.vectors[..., 2, :]
+    eta1, eta2 = frame.etas[..., 1], frame.etas[..., 2]
+    f = eta1 * _bilinear(np.einsum('...rsmn,...s,...m,...n->...r', R, u, e1, u), geom.g, e1)
+    h = eta1 * eta2 * _bilinear(np.einsum('...rsmn,...s,...m,...n->...r', R, e2, e1, e2),
+                                geom.g, e1)
+    return geom.epsilon, _scalar(f), _scalar(h)
+
+
 # -- tensor identity residuals (engine self-checks) ----------------------------
 
 def riemann_symmetry_residuals(geom: PointGeometry) -> dict[str, float]:
@@ -119,15 +134,10 @@ def metric_compatibility_residual(geom: PointGeometry) -> float:
 
 # -- certify -------------------------------------------------------------------
 
-def isotropy_residuals(geom: PointGeometry, frame: Frame, f: float, h: float,
-                       rng=None) -> dict[str, float]:
-    """The five algebraic residuals, maximized over frame vectors and random
-    unit combinations orthogonal to u: _isotropy on a chunk of one."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    residuals, errors = _isotropy(*_chunk_of_one(geom, frame), np.array([f]), np.array([h]),
-                                  [rng])
-    if errors[0] is not None:
-        raise errors[0]
+def isotropy_residuals(geom: PointGeometry, frame: Frame, f: float, h: float) -> dict[str, float]:
+    """The five algebraic residuals as frame-component norms: _isotropy on a
+    chunk of one."""
+    residuals = _isotropy(*_chunk_of_one(geom, frame), np.array([f]), np.array([h]))
     return {key: values[0] for key, values in residuals.items()}
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rwcert import catalog
-from rwcert.certify import CertifyConfig, certify, extract_invariants
+from rwcert.certify import CertifyConfig, certify
 from rwcert.exprs import eval_expr
 from rwcert.foliation import (loop_residual, same_slice_points,
                               scale_factor_profile, slice_curvature, time_value)
@@ -23,8 +23,8 @@ from rwcert.jets import Jet3
 from rwcert.transport import CurveSpec, gram_drift, transport
 
 from conftest import FD_STEPS, domain_points, draw_expr_case, eval_real, fd_partial
-from oracles import (adapted_frame, metric_compatibility_residual, riemann_symmetry_residuals,
-                     second_bianchi_residual)
+from oracles import (adapted_frame, extract_invariants, metric_compatibility_residual,
+                     riemann_symmetry_residuals, second_bianchi_residual)
 
 POSITIVE_IDS = ("flrw_flat_linear", "flrw_closed_osc", "flrw_open",
                 "einstein_static", "riemannian_grw")
