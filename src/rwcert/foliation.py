@@ -10,6 +10,7 @@ dt(d_t) = 1 exactly.  Flowing the base point along d_t while integrating
 reconstructs the scale factor a(tau)^2 = exp(int_0^tau psi), a(0) = 1, and the
 slice curvature K_tau = h + eps e^2 gives the constant k-hat = K_tau a(tau)^2
 of the spatial normal form.  Proper time accumulates as ds = dtau / |h - eps f|.
+Every flow along d_t runs on integrate.dopri, the adaptive Dormand-Prince pair.
 
 Both formulas read the slices' expansion e from nabla u.  In the normal form
 eps dt^2 + a(t)^2 sigma_k the field u = +-d_t has no shear or rotation, so
@@ -35,16 +36,16 @@ from .certify import Certificate, DEFAULT_TOL_MARGIN
 from .chart import ChartSpec
 from .geometry import (OutsideDomainError, PointGeometry, _apply, _dot, geometry_at,
                        geometry_chunk, trace_invariants)
-from .integrate import doubled, rk4
+from .integrate import dopri
 
 QUAD_TOL = 1e-10          # Gauss-Legendre segment bisection threshold
 QUAD_DEPTH = 20           # bisection levels before the quadrature gives up
-FLOW_A_TOL = 1e-8         # step halving stops when a(tau) moves less than this
+FLOW_A_TOL = 1e-9         # the flows' per-step tolerance for the Dormand-Prince pair
+SHOOT_FLOW_TOL = 1e-3     # the shooting's coarse flow, which Newton steps correct
 SLICE_TOL = 1e-9          # same-slice time agreement
 FLAT_BAND = 1e-6          # |k-hat| below this reports flat spatial sections
 BATCH_ROWS = 64           # rows per geometry_chunk call, which bounds a batch's memory
-FLOW_STEPS_PER_UNIT = 128  # flow_point's RK4 steps per unit tau
-MAX_FLOW_STEPS = 1_000_000  # RK4 steps of a flow segment; without it a 1e300 tau steps forever
+MAX_FLOW_STEPS = 1_000_000  # steps of a flow segment, accepted and rejected
 MAX_REJECTS = 200         # failed same-slice candidates before the shooting gives up
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
@@ -271,37 +272,28 @@ def slice_curvature(chart: ChartSpec, point,
 # -- flow of d_t and the scale factor ---------------------------------------------
 
 def flow_point(chart: ChartSpec, certificate: Certificate, start, delta_tau: float) -> np.ndarray:
-    """Advance `start` by delta_tau along d_t (position only, cheap).
-
-    Plain RK4 with max(4, ceil(FLOW_STEPS_PER_UNIT |delta_tau|)) steps.
-    """
+    """Advance `start` by delta_tau along d_t (position only, cheap), by the
+    Dormand-Prince pair at FLOW_A_TOL; a delta_tau of 0 evaluates nothing."""
     require_locally_rw(chart, certificate)
     _finite("delta_tau", delta_tau)
     states, errors = _flow(chart, certificate, np.asarray(start, dtype=float)[None],
-                           [[0.0, delta_tau] if delta_tau else [0.0]], [FLOW_STEPS_PER_UNIT])
+                           [[0.0, delta_tau]], FLOW_A_TOL)
     if errors[0] is not None:
         raise errors[0]
     return states[0][-1][:-2]
 
 
 def _flow(chart: ChartSpec, certificate: Certificate, starts: np.ndarray, paths: list,
-          rates: list) -> tuple[list, list]:
+          tol: float) -> tuple[list, list]:
     """Flow state = (x, log a^2, proper time) along d_t from each row of
     `starts` through its tau path, which starts at 0: per row the states at
     its path's values, and None or the exception that stopped it (a
     FlowDomainError for leaving the domain).
 
-    A segment of row b takes max(4, ceil(rates[b] |delta tau|)) RK4 steps.
-    The rows step in lockstep, one rk4 call per segment index, so a stage of
-    every row costs one _rows batch; a row's states and error are bit for
-    bit those of flowing it alone, and a row stops at its error.  A segment
-    that would take more than MAX_FLOW_STEPS steps raises a FoliationError
-    before any row is flowed."""
-    for path, rate in zip(paths, rates):
-        for a, b in zip(path[:-1], path[1:]):
-            if abs(b - a) > MAX_FLOW_STEPS / rate:
-                raise FoliationError(f"the flow from tau = {a} to {b} would take more than "
-                                     f"the limit of {MAX_FLOW_STEPS} RK4 steps")
+    The rows step in lockstep by dopri at the per-step tolerance `tol`, one
+    call per segment index, so a stage of every row costs one _rows batch; a
+    row's states and error are bit for bit those of flowing it alone.  A row
+    needing more than MAX_FLOW_STEPS steps on a segment is a FoliationError."""
     eps, tol_margin = certificate.epsilon, certificate.tol_margin
     y = np.concatenate([starts, np.zeros((len(starts), 2))], axis=1)
     states, errors = [[row.copy()] for row in y], [None] * len(starts)
@@ -326,9 +318,12 @@ def _flow(chart: ChartSpec, certificate: Certificate, starts: np.ndarray, paths:
                          if len(path) > j and errors[r] is None], dtype=int)
         if not len(live):
             break
-        delta = np.array([paths[r][j] - paths[r][j - 1] for r in live])
-        steps = [max(4, int(np.ceil(abs(d) * rates[r]))) for r, d in zip(live, delta)]
-        y[live] = rk4(rhs, y[live], delta / steps, steps)
+        spans = [paths[r][j] - paths[r][j - 1] for r in live]
+        y[live], unfinished = dopri(rhs, y[live], spans, tol, MAX_FLOW_STEPS)
+        if len(unfinished):
+            path = paths[live[unfinished[0]]]
+            raise FoliationError(f"the flow from tau = {path[j - 1]} to {path[j]} took more "
+                                 f"than the limit of {MAX_FLOW_STEPS} steps")
         for r in live:
             states[r].append(y[r].copy())
     return states, errors
@@ -338,14 +333,10 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
                          tau_grid) -> FoliationResult:
     """Reconstruct (a, K_tau, k-hat, psi, s) along the flow of d_t from base.
 
-    Fixed-step RK4 with the step count doubled until a(tau) moves by less than
-    FLOW_A_TOL at every grid value.  The grid is processed in sorted order;
-    tau = 0 (the base slice) is always included.  The levels of the doubling
-    that one request asks for are flowed together: each (step count,
-    direction) is one row of one _flow call, the forward row chaining the
-    grid values above 0 by distance from the base and the backward row those
-    below.  A failing level raises its forward row's error before its
-    backward row's, as flowing one level and direction at a time would.
+    One _flow at FLOW_A_TOL, whose forward row chains the grid values above 0
+    by distance from the base and whose backward row those below; tau = 0
+    (the base slice) is always included.  The forward row's error is raised
+    before the backward row's, as flowing one direction at a time would.
     """
     require_locally_rw(chart, certificate)
     base = np.asarray(base, dtype=float)
@@ -355,26 +346,12 @@ def scale_factor_profile(chart: ChartSpec, certificate: Certificate, base,
     taus = np.unique(np.concatenate([[0.0], _finite("tau_grid", tau_grid)]))
     paths = (np.concatenate([[0.0], taus[taus > 0]]),
              np.concatenate([[0.0], taus[taus < 0][::-1]]))
-
-    def run(counts: list[int]):
-        states, errors = _flow(chart, certificate, np.tile(base, (2 * len(counts), 1)),
-                               [path for _ in counts for path in paths],
-                               [count for count in counts for _ in paths])
-        for r in range(0, len(states), 2):
-            error = _failed(*errors[r:r + 2])       # forward before backward
-            if error is not None:
-                raise error
-            yield {tau: state for path, row in zip(paths, states[r:r + 2])
-                   for tau, state in zip(path.tolist(), row)}
-
-    def a_change(coarse, fine) -> float:
-        return max(abs(np.exp(0.5 * fine[t][-2]) - np.exp(0.5 * coarse[t][-2]))
-                   for t in taus)
-
-    flow = doubled(run, 64, a_change, FLOW_A_TOL, 10)
-    if not flow.converged:
-        raise FoliationError("flow integration did not converge under step halving")
-    states = np.array([flow.value[float(t)] for t in taus])
+    flowed, errors = _flow(chart, certificate, np.tile(base, (2, 1)), paths, FLOW_A_TOL)
+    error = _failed(*errors)                 # forward before backward
+    if error is not None:
+        raise error
+    at = {tau: state for path, row in zip(paths, flowed) for tau, state in zip(path.tolist(), row)}
+    states = np.array([at[float(t)] for t in taus])
     points, log_a2, s_vals = states[:, :-2], states[:, -2], states[:, -1]
     rows = _rows(chart, points, certificate.tol_margin)
     error = _failed(*rows.errors)
@@ -409,9 +386,9 @@ def same_slice_points(chart: ChartSpec, certificate: Certificate, base,
                       target_tau: float, count: int, rng=None) -> list[np.ndarray]:
     """Sample `count` domain points and shoot each onto the slice t = target_tau.
 
-    Each candidate q is flowed coarsely (16 RK4 steps per unit tau) by
-    delta = target - t(q), then corrected by Newton steps p <- p - err d_t(p)
-    until |err| < SLICE_TOL.  Because dt(d_t) = 1 exactly, a step removes err
+    Each candidate q is flowed coarsely (the Dormand-Prince pair at
+    SHOOT_FLOW_TOL) by delta = target - t(q), then corrected by Newton steps
+    p <- p - err d_t(p) until |err| < SLICE_TOL.  Because dt(d_t) = 1 exactly, a step removes err
     to first order.  t(p) is t(q) plus the quadrature of omega along each
     straight step, q -> p and then p -> p', which exactness makes equal to
     time_value(p).  A candidate whose flow or step leaves the domain or meets
@@ -468,9 +445,8 @@ def _shoot(chart: ChartSpec, certificate: Certificate, base, qs: np.ndarray,
 
     t_q, errors = _integrals(chart, [[base, q] for q in qs], tol_margin)
     live, t_q, q = settle(errors, t_q, qs)
-    states, errors = _flow(chart, certificate, q, [[0.0, delta] if delta else [0.0]
-                                                   for delta in (target_tau - t_q).tolist()],
-                           [16] * len(q))
+    states, errors = _flow(chart, certificate, q, [[0.0, delta] for delta in target_tau - t_q],
+                           SHOOT_FLOW_TOL)
     p = np.array([row[-1][:-2] for row in states]).reshape(q.shape)
     live, t_q, q, p = settle(errors, t_q, q, p)
     steps, errors = _integrals(chart, [[a, b] for a, b in zip(q, p)], tol_margin)

@@ -1,11 +1,7 @@
-"""Fixed-step RK4 and step doubling: the package's one ODE integrator.
-
-Both ODEs are autonomous: the flow of d_t (`foliation`, rows of (x, log a^2,
-s) in tau) and a u-curve's or a geodesic's state (`transport`, one row in its
-own parameter, a block of steps per call).  Both step RK4 at fixed widths and
-double the step count until a caller-defined change between two runs falls
-below a tolerance.  rk4 takes rows in and gives rows out; a caller that needs
-the states in between reads them from what rhs is given (each step's k1).
+"""ODE steppers for autonomous rows in lockstep: the adaptive Dormand-Prince
+5(4) pair for `foliation`'s flows of d_t, and fixed-step RK4 with step doubling
+for `transport`, whose step grid is user-visible.  A caller that needs the
+states between the rows given and returned reads them from what rhs is given.
 """
 
 from __future__ import annotations
@@ -86,3 +82,72 @@ def _levels(change: float, tol: float) -> int:
     if not math.isfinite(change):
         return 1
     return max(1, math.ceil((math.log2(change) - math.log2(tol)) / 4))
+
+
+# Dormand & Prince (1980): the stage rows, the last being the fifth-order
+# weights, and the weights of y5 - y4.
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _combine(weights, ks) -> np.ndarray:
+    """sum_j weights[j] ks[j] term by term, so that a row's sum is its own."""
+    return sum(w * k for w, k in zip(weights, ks) if w)
+
+
+def _rms(z: np.ndarray) -> np.ndarray:
+    """Each row's root mean square, summed column by column so that it is its own."""
+    return np.sqrt(sum(z[:, j] ** 2 for j in range(z.shape[1])) / z.shape[1])
+
+
+def dopri(rhs: Callable, y, span, tol: float, max_steps: int):
+    """(end rows, rows unfinished after max_steps steps) of y' = rhs(y) by the
+    Dormand-Prince 5(4) pair: row b runs from 0 to span[b] (0 evaluates
+    nothing) with its own steps, in lockstep and bit for bit as alone.
+    rhs(x, rows) gets the stage states of the rows still stepping and their
+    indices: f(y0), an Euler probe for the first step (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4), then six calls a step (FSAL).  A step is
+    accepted when the RMS of (y5 - y4) / (tol (1 + max(|y|, |y5|))) is at most
+    1; the next is 0.9 err^(-1/5) times as wide, clipped to [0.2, 5] (1 after a
+    rejection), and the last lands on span[b].  A row with a non-finite stage
+    stops at that step's start."""
+    y, span = np.array(y, dtype=float), np.asarray(span, dtype=float)
+    t, h, growth = np.zeros(len(y)), np.zeros(len(y)), np.full(len(y), 5.0)
+    k1 = np.full_like(y, np.nan)
+    rows = np.flatnonzero(span != 0)
+    if len(rows):
+        k1[rows] = rhs(y[rows], rows)
+        rows = rows[np.isfinite(k1[rows]).all(axis=1)]
+    if len(rows):
+        x, f0, sign = y[rows], k1[rows], np.sign(span[rows])
+        scale = tol * (1.0 + np.abs(x))
+        d0, d1 = _rms(x / scale), _rms(f0 / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
+        f1 = rhs(x + (sign * h0)[:, None] * f0, rows)
+        d = np.maximum(d1, _rms((f1 - f0) / scale) / h0)
+        h1 = np.where(d > 1e-15, (0.01 / np.maximum(d, 1e-15)) ** 0.2, np.maximum(1e-6, 1e-3 * h0))
+        h[rows] = sign * np.minimum(np.minimum(100.0 * h0, h1), np.abs(span[rows]))
+        rows = rows[np.isfinite(f1).all(axis=1)]
+    for _ in range(max_steps):            # in lockstep a step of every stepping row
+        if not len(rows):
+            break
+        x, ks, left = y[rows], [k1[rows]], span[rows] - t[rows]
+        last = np.abs(h[rows]) >= np.abs(left)
+        step = np.where(last, left, h[rows])
+        for a in _DP_A:                   # the last stage is at y5
+            y5 = x + step[:, None] * _combine(a, ks)
+            ks.append(rhs(y5, rows))
+        finite = np.isfinite(np.stack(ks)).all(axis=(0, 2))
+        err = _rms(step[:, None] * _combine(_DP_E, ks)
+                   / (tol * (1.0 + np.maximum(np.abs(x), np.abs(y5)))))
+        accept = finite & (err <= 1.0)
+        done = rows[accept]
+        y[done], k1[done] = y5[accept], ks[-1][accept]
+        t[done] = np.where(last[accept], span[done], t[done] + step[accept])
+        h[rows] = step * np.clip(0.9 * np.maximum(err, 1e-10) ** -0.2, 0.2, growth[rows])
+        growth[rows] = np.where(accept, 5.0, 1.0)
+        rows = rows[finite & (t[rows] != span[rows])]
+    return y, rows

@@ -1,14 +1,14 @@
-"""The scale-factor profile flowed one direction and one step count at a time,
-kept as a replay oracle for the batched scale_factor_profile: each RK4 stage
-is one order-2 geometry_at call, the forward targets are flowed before the
-backward ones, and the step count doubles one run at a time until a(tau)
-moves by less than FLOW_A_TOL."""
+"""The scale-factor profile flowed one direction at a time, kept as a replay
+oracle for the batched scale_factor_profile: each direction is one row of
+the library's Dormand-Prince stepper run alone, each of its stages one
+order-2 geometry_at call, and the forward targets are flowed before the
+backward ones."""
 
 import numpy as np
 
-from rwcert import foliation
+from rwcert import foliation, integrate
 from rwcert.foliation import DegeneracyError, FlowDomainError, FoliationError
-from rwcert.geometry import OutsideDomainError, geometry_at, trace_invariants
+from rwcert.geometry import GeometryError, OutsideDomainError, geometry_at, trace_invariants
 
 
 def _scalars(chart, point, tol_margin):
@@ -25,15 +25,41 @@ def _terms(h, eps, margin, expansion):
     return h + eps * expansion**2, 2.0 * eps * expansion / margin
 
 
-def _rk4(rhs, y, t0, t1, steps):
-    h = (t1 - t0) / steps
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def derivative(chart, cert, state):
+    """d/dtau of state = (x, log a^2, s), (eps u / (h - eps f), psi,
+    1 / |h - eps f|), from one order-2 geometry_at call."""
+    u, h, margin, expansion = _scalars(chart, state[:-2], cert.tol_margin)
+    _, psi = _terms(h, cert.epsilon, margin, expansion)
+    return np.concatenate([cert.epsilon * u / margin, [psi, 1.0 / abs(margin)]])
+
+
+def flow(chart, cert, state, span, tol):
+    """The row state = (x, log a^2, s) flowed alone by integrate.dopri over
+    span, each stage one order-2 geometry_at call: its end state, or the
+    first exception a stage raised (leaving the domain as a FlowDomainError).
+    After that exception no stage is evaluated, as the batched rhs skips a
+    failed row."""
+    errors = []
+
+    def rhs(x, rows):
+        if not errors:
+            try:
+                return derivative(chart, cert, x[0])[None]
+            except OutsideDomainError as err:
+                flow_err = FlowDomainError(f"flow left the domain at {x[0, :-2].tolist()}")
+                flow_err.__cause__ = err
+                errors.append(flow_err)
+            except (GeometryError, ArithmeticError, FoliationError) as err:
+                errors.append(err)
+        return np.full_like(x, np.nan)
+
+    end, unfinished = integrate.dopri(rhs, np.asarray(state, dtype=float)[None], [span], tol,
+                                      foliation.MAX_FLOW_STEPS)
+    if errors:
+        raise errors[0]
+    if len(unfinished):
+        raise FoliationError(f"the flow over {span} took more than the step limit")
+    return end[0]
 
 
 def scale_factor_profile(chart, cert, base, tau_grid) -> dict:
@@ -45,41 +71,18 @@ def scale_factor_profile(chart, cert, base, tau_grid) -> dict:
     eps, tol_margin = cert.epsilon, cert.tol_margin
     taus = np.unique(np.concatenate([[0.0], np.asarray(tau_grid, dtype=float)]))
 
-    def rhs(state):
-        x = state[:-2]
-        try:
-            u, h, margin, expansion = _scalars(chart, x, tol_margin)
-        except OutsideDomainError as err:
-            raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
-        _, psi = _terms(h, eps, margin, expansion)
-        return np.concatenate([eps * u / margin, [psi, 1.0 / abs(margin)]])
-
-    def run(steps_per_unit):
-        states = {}
-        for direction in (1.0, -1.0):
-            grid = [t for t in taus if (t > 0 if direction > 0 else t < 0)]
-            state, prev = np.concatenate([base, [0.0, 0.0]]), 0.0
-            for target in sorted(grid, key=abs):
-                steps = max(4, int(np.ceil(abs(target - prev) * steps_per_unit)))
-                states[target] = state = _rk4(rhs, state, prev, target, steps)
-                prev = target
-        states[0.0] = np.concatenate([base, [0.0, 0.0]])
-        return states
-
-    steps, value = 64, run(64)
-    for _ in range(10):
-        finer = run(2 * steps)
-        change = max(abs(np.exp(0.5 * finer[t][-2]) - np.exp(0.5 * value[t][-2]))
-                     for t in taus)
-        value, steps = finer, 2 * steps
-        if change < foliation.FLOW_A_TOL:
-            break
-    else:
-        raise FoliationError("flow integration did not converge under step halving")
+    states = {0.0: np.concatenate([base, [0.0, 0.0]])}
+    for direction in (1.0, -1.0):
+        grid = [t for t in taus if (t > 0 if direction > 0 else t < 0)]
+        state, prev = states[0.0], 0.0
+        for target in sorted(grid, key=abs):
+            states[target] = state = flow(chart, cert, state, target - prev,
+                                          foliation.FLOW_A_TOL)
+            prev = target
 
     a, k_slice, psi, proper_time, points = [], [], [], [], []
     for t in taus:
-        state = value[float(t)]
+        state = states[float(t)]
         _, h, margin, expansion = _scalars(chart, state[:-2], tol_margin)
         k, p = _terms(h, eps, margin, expansion)
         a.append(float(np.exp(0.5 * state[-2])))

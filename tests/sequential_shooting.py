@@ -1,7 +1,8 @@
 """One-at-a-time slice shooting, kept as a replay oracle for the batched
 same_slice_points: each candidate is drawn, timed from the base by adaptive
-GL8 quadrature (recursive bisection), flowed by classic RK4 with one
-geometry_at call per stage, and corrected by Newton steps, before the next
+GL8 quadrature (recursive bisection), flowed alone by the library's
+Dormand-Prince stepper with one geometry_at call per stage (the
+sequential_profile flow), and corrected by Newton steps, before the next
 candidate is drawn."""
 
 import numpy as np
@@ -11,6 +12,7 @@ from rwcert.foliation import DegeneracyError, FlowDomainError, FoliationError
 from rwcert.geometry import GeometryError, OutsideDomainError, geometry_at, trace_invariants
 
 from oracles import chunk_rows
+import sequential_profile
 
 
 def geometry_batch(chart, points, order):
@@ -77,31 +79,10 @@ def _polyline_integral(chart, vertices, tol_margin):
     return total
 
 
-def _flow_point(chart, cert, start, delta_tau, steps_per_unit):
-    if delta_tau == 0.0:
-        return start
-    steps = max(4, int(np.ceil(abs(delta_tau) * steps_per_unit)))
-
-    def rhs(x):
-        try:
-            geom, margin = _guarded(chart, x, cert.tol_margin)
-        except OutsideDomainError as err:
-            raise FlowDomainError(f"flow left the domain at {x.tolist()}") from err
-        return cert.epsilon * geom.u / margin
-
-    y, h = start, (delta_tau - 0.0) / steps
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def _shoot(chart, cert, base, q, target_tau):
     t_q = _polyline_integral(chart, [base, q], cert.tol_margin)
-    p = _flow_point(chart, cert, q, target_tau - t_q, 16)
+    p = sequential_profile.flow(chart, cert, np.concatenate([q, [0.0, 0.0]]), target_tau - t_q,
+                                foliation.SHOOT_FLOW_TOL)[:-2]
     err = t_q + _polyline_integral(chart, [q, p], cert.tol_margin) - target_tau
     rounds = 0
     while abs(err) >= foliation.SLICE_TOL:

@@ -168,15 +168,30 @@ def test_slice_quadrature_that_does_not_converge_exits_1(capsys, monkeypatch):
     assert "quadrature did not converge" in err and "Traceback" not in err
 
 
-def test_slice_flow_beyond_the_step_limit_exits_1(capsys):
+def test_slice_flow_beyond_the_step_limit_exits_1(capsys, monkeypatch):
+    from rwcert import foliation
+
+    monkeypatch.setattr(foliation, "MAX_FLOW_STEPS", 3)
     code, out, err = run_cli(["slice", "flrw_open", "--base", "1.5,1,1.5,1.5",
-                              "--tau-grid", "0,1e300"], capsys)
+                              "--tau-grid", "0,0.1"], capsys)
     assert code == 1
     assert out == ""
     assert err.splitlines()[0] == (
-        "[rwcert] slice reconstruction failed: the flow from tau = 0.0 to 1e+300 would "
-        "take more than the limit of 1000000 RK4 steps")
+        "[rwcert] slice reconstruction failed: the flow from tau = 0.0 to 0.1 took more "
+        "than the limit of 3 steps")
     assert "Traceback" not in err
+
+
+def test_slice_at_a_far_tau_exits_1(capsys):
+    """A tau of 1e300 flows out of the domain: one line says so, then the
+    wall-clock line, and no report is written."""
+    code, out, err = run_cli(["slice", "flrw_open", "--base", "1.5,1,1.5,1.5",
+                              "--tau-grid=1e300"], capsys)
+    assert code == 1
+    assert out == ""
+    failed, clock = err.splitlines()
+    assert failed.startswith("[rwcert] slice reconstruction failed: flow left the domain at ")
+    assert clock.startswith("[rwcert] slice finished in ")
 
 
 def test_slice_refuses_constant_curvature(capsys):

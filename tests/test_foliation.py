@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -196,28 +197,16 @@ def test_scale_factor_positive_and_normalized(flrw):
     assert (result.a > 0).all()
 
 
-def test_flow_point_is_plain_rk4(flrw, monkeypatch):
-    """flow_point equals classic four-stage RK4 on dx/dtau = eps u / (h - eps f)
-    with max(4, ceil(FLOW_STEPS_PER_UNIT |delta|)) steps, bit for bit; a
-    delta of 0 takes no step and returns the start, evaluating no geometry."""
+def test_flow_point_is_the_pairs_one_row_run(flrw, monkeypatch):
+    """flow_point equals the position of (start, 0, 0) flowed alone by the
+    Dormand-Prince pair at FLOW_A_TOL with one geometry_at call per stage
+    (the sequential_profile flow), bit for bit; a delta of 0 takes no step
+    and returns the start, evaluating no geometry."""
     chart, cert = flrw
     start, delta = np.array([2.0, 0.1, -0.2, 0.3]), -0.15
-    steps = 20
-    assert steps == np.ceil(foliation.FLOW_STEPS_PER_UNIT * abs(delta))
-
-    def rhs(x):
-        geom = geometry_at(chart, x, order=2)
-        f, h = trace_invariants(geom)
-        return cert.epsilon * geom.u / (h - geom.epsilon * f)
-
-    y, h = start, delta / steps
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert np.array_equal(flow_point(chart, cert, start, delta), y)
+    alone = sequential_profile.flow(chart, cert, np.concatenate([start, [0.0, 0.0]]), delta,
+                                    foliation.FLOW_A_TOL)
+    assert np.array_equal(flow_point(chart, cert, start, delta), alone[:-2])
 
     def no_geometry(*args, **kwargs):
         raise AssertionError("geometry evaluated")
@@ -242,13 +231,13 @@ def test_a_wave_failing_in_quadrature_flows_no_row(flrw, monkeypatch):
     the coarse flow gets no row."""
     chart, cert = flrw
     cert = dataclasses.replace(cert, tol_margin=0.15)
-    flowed, real = [], foliation.rk4
+    flowed, real = [], foliation.dopri
 
     def counting(rhs, y, *args, **kwargs):
         flowed.append(len(y))
         return real(rhs, y, *args, **kwargs)
 
-    monkeypatch.setattr(foliation, "rk4", counting)
+    monkeypatch.setattr(foliation, "dopri", counting)
     qs = np.array([[3.0, 0.1, 0.0, 0.0], [3.4, -0.2, 0.3, 0.1]])
     outcomes = foliation._shoot(chart, cert, BASE, qs, 0.1)
     assert [type(outcome) for outcome in outcomes] == [DegeneracyError] * 2
@@ -276,22 +265,39 @@ def test_non_finite_tau_raises_foliation_error(flrw, call, value):
         call(chart, cert, value)
 
 
-@pytest.mark.parametrize("call", [
-    lambda chart, cert: flow_point(chart, cert, BASE, 1e300),
-    lambda chart, cert: scale_factor_profile(chart, cert, BASE, [0.1, 1e300]),
-    lambda chart, cert: same_slice_points(chart, cert, BASE, 1e300, 2),
+@pytest.mark.parametrize("call, span", [
+    (lambda chart, cert: flow_point(chart, cert, BASE, 0.1), "0.0 to 0.1"),
+    (lambda chart, cert: scale_factor_profile(chart, cert, BASE, [-0.1, 0.1]), "0.0 to 0.1"),
+    (lambda chart, cert: same_slice_points(chart, cert, BASE, -0.05, 2), ""),
 ], ids=["flow_point", "profile", "same_slice"])
-def test_flow_beyond_the_step_limit_raises_foliation_error(flrw, monkeypatch, call):
-    """A tau so far that its RK4 steps would run for ever is a plain
-    FoliationError, raised before rk4 runs: not a FlowDomainError or a
+def test_flow_beyond_the_step_limit_raises_foliation_error(flrw, monkeypatch, call, span):
+    """A segment on which a row needs more than MAX_FLOW_STEPS steps is a
+    plain FoliationError naming its tau span: not a FlowDomainError or a
     DegeneracyError, so same_slice_points raises it instead of redrawing."""
     chart, cert = flrw
-    flowed = []
-    monkeypatch.setattr(foliation, "rk4", lambda *args: flowed.append(args))
-    with pytest.raises(FoliationError, match="more than the limit of 1000000 RK4 steps") as info:
+    monkeypatch.setattr(foliation, "MAX_FLOW_STEPS", 1)
+    with pytest.raises(FoliationError, match="took more than the limit of 1 steps") as info:
         call(chart, cert)
     assert type(info.value) is FoliationError
-    assert flowed == []
+    assert str(info.value).startswith(f"the flow from tau = {span}")
+
+
+@pytest.mark.parametrize("call, kind, text", [
+    (lambda chart, cert: flow_point(chart, cert, BASE, 1e300),
+     FlowDomainError, "flow left the domain"),
+    (lambda chart, cert: scale_factor_profile(chart, cert, BASE, [0.1, 1e300]),
+     FlowDomainError, "flow left the domain"),
+    (lambda chart, cert: same_slice_points(chart, cert, BASE, 1e300, 2),
+     FoliationError, "could not place 2 points on slice 1e+300; 201 candidates failed"),
+], ids=["flow_point", "profile", "same_slice"])
+def test_a_far_tau_ends_in_leaving_the_domain(flrw, call, kind, text):
+    """t(tau) = 2/(1 + 2 tau) leaves the domain at tau = 1/6: a tau of 1e300
+    ends there after a few growing steps, and shooting toward it gives up
+    after MAX_REJECTS redrawn candidates."""
+    chart, cert = flrw
+    with pytest.raises(kind, match=re.escape(text)) as info:
+        call(chart, cert)
+    assert type(info.value) is kind
 
 
 PROFILE_BASES = {
@@ -333,6 +339,45 @@ def test_profile_replays_the_sequential_loop(charts, certificates, cid, several)
         assert np.array_equal(getattr(got, name), value), name
 
 
+def _dop853(chart, cert, base, grid) -> dict:
+    """The states (x, log a^2, s) at the grid values by scipy's DOP853 at
+    rtol = atol = 1e-13 on the derivative at each point, one solve a side."""
+    from scipy.integrate import solve_ivp
+
+    start, states = np.concatenate([base, [0.0, 0.0]]), {}
+    for side in ([t for t in grid if t > 0], [t for t in grid if t < 0]):
+        if side:
+            end = max(side, key=abs)
+            sol = solve_ivp(lambda _, y: sequential_profile.derivative(chart, cert, y),
+                            (0.0, end), start, method="DOP853", rtol=1e-13, atol=1e-13,
+                            t_eval=sorted(side, key=abs))
+            states.update(zip(sorted(side, key=abs), sol.y.T))
+    return states
+
+
+@pytest.mark.parametrize("cid", sorted(PROFILE_BASES))
+def test_profile_agrees_with_dop853(charts, certificates, cid):
+    """On the acceptance-7 grid, a(tau) is within 3e-10, and the proper time
+    and the points within 5e-10, of an independent high-order solve."""
+    chart, cert, base = charts[cid], certificates[cid], PROFILE_BASES[cid]
+    grid = [t for t in _acceptance_7_grid(chart, cert, base) if t != 0.0]
+    got = scale_factor_profile(chart, cert, base, grid)
+    want = _dop853(chart, cert, np.array(base, dtype=float), grid)
+    for tau, a, s, point in zip(got.tau, got.a, got.proper_time, got.points):
+        if tau != 0.0:
+            assert abs(a - np.exp(0.5 * want[tau][-2])) < 3e-10, (cid, tau)
+            assert abs(s - want[tau][-1]) < 5e-10, (cid, tau)
+            assert np.abs(point - want[tau][:-2]).max() < 5e-10, (cid, tau)
+
+
+def test_flat_profile_meets_the_closed_form_on_the_acceptance_8_grid(flrw):
+    """On flrw_flat_linear from t = 2, a = 1/(1 + 2 tau) to 3e-10."""
+    chart, cert = flrw
+    grid = np.array([-0.15, -0.075, 0.075, 0.15])
+    got = scale_factor_profile(chart, cert, BASE, grid)
+    assert np.abs(got.a - 1.0 / (1.0 + 2.0 * got.tau)).max() < 3e-10
+
+
 @pytest.mark.parametrize("grid, tol_margin", [
     ([0.3], None),                  # forward: the flow leaves the domain
     ([-0.15], 0.15),                # backward: the flow enters the margin band
@@ -357,10 +402,11 @@ def test_profile_raises_what_the_sequential_loop_raises(flrw, grid, tol_margin):
 
 
 def test_profile_rows_and_calls_on_the_acceptance_7_grid(charts, certificates, monkeypatch):
-    """On flrw_closed_osc, which needs four doublings, the acceptance-7 grid
-    evaluates the 1,163 rows of the sequential loop (1,160 RK4 stages and the
-    3 grid values), no speculative level among them, and the diagnostic
-    loop's 96 quadrature rows, all at order 2, in 423 calls: none at order 3."""
+    """On flrw_closed_osc the acceptance-7 grid flows its two directions as
+    two rows of one Dormand-Prince run, 15 steps each: f(y0), the first-step
+    probe and 6 stages a step make 92 calls of 2 rows.  The 3 grid values
+    and the diagnostic loop's 96 quadrature rows add 3 calls: 283 rows, all
+    at order 2, in 95 calls."""
     chart, cert = charts["flrw_closed_osc"], certificates["flrw_closed_osc"]
     base = PROFILE_BASES["flrw_closed_osc"]
     grid = _acceptance_7_grid(chart, cert, base)
@@ -382,8 +428,8 @@ def test_profile_rows_and_calls_on_the_acceptance_7_grid(charts, certificates, m
     monkeypatch.setattr(foliation, "geometry_at", counting)
     monkeypatch.setattr(foliation, "geometry_chunk", counting_chunk)
     scale_factor_profile(chart, cert, base, grid)
-    assert rows == {2: 1259}
-    assert calls == {2: 423}
+    assert rows == {2: 2 * 92 + 3 + 96}
+    assert calls == {2: 92 + 1 + 2}
 
 
 def test_foliation_evaluates_only_order_2(charts, certificates, monkeypatch):
@@ -465,9 +511,9 @@ def test_loop_vertex_outside_domain_raises(flrw):
 
 def test_same_slice_points_evaluation_count(flrw, monkeypatch):
     """One seeded call makes an exact number of order-2 evaluations: the time
-    of each candidate from the base, a 16-per-unit coarse flow, and per Newton
-    step one evaluation of d_t plus the step's quadrature.  A batched call
-    counts one evaluation per point."""
+    of each candidate from the base, a coarse flow at SHOOT_FLOW_TOL, the
+    quadrature on q -> p, and per Newton step one evaluation of d_t plus the
+    step's quadrature.  A batched call counts one evaluation per point."""
     chart, cert = flrw
     calls = []
     real, real_chunk = foliation.geometry_at, foliation.geometry_chunk
@@ -484,9 +530,10 @@ def test_same_slice_points_evaluation_count(flrw, monkeypatch):
     monkeypatch.setattr(foliation, "geometry_chunk", counting_chunk)
     same_slice_points(chart, cert, BASE, -0.05, 3, rng=np.random.default_rng(2))
     assert set(calls) == {2}
-    # per candidate: one GL8 pair (24) from the base, 4 RK4 steps (16) and
-    # 24 on q -> p; the second candidate takes one Newton step (1 + 24)
-    assert len(calls) == 3 * (24 + 16 + 24) + (1 + 24)
+    # per candidate: one GL8 pair (24) from the base and 24 on q -> p; the
+    # flows take f(y0), the first-step probe and 6 stages a step, 1, 2 and 1
+    # steps; one candidate takes one Newton step (1 + 24)
+    assert len(calls) == 3 * (24 + 24) + (8 + 14 + 8) + (1 + 24)
 
 
 class _CountingRng:
@@ -566,7 +613,8 @@ def test_give_up_replays_one_at_a_time_shooting(charts, certificates, monkeypatc
     chart = charts["flrw_flat_linear"]
     cert = dataclasses.replace(certificates["flrw_flat_linear"], tol_margin=0.12)
     rows = [0, 0]
-    for k, module in enumerate((foliation, sequential_shooting)):
+    sides = ((foliation,), (sequential_shooting, sequential_profile))   # whose flow it calls
+    for k, module in ((k, module) for k, side in enumerate(sides) for module in side):
         for name in ("geometry_at", "geometry_chunk", "geometry_batch"):
             if hasattr(module, name):
                 real, single = getattr(module, name), name == "geometry_at"

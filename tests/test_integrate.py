@@ -1,11 +1,12 @@
-"""The shared fixed-step RK4 loop."""
+"""The package's ODE steppers: fixed-step RK4 with step doubling, and the
+adaptive Dormand-Prince 5(4) pair."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rwcert.integrate import doubled, rk4
+from rwcert.integrate import doubled, dopri, rk4
 
 
 def test_rk4_rows_equal_lone_calls():
@@ -125,3 +126,114 @@ def test_doubled_never_consumes_a_level_past_the_accepted_pair():
     run, change, requests = _scripted({2: 1e-6, 4: 1e-9}, last=4)
     assert doubled(run, 1, change, 1e-8, 10) == (4, 4, 1e-9, True)
     assert requests == [[1, 2], [4, 8]]
+
+
+def _oscillator(y, rows):
+    """(sin, cos, clock)' = (cos, -sin, 1)."""
+    return np.stack([y[:, 1], -y[:, 0], np.ones(len(y))], axis=-1)
+
+
+OSCILLATOR_SPANS = [3.0, -2.0, 0.7, -0.01, 0.0, 10.0]
+
+
+def test_dopri_follows_the_oscillator_in_lockstep():
+    """Rows from (0, 1, 0) with spans of both signs end within 10 tol of
+    (sin, cos) at their spans, each bit for bit where a one-row call ends;
+    rhs sees only the rows still stepping, and a span of 0 never."""
+    tol, spans = 1e-8, OSCILLATOR_SPANS
+    starts = np.tile([0.0, 1.0, 0.0], (len(spans), 1))
+    seen = []
+
+    def recording(y, rows):
+        seen.append(rows.tolist())
+        return _oscillator(y, rows)
+
+    ends, unfinished = dopri(recording, starts, spans, tol, 1000)
+    assert not len(unfinished)
+    assert np.array_equal(starts, np.tile([0.0, 1.0, 0.0], (len(spans), 1)))
+    want = np.stack([np.sin(spans), np.cos(spans)], axis=-1)
+    assert np.abs(ends[:, :2] - want).max() < 10 * tol
+    for b, span in enumerate(spans):
+        assert np.array_equal(ends[b], dopri(_oscillator, starts[b:b + 1], [span], tol, 1000)[0][0])
+    assert all(4 not in rows for rows in seen)
+    assert seen[0] == [0, 1, 2, 3, 5] and seen[-1] == [5]
+
+
+def test_dopri_evaluates_nothing_for_a_span_of_0():
+    def no_calls(y, rows):
+        raise AssertionError("rhs called")
+
+    start = np.array([[0.3, -1.0]])
+    assert np.array_equal(dopri(no_calls, start, [0.0], 1e-8, 1000)[0], start)
+
+
+@pytest.mark.parametrize("span", [0.9, -0.9])
+def test_dopri_lands_on_the_span(span):
+    """y' = 1 from 0 at tol 1e-3: the first step is 100 x 1e-6 (y0 = 0) and
+    each step grows 5-fold, 1e-4 (1 + 5 + ... + 5^5) = 0.3906 in 6 steps;
+    the 7th is clipped to end on the span, where t + (span - t) is not the
+    span in floating point, and no sliver step follows: 2 + 6 x 7 calls."""
+    starts = []
+
+    def constant(y, rows):
+        starts.append(y[0, 0])
+        return np.ones_like(y)
+
+    end = dopri(constant, np.zeros((1, 1)), [span], 1e-3, 1000)[0]
+    assert len(starts) == 2 + 6 * 7
+    assert end[0, 0] == pytest.approx(span, abs=1e-15)
+
+
+def test_dopri_stops_a_row_at_a_non_finite_stage():
+    """A row whose derivative turns nan past sin = 0.5 stops where its
+    failing step started, finite and short of 0.5, and is not called again;
+    the other rows end bit for bit as they do alone."""
+    calls = []
+
+    def failing(y, rows):
+        calls.append(rows.tolist())
+        k = _oscillator(y, rows)
+        k[(rows == 1) & (y[:, 0] > 0.5)] = np.nan
+        return k
+
+    starts = np.tile([0.0, 1.0, 0.0], (3, 1))
+    spans = [2.0, 1.5, -1.0]
+    ends = dopri(failing, starts, spans, 1e-8, 1000)[0]
+    assert np.isfinite(ends[1]).all() and ends[1, 0] <= 0.5 and ends[1, 2] < 1.5
+    last = max(i for i, rows in enumerate(calls) if 1 in rows)
+    assert all(1 not in rows for rows in calls[last + 1:]) and len(calls) > last + 1
+    for b in (0, 2):
+        assert np.array_equal(ends[b], dopri(_oscillator, starts[b:b + 1], spans[b:b + 1],
+                                             1e-8, 1000)[0][0])
+
+
+def test_dopri_returns_the_rows_past_the_step_cap():
+    """A row that needs more than max_steps steps is returned among the
+    unfinished rows, at the state its max_steps steps reached; a row that
+    lands within them is not."""
+    starts = np.tile([0.0, 1.0, 0.0], (3, 1))
+    ends, unfinished = dopri(_oscillator, starts, [0.0, 3.0, 0.01], 1e-8, 3)
+    assert unfinished.tolist() == [1]
+    assert 0.0 < ends[1, 2] < 3.0 and ends[2, 2] == pytest.approx(0.01, abs=1e-15)
+
+
+def test_dopri_does_not_grow_the_step_after_a_rejection():
+    """(clock, z)' = (1, exp(-((clock - 0.5) / 0.1)^2)) from 0 to 1: the bump
+    rejects steps (a step that starts where the one before it started), and
+    the step after the next accepted one is no wider than that accepted one.
+    Each step's start and width are read off its stage-2 and stage-7 clocks."""
+    clocks = []
+
+    def bump(y, rows):
+        clocks.append(y[0, 0])
+        return np.stack([np.ones(len(y)), np.exp(-((y[:, 0] - 0.5) / 0.1) ** 2)], axis=-1)
+
+    dopri(bump, np.zeros((1, 2)), [1.0], 1e-8, 1000)
+    second, seventh = np.array(clocks[2::6]), np.array(clocks[7::6])
+    width = (seventh - second) / 0.8
+    start = second - 0.2 * width
+    rejected = [i for i in range(len(width) - 2) if abs(start[i + 1] - start[i]) < 1e-12]
+    assert len(rejected) >= 3
+    for i in rejected:
+        if abs(start[i + 2] - start[i + 1]) > 1e-12:
+            assert width[i + 2] <= width[i + 1] * (1 + 1e-9), i
